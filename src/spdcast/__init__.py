@@ -50,6 +50,7 @@ from .evaluation import (
 from .exceptions import (
     ConfigError,
     ConvergenceError,
+    DataFileError,
     DecompositionError,
     DimensionMismatchError,
     NotPositiveDefiniteError,

@@ -30,6 +30,8 @@ from .frechet import (
     METRIC_PROCRUSTES,
     FrechetConfig,
     frechet_mean,
+    log_stack,
+    mean_from_logs,
 )
 from .spd import SpdMatrix, _symmetrize, expm
 
@@ -44,6 +46,7 @@ __all__ = [
     "blockdiag_spd",
     "build_lagged_inputs",
     "build_geohar_inputs",
+    "har_input",
     "rolling_windows",
     "simulate_series",
     "simulate_market",
@@ -202,6 +205,30 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
     return SupervisedSet(inputs, targets, series.dates[lags:], mode="lags", lags=lags)
 
 
+def har_input(
+    matrices: Sequence[SpdMatrix],
+    t: int,
+    cfg: FrechetConfig,
+    logs: np.ndarray | None = None,
+    weekly_window: int = 5,
+    monthly_window: int = 22,
+) -> SpdMatrix:
+    """Heterogeneous input at position t: yesterday, weekly mean, monthly mean.
+
+    Block-stacks ``matrices[t - 1]`` with the Fréchet means of the
+    ``weekly_window`` and ``monthly_window`` matrices before t.  Given the
+    :func:`log_stack` of ``matrices`` as ``logs`` (log-Euclidean metric),
+    each mean averages a slice of it instead of taking logarithms again.
+    """
+
+    def mean(k: int) -> SpdMatrix:
+        if logs is not None:
+            return mean_from_logs(logs[t - k : t])
+        return frechet_mean(matrices[t - k : t], cfg)
+
+    return blockdiag_spd([matrices[t - 1], mean(weekly_window), mean(monthly_window)])
+
+
 def build_geohar_inputs(
     series: CovSeries,
     metric: str = METRIC_LOG_EUCLIDEAN,
@@ -209,11 +236,12 @@ def build_geohar_inputs(
     weekly_window: int = 5,
     monthly_window: int = 22,
 ) -> SupervisedSet:
-    """Heterogeneous inputs: yesterday, weekly mean, monthly mean, stacked.
+    """Supervised pairs of :func:`har_input` and the next matrix.
 
-    The 3n x 3n input at position t block-stacks the matrix at t-1, the
-    Fréchet mean of the ``weekly_window`` most recent matrices, and the mean
-    of the ``monthly_window`` most recent, under the chosen metric.
+    The input at position t block-stacks the matrix at t-1, the Fréchet
+    mean of the ``weekly_window`` most recent matrices, and the mean of the
+    ``monthly_window`` most recent, under the chosen metric.  Log-Euclidean
+    means share one :func:`log_stack` of the series.
     """
     if metric not in (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES):
         raise ValueError(f"unknown metric {metric!r}")
@@ -227,13 +255,15 @@ def build_geohar_inputs(
         cfg = FrechetConfig(metric=metric)
     elif cfg.metric != metric:
         raise ValueError("cfg.metric disagrees with the metric argument")
-    inputs, targets = [], []
-    for t in range(monthly_window, len(series)):
-        daily = series.matrices[t - 1]
-        weekly = frechet_mean(series.matrices[t - weekly_window : t], cfg)
-        monthly = frechet_mean(series.matrices[t - monthly_window : t], cfg)
-        inputs.append(blockdiag_spd([daily, weekly, monthly]))
-        targets.append(series.matrices[t])
+    logs = None
+    if metric == METRIC_LOG_EUCLIDEAN:
+        logs = log_stack(series.matrices[:-1], cfg.spd_floor)
+    positions = range(monthly_window, len(series))
+    inputs = [
+        har_input(series.matrices, t, cfg, logs, weekly_window, monthly_window)
+        for t in positions
+    ]
+    targets = [series.matrices[t] for t in positions]
     return SupervisedSet(
         inputs, targets, series.dates[monthly_window:], mode="geohar", metric=metric
     )

@@ -31,3 +31,7 @@ class ConvergenceError(SpdcastError, RuntimeError):
 
 class ConfigError(SpdcastError, ValueError):
     """A run configuration file is invalid."""
+
+
+class DataFileError(SpdcastError, OSError):
+    """A configured data file is missing or cannot be read."""

@@ -21,6 +21,8 @@ __all__ = [
     "METRIC_PROCRUSTES",
     "FrechetConfig",
     "GpaResult",
+    "log_stack",
+    "mean_from_logs",
     "frechet_mean_log_euclidean",
     "frechet_mean_procrustes",
     "frechet_mean",
@@ -82,8 +84,7 @@ def _exact_mean(stack: np.ndarray) -> np.ndarray:
     # Entrywise exactly-rounded summation: the mean is bit-for-bit invariant
     # under permutations of the sample.
     count = stack.shape[0]
-    flat = stack.reshape(count, -1)
-    sums = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
+    sums = np.array([math.fsum(column) for column in stack.reshape(count, -1).T.tolist()])
     return (sums / count).reshape(stack.shape[1:])
 
 
@@ -95,17 +96,28 @@ def _floored(s: SpdMatrix, spd_floor: float) -> SpdMatrix:
     return s
 
 
+def log_stack(sample: Sequence[SpdMatrix], spd_floor: float = 1e-8) -> np.ndarray:
+    """The ``(T, n, n)`` stack of ``logm(S_t)``, the inputs of log-Euclidean means.
+
+    Rank-deficient elements are floor-projected (relative floor
+    ``spd_floor * lambda_max``) before taking logarithms.  Slices of one
+    stack give the means of every window of a series, so each matrix's
+    logarithm is taken once.
+    """
+    _check_sample(sample)
+    return np.stack([logm(_floored(s, spd_floor)) for s in sample])
+
+
+def mean_from_logs(logs: np.ndarray) -> SpdMatrix:
+    """Log-Euclidean mean of the matrices whose logarithms ``logs`` stacks."""
+    return expm(_exact_mean(logs))
+
+
 def frechet_mean_log_euclidean(
     sample: Sequence[SpdMatrix], spd_floor: float = 1e-8
 ) -> SpdMatrix:
-    """Closed-form log-Euclidean mean: ``expm(mean(logm(S_t)))``.
-
-    Rank-deficient elements are floor-projected (relative floor
-    ``spd_floor * lambda_max``) before taking logarithms.
-    """
-    _check_sample(sample)
-    logs = np.stack([logm(_floored(s, spd_floor)) for s in sample])
-    return expm(_exact_mean(logs))
+    """Closed-form log-Euclidean mean: ``expm(mean(logm(S_t)))``."""
+    return mean_from_logs(log_stack(sample, spd_floor))
 
 
 def frechet_mean_procrustes(

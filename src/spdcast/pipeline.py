@@ -18,6 +18,7 @@ import logging
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -33,7 +34,7 @@ from .data import (
     blockdiag_spd,
     build_geohar_inputs,
     build_lagged_inputs,
-    frechet_mean,
+    har_input,
     load_intraday_csv,
     load_series,
     realized_series,
@@ -50,8 +51,8 @@ from .evaluation import (
     mcs,
     regime_split,
 )
-from .exceptions import ConfigError, SpdcastError
-from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
+from .exceptions import ConfigError, DataFileError, SpdcastError
+from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig, log_stack
 from .network import Network, NetworkSpec
 from .optim import LOSS_LOG_EUCLIDEAN, LOSS_MSE, TrainConfig, train
 from .portfolio import (
@@ -274,6 +275,8 @@ def load_config(
     workers = run.integer("workers", 1)
     if workers < 1:
         raise ConfigError(f"[run] workers: must be >= 1, got {workers}")
+    if workers_override is not None and workers_override < 1:
+        raise ConfigError(f"--workers: must be >= 1, got {workers_override}")
 
     source = data.text("source", "simulate").lower()
     if source not in ("simulate", "matbin", "csvlong", "intraday"):
@@ -414,6 +417,15 @@ def _model_seed(run_seed: int, model_name: str, fit_index: int = 0) -> int:
     return int(mixed.generate_state(1)[0])
 
 
+@contextmanager
+def _reading(key: str, path: Path):
+    """Report an unreadable ``[data] <key>`` file as a :class:`DataFileError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise DataFileError(f"[data] {key}: cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def resolve_series(cfg: RunConfig) -> tuple[CovSeries, np.ndarray | None, list[str]]:
     """Load or synthesize the covariance series; returns (series, daily returns, tickers)."""
     if cfg.source == "simulate":
@@ -423,10 +435,12 @@ def resolve_series(cfg: RunConfig) -> tuple[CovSeries, np.ndarray | None, list[s
         tickers = [f"A{i:02d}" for i in range(cfg.sim_n)]
         return series, returns, tickers
     if cfg.source in (FORMAT_MATBIN, FORMAT_CSVLONG):
-        series = load_series(cfg.data_path, cfg.source)
+        with _reading("path", cfg.data_path):
+            series = load_series(cfg.data_path, cfg.source)
         returns, tickers = None, [f"A{i:02d}" for i in range(series.dim)]
         if cfg.returns_path is not None:
-            dates, returns, tickers = _read_returns_csv(cfg.returns_path)
+            with _reading("returns", cfg.returns_path):
+                dates, returns, tickers = _read_returns_csv(cfg.returns_path)
             lookup = {d: i for i, d in enumerate(dates)}
             rows = []
             for d in series.dates:
@@ -435,10 +449,47 @@ def resolve_series(cfg: RunConfig) -> tuple[CovSeries, np.ndarray | None, list[s
                 rows.append(returns[lookup[d]])
             returns = np.asarray(rows)
         return series, returns, tickers
-    panel = load_intraday_csv(cfg.data_path, cfg.grid_seconds)
+    with _reading("path", cfg.data_path):
+        panel = load_intraday_csv(cfg.data_path, cfg.grid_seconds)
     series = realized_series(panel)
     daily = np.stack([r.sum(axis=0) for r in panel.returns])
     return series, daily, list(panel.tickers)
+
+
+# The stage that writes data/series.matbin and data/returns.csv, per source.
+_DATA_STAGES = {"simulate": "simulate", "intraday": "ingest"}
+_SERIES_FILE = "data/series.matbin"
+_RETURNS_FILE = "data/returns.csv"
+
+
+def _data_key(cfg: RunConfig) -> str:
+    """Digest of every input that shapes the data stage's series and returns."""
+    if cfg.source == "simulate":
+        inputs = [cfg.sim_n, cfg.sim_days, cfg.sim_persistence, cfg.sim_df, cfg.seed,
+                  np.__version__]
+    else:
+        digest = hashlib.sha256()
+        with _reading("path", cfg.data_path), open(cfg.data_path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+        inputs = [cfg.grid_seconds, digest.hexdigest()]
+    text = json.dumps([cfg.source, __version__, *inputs])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stage_series(cfg: RunConfig) -> CovSeries | None:
+    """The data stage's series if its manifest's key matches ``cfg``, else None."""
+    stage = _DATA_STAGES.get(cfg.source)
+    if stage is None:
+        return None
+    try:
+        recorded = json.loads(_manifest_path(cfg, stage).read_text()).get("data_key")
+    except (OSError, ValueError, AttributeError):
+        return None
+    files = [cfg.out_dir / _SERIES_FILE, cfg.out_dir / _RETURNS_FILE]
+    if not all(f.exists() for f in files) or recorded != _data_key(cfg):
+        return None
+    return load_series(files[0], FORMAT_MATBIN)
 
 
 def _write_returns_csv(path: Path, dates: np.ndarray, returns: np.ndarray, tickers: list[str]) -> None:
@@ -589,18 +640,24 @@ class _GeoharForecaster(_NetForecaster):
         super().__init__(name, cfg, loss)
         self.metric = metric
         self.frechet_cfg = FrechetConfig(metric=metric)
+        self._logs: tuple[CovSeries, np.ndarray] | None = None
 
     def _input_dim(self, n: int) -> int:
         return 3 * n
+
+    def _series_logs(self, series: CovSeries) -> np.ndarray | None:
+        # Log-Euclidean prediction inputs share one log stack per series.
+        if self.metric != METRIC_LOG_EUCLIDEAN:
+            return None
+        if self._logs is None or self._logs[0] is not series:
+            self._logs = (series, log_stack(series.matrices, self.frechet_cfg.spd_floor))
+        return self._logs[1]
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_geohar_inputs(series.subseries(train_slice), self.metric, self.frechet_cfg)
 
     def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
-        daily = series.matrices[t - 1]
-        weekly = frechet_mean(series.matrices[t - 5 : t], self.frechet_cfg)
-        monthly = frechet_mean(series.matrices[t - 22 : t], self.frechet_cfg)
-        return blockdiag_spd([daily, weekly, monthly])
+        return har_input(series.matrices, t, self.frechet_cfg, self._series_logs(series))
 
 
 def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
@@ -691,7 +748,11 @@ def _run_model_job(args: tuple) -> ModelRunResult:
 # Commands
 
 
-def _write_manifest(cfg: RunConfig, command: str, artifacts: dict[str, str]) -> None:
+def _manifest_path(cfg: RunConfig, command: str) -> Path:
+    return cfg.out_dir / f"manifest_{command.replace('-', '_')}.json"
+
+
+def _write_manifest(cfg: RunConfig, command: str, artifacts: dict[str, str], **extra) -> None:
     manifest = {
         "command": command,
         "config_sha256": cfg.config_hash,
@@ -702,24 +763,44 @@ def _write_manifest(cfg: RunConfig, command: str, artifacts: dict[str, str]) -> 
         "source": cfg.source,
         "persistence": cfg.sim_persistence if cfg.source == "simulate" else None,
         "artifacts": artifacts,
+        **extra,
     }
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"manifest_{command.replace('-', '_')}.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _manifest_path(cfg, command).write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _forget_data_stages(cfg: RunConfig) -> None:
+    """Drop every data-stage manifest before a file in ``data/`` is replaced.
+
+    A manifest's key then vouches only for files its own stage wrote, and a
+    later train-forecast cannot reuse files another run overwrote.
+    """
+    for stage in _DATA_STAGES.values():
+        _manifest_path(cfg, stage).unlink(missing_ok=True)
+
+
+def _run_data_stage(cfg: RunConfig, command: str) -> tuple[CovSeries, list[str]]:
+    """Write the series and returns, then a manifest keyed to their inputs.
+
+    The old manifests go first, so an interrupted stage never leaves a
+    matching key beside partly written files.
+    """
+    _forget_data_stages(cfg)
+    key = _data_key(cfg)
+    series, returns, tickers = resolve_series(cfg)
+    (cfg.out_dir / "data").mkdir(parents=True, exist_ok=True)
+    save_series(series, cfg.out_dir / _SERIES_FILE, FORMAT_MATBIN)
+    _write_returns_csv(cfg.out_dir / _RETURNS_FILE, series.dates, returns, tickers)
+    _write_manifest(cfg, command, {"series": _SERIES_FILE, "returns": _RETURNS_FILE},
+                    data_key=key)
+    return series, tickers
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Materialize a synthetic covariance series and its daily returns."""
     if cfg.source != "simulate":
         raise ConfigError("[data] source: cmd_simulate requires source = simulate")
-    series, returns, tickers = resolve_series(cfg)
-    data_dir = cfg.out_dir / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
-    save_series(series, data_dir / "series.matbin", FORMAT_MATBIN)
-    _write_returns_csv(data_dir / "returns.csv", series.dates, returns, tickers)
-    _write_manifest(cfg, "simulate", {
-        "series": "data/series.matbin", "returns": "data/returns.csv",
-    })
+    series, _ = _run_data_stage(cfg, "simulate")
     log.info("simulated %d days of %dx%d covariances", len(series), series.dim, series.dim)
     return 0
 
@@ -728,14 +809,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     """Intraday prices to realized covariances plus daily returns."""
     if cfg.source != "intraday":
         raise ConfigError("[data] source: cmd_ingest requires source = intraday")
-    series, returns, tickers = resolve_series(cfg)
-    data_dir = cfg.out_dir / "data"
-    data_dir.mkdir(parents=True, exist_ok=True)
-    save_series(series, data_dir / "series.matbin", FORMAT_MATBIN)
-    _write_returns_csv(data_dir / "returns.csv", series.dates, returns, tickers)
-    _write_manifest(cfg, "ingest", {
-        "series": "data/series.matbin", "returns": "data/returns.csv",
-    })
+    series, tickers = _run_data_stage(cfg, "ingest")
     log.info("ingested %d days over tickers %s", len(series), ",".join(tickers))
     return 0
 
@@ -745,10 +819,18 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
 
     Artifacts: ``data/realized.matbin`` (test-date truth), one
     ``forecasts/<model>.matbin`` per model, per-fit loss traces, a failure
-    log, and the manifest.  Returns nonzero iff a requested model produced
-    no forecasts at all.
+    log, and the manifest.  The series is the data stage's
+    ``data/series.matbin`` when that stage's manifest key matches ``cfg``,
+    and is rebuilt from the source otherwise.  Returns nonzero iff a
+    requested model produced no forecasts at all.
     """
-    series, returns, tickers = resolve_series(cfg)
+    series = _stage_series(cfg)
+    if series is not None:
+        series_from, returns = _SERIES_FILE, None
+    else:
+        series, returns, tickers = resolve_series(cfg)
+        series_from = cfg.source
+    log.info("series of %d days from %s", len(series), series_from)
     if cfg.window >= len(series):
         raise ConfigError(
             f"[forecast] window: {cfg.window} must be below the series length "
@@ -763,7 +845,8 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     realized = CovSeries(series.dates[cfg.window :], [series.matrices[t] for t in test_positions])
     save_series(realized, out / "data" / "realized.matbin", FORMAT_MATBIN)
     if returns is not None:
-        _write_returns_csv(out / "data" / "returns.csv", series.dates, returns, tickers)
+        _forget_data_stages(cfg)
+        _write_returns_csv(out / _RETURNS_FILE, series.dates, returns, tickers)
 
     jobs = [(spec, cfg, series) for spec in cfg.roster]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -801,7 +884,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
             writer.writerow(["model", "date", "reason"])
             writer.writerows(failure_rows)
         log.warning("%d window failures recorded", len(failure_rows))
-    _write_manifest(cfg, "train-forecast", artifacts)
+    _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from)
     return 1 if failed_models else 0
 
 

@@ -27,6 +27,14 @@ from spdcast import (
     simulate_market,
     simulate_series,
 )
+from spdcast.data import har_input
+from spdcast.frechet import (
+    METRIC_LOG_EUCLIDEAN,
+    METRIC_PROCRUSTES,
+    FrechetConfig,
+    frechet_mean,
+    log_stack,
+)
 
 
 def make_series(rng, n=3, length=30):
@@ -142,6 +150,55 @@ class TestSupervisedBuilders:
         sup = build_geohar_inputs(series)
         for block in (slice(0, 2), slice(2, 4), slice(4, 6)):
             assert np.allclose(sup.inputs[0].data[block, block], m.data, atol=1e-10)
+
+
+class TestHarInputs:
+    @staticmethod
+    def series_with_singular_day(rng, length=40):
+        series = make_series(rng, n=3, length=length)
+        matrices = list(series.matrices)
+        v = rng.standard_normal(3)
+        matrices[10] = SpdMatrix(np.outer(v, v))  # rank one: floor-projected
+        return CovSeries(series.dates, matrices)
+
+    @staticmethod
+    def reference(matrices, t, cfg):
+        return blockdiag_spd([
+            matrices[t - 1],
+            frechet_mean(matrices[t - 5 : t], cfg),
+            frechet_mean(matrices[t - 22 : t], cfg),
+        ])
+
+    @staticmethod
+    def assert_same(a, b):
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.eig.values, b.eig.values)
+        assert np.array_equal(a.eig.vectors, b.eig.vectors)
+
+    def test_log_cached_inputs_equal_per_window_means_bitwise(self, rng):
+        series = self.series_with_singular_day(rng)
+        cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
+        sup = build_geohar_inputs(series, METRIC_LOG_EUCLIDEAN, cfg)
+        for k, t in enumerate(range(22, len(series))):
+            self.assert_same(sup.inputs[k], self.reference(series.matrices, t, cfg))
+
+    def test_series_log_stack_matches_a_fit_on_a_slice(self, rng):
+        series = self.series_with_singular_day(rng)
+        cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
+        logs = log_stack(series.matrices)
+        fit = build_geohar_inputs(series.subseries(slice(5, 35)), METRIC_LOG_EUCLIDEAN, cfg)
+        for k, t in enumerate(range(5 + 22, 35)):
+            self.assert_same(fit.inputs[k], har_input(series.matrices, t, cfg, logs))
+        for t in range(22, len(series)):
+            self.assert_same(har_input(series.matrices, t, cfg, logs),
+                             self.reference(series.matrices, t, cfg))
+
+    def test_procrustes_route_unchanged(self, rng):
+        series = make_series(rng, n=2, length=25)
+        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+        sup = build_geohar_inputs(series, METRIC_PROCRUSTES, cfg)
+        for k, t in enumerate(range(22, len(series))):
+            self.assert_same(sup.inputs[k], self.reference(series.matrices, t, cfg))
 
 
 class TestRollingWindows:

@@ -1,5 +1,7 @@
 """Closed-form and iterative Fréchet means."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from spdcast import (
     frechet_mean_procrustes,
     logm,
 )
+from spdcast.frechet import _exact_mean
 
 
 class TestLogEuclideanMean:
@@ -127,3 +130,26 @@ class TestDispatcher:
             FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=0)
         with pytest.raises(ValueError):
             FrechetConfig(metric=METRIC_PROCRUSTES, tol=-1.0)
+
+
+class TestExactMean:
+    @staticmethod
+    def stacks(rng):
+        # Entries spread over 16 decades, so that naive summation would round
+        # differently from an exactly rounded sum.
+        for shape in ((1, 1, 1), (5, 3, 3), (22, 8, 8), (7, 2, 5)):
+            yield rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+
+    def test_equals_columnwise_fsum(self, rng):
+        for stack in self.stacks(rng):
+            count = stack.shape[0]
+            expected = np.empty(stack.shape[1:])
+            for index in np.ndindex(*stack.shape[1:]):
+                expected[index] = math.fsum(stack[(slice(None), *index)]) / count
+            assert np.array_equal(_exact_mean(stack), expected)
+
+    def test_permutation_invariant_bitwise(self, rng):
+        for stack in self.stacks(rng):
+            for _ in range(3):
+                shuffled = stack[rng.permutation(stack.shape[0])]
+                assert np.array_equal(_exact_mean(shuffled), _exact_mean(stack))

@@ -1,11 +1,21 @@
 """Config parsing, rolling model runs, and the command line surface."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from spdcast import ConfigError, load_config, load_series, run_model, simulate_market
+from spdcast import (
+    ConfigError,
+    SeriesFormatError,
+    load_config,
+    load_series,
+    run_model,
+    save_series,
+    simulate_market,
+)
+from spdcast import pipeline
 from spdcast.cli import main
 from spdcast.pipeline import ModelSpec, _parse_roster
 
@@ -44,6 +54,20 @@ def write_config(tmp_path, text=None, **fmt):
     path = tmp_path / "run.ini"
     path.write_text((text or BASE_CONFIG).format(out=tmp_path / "out", **fmt))
     return path
+
+
+def write_ticks(path, days, seed=3):
+    """Two tickers quoting every minute from 09:30 for half an hour."""
+    rows = ["date,time,ticker,price"]
+    rng = np.random.default_rng(seed)
+    for day in range(days):
+        date = np.datetime64("2001-01-01") + day
+        for ticker, base in (("aaa", 100.0), ("bbb", 50.0)):
+            price = base
+            for minute in range(30):
+                price *= float(np.exp(rng.normal(0.0, 0.001)))
+                rows.append(f"{date},{9}:{30 + minute:02d},{ticker},{price:.6f}")
+    path.write_text("\n".join(rows) + "\n")
 
 
 class TestLoadConfig:
@@ -222,18 +246,42 @@ class TestCommands:
         )
         assert self.run_cli("simulate", path) == 2
 
+    def test_negative_workers_override_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path, "--workers", "-3") == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_missing_data_file_exits_1_naming_it(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        absent = tmp_path / "absent.matbin"
+        path.write_text(path.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {absent}"))
+        assert self.run_cli("train-forecast", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spdcast: [data] path") and str(absent) in err
+
+    def test_missing_returns_file_exits_1_naming_it(self, tmp_path, capsys):
+        series, _ = simulate_market(3, 70, 0.8, 7, 1)
+        save_series(series, tmp_path / "series.matbin")
+        absent = tmp_path / "absent.csv"
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "source = simulate",
+            f"source = matbin\npath = {tmp_path / 'series.matbin'}\nreturns = {absent}"))
+        assert self.run_cli("train-forecast", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spdcast: [data] returns") and str(absent) in err
+
+    def test_missing_tick_file_exits_1_naming_it(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        config = tmp_path / "ingest.ini"
+        config.write_text(f"[data]\nsource = intraday\npath = {absent}\n")
+        assert self.run_cli("ingest", config, "--out", str(tmp_path / "out")) == 1
+        assert str(absent) in capsys.readouterr().err
+
     def test_ingest_chain(self, tmp_path):
         ticks = tmp_path / "ticks.csv"
-        rows = ["date,time,ticker,price"]
-        rng = np.random.default_rng(3)
-        for day in range(1, 4):
-            date = f"2001-01-{day:02d}"
-            for ticker, base in (("aaa", 100.0), ("bbb", 50.0)):
-                price = base
-                for minute in range(30):
-                    price *= float(np.exp(rng.normal(0.0, 0.001)))
-                    rows.append(f"{date},{9}:{30 + minute:02d},{ticker},{price:.6f}")
-        ticks.write_text("\n".join(rows) + "\n")
+        write_ticks(ticks, days=3)
         config = tmp_path / "ingest.ini"
         config.write_text(
             "[run]\nseed = 1\nout = {out}\n\n"
@@ -248,3 +296,121 @@ class TestCommands:
         returns = (tmp_path / "out" / "data" / "returns.csv").read_text().splitlines()
         assert returns[0] == "date,aaa,bbb"
         assert len(returns) == 4
+
+
+class TestSeriesReuse:
+    """train-forecast reads the data stage's files when its manifest key matches."""
+
+    SIM_ROSTER = "rw, respdnet:lags=1, geohar:metric=log_euclidean"
+
+    def run_cli(self, command, config_path, *extra):
+        return main([command, "--config", str(config_path), *extra])
+
+    def simulate_config(self, tmp_path):
+        return write_config(tmp_path, BASE_CONFIG.replace("rw, favar:factors=2", self.SIM_ROSTER))
+
+    def intraday_config(self, tmp_path):
+        ticks = tmp_path / "ticks.csv"
+        write_ticks(ticks, days=40)
+        config = tmp_path / "ingest.ini"
+        config.write_text(
+            f"[data]\nsource = intraday\npath = {ticks}\ngrid_seconds = 60\n\n"
+            f"[models]\nroster = {self.SIM_ROSTER}\n\n[forecast]\nwindow = 30\n\n"
+            "[train]\nepochs = 2\nbatch_size = 8\n"
+        )
+        return config, ticks
+
+    @staticmethod
+    def outputs(out):
+        paths = sorted((out / "forecasts").glob("*.matbin"))
+        paths += [out / "data" / "realized.matbin", out / "data" / "returns.csv"]
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in paths}
+
+    @staticmethod
+    def series_from(out):
+        return json.loads((out / "manifest_train_forecast.json").read_text())["series_from"]
+
+    def check_reuse_matches_rebuild(self, config, data_stage, source, tmp_path):
+        reuse, rebuild = tmp_path / "reuse", tmp_path / "rebuild"
+        assert self.run_cli(data_stage, config, "--out", str(reuse)) == 0
+        assert self.run_cli("train-forecast", config, "--out", str(reuse)) == 0
+        assert self.run_cli("train-forecast", config, "--out", str(rebuild)) == 0
+        assert self.series_from(reuse) == "data/series.matbin"
+        assert self.series_from(rebuild) == source
+        first = self.outputs(reuse)
+        assert len(first) == 5
+        assert first == self.outputs(rebuild)
+
+    def test_simulate_reuse_and_rebuild_write_identical_files(self, tmp_path):
+        config = self.simulate_config(tmp_path)
+        self.check_reuse_matches_rebuild(config, "simulate", "simulate", tmp_path)
+
+    def test_intraday_reuse_and_rebuild_write_identical_files(self, tmp_path):
+        config, _ = self.intraday_config(tmp_path)
+        self.check_reuse_matches_rebuild(config, "ingest", "intraday", tmp_path)
+
+    def test_edited_tick_file_rebuilds(self, tmp_path):
+        config, ticks = self.intraday_config(tmp_path)
+        out = tmp_path / "out"
+        assert self.run_cli("ingest", config, "--out", str(out)) == 0
+        ingested = load_series(out / "data" / "series.matbin")
+        lines = ticks.read_text().splitlines()
+        date, time, ticker, price = lines[-1].split(",")
+        lines[-1] = ",".join([date, time, ticker, f"{float(price) * 1.01:.6f}"])
+        ticks.write_text("\n".join(lines) + "\n")
+        assert self.run_cli("train-forecast", config, "--out", str(out)) == 0
+        assert self.series_from(out) == "intraday"
+        realized = load_series(out / "data" / "realized.matbin")
+        assert not np.array_equal(realized.matrices[-1].data, ingested.matrices[-1].data)
+
+    def test_train_section_edit_still_reuses(self, tmp_path, caplog):
+        config = self.simulate_config(tmp_path)
+        out = tmp_path / "out"
+        assert self.run_cli("simulate", config) == 0
+        config.write_text(config.read_text().replace("epochs = 2", "epochs = 1"))
+        caplog.set_level(logging.INFO, logger="spdcast.pipeline")
+        assert self.run_cli("train-forecast", config) == 0
+        assert self.series_from(out) == "data/series.matbin"
+        assert "from data/series.matbin" in caplog.text
+
+    def test_seed_override_rebuilds_simulated_series(self, tmp_path):
+        config = self.simulate_config(tmp_path)
+        returns = tmp_path / "out" / "data" / "returns.csv"
+        assert self.run_cli("simulate", config) == 0
+        seed1_returns = returns.read_bytes()
+        assert self.run_cli("train-forecast", config, "--seed", "6") == 0
+        assert self.series_from(tmp_path / "out") == "simulate"
+        assert returns.read_bytes() != seed1_returns
+        # The seed-6 rebuild replaced returns.csv, so seed 1 may not reuse it.
+        assert self.run_cli("train-forecast", config) == 0
+        assert self.series_from(tmp_path / "out") == "simulate"
+        assert returns.read_bytes() == seed1_returns
+
+    def test_other_data_stage_in_same_directory_forces_rebuild(self, tmp_path):
+        sim_config = self.simulate_config(tmp_path)
+        ingest_config, _ = self.intraday_config(tmp_path)
+        out = tmp_path / "shared"
+        assert self.run_cli("simulate", sim_config, "--out", str(out)) == 0
+        assert self.run_cli("ingest", ingest_config, "--out", str(out)) == 0
+        assert not (out / "manifest_simulate.json").exists()
+        assert self.run_cli("train-forecast", sim_config, "--out", str(out)) == 0
+        assert self.series_from(out) == "simulate"
+        rebuilt = tmp_path / "rebuilt"
+        assert self.run_cli("train-forecast", sim_config, "--out", str(rebuilt)) == 0
+        assert self.outputs(out) == self.outputs(rebuilt)
+
+    def test_failed_data_stage_leaves_no_manifest(self, tmp_path, monkeypatch):
+        config = self.simulate_config(tmp_path)
+        out = tmp_path / "out"
+        assert self.run_cli("simulate", config) == 0
+        assert (out / "manifest_simulate.json").exists()
+
+        def fail(*args, **kwargs):
+            raise SeriesFormatError("disk full")
+
+        monkeypatch.setattr(pipeline, "save_series", fail)
+        assert self.run_cli("simulate", config, "--seed", "6") == 1
+        assert not (out / "manifest_simulate.json").exists()
+        monkeypatch.undo()
+        assert self.run_cli("train-forecast", config) == 0
+        assert self.series_from(out) == "simulate"
