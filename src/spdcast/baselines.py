@@ -49,6 +49,11 @@ def chol_vectorize(s: SpdMatrix, spd_floor: float = 1e-8) -> np.ndarray:
     return factor[np.tril_indices(s.dim)]
 
 
+def _chol_rows(series: CovSeries, rows: slice) -> np.ndarray:
+    """Rows of the series' stack of :func:`chol_vectorize` vectors, built once per series."""
+    return series.stack("chol", chol_vectorize, rows)
+
+
 def _tri_side(p: int) -> int:
     n = int((np.sqrt(8 * p + 1) - 1) / 2)
     if n * (n + 1) // 2 != p:
@@ -107,13 +112,14 @@ def favar_fit(
     """Fit loadings by PCA of centered Cholesky vectors, then an OLS VAR(1).
 
     Loadings are the top right singular vectors of the centered vector
-    matrix (equivalently, top eigenvectors of the sample covariance).  A
-    degenerate sample reduces the factor count with a warning.
+    matrix (equivalently, top eigenvectors of the sample covariance).  The
+    vectors are rows of one Cholesky stack per series, so refits on
+    overlapping windows vectorize each matrix once.  A degenerate sample
+    reduces the factor count with a warning.
     """
     if train is None:
         train = slice(0, len(series))
-    matrices = series.matrices[train]
-    t_train = len(matrices)
+    t_train = len(range(len(series))[train])
     p = series.dim * (series.dim + 1) // 2
     if n_factors is None:
         n_factors = default_factor_count(p, t_train)
@@ -123,7 +129,7 @@ def favar_fit(
         raise ValueError(
             f"training length {t_train} must exceed n_factors + 1 = {n_factors + 1}"
         )
-    vectors = np.stack([chol_vectorize(m) for m in matrices])
+    vectors = _chol_rows(series, train)
     mean_vector = vectors.mean(axis=0)
     centered = vectors - mean_vector
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -155,7 +161,7 @@ def favar_forecast(model: FavarModel, series: CovSeries, t: int) -> SpdMatrix:
     """
     if not (1 <= t <= len(series)):
         raise IndexError(f"t must be in [1, {len(series)}], got {t}")
-    current = chol_vectorize(series.matrices[t - 1])
+    current = _chol_rows(series, slice(t - 1, t))[0]
     if current.shape != model.mean_vector.shape:
         raise DimensionMismatchError("series dimension does not match the fitted model")
     score = model.loadings.T @ (current - model.mean_vector)

@@ -17,21 +17,23 @@ differencing log prices.
 from __future__ import annotations
 
 import csv
+import logging
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SeriesFormatError
+from .exceptions import DimensionMismatchError, SeriesFormatError, SpdcastError
 from .frechet import (
     METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
     FrechetConfig,
-    frechet_mean,
     log_stack,
     mean_from_logs,
+    mean_from_roots,
+    root_stack,
 )
 from .spd import SpdMatrix, _symmetrize, expm
 
@@ -61,6 +63,8 @@ FORMAT_CSVLONG = "csvlong"
 
 _EPOCH = np.datetime64("1970-01-01", "D")
 
+log = logging.getLogger(__name__)
+
 
 def _as_dates(dates: Sequence) -> np.ndarray:
     arr = np.asarray(dates, dtype="datetime64[D]")
@@ -69,12 +73,39 @@ def _as_dates(dates: Sequence) -> np.ndarray:
     return arr
 
 
+def _build_stack(
+    build: Callable[[SpdMatrix], np.ndarray], matrices: list[SpdMatrix]
+) -> tuple[np.ndarray, dict[int, SpdcastError]]:
+    # One row per matrix.  A failed row is NaN, and its error is kept, by
+    # position in ascending order, for the windows that include its matrix.
+    rows: list[np.ndarray | None] = []
+    errors: dict[int, SpdcastError] = {}
+    for i, m in enumerate(matrices):
+        try:
+            rows.append(build(m))
+        except SpdcastError as exc:
+            rows.append(None)
+            errors[i] = exc
+    like = next((r for r in rows if r is not None), np.zeros(0))
+    return np.stack([np.full_like(like, np.nan) if r is None else r for r in rows]), errors
+
+
 @dataclass
 class CovSeries:
-    """Dated sequence of same-dimension SPD matrices, strictly increasing dates."""
+    """Dated sequence of same-dimension SPD matrices, strictly increasing dates.
+
+    Per-matrix stacks (logarithms, square roots, Cholesky vectors) are built
+    once per series on first use and kept; see :meth:`stack`.
+    """
 
     dates: np.ndarray
     matrices: list[SpdMatrix]
+    # (series whose stacks this one reads, offset into it): contiguous
+    # subseries share their parent's stacks instead of building their own.
+    _origin: tuple["CovSeries", int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.dates = _as_dates(self.dates)
@@ -102,7 +133,37 @@ class CovSeries:
         return self.matrices[0].dim
 
     def subseries(self, sl: slice) -> "CovSeries":
-        return CovSeries(self.dates[sl], self.matrices[sl])
+        sub = CovSeries(self.dates[sl], self.matrices[sl])
+        positions = range(len(self))[sl]
+        if positions.step == 1:
+            root, offset = self._origin or (self, 0)
+            sub._origin = (root, offset + positions.start)
+        return sub
+
+    def stack(
+        self,
+        key: Hashable,
+        build: Callable[[SpdMatrix], np.ndarray],
+        rows: slice = slice(None),
+    ) -> np.ndarray:
+        """Rows ``rows`` of the stack of ``build(m)`` over the matrices, built once under ``key``.
+
+        A subseries reads its rows of its parent's stack.  If ``build`` raises
+        an :class:`SpdcastError` on some matrix, the call raises that error
+        whenever ``rows`` includes the matrix: a failure is attributed only
+        to the windows that contain it.
+        """
+        root, offset = self._origin or (self, 0)
+        if key not in root._stacks:
+            root._stacks[key] = _build_stack(build, root.matrices)
+        values, errors = root._stacks[key]
+        wanted = range(offset, offset + len(self))[rows]
+        for position, exc in errors.items():
+            if position in wanted:
+                # Without the traceback of its last raise, which each raise
+                # would otherwise extend.
+                raise exc.with_traceback(None)
+        return values[offset : offset + len(self)][rows]
 
 
 @dataclass
@@ -206,27 +267,45 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
 
 
 def har_input(
-    matrices: Sequence[SpdMatrix],
+    series: CovSeries,
     t: int,
     cfg: FrechetConfig,
-    logs: np.ndarray | None = None,
     weekly_window: int = 5,
     monthly_window: int = 22,
 ) -> SpdMatrix:
     """Heterogeneous input at position t: yesterday, weekly mean, monthly mean.
 
-    Block-stacks ``matrices[t - 1]`` with the Fréchet means of the
-    ``weekly_window`` and ``monthly_window`` matrices before t.  Given the
-    :func:`log_stack` of ``matrices`` as ``logs`` (log-Euclidean metric),
-    each mean averages a slice of it instead of taking logarithms again.
+    Block-stacks ``series.matrices[t - 1]`` with the Fréchet means of the
+    ``weekly_window`` and ``monthly_window`` matrices before t.  The means
+    read the last rows of the series' :func:`log_stack` (log-Euclidean) or
+    :func:`root_stack` (Procrustes), built once per series, so a matrix
+    whose decomposition failed raises here only if it is one of the
+    ``monthly_window`` before t.  A Procrustes mean that exhausts
+    ``cfg.max_iters`` is used, and logged as a warning.
     """
+    if not (1 <= weekly_window <= monthly_window):
+        raise ValueError("windows must satisfy 1 <= weekly <= monthly")
+    if not (monthly_window <= t <= len(series)):
+        raise IndexError(f"t must be in [{monthly_window}, {len(series)}], got {t}")
+    rows = slice(t - monthly_window, t)
+    if cfg.metric == METRIC_LOG_EUCLIDEAN:
+        floor = cfg.spd_floor
+        stack = series.stack(("log", floor), lambda m: log_stack([m], floor)[0], rows)
+    else:
+        stack = series.stack("root", lambda m: root_stack([m])[0], rows)
 
     def mean(k: int) -> SpdMatrix:
-        if logs is not None:
-            return mean_from_logs(logs[t - k : t])
-        return frechet_mean(matrices[t - k : t], cfg)
+        if cfg.metric == METRIC_LOG_EUCLIDEAN:
+            return mean_from_logs(stack[-k:])
+        result = mean_from_roots(stack[-k:], cfg)
+        if not result.converged:
+            log.warning(
+                "Procrustes mean of the %d matrices before position %d did not "
+                "converge in %d iterations", k, t, result.n_iters,
+            )
+        return result.mean
 
-    return blockdiag_spd([matrices[t - 1], mean(weekly_window), mean(monthly_window)])
+    return blockdiag_spd([series.matrices[t - 1], mean(weekly_window), mean(monthly_window)])
 
 
 def build_geohar_inputs(
@@ -240,8 +319,8 @@ def build_geohar_inputs(
 
     The input at position t block-stacks the matrix at t-1, the Fréchet
     mean of the ``weekly_window`` most recent matrices, and the mean of the
-    ``monthly_window`` most recent, under the chosen metric.  Log-Euclidean
-    means share one :func:`log_stack` of the series.
+    ``monthly_window`` most recent, under the chosen metric.  The means
+    read slices of one stack per series (see :func:`har_input`).
     """
     if metric not in (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES):
         raise ValueError(f"unknown metric {metric!r}")
@@ -255,14 +334,8 @@ def build_geohar_inputs(
         cfg = FrechetConfig(metric=metric)
     elif cfg.metric != metric:
         raise ValueError("cfg.metric disagrees with the metric argument")
-    logs = None
-    if metric == METRIC_LOG_EUCLIDEAN:
-        logs = log_stack(series.matrices[:-1], cfg.spd_floor)
     positions = range(monthly_window, len(series))
-    inputs = [
-        har_input(series.matrices, t, cfg, logs, weekly_window, monthly_window)
-        for t in positions
-    ]
+    inputs = [har_input(series, t, cfg, weekly_window, monthly_window) for t in positions]
     targets = [series.matrices[t] for t in positions]
     return SupervisedSet(
         inputs, targets, series.dates[monthly_window:], mode="geohar", metric=metric

@@ -24,6 +24,8 @@ __all__ = [
     "log_stack",
     "mean_from_logs",
     "frechet_mean_log_euclidean",
+    "root_stack",
+    "mean_from_roots",
     "frechet_mean_procrustes",
     "frechet_mean",
 ]
@@ -120,22 +122,29 @@ def frechet_mean_log_euclidean(
     return mean_from_logs(log_stack(sample, spd_floor))
 
 
-def frechet_mean_procrustes(
-    sample: Sequence[SpdMatrix], cfg: FrechetConfig | None = None
-) -> GpaResult:
-    """Procrustes sample mean via generalized Procrustes averaging.
+def root_stack(sample: Sequence[SpdMatrix]) -> np.ndarray:
+    """The ``(T, n, n)`` stack of symmetric square roots, the inputs of Procrustes means.
 
-    Square roots of the sample are alternately rotated onto the running
-    average and re-averaged; the recorded objective
-    ``sum_t ||L_t R_t - mean||_F^2`` is non-increasing across iterations.
-    Convergence is a relative objective change below ``cfg.tol``; exhausting
-    ``cfg.max_iters`` is reported through the ``converged`` flag, not an
-    error.  The mean is assembled as ``mean @ mean.T`` and floor-projected.
+    Slices of one stack give the means of every window of a series, so each
+    matrix is square-rooted once.
+    """
+    _check_sample(sample)
+    return np.stack([sqrtm_psd(s) for s in sample])
+
+
+def mean_from_roots(roots: np.ndarray, cfg: FrechetConfig | None = None) -> GpaResult:
+    """Procrustes mean of the matrices whose square roots ``roots`` stacks.
+
+    Generalized Procrustes averaging: the roots are alternately rotated onto
+    the running average (one batched SVD per iteration) and re-averaged; the
+    recorded objective ``sum_t ||L_t R_t - mean||_F^2`` is non-increasing
+    across iterations.  Convergence is a relative objective change below
+    ``cfg.tol``; exhausting ``cfg.max_iters`` is reported through the
+    ``converged`` flag, not an error.  The mean is assembled as
+    ``mean @ mean.T`` and floor-projected.
     """
     if cfg is None:
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-    _check_sample(sample)
-    roots = [sqrtm_psd(s) for s in sample]
     center = roots[0].copy()
 
     trace: list[float] = []
@@ -143,7 +152,7 @@ def frechet_mean_procrustes(
     converged = False
     n_iters = 0
     for n_iters in range(1, cfg.max_iters + 1):
-        aligned = np.stack([r @ procrustes_rotation(center, r) for r in roots])
+        aligned = roots @ procrustes_rotation(center, roots)
         center = _exact_mean(aligned)
         objective = float(np.sum((aligned - center) ** 2))
         trace.append(objective)
@@ -157,6 +166,13 @@ def frechet_mean_procrustes(
     floor = cfg.spd_floor * (lmax if lmax > 0.0 else 1.0)
     mean = project_to_spd(gram, floor)
     return GpaResult(mean, converged, n_iters, np.asarray(trace))
+
+
+def frechet_mean_procrustes(
+    sample: Sequence[SpdMatrix], cfg: FrechetConfig | None = None
+) -> GpaResult:
+    """Procrustes sample mean: :func:`mean_from_roots` of the sample's :func:`root_stack`."""
+    return mean_from_roots(root_stack(sample), cfg)
 
 
 def frechet_mean(sample: Sequence[SpdMatrix], cfg: FrechetConfig) -> SpdMatrix:

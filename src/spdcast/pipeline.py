@@ -52,7 +52,7 @@ from .evaluation import (
     regime_split,
 )
 from .exceptions import ConfigError, DataFileError, SpdcastError
-from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig, log_stack
+from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
 from .network import Network, NetworkSpec
 from .optim import LOSS_LOG_EUCLIDEAN, LOSS_MSE, TrainConfig, train
 from .portfolio import (
@@ -524,10 +524,18 @@ def _read_returns_csv(path: Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 class _Forecaster:
-    """One model's fit/predict protocol over rolling windows."""
+    """One model's fit/predict protocol over rolling windows.
+
+    ``trainable`` forecasters are fitted before they predict;
+    ``refit_every_window`` ones are fitted again on every window, whatever
+    the run's ``refit_every``.  ``fit_count`` numbers a fit's seed stream.
+    """
 
     name: str
     min_history: int
+    trainable = True
+    refit_every_window = False
+    fit_count = 0
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         pass
@@ -542,6 +550,7 @@ class _Forecaster:
 
 class _RwForecaster(_Forecaster):
     min_history = 1
+    trainable = False
 
     def __init__(self, name: str):
         self.name = name
@@ -552,6 +561,7 @@ class _RwForecaster(_Forecaster):
 
 class _FavarForecaster(_Forecaster):
     min_history = 3
+    refit_every_window = True
 
     def __init__(self, name: str, factors):
         self.name = name
@@ -573,7 +583,6 @@ class _NetForecaster(_Forecaster):
         self.loss = loss
         self.net: Network | None = None
         self.fits: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.fit_count = 0
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         raise NotImplementedError
@@ -640,24 +649,15 @@ class _GeoharForecaster(_NetForecaster):
         super().__init__(name, cfg, loss)
         self.metric = metric
         self.frechet_cfg = FrechetConfig(metric=metric)
-        self._logs: tuple[CovSeries, np.ndarray] | None = None
 
     def _input_dim(self, n: int) -> int:
         return 3 * n
-
-    def _series_logs(self, series: CovSeries) -> np.ndarray | None:
-        # Log-Euclidean prediction inputs share one log stack per series.
-        if self.metric != METRIC_LOG_EUCLIDEAN:
-            return None
-        if self._logs is None or self._logs[0] is not series:
-            self._logs = (series, log_stack(series.matrices, self.frechet_cfg.spd_floor))
-        return self._logs[1]
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_geohar_inputs(series.subseries(train_slice), self.metric, self.frechet_cfg)
 
     def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
-        return har_input(series.matrices, t, self.frechet_cfg, self._series_logs(series))
+        return har_input(series, t, self.frechet_cfg)
 
 
 def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
@@ -702,20 +702,20 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     dates: list[np.datetime64] = []
     predictions: list[SpdMatrix] = []
     failures: list[tuple[str, str]] = []
-    trainable = not isinstance(forecaster, _RwForecaster)
+    trainable = forecaster.trainable
     fitted = False
     for window_index, (train_slice, t) in enumerate(
         ((slice(t0 - cfg.window, t0), t0) for t0 in range(cfg.window, len(series)))
     ):
         refit_due = (
             not fitted
-            or isinstance(forecaster, _FavarForecaster)
+            or forecaster.refit_every_window
             or (cfg.refit_every > 0 and window_index % cfg.refit_every == 0)
         )
         if trainable and refit_due:
             try:
                 forecaster.fit(
-                    series, train_slice, _model_seed(cfg.seed, spec.name, forecaster_fit_count(forecaster))
+                    series, train_slice, _model_seed(cfg.seed, spec.name, forecaster.fit_count)
                 )
                 fitted = True
             except SpdcastError as exc:
@@ -733,10 +733,6 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             log.warning("model %s failed at %s: %s", spec.name, series.dates[t], exc)
             failures.append((str(series.dates[t]), str(exc)))
     return ModelRunResult(spec.name, dates, predictions, failures, forecaster.trace_rows())
-
-
-def forecaster_fit_count(forecaster: _Forecaster) -> int:
-    return getattr(forecaster, "fit_count", 0)
 
 
 def _run_model_job(args: tuple) -> ModelRunResult:
@@ -1011,25 +1007,27 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def _portfolio_returns_matrix(cfg: RunConfig, dates: np.ndarray) -> np.ndarray:
-    candidates = []
+    """Daily returns on ``dates``: the ``[data] returns`` file if set, else ``data/returns.csv``."""
     if cfg.returns_path is not None:
-        candidates.append(cfg.returns_path)
-    candidates.append(cfg.out_dir / "data" / "returns.csv")
-    for path in candidates:
-        if Path(path).exists():
-            rdates, returns, _ = _read_returns_csv(Path(path))
-            lookup = {str(d): i for i, d in enumerate(rdates)}
-            missing = [str(d) for d in dates if str(d) not in lookup]
-            if missing:
-                raise ConfigError(
-                    f"returns file {path} is missing {len(missing)} forecast dates "
-                    f"(first: {missing[0]})"
-                )
-            return np.stack([returns[lookup[str(d)]] for d in dates])
-    raise ConfigError(
-        "no daily returns available: set [data] returns or run a source that "
-        "produces data/returns.csv"
-    )
+        path = cfg.returns_path
+        with _reading("returns", path):
+            rdates, returns, _ = _read_returns_csv(path)
+    else:
+        path = cfg.out_dir / _RETURNS_FILE
+        if not path.exists():
+            raise ConfigError(
+                "no daily returns available: set [data] returns or run a source that "
+                "produces data/returns.csv"
+            )
+        rdates, returns, _ = _read_returns_csv(path)
+    lookup = {str(d): i for i, d in enumerate(rdates)}
+    missing = [str(d) for d in dates if str(d) not in lookup]
+    if missing:
+        raise ConfigError(
+            f"returns file {path} is missing {len(missing)} forecast dates "
+            f"(first: {missing[0]})"
+        )
+    return np.stack([returns[lookup[str(d)]] for d in dates])
 
 
 def cmd_portfolio(cfg: RunConfig) -> int:

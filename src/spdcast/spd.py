@@ -204,22 +204,25 @@ def procrustes_rotation(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
 
     Computed from the SVD of ``l2.T @ l1``; may include reflections.  Singular
     vector signs are fixed (largest-magnitude entry of each left vector made
-    positive) so the factorization backing R is deterministic.
+    positive) so the factorization backing R is deterministic.  ``l2`` may be
+    a ``(k, n, n)`` stack, giving the ``k`` rotations in one SVD call; each
+    equals the rotation of its slice alone.
     """
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
-    if l1.shape != l2.shape or l1.ndim != 2 or l1.shape[0] != l1.shape[1]:
+    square = l1.ndim == 2 and l1.shape[0] == l1.shape[1]
+    if not square or l2.ndim not in (2, 3) or l2.shape[-2:] != l1.shape:
         raise DimensionMismatchError(
-            f"expected square matrices of equal shape, got {l1.shape} and {l2.shape}"
+            f"expected a square matrix and a matrix or stack of its shape, "
+            f"got {l1.shape} and {l2.shape}"
         )
     try:
-        u, _, vt = np.linalg.svd(l2.T @ l1)
+        u, _, vt = np.linalg.svd(np.swapaxes(l2, -1, -2) @ l1)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed: {exc}") from exc
-    flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
-    u = u * flip
-    vt = vt * flip[:, None]
-    return u @ vt
+    pivots = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
+    flip = np.where(pivots < 0, -1.0, 1.0)
+    return (u * flip) @ (vt * np.swapaxes(flip, -1, -2))
 
 
 def dist_procrustes(a: SpdMatrix, b: SpdMatrix) -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
+from spdcast import baselines
 from spdcast import (
     CovSeries,
     DimensionMismatchError,
@@ -124,3 +125,45 @@ class TestFavar:
         series = series_from([random_spd(rng, 2) for _ in range(2)])
         with pytest.raises(ValueError):
             favar_fit(series)
+
+
+class TestFavarSeriesStack:
+    """Refits read rows of one Cholesky stack per series."""
+
+    @staticmethod
+    def assert_same_model(a, b):
+        assert a.n_factors == b.n_factors
+        for field in ("loadings", "mean_vector", "var_coef", "var_intercept"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_refits_match_per_window_vectors_bitwise(self, rng):
+        series = series_from([random_spd(rng, 3) for _ in range(40)])
+        window = 25
+        for t in range(window, len(series) + 1):
+            train = slice(t - window, t)
+            vectors = np.stack([chol_vectorize(m) for m in series.matrices[train]])
+            alone = series_from(series.matrices[train])  # its own, per-window stack
+            assert np.array_equal(baselines._chol_rows(series, train), vectors)
+            model = favar_fit(series, 4, train)
+            self.assert_same_model(model, favar_fit(alone, 4))
+            assert np.array_equal(model.mean_vector, vectors.mean(axis=0))
+            current = chol_vectorize(series.matrices[t - 1])
+            advanced = model.var_intercept + model.var_coef @ (
+                model.loadings.T @ (current - model.mean_vector)
+            )
+            reference = chol_reconstruct(model.mean_vector + model.loadings @ advanced)
+            assert np.array_equal(favar_forecast(model, series, t).data, reference.data)
+
+    def test_each_matrix_vectorized_once(self, rng, monkeypatch):
+        calls = []
+        original = baselines.chol_vectorize
+
+        def counted(m, *args):
+            calls.append(m)
+            return original(m, *args)
+
+        monkeypatch.setattr(baselines, "chol_vectorize", counted)
+        series = series_from([random_spd(rng, 2) for _ in range(30)])
+        for t in range(20, 30):
+            favar_forecast(favar_fit(series, 2, slice(t - 20, t)), series, t)
+        assert len(calls) == len(series)

@@ -1,5 +1,6 @@
 """Series containers, supervised builders, simulation, and file formats."""
 
+import logging
 import struct
 
 import numpy as np
@@ -10,6 +11,7 @@ from spdcast import (
     FORMAT_CSVLONG,
     FORMAT_MATBIN,
     CovSeries,
+    DecompositionError,
     DimensionMismatchError,
     SeriesFormatError,
     SpdMatrix,
@@ -33,7 +35,6 @@ from spdcast.frechet import (
     METRIC_PROCRUSTES,
     FrechetConfig,
     frechet_mean,
-    log_stack,
 )
 
 
@@ -69,6 +70,65 @@ class TestCovSeries:
         assert len(sub) == 5
         assert sub.dates[0] == series.dates[2]
         assert sub.matrices[0] is series.matrices[2]
+
+
+class TestSeriesStacks:
+    @staticmethod
+    def dense(matrices):
+        return np.stack([m.data for m in matrices])
+
+    def test_subseries_read_the_parent_stack(self, rng):
+        series = make_series(rng, length=30)
+        builds = []
+
+        def build(m):
+            builds.append(m)
+            return m.data
+
+        sub = series.subseries(slice(5, 25)).subseries(slice(2, 10))
+        assert np.array_equal(sub.stack("dense", build), self.dense(series.matrices[7:15]))
+        assert np.array_equal(sub.stack("dense", build, slice(3, 5)),
+                              self.dense(series.matrices[10:12]))
+        assert np.array_equal(series.stack("dense", build), self.dense(series.matrices))
+        assert len(builds) == 30
+        stepped = series.subseries(slice(0, 30, 2))  # not a window: builds its own
+        assert np.array_equal(stepped.stack("dense", build), self.dense(series.matrices[::2]))
+        assert len(builds) == 45
+
+    def test_a_failure_is_raised_only_for_rows_that_include_it(self, rng):
+        series = make_series(rng, length=30)
+        bad = series.matrices[12]
+
+        def build(m):
+            if m is bad:
+                raise DecompositionError("day 12 failed")
+            return m.data
+
+        sub = series.subseries(slice(10, 30))
+        with pytest.raises(DecompositionError, match="day 12 failed"):
+            series.stack("dense", build, slice(5, 13))
+        with pytest.raises(DecompositionError, match="day 12 failed"):
+            sub.stack("dense", build, slice(0, 5))
+        with pytest.raises(DecompositionError, match="day 12 failed"):
+            series.stack("dense", build)
+        dense = self.dense(series.matrices)
+        assert np.array_equal(series.stack("dense", build, slice(0, 12)), dense[:12])
+        assert np.array_equal(series.stack("dense", build, slice(13, 30)), dense[13:])
+        assert np.array_equal(sub.stack("dense", build, slice(3, 20)), dense[13:])
+
+    def test_a_repeated_failure_keeps_a_short_traceback(self, rng):
+        series = make_series(rng, length=10)
+
+        def build(m):
+            raise DecompositionError("every day fails")
+
+        def depth():
+            with pytest.raises(DecompositionError) as info:
+                series.stack("failing", build, slice(0, 1))
+            return len(info.traceback)
+
+        first = depth()
+        assert [depth() for _ in range(3)] == [first] * 3
 
 
 class TestReturnsAndCovariance:
@@ -185,12 +245,11 @@ class TestHarInputs:
     def test_series_log_stack_matches_a_fit_on_a_slice(self, rng):
         series = self.series_with_singular_day(rng)
         cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
-        logs = log_stack(series.matrices)
         fit = build_geohar_inputs(series.subseries(slice(5, 35)), METRIC_LOG_EUCLIDEAN, cfg)
         for k, t in enumerate(range(5 + 22, 35)):
-            self.assert_same(fit.inputs[k], har_input(series.matrices, t, cfg, logs))
+            self.assert_same(fit.inputs[k], har_input(series, t, cfg))
         for t in range(22, len(series)):
-            self.assert_same(har_input(series.matrices, t, cfg, logs),
+            self.assert_same(har_input(series, t, cfg),
                              self.reference(series.matrices, t, cfg))
 
     def test_procrustes_route_unchanged(self, rng):
@@ -199,6 +258,28 @@ class TestHarInputs:
         sup = build_geohar_inputs(series, METRIC_PROCRUSTES, cfg)
         for k, t in enumerate(range(22, len(series))):
             self.assert_same(sup.inputs[k], self.reference(series.matrices, t, cfg))
+
+
+    def test_position_needs_a_full_monthly_window(self, rng):
+        series = make_series(rng, length=30)
+        cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
+        for t in (21, 31):
+            with pytest.raises(IndexError):
+                har_input(series, t, cfg)
+
+    def test_unconverged_procrustes_mean_logs_a_warning(self, rng, caplog):
+        series = make_series(rng, n=3, length=30)
+        capped = FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=1)
+        caplog.set_level(logging.WARNING, logger="spdcast.data")
+        har_input(series, 25, capped)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 2
+        assert "the 5 matrices before position 25" in warnings[0]
+        assert "the 22 matrices before position 25" in warnings[1]
+        caplog.clear()
+        default = FrechetConfig(metric=METRIC_PROCRUSTES)
+        har_input(series, 25, default)
+        assert not caplog.records
 
 
 class TestRollingWindows:

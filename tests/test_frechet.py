@@ -16,8 +16,42 @@ from spdcast import (
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
     logm,
+    project_to_spd,
+    sqrtm_psd,
 )
-from spdcast.frechet import _exact_mean
+from spdcast.frechet import _exact_mean, mean_from_roots, root_stack
+
+
+def per_matrix_gpa(sample, cfg):
+    """Generalized Procrustes averaging one matrix at a time: the oracle.
+
+    The algorithm of the library's batched :func:`mean_from_roots`, written
+    with a single-matrix SVD per sample element and iteration.
+    """
+
+    def rotation(l1, l2):
+        u, _, vt = np.linalg.svd(l2.T @ l1)
+        flip = np.where(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0, -1.0, 1.0)
+        return (u * flip) @ (vt * flip[:, None])
+
+    roots = [sqrtm_psd(s) for s in sample]
+    center = roots[0].copy()
+    trace = []
+    prev = math.inf
+    converged = False
+    for n_iters in range(1, cfg.max_iters + 1):
+        aligned = np.stack([r @ rotation(center, r) for r in roots])
+        center = _exact_mean(aligned)
+        objective = float(np.sum((aligned - center) ** 2))
+        trace.append(objective)
+        if math.isfinite(prev) and prev - objective <= cfg.tol * max(abs(prev), 1.0):
+            converged = True
+            break
+        prev = objective
+    gram = center @ center.T
+    lmax = float(np.linalg.eigvalsh(gram)[-1])
+    mean = project_to_spd(gram, cfg.spd_floor * (lmax if lmax > 0.0 else 1.0))
+    return mean, converged, n_iters, np.asarray(trace)
 
 
 class TestLogEuclideanMean:
@@ -102,6 +136,44 @@ class TestProcrustesMean:
         sample = [spd_from_spectrum(rng, [1e-6, 1.0, 5.0]) for _ in range(4)]
         result = frechet_mean_procrustes(sample)
         assert result.mean.eig.values[-1] > 0.0
+
+
+class TestBatchedGpa:
+    """The batched GPA reproduces the per-matrix algorithm bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(result, sample, cfg):
+        mean, converged, n_iters, trace = per_matrix_gpa(sample, cfg)
+        assert np.array_equal(result.mean.data, mean.data)
+        assert np.array_equal(result.mean.eig.values, mean.eig.values)
+        assert np.array_equal(result.mean.eig.vectors, mean.eig.vectors)
+        assert (result.converged, result.n_iters) == (converged, n_iters)
+        assert np.array_equal(result.objective_trace, trace)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_rolling_windows_match_per_matrix_gpa(self, rng, n):
+        series = [random_spd(rng, n, lo=0.2, hi=4.0) for _ in range(40)]
+        v = rng.standard_normal(n)
+        series[25] = SpdMatrix(np.outer(v, v))  # a rank-one day
+        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+        roots = root_stack(series)
+        for k in (5, 22):
+            for t in range(k, len(series) + 1):
+                window = series[t - k : t]
+                self.assert_matches_oracle(frechet_mean_procrustes(window, cfg), window, cfg)
+                self.assert_matches_oracle(mean_from_roots(roots[t - k : t], cfg), window, cfg)
+
+    def test_one_matrix_sample(self, rng):
+        for m in (random_spd(rng, 5), SpdMatrix(np.outer(np.arange(1.0, 6.0), np.arange(1.0, 6.0)))):
+            cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+            self.assert_matches_oracle(frechet_mean_procrustes([m], cfg), [m], cfg)
+
+    def test_iteration_cap_matches(self, rng):
+        sample = [random_spd(rng, 5) for _ in range(22)]
+        cfg = FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=2, tol=1e-300)
+        result = frechet_mean_procrustes(sample, cfg)
+        assert not result.converged
+        self.assert_matches_oracle(result, sample, cfg)
 
 
 class TestDispatcher:

@@ -8,6 +8,8 @@ import pytest
 
 from spdcast import (
     ConfigError,
+    CovSeries,
+    DecompositionError,
     SeriesFormatError,
     load_config,
     load_series,
@@ -15,7 +17,7 @@ from spdcast import (
     save_series,
     simulate_market,
 )
-from spdcast import pipeline
+from spdcast import baselines, frechet, pipeline
 from spdcast.cli import main
 from spdcast.pipeline import ModelSpec, _parse_roster
 
@@ -177,6 +179,82 @@ class TestRunModel:
             run_model(spec, cfg, series)
 
 
+class TestStackFailures:
+    """A matrix whose decomposition fails fails only the fits and predictions
+    whose windows hold it; every other window keeps its forecast."""
+
+    @staticmethod
+    def failing_on(monkeypatch, owner, name, bad):
+        original = getattr(owner, name)
+
+        def failing(m, *args):
+            if m is bad:
+                raise DecompositionError(f"{name} failed on the bad day")
+            return original(m, *args)
+
+        monkeypatch.setattr(owner, name, failing)
+
+    @staticmethod
+    def run(spec, cfg, series):
+        # A fresh series, so that no stack built by an earlier run is reused.
+        return run_model(spec, cfg, CovSeries(series.dates, series.matrices))
+
+    @staticmethod
+    def check(result, clean, series, failing, reason):
+        assert [d for d, _ in result.failures] == [str(series.dates[t]) for t in failing]
+        assert all(reason in why for _, why in result.failures)
+        kept = [t for t in range(40, len(series)) if t not in failing]
+        assert list(result.dates) == [series.dates[t] for t in kept]
+        if clean is not None:
+            for date, pred in zip(result.dates, result.predictions):
+                assert np.array_equal(pred.data, clean[date])
+
+    def config_and_series(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        series, _ = simulate_market(3, 70, 0.8, 7, 5)
+        return cfg, series
+
+    def test_favar(self, tmp_path, monkeypatch):
+        cfg, series = self.config_and_series(tmp_path)
+        spec = ModelSpec("favar", "favar", {"factors": 2})
+        clean = self.run(spec, cfg, series)
+        clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
+        self.failing_on(monkeypatch, baselines, "chol_vectorize", series.matrices[50])
+        # FAVAR refits on every window [t - 40, t); it holds day 50 for t = 51..69.
+        self.check(self.run(spec, cfg, series), clean, series, range(51, 70),
+                   "fit: chol_vectorize failed")
+
+    @pytest.mark.parametrize("metric, kernel", [("log_euclidean", "logm"),
+                                                ("procrustes", "sqrtm_psd")])
+    def test_geohar(self, tmp_path, monkeypatch, metric, kernel):
+        cfg, series = self.config_and_series(tmp_path)
+        spec = ModelSpec("geohar", "geohar", {"metric": metric, "loss": "log_euclidean"})
+        clean = self.run(spec, cfg, series)
+        clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
+        # Day 50 lies after the first fit's window [0, 40); the 22-day means
+        # of the predictions for t = 51..69 hold it.
+        self.failing_on(monkeypatch, frechet, kernel, series.matrices[50])
+        self.check(self.run(spec, cfg, series), clean, series, range(51, 70),
+                   f"{kernel} failed")
+        # Day 10 is an input of the fits on [t - 40, t) for t = 40..50, which
+        # fail until the window passes it; no prediction's means hold it.
+        monkeypatch.undo()
+        self.failing_on(monkeypatch, frechet, kernel, series.matrices[10])
+        self.check(self.run(spec, cfg, series), None, series, range(40, 51),
+                   f"fit: {kernel} failed")
+
+    def test_geohar_roots_each_matrix_once(self, tmp_path, monkeypatch):
+        cfg, series = self.config_and_series(tmp_path)
+        cfg.refit_every = 10
+        roots = []
+        original = frechet.sqrtm_psd
+        monkeypatch.setattr(frechet, "sqrtm_psd", lambda m: roots.append(m) or original(m))
+        spec = ModelSpec("geohar", "geohar", {"metric": "procrustes", "loss": "log_euclidean"})
+        result = run_model(spec, cfg, series)
+        assert len(result.traces) == 3 and len(result.dates) == 30
+        assert len(roots) == len(series)
+
+
 class TestCommands:
     def run_cli(self, command, config_path, *extra):
         return main([command, "--config", str(config_path), *extra])
@@ -269,6 +347,17 @@ class TestCommands:
             "source = simulate",
             f"source = matbin\npath = {tmp_path / 'series.matbin'}\nreturns = {absent}"))
         assert self.run_cli("train-forecast", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spdcast: [data] returns") and str(absent) in err
+
+    def test_missing_returns_file_with_simulated_source_exits_1(self, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("df = 7", f"df = 7\nreturns = {absent}"))
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("spdcast: [data] returns") and str(absent) in err
 

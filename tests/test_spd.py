@@ -7,6 +7,8 @@ from the construction.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_orthogonal, random_spd, spd_from_spectrum
 from spdcast import (
@@ -192,6 +194,33 @@ class TestProcrustesRotation:
         for _ in range(200):
             other = random_orthogonal(rng, 3)
             assert achieved <= np.linalg.norm(l1 - l2 @ other) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        k=st.integers(1, 12),
+        ranks=st.lists(st.integers(0, 8), min_size=12, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_per_slice_bitwise(self, n, k, ranks, seed):
+        # Square roots of SPD and rank-deficient matrices (rank 0 included),
+        # rotated onto the root of another such matrix.
+        rng = np.random.default_rng(seed)
+
+        def root(rank):
+            factor = rng.standard_normal((n, min(rank, n)))
+            return sqrtm_psd(SpdMatrix(factor @ factor.T))
+
+        center = root(ranks[-1])
+        stack = np.stack([root(r) for r in ranks[:k]])
+        rotations = procrustes_rotation(center, stack)
+        assert rotations.shape == (k, n, n)
+        for i in range(k):
+            assert np.array_equal(rotations[i], procrustes_rotation(center, stack[i]))
+
+    def test_rejects_mismatched_stack(self, rng):
+        with pytest.raises(ValueError):
+            procrustes_rotation(np.eye(3), np.zeros((4, 2, 2)))
 
 
 class TestProjectToSpd:
