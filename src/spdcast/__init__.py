@@ -32,7 +32,6 @@ from .data import (
     rolling_windows,
     save_series,
     simulate_market,
-    simulate_series,
 )
 from .evaluation import (
     METRICS,
@@ -40,12 +39,10 @@ from .evaluation import (
     LossPanel,
     McsResult,
     block_bootstrap_indices,
-    bootstrap_variance,
     default_block_len,
     loss_panel,
     mcs,
     regime_split,
-    t_stat_pair,
 )
 from .exceptions import (
     ConfigError,
@@ -72,7 +69,6 @@ from .network import (
     NetworkSpec,
     bimap_forward,
     expand_input,
-    forward,
     load_network,
     reeig_forward,
     save_network,
@@ -105,7 +101,6 @@ from .spd import (
     dist_frobenius,
     dist_log_euclidean,
     dist_procrustes,
-    eig_sym,
     expm,
     logm,
     procrustes_rotation,

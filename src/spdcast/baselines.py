@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import CovSeries
 from .exceptions import DecompositionError, DimensionMismatchError
-from .spd import SpdMatrix, project_to_spd
+from .spd import SpdMatrix, ensure_pd
 
 __all__ = [
     "forecast_rw",
@@ -32,16 +32,12 @@ def forecast_rw(series: CovSeries, t: int) -> SpdMatrix:
     return series.matrices[t - 1]
 
 
-def chol_vectorize(s: SpdMatrix, spd_floor: float = 1e-8) -> np.ndarray:
+def chol_vectorize(s: SpdMatrix) -> np.ndarray:
     """Row-major lower triangle of the Cholesky factor (positive diagonal).
 
-    Inputs that are not strictly SPD are floor-projected first
-    (relative floor ``spd_floor * lambda_max``).
+    Inputs that are not strictly SPD are floor-projected first (:func:`ensure_pd`).
     """
-    lmax = float(s.eig.values[0])
-    floor = spd_floor * (lmax if lmax > 0.0 else 1.0)
-    if s.eig.values[-1] < floor:
-        s = project_to_spd(s, floor)
+    s = ensure_pd(s)
     try:
         factor = np.linalg.cholesky(s.data)
     except np.linalg.LinAlgError as exc:

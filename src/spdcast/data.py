@@ -50,7 +50,6 @@ __all__ = [
     "build_geohar_inputs",
     "har_input",
     "rolling_windows",
-    "simulate_series",
     "simulate_market",
     "save_series",
     "load_series",
@@ -193,9 +192,6 @@ class SupervisedSet:
     inputs: list[SpdMatrix]
     targets: list[SpdMatrix]
     dates: np.ndarray
-    mode: str
-    lags: int | None = None
-    metric: str | None = None
 
     def __post_init__(self) -> None:
         self.dates = _as_dates(self.dates)
@@ -204,10 +200,6 @@ class SupervisedSet:
 
     def __len__(self) -> int:
         return len(self.inputs)
-
-    @property
-    def pairs(self) -> list[tuple[SpdMatrix, SpdMatrix, np.datetime64]]:
-        return list(zip(self.inputs, self.targets, self.dates))
 
 
 def realized_cov(day_returns: np.ndarray) -> SpdMatrix:
@@ -263,7 +255,7 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
     for t in range(lags, len(series)):
         inputs.append(blockdiag_spd([series.matrices[t - j] for j in range(1, lags + 1)]))
         targets.append(series.matrices[t])
-    return SupervisedSet(inputs, targets, series.dates[lags:], mode="lags", lags=lags)
+    return SupervisedSet(inputs, targets, series.dates[lags:])
 
 
 def har_input(
@@ -289,8 +281,7 @@ def har_input(
         raise IndexError(f"t must be in [{monthly_window}, {len(series)}], got {t}")
     rows = slice(t - monthly_window, t)
     if cfg.metric == METRIC_LOG_EUCLIDEAN:
-        floor = cfg.spd_floor
-        stack = series.stack(("log", floor), lambda m: log_stack([m], floor)[0], rows)
+        stack = series.stack("log", lambda m: log_stack([m])[0], rows)
     else:
         stack = series.stack("root", lambda m: root_stack([m])[0], rows)
 
@@ -337,9 +328,7 @@ def build_geohar_inputs(
     positions = range(monthly_window, len(series))
     inputs = [har_input(series, t, cfg, weekly_window, monthly_window) for t in positions]
     targets = [series.matrices[t] for t in positions]
-    return SupervisedSet(
-        inputs, targets, series.dates[monthly_window:], mode="geohar", metric=metric
-    )
+    return SupervisedSet(inputs, targets, series.dates[monthly_window:])
 
 
 def rolling_windows(series: CovSeries, window: int) -> Iterator[tuple[slice, int]]:
@@ -422,13 +411,6 @@ def simulate_market(
     return CovSeries(dates, matrices), daily_returns
 
 
-def simulate_series(
-    n: int, n_days: int, persistence: float, df: int, seed: int, **kwargs
-) -> CovSeries:
-    """The covariance half of :func:`simulate_market`."""
-    return simulate_market(n, n_days, persistence, df, seed, **kwargs)[0]
-
-
 # ---------------------------------------------------------------------------
 # Binary container
 
@@ -496,12 +478,23 @@ def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -
         raise ValueError(f"unknown format {fmt!r}")
 
 
+def _record(path: str | Path, date, values: np.ndarray) -> SpdMatrix:
+    try:
+        return SpdMatrix(values)
+    except (ValueError, SpdcastError) as exc:
+        raise SeriesFormatError(f"{path}: date {date}: {exc}") from exc
+
+
 def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
-    """Read a series written by :func:`save_series`; validates as it builds."""
+    """Read a series written by :func:`save_series`; validates as it builds.
+
+    A record that is not a finite PSD matrix raises :class:`SeriesFormatError`
+    naming the file and the record's date.
+    """
     if fmt == FORMAT_MATBIN:
         keys, records = _read_matrix_records(path)
         dates = _EPOCH + keys
-        return CovSeries(dates, [SpdMatrix(r) for r in records])
+        return CovSeries(dates, [_record(path, d, r) for d, r in zip(dates, records)])
     if fmt == FORMAT_CSVLONG:
         per_date: dict[str, dict[tuple[int, int], float]] = {}
         order: list[str] = []
@@ -545,7 +538,7 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
                     raise SeriesFormatError(f"{path}: date {date} exceeds dimension {n}")
                 mat[i, j] = v
                 mat[j, i] = v
-            matrices.append(SpdMatrix(mat))
+            matrices.append(_record(path, date, mat))
         return CovSeries(np.array(order, dtype="datetime64[D]"), matrices)
     raise ValueError(f"unknown format {fmt!r}")
 

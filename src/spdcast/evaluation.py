@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,11 +31,8 @@ __all__ = [
     "ForecastRun",
     "LossPanel",
     "McsResult",
-    "PairTStat",
     "loss_panel",
     "block_bootstrap_indices",
-    "bootstrap_variance",
-    "t_stat_pair",
     "mcs",
     "regime_split",
 ]
@@ -103,11 +100,6 @@ class McsResult:
     elimination_order: list[str]
 
 
-class PairTStat(NamedTuple):
-    stat: float
-    degenerate: bool
-
-
 def loss_panel(runs: Sequence[ForecastRun], metric: str) -> LossPanel:
     """Score every model on the shared dates; runs must be mutually aligned."""
     if metric not in _METRIC_FNS:
@@ -151,41 +143,6 @@ def block_bootstrap_indices(
     return idx.reshape(replicates, n_blocks * block_len)[:, :n_obs]
 
 
-def bootstrap_variance(indices: np.ndarray) -> Callable[[np.ndarray], float]:
-    """Variance estimator for a sample mean, from fixed bootstrap indices."""
-
-    def estimate(series: np.ndarray) -> float:
-        series = np.asarray(series, dtype=float)
-        means = series[indices].mean(axis=1)
-        return float(np.mean((means - series.mean()) ** 2))
-
-    return estimate
-
-
-def t_stat_pair(
-    panel: LossPanel,
-    i: int | str,
-    j: int | str,
-    variance: Callable[[np.ndarray], float],
-) -> PairTStat:
-    """t-ratio of the mean loss difference of model i over model j.
-
-    Zero bootstrap variance with a zero mean difference (identical loss
-    columns) gives a degenerate statistic of 0; zero variance with a nonzero
-    mean (constant dominance) gives a large signed statistic.
-    """
-    col_i = panel.column(i) if isinstance(i, str) else panel.losses[:, i]
-    col_j = panel.column(j) if isinstance(j, str) else panel.losses[:, j]
-    diff = col_i - col_j
-    mean = float(diff.mean())
-    var = variance(diff)
-    if var < _DEGENERATE_VAR:
-        if mean == 0.0:
-            return PairTStat(0.0, True)
-        return PairTStat(math.copysign(1e12, mean), True)
-    return PairTStat(mean / math.sqrt(var), False)
-
-
 def default_block_len(n_obs: int) -> int:
     return int(math.ceil(n_obs ** (1.0 / 3.0)))
 
@@ -201,8 +158,10 @@ def mcs(
 
     One bootstrap index matrix is drawn up front and shared by every round,
     both for the null distribution of the range statistic and for the
-    variance of each pairwise mean difference.  Ties in the elimination rule
-    break lexicographically on model names.
+    variance of each pairwise mean difference.  A pair whose bootstrap
+    variance is zero has t = 0 if its mean difference is zero (identical
+    columns) and a signed 1e12 otherwise (constant dominance).  Ties in the
+    elimination rule break lexicographically on model names.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

@@ -14,7 +14,16 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .spd import SpdMatrix, expm, logm, procrustes_rotation, project_to_spd, sqrtm_psd
+from .spd import (
+    SPD_FLOOR,
+    SpdMatrix,
+    ensure_pd,
+    expm,
+    logm,
+    procrustes_rotation,
+    project_to_spd,
+    sqrtm_psd,
+)
 
 __all__ = [
     "METRIC_LOG_EUCLIDEAN",
@@ -37,17 +46,11 @@ _METRICS = (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
 
 @dataclass(frozen=True)
 class FrechetConfig:
-    """Options for Fréchet mean computation.
-
-    ``spd_floor`` is relative: rank-deficient inputs (log-Euclidean) and the
-    assembled Procrustes mean are floor-projected at
-    ``spd_floor * lambda_max`` of the matrix at hand.
-    """
+    """Options for Fréchet mean computation."""
 
     metric: str = METRIC_LOG_EUCLIDEAN
     max_iters: int = 200
     tol: float = 1e-10
-    spd_floor: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.metric not in _METRICS:
@@ -56,8 +59,6 @@ class FrechetConfig:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if not (self.spd_floor > 0.0):
-            raise ValueError("spd_floor must be positive")
 
 
 @dataclass
@@ -90,24 +91,15 @@ def _exact_mean(stack: np.ndarray) -> np.ndarray:
     return (sums / count).reshape(stack.shape[1:])
 
 
-def _floored(s: SpdMatrix, spd_floor: float) -> SpdMatrix:
-    lmax = float(s.eig.values[0])
-    floor = spd_floor * (lmax if lmax > 0.0 else 1.0)
-    if s.eig.values[-1] < floor:
-        return project_to_spd(s, floor)
-    return s
-
-
-def log_stack(sample: Sequence[SpdMatrix], spd_floor: float = 1e-8) -> np.ndarray:
+def log_stack(sample: Sequence[SpdMatrix]) -> np.ndarray:
     """The ``(T, n, n)`` stack of ``logm(S_t)``, the inputs of log-Euclidean means.
 
-    Rank-deficient elements are floor-projected (relative floor
-    ``spd_floor * lambda_max``) before taking logarithms.  Slices of one
-    stack give the means of every window of a series, so each matrix's
-    logarithm is taken once.
+    Rank-deficient elements are floor-projected by :func:`ensure_pd` before
+    taking logarithms.  Slices of one stack give the means of every window
+    of a series, so each matrix's logarithm is taken once.
     """
     _check_sample(sample)
-    return np.stack([logm(_floored(s, spd_floor)) for s in sample])
+    return np.stack([logm(ensure_pd(s)) for s in sample])
 
 
 def mean_from_logs(logs: np.ndarray) -> SpdMatrix:
@@ -115,11 +107,9 @@ def mean_from_logs(logs: np.ndarray) -> SpdMatrix:
     return expm(_exact_mean(logs))
 
 
-def frechet_mean_log_euclidean(
-    sample: Sequence[SpdMatrix], spd_floor: float = 1e-8
-) -> SpdMatrix:
+def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
     """Closed-form log-Euclidean mean: ``expm(mean(logm(S_t)))``."""
-    return mean_from_logs(log_stack(sample, spd_floor))
+    return mean_from_logs(log_stack(sample))
 
 
 def root_stack(sample: Sequence[SpdMatrix]) -> np.ndarray:
@@ -141,7 +131,7 @@ def mean_from_roots(roots: np.ndarray, cfg: FrechetConfig | None = None) -> GpaR
     across iterations.  Convergence is a relative objective change below
     ``cfg.tol``; exhausting ``cfg.max_iters`` is reported through the
     ``converged`` flag, not an error.  The mean is assembled as
-    ``mean @ mean.T`` and floor-projected.
+    ``mean @ mean.T`` and always projected at ``SPD_FLOOR * lambda_max``.
     """
     if cfg is None:
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
@@ -163,7 +153,7 @@ def mean_from_roots(roots: np.ndarray, cfg: FrechetConfig | None = None) -> GpaR
 
     gram = center @ center.T
     lmax = float(np.linalg.eigvalsh(gram)[-1])
-    floor = cfg.spd_floor * (lmax if lmax > 0.0 else 1.0)
+    floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
     mean = project_to_spd(gram, floor)
     return GpaResult(mean, converged, n_iters, np.asarray(trace))
 
@@ -178,5 +168,5 @@ def frechet_mean_procrustes(
 def frechet_mean(sample: Sequence[SpdMatrix], cfg: FrechetConfig) -> SpdMatrix:
     """Metric-dispatching mean; the Procrustes branch discards diagnostics."""
     if cfg.metric == METRIC_LOG_EUCLIDEAN:
-        return frechet_mean_log_euclidean(sample, cfg.spd_floor)
+        return frechet_mean_log_euclidean(sample)
     return frechet_mean_procrustes(sample, cfg).mean

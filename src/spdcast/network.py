@@ -27,7 +27,6 @@ __all__ = [
     "bimap_forward",
     "reeig_forward",
     "expand_input",
-    "forward",
     "save_network",
     "load_network",
 ]
@@ -181,11 +180,6 @@ def expand_input(x: SpdMatrix, dim: int) -> SpdMatrix:
     padded_vectors[x.dim :, x.dim :] = np.eye(extra)
     padded_values = np.concatenate([values, np.ones(extra)])
     return SpdMatrix._from_eig(padded_values, padded_vectors)
-
-
-def forward(net: Network, x: SpdMatrix) -> SpdMatrix:
-    """Functional alias for :meth:`Network.forward`."""
-    return net.forward(x)
 
 
 def save_network(net: Network, stem: str | Path) -> None:

@@ -25,7 +25,7 @@ from .exceptions import (
     TrainingDivergedError,
 )
 from .network import ForwardTrace, Network
-from .spd import SpdMatrix, _eigh_desc, _symmetrize, logm, project_to_spd
+from .spd import SpdMatrix, _eigh_desc, _symmetrize, ensure_pd, logm
 from .stiefel import stiefel_project, stiefel_retract
 
 __all__ = [
@@ -143,31 +143,25 @@ def loss_mse(pred: SpdMatrix, target: SpdMatrix) -> float:
     return float(np.sum((pred.data - target.data) ** 2)) / (n * n)
 
 
-def loss_log_euclidean(
-    pred: SpdMatrix, target: SpdMatrix, spd_floor: float = 1e-8
-) -> float:
+def loss_log_euclidean(pred: SpdMatrix, target: SpdMatrix) -> float:
     """Squared log-Euclidean loss ``||logm(pred) - logm(target)||_F^2``.
 
-    Rank-deficient operands are floor-projected (relative floor
-    ``spd_floor * lambda_max``) with a warning.
+    Rank-deficient operands are floor-projected by :func:`ensure_pd` with a
+    warning.
     """
     if pred.dim != target.dim:
         raise DimensionMismatchError(f"dimension mismatch: {pred.dim} vs {target.dim}")
-
-    def _ensure_pd(s: SpdMatrix, label: str) -> SpdMatrix:
-        lmax = float(s.eig.values[0])
-        floor = spd_floor * (lmax if lmax > 0.0 else 1.0)
-        if s.eig.values[-1] < floor:
+    logs = []
+    for label, s in (("prediction", pred), ("target", target)):
+        floored = ensure_pd(s)
+        if floored is not s:
             warnings.warn(
-                f"{label} is rank deficient; floor-projected at {floor:.3e}",
+                f"{label} is rank deficient; floor-projected at {floored.eig.values[-1]:.3e}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
-            return project_to_spd(s, floor)
-        return s
-
-    diff = logm(_ensure_pd(pred, "prediction")) - logm(_ensure_pd(target, "target"))
-    return float(np.sum(diff**2))
+        logs.append(logm(floored))
+    return float(np.sum((logs[0] - logs[1]) ** 2))
 
 
 def _grad_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -229,21 +223,16 @@ def backward(
     return BackwardResult(grads, g, clamps, min_gap)
 
 
-def _prepare_targets(
-    targets: Sequence[SpdMatrix], loss: str, spd_floor: float = 1e-8
-) -> tuple[list[np.ndarray], int]:
+def _prepare_targets(targets: Sequence[SpdMatrix], loss: str) -> tuple[list[np.ndarray], int]:
     """For the log-Euclidean loss, precompute target logarithms (floored if needed)."""
     if loss == LOSS_MSE:
         return [t.data for t in targets], 0
     logs = []
     floored = 0
     for t in targets:
-        lmax = float(t.eig.values[0])
-        floor = spd_floor * (lmax if lmax > 0.0 else 1.0)
-        if t.eig.values[-1] < floor:
-            t = project_to_spd(t, floor)
-            floored += 1
-        logs.append(logm(t))
+        pd = ensure_pd(t)
+        floored += pd is not t
+        logs.append(logm(pd))
     if floored:
         warnings.warn(
             f"{floored} training targets were rank deficient and floor-projected",

@@ -38,6 +38,7 @@ from .data import (
     load_intraday_csv,
     load_series,
     realized_series,
+    rolling_windows,
     save_series,
     simulate_market,
 )
@@ -54,7 +55,7 @@ from .evaluation import (
 from .exceptions import ConfigError, DataFileError, SpdcastError
 from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
 from .network import Network, NetworkSpec
-from .optim import LOSS_LOG_EUCLIDEAN, LOSS_MSE, TrainConfig, train
+from .optim import LOSS_LOG_EUCLIDEAN, LOSS_MSE, TrainConfig, TrainResult, train
 from .portfolio import (
     WeightPath,
     evaluate_portfolio,
@@ -188,56 +189,101 @@ def _parse_roster(raw: str) -> list[ModelSpec]:
     return specs
 
 
-class _Section:
-    """Typed, error-annotated access to one config section."""
+class _Invalid(ValueError):
+    """A bad config value; :func:`load_config` reports it as ``[section] key: <message>``."""
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self.name = name
-        self.raw = dict(parser[name]) if parser.has_section(name) else {}
-        self.seen: set[str] = set()
 
-    def _get(self, key: str, default):
-        self.seen.add(key)
-        value = self.raw.get(key, None)
-        if value is None or value == "":
-            return default
-        return value
-
-    def text(self, key: str, default: str) -> str:
-        value = self._get(key, default)
-        return value if isinstance(value, str) else default
-
-    def integer(self, key: str, default: int | None) -> int | None:
-        value = self._get(key, default)
-        if value is default:
-            return default
+def _parser(convert, expected: str):
+    def parse(raw: str):
         try:
-            return int(str(value))
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected an integer, got {value!r}") from None
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise _Invalid(f"expected {expected}, got {raw!r}") from None
 
-    def real(self, key: str, default: float) -> float:
-        value = self._get(key, default)
-        if value is default:
-            return default
-        try:
-            return float(str(value))
-        except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected a number, got {value!r}") from None
+    return parse
 
-    def flag(self, key: str, default: bool) -> bool:
-        value = self._get(key, default)
-        if value is default:
-            return default
-        lowered = str(value).strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: expected a boolean, got {value!r}")
 
-    def unknown(self) -> list[str]:
-        return sorted(set(self.raw) - self.seen)
+_FLAGS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+_INT = _parser(int, "an integer")
+_REAL = _parser(float, "a number")
+_FLAG = _parser(lambda raw: _FLAGS[raw.strip().lower()], "a boolean")
+_AUTO_OR_INT = _parser(lambda raw: None if raw == "auto" else int(raw), "'auto' or an integer")
+
+
+def _hidden(raw: str) -> tuple[int, ...] | None:
+    if raw == "auto":
+        return None
+    try:
+        dims = tuple(int(x) for x in raw.split(",") if x.strip())
+    except ValueError:
+        raise _Invalid(f"expected 'auto' or comma-separated integers, got {raw!r}") from None
+    if not dims or any(h < 1 for h in dims):
+        raise _Invalid(f"dims must be positive, got {raw!r}")
+    return dims
+
+
+def _metric_list(raw: str) -> list[str]:
+    names = [m.strip() for m in raw.split(",") if m.strip()]
+    for m in names:
+        if m not in METRICS:
+            raise _Invalid(f"unknown metric {m!r} (known: {METRICS})")
+    return names
+
+
+def _at_least(low):
+    return lambda v: None if v is None or v >= low else f"must be >= {low}, got {v}"
+
+
+def _positive(v: float) -> str | None:
+    return None if v > 0.0 else f"must be > 0, got {v}"
+
+
+def _in_open_unit(v: float) -> str | None:
+    return None if 0.0 < v < 1.0 else f"must be in (0, 1), got {v}"
+
+
+def _source(v: str) -> str | None:
+    if v in ("simulate", "matbin", "csvlong", "intraday"):
+        return None
+    return f"expected simulate, matbin, csvlong, or intraday, got {v!r}"
+
+
+# (section, key, RunConfig field, parse, default, check).  An absent or empty
+# key takes the default, a raw string parsed like a given value (None: no
+# value).  ``check`` returns what is wrong with the parsed value, or None.
+_KEYS = (
+    ("run", "seed", "seed", _INT, "0", None),
+    ("run", "out", "out_dir", Path, "runs/out", None),
+    ("run", "workers", "workers", _INT, "1", _at_least(1)),
+    ("data", "source", "source", str.lower, "simulate", _source),
+    ("data", "path", "data_path", Path, None, None),
+    ("data", "n", "sim_n", _INT, "5", None),
+    ("data", "days", "sim_days", _INT, "800", None),
+    ("data", "persistence", "sim_persistence", _REAL, "0.95", None),
+    ("data", "df", "sim_df", _INT, "12", None),
+    ("data", "returns", "returns_path", Path, None, None),
+    ("data", "grid_seconds", "grid_seconds", _INT, "300", _at_least(1)),
+    ("models", "roster", "roster", _parse_roster, "rw", None),
+    ("forecast", "window", "window", _INT, "500", _at_least(2)),
+    ("forecast", "refit_every", "refit_every", _INT, "0", _at_least(0)),
+    ("train", "epochs", "epochs", _INT, "30", _at_least(1)),
+    ("train", "batch_size", "batch_size", _INT, "32", _at_least(1)),
+    ("train", "learning_rate", "learning_rate", _REAL, "1e-2", _at_least(0)),
+    ("train", "lr_decay", "lr_decay", _REAL, "0.95",
+     lambda v: None if 0.0 < v <= 1.0 else f"must be in (0, 1], got {v}"),
+    ("train", "eps_rectify", "eps_rectify", _REAL, "1e-4", _positive),
+    ("train", "eig_gap_floor", "eig_gap_floor", _REAL, "1e-6", _positive),
+    ("train", "hidden", "hidden", _hidden, "auto", None),
+    ("evaluate", "metrics", "metrics", _metric_list, ", ".join(METRICS), None),
+    ("evaluate", "alpha", "alpha", _REAL, "0.25", _in_open_unit),
+    ("evaluate", "replicates", "replicates", _INT, "10000", _at_least(100)),
+    ("evaluate", "block_len", "block_len", _AUTO_OR_INT, "auto", _at_least(1)),
+    ("evaluate", "regime_quantile", "regime_quantile", _REAL, "0.90", _in_open_unit),
+    ("evaluate", "market_variance", "market_variance", str, "trace", None),
+    ("portfolio", "enabled", "portfolio_enabled", _FLAG, "true", None),
+    ("portfolio", "long_only", "portfolio_long_only", _FLAG, "true", None),
+)
 
 
 def load_config(
@@ -257,153 +303,54 @@ def load_config(
     except configparser.Error as exc:
         raise ConfigError(f"{exc}") from exc
 
-    known_sections = {"run", "data", "models", "forecast", "train", "evaluate", "portfolio"}
-    extra = set(parser.sections()) - known_sections
+    known = {}
+    for section, key, *_ in _KEYS:
+        known.setdefault(section, set()).add(key)
+    extra = set(parser.sections()) - set(known)
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
+    given = {s: dict(parser[s]) if parser.has_section(s) else {} for s in known}
 
-    run = _Section(parser, "run")
-    data = _Section(parser, "data")
-    models = _Section(parser, "models")
-    forecast = _Section(parser, "forecast")
-    train_s = _Section(parser, "train")
-    evaluate = _Section(parser, "evaluate")
-    portfolio = _Section(parser, "portfolio")
-
-    seed = run.integer("seed", 0)
-    out_dir = Path(run.text("out", "runs/out"))
-    workers = run.integer("workers", 1)
-    if workers < 1:
-        raise ConfigError(f"[run] workers: must be >= 1, got {workers}")
     if workers_override is not None and workers_override < 1:
         raise ConfigError(f"--workers: must be >= 1, got {workers_override}")
+    values = {}
+    for section, key, name, parse, default, check in _KEYS:
+        raw = given[section].get(key) or default
+        try:
+            values[name] = None if raw is None else parse(raw)
+            problem = check(values[name]) if check else None
+        except _Invalid as exc:
+            problem = str(exc)
+        if problem:
+            raise ConfigError(f"[{section}] {key}: {problem}")
 
-    source = data.text("source", "simulate").lower()
-    if source not in ("simulate", "matbin", "csvlong", "intraday"):
-        raise ConfigError(
-            f"[data] source: expected simulate, matbin, csvlong, or intraday, "
-            f"got {source!r}"
-        )
-    data_path = data.text("path", "")
-    if source != "simulate" and not data_path:
+    # Rules that tie several keys together.
+    source, n, df = values["source"], values["sim_n"], values["sim_df"]
+    if source != "simulate" and values["data_path"] is None:
         raise ConfigError(f"[data] path: required for source={source}")
-    sim_n = data.integer("n", 5)
-    sim_days = data.integer("days", 800)
-    sim_persistence = data.real("persistence", 0.95)
-    sim_df = data.integer("df", 12)
     if source == "simulate":
-        if sim_n < 1:
-            raise ConfigError(f"[data] n: must be >= 1, got {sim_n}")
-        if sim_days < 2:
-            raise ConfigError(f"[data] days: must be >= 2, got {sim_days}")
-        if not (0.0 <= sim_persistence < 1.0):
+        if n < 1:
+            raise ConfigError(f"[data] n: must be >= 1, got {n}")
+        if values["sim_days"] < 2:
+            raise ConfigError(f"[data] days: must be >= 2, got {values['sim_days']}")
+        if not (0.0 <= values["sim_persistence"] < 1.0):
             raise ConfigError(
-                f"[data] persistence: must be in [0, 1), got {sim_persistence}"
+                f"[data] persistence: must be in [0, 1), got {values['sim_persistence']}"
             )
-        if sim_df < sim_n:
-            raise ConfigError(f"[data] df: must be >= n = {sim_n}, got {sim_df}")
-    returns_path = data.text("returns", "")
-    grid_seconds = data.integer("grid_seconds", 300)
-    if grid_seconds < 1:
-        raise ConfigError(f"[data] grid_seconds: must be >= 1, got {grid_seconds}")
-
-    roster = _parse_roster(models.text("roster", "rw"))
-
-    window = forecast.integer("window", 500)
-    if window < 2:
-        raise ConfigError(f"[forecast] window: must be >= 2, got {window}")
-    refit_every = forecast.integer("refit_every", 0)
-    if refit_every < 0:
-        raise ConfigError(f"[forecast] refit_every: must be >= 0, got {refit_every}")
-
-    epochs = train_s.integer("epochs", 30)
-    batch_size = train_s.integer("batch_size", 32)
-    learning_rate = train_s.real("learning_rate", 1e-2)
-    lr_decay = train_s.real("lr_decay", 0.95)
-    eps_rectify = train_s.real("eps_rectify", 1e-4)
-    eig_gap_floor = train_s.real("eig_gap_floor", 1e-6)
-    hidden_raw = train_s.text("hidden", "auto")
-    if hidden_raw == "auto":
-        hidden: tuple[int, ...] | None = None
-    else:
-        try:
-            hidden = tuple(int(x) for x in hidden_raw.split(",") if x.strip())
-        except ValueError:
-            raise ConfigError(
-                f"[train] hidden: expected 'auto' or comma-separated integers, "
-                f"got {hidden_raw!r}"
-            ) from None
-        if not hidden or any(h < 1 for h in hidden):
-            raise ConfigError(f"[train] hidden: dims must be positive, got {hidden_raw!r}")
-
-    metric_list = [
-        m.strip() for m in evaluate.text("metrics", ", ".join(METRICS)).split(",") if m.strip()
-    ]
-    for m in metric_list:
-        if m not in METRICS:
-            raise ConfigError(f"[evaluate] metrics: unknown metric {m!r} (known: {METRICS})")
-    alpha = evaluate.real("alpha", 0.25)
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"[evaluate] alpha: must be in (0, 1), got {alpha}")
-    replicates = evaluate.integer("replicates", 10_000)
-    block_raw = evaluate.text("block_len", "auto")
-    if block_raw == "auto":
-        block_len = None
-    else:
-        try:
-            block_len = int(block_raw)
-        except ValueError:
-            raise ConfigError(
-                f"[evaluate] block_len: expected 'auto' or an integer, got {block_raw!r}"
-            ) from None
-    regime_quantile = evaluate.real("regime_quantile", 0.90)
-    if not (0.0 < regime_quantile < 1.0):
-        raise ConfigError(
-            f"[evaluate] regime_quantile: must be in (0, 1), got {regime_quantile}"
-        )
-    market_variance = evaluate.text("market_variance", "trace")
-
-    portfolio_enabled = portfolio.flag("enabled", True)
-    portfolio_long_only = portfolio.flag("long_only", True)
-
-    for section in (run, data, models, forecast, train_s, evaluate, portfolio):
-        bad = section.unknown()
+        if df < n:
+            raise ConfigError(f"[data] df: must be >= n = {n}, got {df}")
+    for section, keys in known.items():
+        bad = sorted(set(given[section]) - keys)
         if bad:
-            raise ConfigError(f"[{section.name}] unknown keys: {bad}")
+            raise ConfigError(f"[{section}] unknown keys: {bad}")
 
-    cfg = RunConfig(
-        seed=seed if seed_override is None else seed_override,
-        out_dir=Path(out_override) if out_override is not None else out_dir,
-        workers=workers if workers_override is None else workers_override,
-        source=source,
-        data_path=Path(data_path) if data_path else None,
-        sim_n=sim_n,
-        sim_days=sim_days,
-        sim_persistence=sim_persistence,
-        sim_df=sim_df,
-        returns_path=Path(returns_path) if returns_path else None,
-        grid_seconds=grid_seconds,
-        roster=roster,
-        window=window,
-        refit_every=refit_every,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        lr_decay=lr_decay,
-        eps_rectify=eps_rectify,
-        eig_gap_floor=eig_gap_floor,
-        hidden=hidden,
-        metrics=metric_list,
-        alpha=alpha,
-        replicates=replicates,
-        block_len=block_len,
-        regime_quantile=regime_quantile,
-        market_variance=market_variance,
-        portfolio_enabled=portfolio_enabled,
-        portfolio_long_only=portfolio_long_only,
-        raw_text=raw_text,
-    )
-    return cfg
+    if seed_override is not None:
+        values["seed"] = seed_override
+    if out_override is not None:
+        values["out_dir"] = Path(out_override)
+    if workers_override is not None:
+        values["workers"] = workers_override
+    return RunConfig(**values, raw_text=raw_text)
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +439,16 @@ def _stage_series(cfg: RunConfig) -> CovSeries | None:
     return load_series(files[0], FORMAT_MATBIN)
 
 
-def _write_returns_csv(path: Path, dates: np.ndarray, returns: np.ndarray, tickers: list[str]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["date"] + list(tickers))
-        for d, row in zip(dates, returns):
-            writer.writerow([str(d)] + [f"{x:.17g}" for x in row])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _dated_rows(dates: np.ndarray, values: np.ndarray):
+    """``date, v_1, ..., v_k`` rows, the values to 17 significant digits."""
+    return ([str(d)] + [f"{x:.17g}" for x in row] for d, row in zip(dates, values))
 
 
 def _read_returns_csv(path: Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -528,7 +479,8 @@ class _Forecaster:
 
     ``trainable`` forecasters are fitted before they predict;
     ``refit_every_window`` ones are fitted again on every window, whatever
-    the run's ``refit_every``.  ``fit_count`` numbers a fit's seed stream.
+    the run's ``refit_every``.  ``fit_count`` numbers a fit's seed stream,
+    and ``fits`` holds the ``(fit_index, TrainResult)`` of each trained fit.
     """
 
     name: str
@@ -536,16 +488,13 @@ class _Forecaster:
     trainable = True
     refit_every_window = False
     fit_count = 0
+    fits: Sequence[tuple[int, TrainResult]] = ()
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         pass
 
     def predict(self, series: CovSeries, t: int) -> SpdMatrix:
         raise NotImplementedError
-
-    def trace_rows(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """(fit_index, losses, grad_norms, min_gaps) per completed fit."""
-        return []
 
 
 class _RwForecaster(_Forecaster):
@@ -582,7 +531,7 @@ class _NetForecaster(_Forecaster):
         self.run_cfg = cfg
         self.loss = loss
         self.net: Network | None = None
-        self.fits: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        self.fits: list[tuple[int, TrainResult]] = []
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         raise NotImplementedError
@@ -612,18 +561,12 @@ class _NetForecaster(_Forecaster):
             eig_gap_floor=cfg.eig_gap_floor,
             lr_decay=cfg.lr_decay,
         )
-        result = train(net, supervised.inputs, supervised.targets, tc)
+        self.fits.append((self.fit_count, train(net, supervised.inputs, supervised.targets, tc)))
         self.net = net
-        self.fits.append(
-            (self.fit_count, result.epoch_losses, result.grad_norms, result.min_eig_gaps)
-        )
         self.fit_count += 1
 
     def predict(self, series: CovSeries, t: int) -> SpdMatrix:
         return self.net.forward(self._build_input(series, t))
-
-    def trace_rows(self):
-        return self.fits
 
 
 class _RespdnetForecaster(_NetForecaster):
@@ -682,7 +625,7 @@ class ModelRunResult:
     dates: list[np.datetime64]
     predictions: list[SpdMatrix]
     failures: list[tuple[str, str]]
-    traces: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    traces: list[tuple[int, TrainResult]]
 
 
 def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunResult:
@@ -690,8 +633,9 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
 
     Trainable models fit on the first window and re-fit every
     ``cfg.refit_every`` windows (0 = never re-fit).  A window where
-    prediction fails is dropped and recorded; a failed fit fails the model
-    from that point until the next scheduled fit succeeds.
+    prediction fails is dropped and recorded.  A failed fit is recorded
+    and fails its window, and the fit is retried on every later window
+    until one succeeds; the refit schedule then resumes.
     """
     forecaster = _make_forecaster(spec, cfg)
     if cfg.window <= forecaster.min_history:
@@ -704,9 +648,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     failures: list[tuple[str, str]] = []
     trainable = forecaster.trainable
     fitted = False
-    for window_index, (train_slice, t) in enumerate(
-        ((slice(t0 - cfg.window, t0), t0) for t0 in range(cfg.window, len(series)))
-    ):
+    for window_index, (train_slice, t) in enumerate(rolling_windows(series, cfg.window)):
         refit_due = (
             not fitted
             or forecaster.refit_every_window
@@ -732,7 +674,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
         except SpdcastError as exc:
             log.warning("model %s failed at %s: %s", spec.name, series.dates[t], exc)
             failures.append((str(series.dates[t]), str(exc)))
-    return ModelRunResult(spec.name, dates, predictions, failures, forecaster.trace_rows())
+    return ModelRunResult(spec.name, dates, predictions, failures, list(forecaster.fits))
 
 
 def _run_model_job(args: tuple) -> ModelRunResult:
@@ -786,7 +728,7 @@ def _run_data_stage(cfg: RunConfig, command: str) -> tuple[CovSeries, list[str]]
     series, returns, tickers = resolve_series(cfg)
     (cfg.out_dir / "data").mkdir(parents=True, exist_ok=True)
     save_series(series, cfg.out_dir / _SERIES_FILE, FORMAT_MATBIN)
-    _write_returns_csv(cfg.out_dir / _RETURNS_FILE, series.dates, returns, tickers)
+    _write_csv(cfg.out_dir / _RETURNS_FILE, ["date", *tickers], _dated_rows(series.dates, returns))
     _write_manifest(cfg, command, {"series": _SERIES_FILE, "returns": _RETURNS_FILE},
                     data_key=key)
     return series, tickers
@@ -842,7 +784,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     save_series(realized, out / "data" / "realized.matbin", FORMAT_MATBIN)
     if returns is not None:
         _forget_data_stages(cfg)
-        _write_returns_csv(out / _RETURNS_FILE, series.dates, returns, tickers)
+        _write_csv(out / _RETURNS_FILE, ["date", *tickers], _dated_rows(series.dates, returns))
 
     jobs = [(spec, cfg, series) for spec in cfg.roster]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -865,20 +807,10 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
                                result.predictions)
         save_series(run_series, out / "forecasts" / f"{result.name}.matbin", FORMAT_MATBIN)
         artifacts[result.name] = f"forecasts/{result.name}.matbin"
-        for fit_index, losses, norms, gaps in result.traces:
-            trace_path = out / "train" / f"{result.name}_fit{fit_index}.csv"
-            with open(trace_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["epoch", "mean_loss", "grad_norm", "min_eig_gap"])
-                for e in range(len(losses)):
-                    writer.writerow(
-                        [e, f"{losses[e]:.17g}", f"{norms[e]:.17g}", f"{gaps[e]:.17g}"]
-                    )
+        for fit_index, trained in result.traces:
+            trained.write_trace(out / "train" / f"{result.name}_fit{fit_index}.csv")
     if failure_rows:
-        with open(out / "train" / "failures.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "date", "reason"])
-            writer.writerows(failure_rows)
+        _write_csv(out / "train" / "failures.csv", ["model", "date", "reason"], failure_rows)
         log.warning("%d window failures recorded", len(failure_rows))
     _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from)
     return 1 if failed_models else 0
@@ -920,18 +852,14 @@ def _load_forecast_runs(cfg: RunConfig) -> tuple[list[ForecastRun], CovSeries]:
 
 def _write_loss_table(path: Path, panel, result) -> None:
     order = {name: i for i, name in enumerate(result.elimination_order)}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "avg_loss", "mcs_pvalue", "in_ssm", "eliminated_rank"])
-        means = panel.losses.mean(axis=0)
-        for i, name in enumerate(panel.models):
-            writer.writerow([
-                name,
-                f"{means[i]:.17g}",
-                f"{result.p_values[name]:.6g}",
-                int(name in result.surviving),
-                order.get(name, ""),
-            ])
+    means = panel.losses.mean(axis=0)
+    _write_csv(
+        path,
+        ["model", "avg_loss", "mcs_pvalue", "in_ssm", "eliminated_rank"],
+        ([name, f"{means[i]:.17g}", f"{result.p_values[name]:.6g}",
+          int(name in result.surviving), order.get(name, "")]
+         for i, name in enumerate(panel.models)),
+    )
 
 
 def _mcs_or_trivial(panel, cfg: RunConfig, seed: int):
@@ -980,12 +908,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         proxy = np.array([lookup[str(d)] for d in realized.dates])
 
     calm, turbulent = regime_split(proxy, realized.dates, cfg.regime_quantile)
-    with open(eval_dir / "regime_labels.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "label"])
-        turbulent_set = set(str(d) for d in turbulent)
-        for d in realized.dates:
-            writer.writerow([str(d), "turbulent" if str(d) in turbulent_set else "calm"])
+    turbulent_set = set(str(d) for d in turbulent)
+    _write_csv(
+        eval_dir / "regime_labels.csv",
+        ["date", "label"],
+        ([str(d), "turbulent" if str(d) in turbulent_set else "calm"] for d in realized.dates),
+    )
 
     artifacts = {"regime_labels": "eval/regime_labels.csv"}
     for metric in cfg.metrics:
@@ -1053,11 +981,8 @@ def cmd_portfolio(cfg: RunConfig) -> int:
             report = evaluate_portfolio(path, returns)
             rows.append((run.model, variant, report.annualized_std, report.avg_turnover))
             weight_file = port_dir / f"weights_{run.model}_{variant}.csv"
-            with open(weight_file, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["date"] + [f"w_{i}" for i in range(weights.shape[1])])
-                for d, w in zip(realized.dates, weights):
-                    writer.writerow([str(d)] + [f"{x:.17g}" for x in w])
+            _write_csv(weight_file, ["date"] + [f"w_{i}" for i in range(weights.shape[1])],
+                       _dated_rows(realized.dates, weights))
             artifacts[f"weights_{run.model}_{variant}"] = str(
                 weight_file.relative_to(cfg.out_dir)
             )
@@ -1066,11 +991,11 @@ def cmd_portfolio(cfg: RunConfig) -> int:
     naive_report = evaluate_portfolio(WeightPath(realized.dates, naive), returns)
     rows.append(("naive", "static", naive_report.annualized_std, naive_report.avg_turnover))
 
-    with open(port_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "portfolio_type", "sigma_p", "tau_p"])
-        for model, variant, sigma, tau in rows:
-            writer.writerow([model, variant, f"{sigma:.17g}", f"{tau:.17g}"])
+    _write_csv(
+        port_dir / "report.csv",
+        ["model", "portfolio_type", "sigma_p", "tau_p"],
+        ([model, variant, f"{sigma:.17g}", f"{tau:.17g}"] for model, variant, sigma, tau in rows),
+    )
     artifacts["report"] = "portfolio/report.csv"
     _write_manifest(cfg, "portfolio", artifacts)
     return 0

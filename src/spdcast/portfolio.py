@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConvergenceError, DimensionMismatchError
-from .spd import SpdMatrix, project_to_spd
+from .spd import SpdMatrix, ensure_pd
 
 __all__ = [
     "WeightPath",
@@ -62,32 +62,19 @@ class PortfolioReport:
             raise ValueError("report fields must be nonnegative")
 
 
-def _ensure_pd(s: SpdMatrix, spd_floor: float) -> SpdMatrix:
-    lmax = float(s.eig.values[0])
-    floor = spd_floor * (lmax if lmax > 0.0 else 1.0)
-    if s.eig.values[-1] < floor:
-        return project_to_spd(s, floor)
-    return s
-
-
-def gmv_weights(s: SpdMatrix, spd_floor: float = 1e-8) -> np.ndarray:
+def gmv_weights(s: SpdMatrix) -> np.ndarray:
     """Global minimum variance weights ``S^{-1} 1 / (1' S^{-1} 1)``.
 
     Matrices short of strict positive definiteness are floor-projected
-    first.  The result is renormalized to sum exactly to one; weights may be
-    negative.  Scale-invariant: ``gmv_weights(c S) = gmv_weights(S)``.
+    first (:func:`ensure_pd`).  The result is renormalized to sum exactly
+    to one; weights may be negative.  Scale-invariant: ``gmv_weights(c S) = gmv_weights(S)``.
     """
-    s = _ensure_pd(s, spd_floor)
+    s = ensure_pd(s)
     raw = np.linalg.solve(s.data, np.ones(s.dim))
     return raw / raw.sum()
 
 
-def gmv_long_only(
-    s: SpdMatrix,
-    tol: float = 1e-10,
-    max_iters: int | None = None,
-    spd_floor: float = 1e-8,
-) -> np.ndarray:
+def gmv_long_only(s: SpdMatrix, tol: float = 1e-10, max_iters: int | None = None) -> np.ndarray:
     """Long-only minimum variance weights by active-set iteration.
 
     Solve the unconstrained problem on the free set, clamp negative weights
@@ -95,7 +82,7 @@ def gmv_long_only(
     clamped asset whose multiplier ``2 (S w)_i - 2 w' S w`` falls below
     ``-tol``.  Exceeding the iteration budget (default ``10 n``) raises.
     """
-    s = _ensure_pd(s, spd_floor)
+    s = ensure_pd(s)
     n = s.dim
     if max_iters is None:
         max_iters = 10 * n

@@ -21,9 +21,9 @@ from .exceptions import (
 
 __all__ = [
     "PSD_RTOL",
+    "SPD_FLOOR",
     "EigPair",
     "SpdMatrix",
-    "eig_sym",
     "logm",
     "expm",
     "sqrtm_psd",
@@ -34,10 +34,14 @@ __all__ = [
     "dist_procrustes",
     "procrustes_rotation",
     "project_to_spd",
+    "ensure_pd",
 ]
 
 # Round-off negatives down to -PSD_RTOL * lambda_max are accepted as PSD.
 PSD_RTOL = 1e-10
+# Relative floor of the SPD repairs: eigenvalues below SPD_FLOOR * lambda_max
+# are raised to it (see ensure_pd).
+SPD_FLOOR = 1e-8
 
 
 class EigPair(NamedTuple):
@@ -131,11 +135,6 @@ class SpdMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdMatrix(dim={self.dim}, lambda_range=[{self._eig.values[-1]:.4g}, {self._eig.values[0]:.4g}])"
-
-
-def eig_sym(a: SpdMatrix) -> EigPair:
-    """Cached eigendecomposition of ``a``, eigenvalues descending."""
-    return a.eig
 
 
 def logm(a: SpdMatrix) -> np.ndarray:
@@ -252,3 +251,16 @@ def project_to_spd(a: SpdMatrix | np.ndarray, floor: float) -> SpdMatrix:
             raise ValueError("matrix entries must be finite")
         values, vectors = _eigh_desc(_symmetrize(a))
     return SpdMatrix._from_eig(np.maximum(values, floor), vectors)
+
+
+def ensure_pd(s: SpdMatrix) -> SpdMatrix:
+    """``s`` itself if ``lambda_min >= SPD_FLOOR * lambda_max``, else its projection there.
+
+    The floor is relative (``SPD_FLOOR`` alone when ``lambda_max <= 0``), so
+    the repair is scale-invariant.  Callers tell a repair by ``result is not s``.
+    """
+    lmax = float(s.eig.values[0])
+    floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
+    if s.eig.values[-1] < floor:
+        return project_to_spd(s, floor)
+    return s

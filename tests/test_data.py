@@ -27,9 +27,8 @@ from spdcast import (
     rolling_windows,
     save_series,
     simulate_market,
-    simulate_series,
 )
-from spdcast.data import har_input
+from spdcast.data import _write_matrix_records, har_input
 from spdcast.frechet import (
     METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
@@ -321,12 +320,6 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_market(2, 10, 1.0, 5, seed=0)
 
-    def test_series_helper_matches(self):
-        a, _ = simulate_market(2, 8, 0.7, 5, seed=3)
-        b = simulate_series(2, 8, 0.7, 5, seed=3)
-        for ma, mb in zip(a.matrices, b.matrices):
-            assert np.array_equal(ma.data, mb.data)
-
     def test_outputs_are_spd(self):
         series, _ = simulate_market(4, 30, 0.95, 8, seed=2)
         for m in series.matrices:
@@ -371,6 +364,17 @@ class TestMatbin:
         with pytest.raises(SeriesFormatError):
             load_series(path, FORMAT_MATBIN)
 
+    def test_non_finite_record_names_file_and_date(self, tmp_path, rng):
+        series = make_series(rng, n=3, length=5)
+        records = np.stack([m.data for m in series.matrices])
+        records[2, 0, 1] = np.nan
+        path = tmp_path / "series.matbin"
+        keys = (series.dates - np.datetime64("1970-01-01")).astype(np.int64)
+        _write_matrix_records(path, keys, records)
+        with pytest.raises(SeriesFormatError) as err:
+            load_series(path, FORMAT_MATBIN)
+        assert str(err.value) == f"{path}: date 2001-01-03: matrix entries must be finite"
+
 
 class TestCsvLong:
     def test_round_trip_exact(self, tmp_path, rng):
@@ -409,6 +413,17 @@ class TestCsvLong:
         )
         with pytest.raises(SeriesFormatError):
             load_series(path, FORMAT_CSVLONG)
+
+    def test_non_psd_record_names_file_and_date(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "date,row,col,value\n"
+            "2001-01-01,0,0,1.0\n2001-01-01,0,1,0.0\n2001-01-01,1,1,1.0\n"
+            "2001-01-02,0,0,1.0\n2001-01-02,0,1,2.0\n2001-01-02,1,1,1.0\n"
+        )
+        with pytest.raises(SeriesFormatError) as err:
+            load_series(path, FORMAT_CSVLONG)
+        assert str(err.value).startswith(f"{path}: date 2001-01-02: smallest eigenvalue")
 
     def test_malformed_value_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -13,13 +13,11 @@ from spdcast import (
     ForecastRun,
     LossPanel,
     block_bootstrap_indices,
-    bootstrap_variance,
     default_block_len,
     dist_frobenius,
     loss_panel,
     mcs,
     regime_split,
-    t_stat_pair,
 )
 
 
@@ -146,58 +144,10 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             block_bootstrap_indices(10, 20, 11, seed=0)
 
-    def test_variance_of_constant_is_zero(self):
-        idx = block_bootstrap_indices(10, 50, 2, seed=0)
-        estimate = bootstrap_variance(idx)
-        assert estimate(np.full(10, 3.25)) == 0.0
-
-    def test_variance_matches_direct_loop(self, rng):
-        idx = block_bootstrap_indices(15, 200, 3, seed=2)
-        series = rng.standard_normal(15)
-        estimate = bootstrap_variance(idx)
-        means = np.array([series[idx[r]].mean() for r in range(200)])
-        want = np.mean((means - series.mean()) ** 2)
-        assert np.isclose(estimate(series), want, rtol=1e-12)
-
     def test_default_block_len_cube_root(self):
         assert default_block_len(1000) == 10
         assert default_block_len(1001) == 11
         assert default_block_len(8) == 2
-
-
-class TestPairStat:
-    def make_panel(self, losses, models=None):
-        losses = np.asarray(losses, dtype=float)
-        models = models or [f"m{i}" for i in range(losses.shape[1])]
-        dates = np.datetime64("2002-01-01") + np.arange(losses.shape[0])
-        return LossPanel(models, dates, losses)
-
-    def test_matches_direct_computation(self, rng):
-        losses = rng.uniform(0.5, 2.0, size=(30, 2))
-        panel = self.make_panel(losses)
-        idx = block_bootstrap_indices(30, 500, 3, seed=3)
-        variance = bootstrap_variance(idx)
-        result = t_stat_pair(panel, 0, 1, variance)
-        diff = losses[:, 0] - losses[:, 1]
-        want = diff.mean() / np.sqrt(variance(diff))
-        assert np.isclose(result.stat, want, rtol=1e-12)
-        assert not result.degenerate
-
-    def test_identical_columns_degenerate_zero(self, rng):
-        col = rng.uniform(0.5, 2.0, size=20)
-        panel = self.make_panel(np.column_stack([col, col]))
-        idx = block_bootstrap_indices(20, 200, 3, seed=4)
-        result = t_stat_pair(panel, "m0", "m1", bootstrap_variance(idx))
-        assert result.degenerate
-        assert result.stat == 0.0
-
-    def test_constant_dominance_is_huge(self, rng):
-        col = rng.uniform(0.5, 2.0, size=20)
-        panel = self.make_panel(np.column_stack([col + 1.0, col]))
-        idx = block_bootstrap_indices(20, 200, 3, seed=4)
-        result = t_stat_pair(panel, 0, 1, bootstrap_variance(idx))
-        assert result.degenerate
-        assert result.stat == 1e12
 
 
 class TestMcs:
@@ -235,6 +185,15 @@ class TestMcs:
         assert "awful" not in result.surviving
         assert result.p_values["awful"] < 0.01
         assert result.elimination_order[0] == "awful"
+
+    def test_constant_dominance_eliminated_first(self, rng):
+        col = rng.uniform(0.5, 2.0, size=20)
+        dates = np.datetime64("2002-01-01") + np.arange(20)
+        panel = LossPanel(["worse", "better"], dates, np.column_stack([col + 1.0, col]))
+        result = mcs(panel, replicates=200, block_len=3, seed=4)
+        assert result.elimination_order == ["worse"]
+        assert result.p_values == {"worse": 0.0, "better": 1.0}
+        assert result.surviving == {"better"}
 
     def test_single_model_trivial(self, rng):
         col = rng.uniform(0.5, 2.0, size=30)

@@ -20,6 +20,7 @@ from spdcast import (
     sqrtm_psd,
 )
 from spdcast.frechet import _exact_mean, mean_from_roots, root_stack
+from spdcast.spd import SPD_FLOOR
 
 
 def per_matrix_gpa(sample, cfg):
@@ -50,7 +51,7 @@ def per_matrix_gpa(sample, cfg):
         prev = objective
     gram = center @ center.T
     lmax = float(np.linalg.eigvalsh(gram)[-1])
-    mean = project_to_spd(gram, cfg.spd_floor * (lmax if lmax > 0.0 else 1.0))
+    mean = project_to_spd(gram, SPD_FLOOR * (lmax if lmax > 0.0 else 1.0))
     return mean, converged, n_iters, np.asarray(trace)
 
 

@@ -1,5 +1,6 @@
 """Config parsing, rolling model runs, and the command line surface."""
 
+import configparser
 import json
 import logging
 
@@ -119,6 +120,72 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert "[data] path" in str(err.value)
+
+    # One bad edit of BASE_CONFIG per check, and the exact message it raises.
+    REJECTIONS = [
+        ("seed = 5", "seed = x", "[run] seed: expected an integer, got 'x'"),
+        ("seed = 5", "seed = 5\nworkers = 0", "[run] workers: must be >= 1, got 0"),
+        ("source = simulate", "source = Bogus",
+         "[data] source: expected simulate, matbin, csvlong, or intraday, got 'bogus'"),
+        ("source = simulate", "source = matbin", "[data] path: required for source=matbin"),
+        ("n = 3", "n = three", "[data] n: expected an integer, got 'three'"),
+        ("n = 3", "n = 0", "[data] n: must be >= 1, got 0"),
+        ("days = 70", "days = 1", "[data] days: must be >= 2, got 1"),
+        ("persistence = 0.8", "persistence = high",
+         "[data] persistence: expected a number, got 'high'"),
+        ("persistence = 0.8", "persistence = 1", "[data] persistence: must be in [0, 1), got 1.0"),
+        ("df = 7", "df = 2", "[data] df: must be >= n = 3, got 2"),
+        ("df = 7", "df = 7\ngrid_seconds = 0", "[data] grid_seconds: must be >= 1, got 0"),
+        ("roster = rw, favar:factors=2", "roster = oracle",
+         "[models] roster: unknown model kind 'oracle' (rw, favar, respdnet, geohar)"),
+        ("roster = rw, favar:factors=2", "roster = respdnet:lags=0",
+         "[models] roster: respdnet lags must be >= 1"),
+        ("window = 40", "window = soon", "[forecast] window: expected an integer, got 'soon'"),
+        ("window = 40", "window = 1", "[forecast] window: must be >= 2, got 1"),
+        ("window = 40", "window = 40\nrefit_every = -1",
+         "[forecast] refit_every: must be >= 0, got -1"),
+        ("epochs = 2", "epochs = 2\nlearning_rate = fast",
+         "[train] learning_rate: expected a number, got 'fast'"),
+        ("epochs = 2", "epochs = 2\nhidden = a,b",
+         "[train] hidden: expected 'auto' or comma-separated integers, got 'a,b'"),
+        ("epochs = 2", "epochs = 2\nhidden = 4,0", "[train] hidden: dims must be positive, got '4,0'"),
+        ("metrics = frobenius", "metrics = frobenius, cosine",
+         "[evaluate] metrics: unknown metric 'cosine' (known: "
+         "('frobenius', 'euclidean', 'procrustes', 'log_euclidean'))"),
+        ("replicates = 120", "replicates = 120\nalpha = 1",
+         "[evaluate] alpha: must be in (0, 1), got 1.0"),
+        ("replicates = 120", "replicates = many",
+         "[evaluate] replicates: expected an integer, got 'many'"),
+        ("replicates = 120", "replicates = 120\nblock_len = long",
+         "[evaluate] block_len: expected 'auto' or an integer, got 'long'"),
+        ("replicates = 120", "replicates = 120\nregime_quantile = 0",
+         "[evaluate] regime_quantile: must be in (0, 1), got 0.0"),
+        ("enabled = true", "enabled = maybe", "[portfolio] enabled: expected a boolean, got 'maybe'"),
+        ("[forecast]", "[forecast]\nwidth = 9", "[forecast] unknown keys: ['width']"),
+        ("[portfolio]", "[mystery]\nx = 1\n\n[portfolio]", "unknown config sections: ['mystery']"),
+    ]
+
+    @pytest.mark.parametrize("old, new, message", REJECTIONS)
+    def test_rejection_message(self, tmp_path, old, new, message):
+        path = write_config(tmp_path)
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message
+
+    def test_rejection_messages_outside_the_sections(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_config(tmp_path / "absent.ini")
+        assert str(err.value) == f"config file {tmp_path / 'absent.ini'} does not exist"
+        path = write_config(tmp_path)
+        with pytest.raises(ConfigError) as err:
+            load_config(path, workers_override=0)
+        assert str(err.value) == "--workers: must be >= 1, got 0"
+        path.write_text(path.read_text().replace("seed = 5", "seed = 5\nseed = 6"))
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == str(configparser.DuplicateOptionError("run", "seed", str(path), 3))
 
     def test_config_hash_tracks_text(self, tmp_path):
         a = load_config(write_config(tmp_path))
@@ -328,6 +395,57 @@ class TestCommands:
         path = write_config(tmp_path)
         assert self.run_cli("simulate", path, "--workers", "-3") == 2
         assert "--workers" in capsys.readouterr().err
+
+    # The [train] and [evaluate] ranges, rejected when the config is read.
+    RANGES = [
+        ("train-forecast", "epochs = 2", "epochs = 0", "[train] epochs: must be >= 1, got 0"),
+        ("train-forecast", "batch_size = 8", "batch_size = 0",
+         "[train] batch_size: must be >= 1, got 0"),
+        ("train-forecast", "epochs = 2", "epochs = 2\nlearning_rate = -0.1",
+         "[train] learning_rate: must be >= 0, got -0.1"),
+        ("train-forecast", "epochs = 2", "epochs = 2\nlr_decay = 0",
+         "[train] lr_decay: must be in (0, 1], got 0.0"),
+        ("train-forecast", "epochs = 2", "epochs = 2\neps_rectify = 0",
+         "[train] eps_rectify: must be > 0, got 0.0"),
+        ("train-forecast", "epochs = 2", "epochs = 2\neig_gap_floor = nan",
+         "[train] eig_gap_floor: must be > 0, got nan"),
+        ("evaluate", "replicates = 120", "replicates = 50",
+         "[evaluate] replicates: must be >= 100, got 50"),
+        ("evaluate", "replicates = 120", "replicates = 120\nblock_len = 0",
+         "[evaluate] block_len: must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("command, old, new, message", RANGES)
+    def test_out_of_range_exits_2(self, tmp_path, capsys, command, old, new, message):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert self.run_cli(command, path) == 2
+        assert capsys.readouterr().err == f"spdcast: config error: {message}\n"
+
+    def test_range_boundaries_accepted(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "epochs = 2", "epochs = 1\nlearning_rate = 0\nlr_decay = 1").replace(
+            "replicates = 120", "replicates = 100\nblock_len = 1"))
+        cfg = load_config(path)
+        assert (cfg.epochs, cfg.learning_rate, cfg.lr_decay) == (1, 0.0, 1.0)
+        assert (cfg.replicates, cfg.block_len) == (100, 1)
+
+    def test_bad_series_record_exits_1_naming_file_and_date(self, tmp_path, capsys):
+        series, _ = simulate_market(3, 60, 0.8, 7, 1)
+        save_series(series, tmp_path / "series.matbin")
+        blob = bytearray((tmp_path / "series.matbin").read_bytes())
+        # The first entry of record 7: a 20-byte header, then 8 + 72 bytes a record.
+        start = 20 + 7 * 80 + 8
+        blob[start : start + 8] = np.array([np.nan]).tobytes()
+        (tmp_path / "series.matbin").write_bytes(bytes(blob))
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}"))
+        assert self.run_cli("train-forecast", path) == 1
+        err = capsys.readouterr().err
+        assert err == (f"spdcast: {tmp_path / 'series.matbin'}: date {series.dates[7]}: "
+                       "matrix entries must be finite\n")
 
     def test_missing_data_file_exits_1_naming_it(self, tmp_path, capsys):
         path = write_config(tmp_path)

@@ -26,6 +26,7 @@ from spdcast import (
     sqrtm_psd,
     vech,
 )
+from spdcast.spd import SPD_FLOOR, ensure_pd
 
 
 class TestSpdMatrix:
@@ -241,3 +242,43 @@ class TestProjectToSpd:
     def test_accepts_plain_arrays(self):
         fixed = project_to_spd(np.diag([1.0, -2.0]), 0.5)
         assert np.allclose(fixed.data, np.diag([1.0, 0.5]))
+
+
+class TestEnsurePd:
+    """``ensure_pd`` is the one relative SPD floor shared by losses, means, FAVAR and GMV."""
+
+    @staticmethod
+    def inline_rule(s):
+        # The floor as each caller wrote it before it had one owner.
+        lmax = float(s.eig.values[0])
+        floor = 1e-8 * (lmax if lmax > 0.0 else 1.0)
+        if s.eig.values[-1] < floor:
+            return project_to_spd(s, floor)
+        return s
+
+    def test_floor_constant(self):
+        assert SPD_FLOOR == 1e-8
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        relative=st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-12, 5e-9, 1e-8, 2e-8, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        scale=st.floats(1e-6, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_floor_properties(self, relative, scale, seed):
+        s = spd_from_spectrum(np.random.default_rng(seed), scale * np.asarray(relative))
+        lmax = float(s.eig.values[0])
+        floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
+        fixed = ensure_pd(s)
+        assert (fixed is s) == (s.eig.values[-1] >= floor)
+        assert fixed.eig.values[-1] >= floor
+        assert ensure_pd(fixed) is fixed
+        old = self.inline_rule(s)
+        assert (old is s) == (fixed is s)
+        assert np.array_equal(old.data, fixed.data)
+        assert np.array_equal(old.eig.values, fixed.eig.values)
+        assert np.array_equal(old.eig.vectors, fixed.eig.vectors)

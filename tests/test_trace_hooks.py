@@ -1,0 +1,36 @@
+"""The traced benchmark's hooks still find what they wrap.
+
+``perfbench/tracing.py`` patches library functions by name and reads some
+of their arguments by parameter name.  Installing its tracer fails on a
+missing name; the parameter names are checked here, so a rename or a
+deletion that would break the traced benchmark fails the test suite.
+"""
+
+import inspect
+from pathlib import Path
+
+import numpy as np
+
+from spdcast import cli, pipeline
+from spdcast.network import Network
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_tracer_installs_and_reads_its_parameters(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    originals = (pipeline.run_model, pipeline.train, Network.forward, np.linalg.eigh,
+                 dict(cli._COMMANDS))
+    tracer = Tracer()
+    try:
+        tracer.install()
+        for fn, names in ((pipeline.train, {"inputs", "cfg"}),
+                          (pipeline.run_model, {"spec"}),
+                          (pipeline.loss_panel, {"metric"})):
+            assert names <= set(inspect.signature(fn).parameters), fn.__name__
+    finally:
+        tracer.uninstall()
+    assert (pipeline.run_model, pipeline.train, Network.forward, np.linalg.eigh,
+            dict(cli._COMMANDS)) == originals
