@@ -18,12 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DimensionMismatchError
+from .frechet import root_stack
 from .spd import (
     SpdMatrix,
-    dist_euclidean,
-    dist_frobenius,
-    dist_log_euclidean,
-    dist_procrustes,
+    euclidean_losses,
+    frobenius_losses,
+    log_euclidean_losses,
+    logm,
+    procrustes_losses,
 )
 
 __all__ = [
@@ -37,13 +39,24 @@ __all__ = [
     "regime_split",
 ]
 
-_METRIC_FNS = {
-    "frobenius": dist_frobenius,
-    "euclidean": dist_euclidean,
-    "procrustes": dist_procrustes,
-    "log_euclidean": dist_log_euclidean,
+
+def _entries(mats: Sequence[SpdMatrix]) -> np.ndarray:
+    return np.stack([m.data for m in mats])
+
+
+def _logs(mats: Sequence[SpdMatrix]) -> np.ndarray:
+    return np.stack([logm(m) for m in mats])
+
+
+# Per metric: the (B, n, n) stack a sequence of matrices is scored on, and the
+# spd kernel giving each pair of slices its spd.dist_<metric>, bit for bit.
+_METRIC_KERNELS = {
+    "frobenius": (_entries, frobenius_losses),
+    "euclidean": (_entries, euclidean_losses),
+    "procrustes": (root_stack, procrustes_losses),
+    "log_euclidean": (_logs, log_euclidean_losses),
 }
-METRICS = tuple(_METRIC_FNS)
+METRICS = tuple(_METRIC_KERNELS)
 
 # Below this, a bootstrap variance is treated as exactly degenerate.
 _DEGENERATE_VAR = 1e-300
@@ -101,36 +114,46 @@ class McsResult:
 
 
 def loss_panel(runs: Sequence[ForecastRun], metric: str) -> LossPanel:
-    """Score every model on the shared dates; runs must be mutually aligned."""
-    if metric not in _METRIC_FNS:
+    """Score every model on the shared dates; runs must be mutually aligned.
+
+    Works on stacks: the log or root of each realized matrix is taken once,
+    from the decomposition it caches, and shared by every model.  Each loss
+    equals ``spd.dist_<metric>(predicted, realized)`` bit for bit.
+    """
+    if metric not in _METRIC_KERNELS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     if len(runs) == 0:
         raise ValueError("no forecast runs")
     first = runs[0]
+    realized = _entries(first.realized)
     for run in runs[1:]:
         if not np.array_equal(run.dates, first.dates):
             raise ValueError(
                 f"forecast runs are misaligned: {run.model!r} dates differ from "
                 f"{first.model!r}"
             )
-        for a, b in zip(run.realized, first.realized):
-            if not np.allclose(a.data, b.data, rtol=0.0, atol=1e-12):
-                raise ValueError(
-                    f"forecast runs disagree on realized values: {run.model!r} vs "
-                    f"{first.model!r}"
-                )
-    fn = _METRIC_FNS[metric]
+        # Elementwise, so the same verdict as np.allclose on each matrix.
+        if not np.allclose(_entries(run.realized), realized, rtol=0.0, atol=1e-12):
+            raise ValueError(
+                f"forecast runs disagree on realized values: {run.model!r} vs "
+                f"{first.model!r}"
+            )
+    stack, losses_of = _METRIC_KERNELS[metric]
+    real = stack(first.realized)
     losses = np.zeros((len(first.dates), len(runs)))
     for j, run in enumerate(runs):
-        for i, (pred, real) in enumerate(zip(run.predicted, run.realized)):
-            losses[i, j] = fn(pred, real)
+        losses[:, j] = losses_of(stack(run.predicted), real)
     return LossPanel([r.model for r in runs], first.dates, losses)
 
 
 def block_bootstrap_indices(
     n_obs: int, replicates: int, block_len: int, seed: int | np.random.Generator
 ) -> np.ndarray:
-    """Circular block bootstrap index matrix of shape (replicates, n_obs)."""
+    """Circular block bootstrap index matrix of shape (replicates, n_obs).
+
+    :func:`mcs` does not build it; it is the definition its bootstrap means
+    are tested against.
+    """
     if n_obs < 1 or replicates < 1:
         raise ValueError("n_obs and replicates must be positive")
     if not (1 <= block_len <= n_obs):
@@ -141,6 +164,42 @@ def block_bootstrap_indices(
     offsets = np.arange(block_len)
     idx = (starts[:, :, None] + offsets[None, None, :]) % n_obs
     return idx.reshape(replicates, n_blocks * block_len)[:, :n_obs]
+
+
+# Block sums gathered per chunk of replicates: at most this many elements
+# per gathered array, so memory does not grow with replicates x observations.
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _centered_bootstrap_means(
+    losses: np.ndarray, replicates: int, block_len: int, seed: int
+) -> np.ndarray:
+    """Column means of each circular block bootstrap replicate less the panel's, (replicates, models).
+
+    The replicates are those of :func:`block_bootstrap_indices` (the same
+    block starts, drawn from the same generator), but no index matrix is
+    built: a block's sum is a difference of prefix sums over the centred
+    panel stacked twice, the last block cut to the rows left.  Centring keeps
+    the prefix sums near ``sqrt(T)`` standard deviations, not ``T`` means, so
+    their differences lose little to cancellation.  The means agree with the
+    gathered ones to round-off, not bit for bit.
+    """
+    n_obs, n_models = losses.shape
+    rng = np.random.default_rng(seed)
+    n_blocks = -(-n_obs // block_len)
+    centered = losses - losses.mean(axis=0)
+    prefix = np.zeros((2 * n_obs + 1, n_models))
+    np.cumsum(np.concatenate([centered, centered]), axis=0, out=prefix[1:])
+    lengths = np.full(n_blocks, block_len)
+    lengths[-1] = n_obs - (n_blocks - 1) * block_len
+    means = np.empty((replicates, n_models))
+    chunk = max(1, _CHUNK_ELEMENTS // (n_blocks * n_models))
+    for lo in range(0, replicates, chunk):
+        # Consecutive draws from one generator: the rows one call would give.
+        starts = rng.integers(0, n_obs, size=(min(chunk, replicates - lo), n_blocks))
+        block_sums = prefix[starts + lengths] - prefix[starts]
+        means[lo : lo + len(starts)] = block_sums.sum(axis=1) / n_obs
+    return means
 
 
 def default_block_len(n_obs: int) -> int:
@@ -156,8 +215,9 @@ def mcs(
 ) -> McsResult:
     """Model confidence set by iterated elimination under the range statistic.
 
-    One bootstrap index matrix is drawn up front and shared by every round,
-    both for the null distribution of the range statistic and for the
+    One set of centred circular block bootstrap means
+    (:func:`_centered_bootstrap_means`) is drawn up front and shared by every
+    round, both for the null distribution of the range statistic and for the
     variance of each pairwise mean difference.  A pair whose bootstrap
     variance is zero has t = 0 if its mean difference is zero (identical
     columns) and a signed 1e12 otherwise (constant dominance).  Ties in the
@@ -180,8 +240,7 @@ def mcs(
             {panel.models[0]}, {panel.models[0]: 1.0}, alpha, replicates, block_len, []
         )
 
-    indices = block_bootstrap_indices(n_obs, replicates, block_len, seed)
-    boot_means = panel.losses[indices].mean(axis=1)  # (replicates, n_models)
+    boot_means = _centered_bootstrap_means(panel.losses, replicates, block_len, seed)
     col_means = panel.losses.mean(axis=0)
 
     alive = list(range(n_models))
@@ -196,9 +255,7 @@ def mcs(
             for b_pos, b in enumerate(alive):
                 if b <= a:
                     continue
-                centered = (boot_means[:, a] - boot_means[:, b]) - (
-                    col_means[a] - col_means[b]
-                )
+                centered = boot_means[:, a] - boot_means[:, b]
                 var = float(np.mean(centered**2))
                 mean = col_means[a] - col_means[b]
                 if var < _DEGENERATE_VAR:

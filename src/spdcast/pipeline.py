@@ -52,7 +52,7 @@ from .evaluation import (
     mcs,
     regime_split,
 )
-from .exceptions import ConfigError, DataFileError, SpdcastError
+from .exceptions import ConfigError, DataFileError, SeriesFormatError, SpdcastError
 from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
 from .network import Network, NetworkSpec
 from .optim import LOSS_LOG_EUCLIDEAN, LOSS_MSE, TrainConfig, TrainResult, train
@@ -303,6 +303,12 @@ def load_config(
     except configparser.Error as exc:
         raise ConfigError(f"{exc}") from exc
 
+    if parser.defaults():
+        # configparser would copy these into every section read below.
+        raise ConfigError(
+            f"[DEFAULT] is not supported; move its keys into their sections: "
+            f"{sorted(parser.defaults())}"
+        )
     known = {}
     for section, key, *_ in _KEYS:
         known.setdefault(section, set()).add(key)
@@ -452,21 +458,25 @@ def _dated_rows(dates: np.ndarray, values: np.ndarray):
 
 
 def _read_returns_csv(path: Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Dates, daily returns and tickers of a ``date,<tickers>`` file.
+
+    A malformed file raises :class:`SeriesFormatError` naming ``path:line``.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "date" or len(header) < 2:
-            raise ConfigError(f"returns file {path}: expected header date,<tickers>")
+            raise SeriesFormatError(f"returns file {path}:1: expected header date,<tickers>")
         tickers = header[1:]
         dates, rows = [], []
         for lineno, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
-                raise ConfigError(f"returns file {path}:{lineno}: wrong field count")
-            dates.append(rec[0])
+                raise SeriesFormatError(f"returns file {path}:{lineno}: wrong field count")
             try:
+                dates.append(np.datetime64(rec[0], "D"))
                 rows.append([float(x) for x in rec[1:]])
             except ValueError as exc:
-                raise ConfigError(f"returns file {path}:{lineno}: {exc}") from None
+                raise SeriesFormatError(f"returns file {path}:{lineno}: {exc}") from None
     return np.array(dates, dtype="datetime64[D]"), np.asarray(rows), tickers
 
 
@@ -968,15 +978,16 @@ def cmd_portfolio(cfg: RunConfig) -> int:
     port_dir = cfg.out_dir / "portfolio"
     port_dir.mkdir(parents=True, exist_ok=True)
 
+    # Per variant, the (dates, assets) weights of a list of forecasts.
     variants = [("gmv", gmv_weights)]
     if cfg.portfolio_long_only:
-        variants.append(("gmv_long", gmv_long_only))
+        variants.append(("gmv_long", lambda preds: np.stack([gmv_long_only(p) for p in preds])))
 
     rows = []
     artifacts = {}
     for run in runs:
         for variant, builder in variants:
-            weights = np.stack([builder(pred) for pred in run.predicted])
+            weights = builder(run.predicted)
             path = WeightPath(realized.dates, weights)
             report = evaluate_portfolio(path, returns)
             rows.append((run.model, variant, report.annualized_std, report.avg_turnover))

@@ -10,6 +10,7 @@ rebalances accounted for.  Transaction costs are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -62,16 +63,20 @@ class PortfolioReport:
             raise ValueError("report fields must be nonnegative")
 
 
-def gmv_weights(s: SpdMatrix) -> np.ndarray:
+def gmv_weights(s: SpdMatrix | Sequence[SpdMatrix]) -> np.ndarray:
     """Global minimum variance weights ``S^{-1} 1 / (1' S^{-1} 1)``.
 
     Matrices short of strict positive definiteness are floor-projected
     first (:func:`ensure_pd`).  The result is renormalized to sum exactly
     to one; weights may be negative.  Scale-invariant: ``gmv_weights(c S) = gmv_weights(S)``.
+    A sequence of ``B`` matrices gives their ``(B, n)`` weights from one
+    solve on their stack; each row is bit for bit the weights of its matrix.
     """
-    s = ensure_pd(s)
-    raw = np.linalg.solve(s.data, np.ones(s.dim))
-    return raw / raw.sum()
+    single = isinstance(s, SpdMatrix)
+    stack = np.stack([ensure_pd(m).data for m in ([s] if single else s)])
+    raw = np.linalg.solve(stack, np.ones(stack.shape[:-1] + (1,)))[..., 0]
+    weights = raw / raw.sum(axis=-1, keepdims=True)
+    return weights[0] if single else weights
 
 
 def gmv_long_only(s: SpdMatrix, tol: float = 1e-10, max_iters: int | None = None) -> np.ndarray:

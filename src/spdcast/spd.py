@@ -9,6 +9,7 @@ square roots.
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,13 +33,20 @@ __all__ = [
     "dist_euclidean",
     "dist_log_euclidean",
     "dist_procrustes",
+    "frobenius_losses",
+    "euclidean_losses",
+    "log_euclidean_losses",
+    "procrustes_losses",
     "procrustes_rotation",
     "project_to_spd",
     "ensure_pd",
 ]
 
-# Round-off negatives down to -PSD_RTOL * lambda_max are accepted as PSD.
+# Round-off negatives down to -PSD_RTOL * lambda_max are accepted as PSD.  When
+# lambda_max > 0 is so small that this underflows (subnormal scale), negatives
+# down to minus the smallest normal double are accepted instead.
 PSD_RTOL = 1e-10
+_PSD_ATOL = sys.float_info.min
 # Relative floor of the SPD repairs: eigenvalues below SPD_FLOOR * lambda_max
 # are raised to it (see ensure_pd).
 SPD_FLOOR = 1e-8
@@ -75,7 +83,8 @@ class SpdMatrix:
     The constructor symmetrizes its input via ``(A + A.T) / 2`` (absorbing
     round-off asymmetry from upstream arithmetic), eigendecomposes it, and
     rejects matrices whose smallest eigenvalue falls below
-    ``-PSD_RTOL * lambda_max``.  Strict positive definiteness is *not*
+    ``-PSD_RTOL * lambda_max`` (or, where that underflows, below minus the
+    smallest normal double).  Strict positive definiteness is *not*
     required here; operations that need it (``logm``, inversion) check for
     themselves.
     """
@@ -92,11 +101,12 @@ class SpdMatrix:
             raise ValueError("matrix entries must be finite")
         a = _symmetrize(a)
         values, vectors = _eigh_desc(a)
-        lmax = max(float(values[0]), 0.0)
-        if values[-1] < -PSD_RTOL * lmax:
+        lmax = float(values[0])
+        tolerance = max(PSD_RTOL * lmax, _PSD_ATOL) if lmax > 0.0 else 0.0
+        if values[-1] < -tolerance:
             raise NotPositiveDefiniteError(
                 f"smallest eigenvalue {values[-1]:.6e} is below the PSD "
-                f"tolerance {-PSD_RTOL * lmax:.6e}"
+                f"tolerance {-tolerance:.6e}"
             )
         self._data = _freeze(a)
         self._eig = EigPair(_freeze(values), _freeze(vectors))
@@ -180,10 +190,29 @@ def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
+    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(
+            f"expected two (B, n, n) stacks of one shape, got {a.shape} and {b.shape}"
+        )
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # One np.linalg.norm per row, as the dist_* functions take it: a stacked
+    # reduction sums in another order and can differ in the last bit.
+    return np.array([np.linalg.norm(row) for row in rows])
+
+
 def dist_frobenius(a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared Frobenius norm of the difference."""
     _check_pair(a, b)
     return float(np.sum((a.data - b.data) ** 2))
+
+
+def frobenius_losses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`dist_frobenius` of each pair of slices of two stacks of matrix entries, bit for bit."""
+    _check_stacks(a, b)
+    return ((a - b) ** 2).reshape(len(a), -1).sum(axis=1)
 
 
 def dist_euclidean(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -192,10 +221,23 @@ def dist_euclidean(a: SpdMatrix, b: SpdMatrix) -> float:
     return float(np.linalg.norm(vech(a.data) - vech(b.data)))
 
 
+def euclidean_losses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`dist_euclidean` of each pair of slices of two stacks of matrix entries, bit for bit."""
+    _check_stacks(a, b)
+    rows, cols = np.tril_indices(a.shape[-1])
+    return _row_norms(a[:, rows, cols] - b[:, rows, cols])
+
+
 def dist_log_euclidean(a: SpdMatrix, b: SpdMatrix) -> float:
     """Frobenius distance between matrix logarithms; both operands strictly SPD."""
     _check_pair(a, b)
     return float(np.linalg.norm(logm(a) - logm(b)))
+
+
+def log_euclidean_losses(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """:func:`dist_log_euclidean` of each pair of slices of two stacks of :func:`logm`, bit for bit."""
+    _check_stacks(log_a, log_b)
+    return _row_norms(log_a - log_b)
 
 
 def procrustes_rotation(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -203,17 +245,23 @@ def procrustes_rotation(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
 
     Computed from the SVD of ``l2.T @ l1``; may include reflections.  Singular
     vector signs are fixed (largest-magnitude entry of each left vector made
-    positive) so the factorization backing R is deterministic.  ``l2`` may be
-    a ``(k, n, n)`` stack, giving the ``k`` rotations in one SVD call; each
-    equals the rotation of its slice alone.
+    positive) so the factorization backing R is deterministic.  Either
+    argument may be a ``(k, n, n)`` stack (both stacks of one length), giving
+    the ``k`` rotations in one SVD call; each equals the rotation of its
+    slices alone.
     """
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
-    square = l1.ndim == 2 and l1.shape[0] == l1.shape[1]
-    if not square or l2.ndim not in (2, 3) or l2.shape[-2:] != l1.shape:
+    valid = (
+        l1.ndim in (2, 3)
+        and l2.ndim in (2, 3)
+        and l1.shape[-1] == l1.shape[-2]
+        and l2.shape[-2:] == l1.shape[-2:]
+        and (l1.ndim == 2 or l2.ndim == 2 or len(l1) == len(l2))
+    )
+    if not valid:
         raise DimensionMismatchError(
-            f"expected a square matrix and a matrix or stack of its shape, "
-            f"got {l1.shape} and {l2.shape}"
+            f"expected square matrices or stacks of one shape, got {l1.shape} and {l2.shape}"
         )
     try:
         u, _, vt = np.linalg.svd(np.swapaxes(l2, -1, -2) @ l1)
@@ -232,15 +280,26 @@ def dist_procrustes(a: SpdMatrix, b: SpdMatrix) -> float:
     return float(np.linalg.norm(la - lb @ procrustes_rotation(la, lb)))
 
 
+def procrustes_losses(root_a: np.ndarray, root_b: np.ndarray) -> np.ndarray:
+    """:func:`dist_procrustes` of each pair of slices of two stacks of :func:`sqrtm_psd`, bit for bit.
+
+    The rotations come from one batched SVD.
+    """
+    _check_stacks(root_a, root_b)
+    return _row_norms(root_a - root_b @ procrustes_rotation(root_a, root_b))
+
+
 def project_to_spd(a: SpdMatrix | np.ndarray, floor: float) -> SpdMatrix:
     """Nearest-SPD projection: eigenvalues clipped from below at ``floor``.
 
     Accepts any symmetric matrix (arrays are symmetrized first).  Idempotent
     for matrices already at or above the floor, and the cached decomposition
-    of the result has ``lambda_min >= floor`` exactly.
+    of the result has ``lambda_min >= floor`` exactly.  A zero floor, which
+    the relative floor of :func:`ensure_pd` underflows to when ``lambda_max``
+    is below about 2e-300, gives the nearest PSD matrix.
     """
-    if not (floor > 0.0):
-        raise ValueError(f"floor must be positive, got {floor}")
+    if not (floor >= 0.0):
+        raise ValueError(f"floor must be nonnegative, got {floor}")
     if isinstance(a, SpdMatrix):
         values, vectors = a.eig
     else:

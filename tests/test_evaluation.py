@@ -5,20 +5,38 @@ reference written here from the procedure's definition: same bootstrap
 draws in, every statistic recomputed with plain loops.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import random_orthogonal, random_spd
 from spdcast import (
     ForecastRun,
     LossPanel,
+    NotPositiveDefiniteError,
+    SpdMatrix,
     block_bootstrap_indices,
     default_block_len,
+    dist_euclidean,
     dist_frobenius,
+    dist_log_euclidean,
+    dist_procrustes,
     loss_panel,
     mcs,
     regime_split,
 )
+from spdcast import evaluation
+from spdcast.evaluation import _centered_bootstrap_means
+
+DISTANCES = {
+    "frobenius": dist_frobenius,
+    "euclidean": dist_euclidean,
+    "procrustes": dist_procrustes,
+    "log_euclidean": dist_log_euclidean,
+}
 
 
 def make_runs(rng, n_models=2, length=6):
@@ -118,6 +136,83 @@ class TestLossPanel:
         assert np.array_equal(panel.column("m1"), panel.losses[:, 1])
 
 
+def spd_with_rank(rng, n, rank):
+    """A PSD matrix of the given rank (strictly SPD when rank == n)."""
+    values = np.zeros(n)
+    values[:rank] = rng.uniform(0.2, 3.0, size=rank)
+    q = random_orthogonal(rng, n)
+    return SpdMatrix(q @ np.diag(values) @ q.T)
+
+
+class TestStackedLossPanel:
+    """The stacked panel is the per-pair ``dist_*`` loop, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        metric=st.sampled_from(sorted(DISTANCES)),
+        n=st.integers(1, 6),
+        length=st.integers(1, 7),
+        n_models=st.integers(1, 3),
+        rank_deficient=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_pair_loop(self, metric, n, length, n_models, rank_deficient, seed):
+        rng = np.random.default_rng(seed)
+        # Logarithms need strictly SPD matrices; the other metrics also take
+        # realized matrices of lower rank.
+        low = rank_deficient and metric != "log_euclidean"
+        realized = [spd_with_rank(rng, n, int(rng.integers(0, n)) if low else n)
+                    for _ in range(length)]
+        dates = np.datetime64("2002-01-01") + np.arange(length)
+        runs = [ForecastRun(f"m{j}", dates, [random_spd(rng, n) for _ in range(length)], realized)
+                for j in range(n_models)]
+        panel = loss_panel(runs, metric)
+        fn = DISTANCES[metric]
+        for j, run in enumerate(runs):
+            for i in range(length):
+                assert panel.losses[i, j] == fn(run.predicted[i], run.realized[i])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=st.sampled_from([0.0, 5e-13, 1e-12, 1.0000001e-12, 2e-12, 1e-9]),
+        sign=st.sampled_from([-1.0, 1.0]),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_realized_agreement_is_the_per_matrix_allclose(self, delta, sign, scale, seed):
+        rng = np.random.default_rng(seed)
+        runs = make_runs(rng, n_models=1, length=4)
+        realized = [SpdMatrix(scale * m.data) for m in runs[0].realized]
+        runs = [ForecastRun("m0", runs[0].dates, runs[0].predicted, realized)]
+        bumped = [m.data.copy() for m in realized]
+        i, r, c = rng.integers(0, 4), rng.integers(0, 2), rng.integers(0, 2)
+        bumped[i][r, c] += sign * delta
+        bumped[i][c, r] = bumped[i][r, c]
+        other = ForecastRun("m1", runs[0].dates, runs[0].predicted, [SpdMatrix(b) for b in bumped])
+        agree = all(np.allclose(a.data, b.data, rtol=0.0, atol=1e-12)
+                    for a, b in zip(other.realized, realized))
+        if agree:
+            loss_panel([runs[0], other], "frobenius")
+        else:
+            with pytest.raises(ValueError, match="disagree on realized"):
+                loss_panel([runs[0], other], "frobenius")
+
+    def test_log_euclidean_rejects_a_singular_matrix(self, rng):
+        runs = make_runs(rng, n_models=2, length=5)
+        singular = list(runs[1].predicted)
+        singular[3] = SpdMatrix(np.diag([1.0, 0.0]))
+        runs[1] = ForecastRun("m1", runs[1].dates, singular, runs[1].realized)
+        with pytest.raises(NotPositiveDefiniteError, match="smallest is 0.000000e"):
+            loss_panel(runs, "log_euclidean")
+
+    def test_rejects_forecasts_of_another_dimension(self, rng):
+        runs = make_runs(rng, n_models=1, length=3)
+        wide = ForecastRun("m1", runs[0].dates, [random_spd(rng, 3) for _ in range(3)],
+                           runs[0].realized)
+        with pytest.raises(ValueError):
+            loss_panel([runs[0], wide], "procrustes")
+
+
 class TestBootstrap:
     def test_index_shape_and_range(self):
         idx = block_bootstrap_indices(17, 40, 4, seed=0)
@@ -148,6 +243,51 @@ class TestBootstrap:
         assert default_block_len(1000) == 10
         assert default_block_len(1001) == 11
         assert default_block_len(8) == 2
+
+
+class TestPrefixSumBootstrap:
+    """Bootstrap means from prefix sums against the gathered index matrix."""
+
+    @staticmethod
+    def means(losses, replicates, block_len, seed):
+        centered = _centered_bootstrap_means(losses, replicates, block_len, seed)
+        return centered + losses.mean(axis=0)
+
+    @pytest.mark.parametrize("n_obs, block_len, replicates, heavy", [
+        (50, 4, 400, False), (17, 17, 30, False), (12, 1, 25, False), (1030, 11, 200, False),
+        (31, 5, 101, False), (10_000, 22, 100, True),
+    ])
+    def test_means_match_the_index_gather(self, rng, n_obs, block_len, replicates, heavy):
+        losses = rng.uniform(0.1, 5.0, size=(n_obs, 3))
+        if heavy:
+            # Pareto tails (infinite variance) and a few crisis-day spikes.
+            losses = rng.pareto(1.5, size=(n_obs, 3)) + 0.01
+            losses[rng.integers(0, n_obs, size=20)] *= 1e4
+        want = losses[block_bootstrap_indices(n_obs, replicates, block_len, 7)].mean(axis=1)
+        got = self.means(losses, replicates, block_len, 7)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_chunks_draw_the_same_starts(self, rng, monkeypatch):
+        # Chunks of 7 replicates (of 3 blocks x 2 models): 100 replicates
+        # take 15 generator calls, the last one short.
+        losses = rng.uniform(0.1, 5.0, size=(9, 2))
+        whole = self.means(losses, 100, 3, 5)
+        monkeypatch.setattr(evaluation, "_CHUNK_ELEMENTS", 7 * 3 * 2)
+        assert np.array_equal(self.means(losses, 100, 3, 5), whole)
+        want = losses[block_bootstrap_indices(9, 100, 3, 5)].mean(axis=1)
+        assert np.allclose(whole, want, rtol=1e-12, atol=0.0)
+
+    def test_mcs_memory_does_not_grow_with_the_panel(self):
+        losses = np.random.default_rng(0).uniform(0.5, 2.0, size=(10_000, 3))
+        panel = LossPanel(["a", "b", "c"], np.datetime64("2000-01-01") + np.arange(10_000), losses)
+        tracemalloc.start()
+        try:
+            mcs(panel, replicates=2_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Gathering losses[indices] alone would take 2,000 x 10,000 x 3 doubles.
+        assert peak < 50 * 2**20
 
 
 class TestMcs:
@@ -222,6 +362,32 @@ class TestMcs:
         small = mcs(panel, alpha=0.05, replicates=300, seed=2)
         large = mcs(panel, alpha=0.50, replicates=300, seed=2)
         assert large.surviving <= small.surviving
+
+
+class TestMcsPermutation:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_models=st.integers(2, 5),
+        n_obs=st.integers(12, 60),
+        tie=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_p_values_follow_their_models(self, n_models, n_obs, tie, seed, order_seed):
+        rng = np.random.default_rng(seed)
+        losses = rng.uniform(0.5, 2.0, size=(n_obs, n_models))
+        losses += rng.uniform(0.0, 0.5, size=n_models)
+        if tie:
+            losses[:, 1] = losses[:, 0]
+        names = [f"m{j}" for j in range(n_models)]
+        dates = np.datetime64("2002-01-01") + np.arange(n_obs)
+        order = np.random.default_rng(order_seed).permutation(n_models)
+        base = mcs(LossPanel(names, dates, losses), replicates=150, seed=3)
+        moved = mcs(LossPanel([names[k] for k in order], dates, losses[:, order]),
+                    replicates=150, seed=3)
+        assert moved.p_values == base.p_values
+        assert moved.elimination_order == base.elimination_order
+        assert moved.surviving == base.surviving
 
 
 class TestRegimeSplit:

@@ -187,6 +187,21 @@ class TestLoadConfig:
             load_config(path)
         assert str(err.value) == str(configparser.DuplicateOptionError("run", "seed", str(path), 3))
 
+    def test_default_section_rejected_once_naming_its_keys(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text("[DEFAULT]\nseed = 3\n\n" + path.read_text())
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        message = "[DEFAULT] is not supported; move its keys into their sections: ['seed']"
+        assert str(err.value) == message
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"spdcast: config error: {message}\n"
+
+    def test_empty_default_section_accepted(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_text("[DEFAULT]\n\n" + path.read_text())
+        assert load_config(path).seed == 5
+
     def test_config_hash_tracks_text(self, tmp_path):
         a = load_config(write_config(tmp_path))
         path = write_config(tmp_path)
@@ -478,6 +493,46 @@ class TestCommands:
         assert self.run_cli("portfolio", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("spdcast: [data] returns") and str(absent) in err
+
+    BAD_RETURNS = [
+        ("date,A00,A01,A02\n2000-01-03,0.1,0.2,abc\n", 2,
+         "could not convert string to float: 'abc'"),
+        ("date,A00,A01,A02\n2000-01-03,0.1,0.2\n", 2, "wrong field count"),
+        ("day,A00,A01,A02\n", 1, "expected header date,<tickers>"),
+    ]
+
+    @pytest.mark.parametrize("text, line, reason", BAD_RETURNS)
+    def test_malformed_configured_returns_file_exits_1(self, tmp_path, capsys, text, line, reason):
+        bad = tmp_path / "bad_returns.csv"
+        bad.write_text(text)
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("df = 7", f"df = 7\nreturns = {bad}"))
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 1
+        assert capsys.readouterr().err == f"spdcast: returns file {bad}:{line}: {reason}\n"
+
+    @pytest.mark.parametrize("text, line, reason", BAD_RETURNS)
+    def test_malformed_stage_returns_file_exits_1(self, tmp_path, capsys, text, line, reason):
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        returns = tmp_path / "out" / "data" / "returns.csv"
+        returns.write_text(text)
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 1
+        assert capsys.readouterr().err == f"spdcast: returns file {returns}:{line}: {reason}\n"
+
+    def test_malformed_returns_date_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        returns = tmp_path / "out" / "data" / "returns.csv"
+        returns.write_text("date,A00,A01,A02\n2000-01-03,0,0,0\nnot-a-date,0,0,0\n")
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 1
+        assert capsys.readouterr().err.startswith(f"spdcast: returns file {returns}:3: ")
 
     def test_missing_tick_file_exits_1_naming_it(self, tmp_path, capsys):
         absent = tmp_path / "absent.csv"

@@ -6,8 +6,10 @@ is slow but unambiguous.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import random_spd, spd_from_spectrum
 from spdcast import (
     SpdMatrix,
     WeightPath,
@@ -19,6 +21,7 @@ from spdcast import (
     naive_weights,
     portfolio_returns,
 )
+from spdcast.spd import ensure_pd
 
 
 def grid_long_only(s, resolution):
@@ -54,6 +57,37 @@ class TestGmv:
         w = gmv_weights(s)
         marginal = s.data @ w
         assert np.ptp(marginal) <= 1e-10 * abs(marginal[0])
+
+
+class TestStackedGmv:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        count=st.integers(1, 6),
+        floored=st.integers(0, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_per_matrix_solve(self, n, count, floored, seed):
+        rng = np.random.default_rng(seed)
+        mats = [random_spd(rng, n) for _ in range(count)]
+        # Matrices below the relative floor: ensure_pd projects them first.
+        for k in range(min(floored, count)):
+            spectrum = rng.uniform(0.5, 3.0, size=n)
+            spectrum[rng.integers(0, n)] = rng.choice([0.0, 1e-12])
+            mats[k] = spd_from_spectrum(rng, spectrum)
+        weights = gmv_weights(mats)
+        assert weights.shape == (count, n)
+        for m, row in zip(mats, weights):
+            raw = np.linalg.solve(ensure_pd(m).data, np.ones(n))
+            assert np.array_equal(row, raw / raw.sum())
+            assert np.array_equal(row, gmv_weights(m))
+
+    def test_floor_projected_rows(self, rng):
+        singular = SpdMatrix(np.diag([1.0, 2.0, 0.0]))
+        weights = gmv_weights([random_spd(rng, 3), singular])
+        assert ensure_pd(singular) is not singular
+        raw = np.linalg.solve(ensure_pd(singular).data, np.ones(3))
+        assert np.array_equal(weights[1], raw / raw.sum())
 
 
 class TestGmvLongOnly:

@@ -103,6 +103,21 @@ class TestSpectralMaps:
             logm(m)
 
 
+class TestSubnormalScale:
+    def test_subnormal_scale_matrix_is_psd(self):
+        # A spectrum at subnormal scale: PSD_RTOL * lambda_max underflows, and
+        # the round-off negatives of the product below are accepted.
+        q = random_orthogonal(np.random.default_rng(0), 4)
+        m = SpdMatrix(q @ np.diag([0.0, 1.5e-323, 0.0, 0.0]) @ q.T)
+        fixed = ensure_pd(m)
+        assert fixed.eig.values[-1] >= 0.0
+
+    def test_negative_definite_matrix_is_rejected(self):
+        # The absolute tolerance applies only when lambda_max > 0.
+        with pytest.raises(NotPositiveDefiniteError):
+            SpdMatrix(np.diag([-1e-310, -1e-310]))
+
+
 class TestVech:
     def test_row_major_lower_triangle(self):
         m = SpdMatrix(np.array([[4.0, 1.0, 0.5], [1.0, 5.0, 2.0], [0.5, 2.0, 6.0]]))
@@ -218,6 +233,19 @@ class TestProcrustesRotation:
         assert rotations.shape == (k, n, n)
         for i in range(k):
             assert np.array_equal(rotations[i], procrustes_rotation(center, stack[i]))
+
+    def test_stacks_on_both_sides(self, rng):
+        n, k = 4, 6
+        l1 = np.stack([sqrtm_psd(random_spd(rng, n)) for _ in range(k)])
+        l2 = np.stack([sqrtm_psd(random_spd(rng, n)) for _ in range(k)])
+        rotations = procrustes_rotation(l1, l2)
+        for i in range(k):
+            assert np.array_equal(rotations[i], procrustes_rotation(l1[i], l2[i]))
+        left = procrustes_rotation(l1, l2[0])
+        for i in range(k):
+            assert np.array_equal(left[i], procrustes_rotation(l1[i], l2[0]))
+        with pytest.raises(ValueError):
+            procrustes_rotation(l1, l2[:3])
 
     def test_rejects_mismatched_stack(self, rng):
         with pytest.raises(ValueError):
