@@ -64,15 +64,7 @@ from .frechet import (
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
 )
-from .network import (
-    Network,
-    NetworkSpec,
-    bimap_forward,
-    expand_input,
-    load_network,
-    reeig_forward,
-    save_network,
-)
+from .network import Network, NetworkSpec
 from .optim import (
     LOSS_LOG_EUCLIDEAN,
     LOSS_MSE,

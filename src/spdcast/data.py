@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SeriesFormatError, SpdcastError
+from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError, SpdcastError
 from .frechet import (
     METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
@@ -404,7 +404,13 @@ def simulate_market(
                 rng, n, innovation
             )
         sigma = expm(state)
-        root = np.linalg.cholesky(sigma.data / df)
+        try:
+            root = np.linalg.cholesky(sigma.data / df)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(
+                f"simulated day {t}: the latent covariance is not numerically positive "
+                f"definite (vol={vol} spreads its spectrum too far): {exc}"
+            ) from exc
         intraday = rng.standard_normal((df, n)) @ root.T
         matrices.append(SpdMatrix(intraday.T @ intraday))
         daily_returns[t] = intraday.sum(axis=0)

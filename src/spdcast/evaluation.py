@@ -11,6 +11,7 @@ monotone in alpha by construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -243,30 +244,35 @@ def mcs(
     boot_means = _centered_bootstrap_means(panel.losses, replicates, block_len, seed)
     col_means = panel.losses.mean(axis=0)
 
+    # Each pair's t[a, b] = -t[b, a] and scaled deviations |centered| / se once;
+    # a round's null draws are the maxima over its surviving pairs.
+    t = np.zeros((n_models, n_models))
+    scaled: dict[tuple[int, int], np.ndarray] = {}
+    for a, b in itertools.combinations(range(n_models), 2):
+        centered = boot_means[:, a] - boot_means[:, b]
+        var = float(np.mean(centered**2))
+        mean = col_means[a] - col_means[b]
+        if var < _DEGENERATE_VAR:
+            t_ab = 0.0 if mean == 0.0 else math.copysign(1e12, mean)
+        else:
+            se = math.sqrt(var)
+            t_ab = mean / se
+            scaled[a, b] = np.abs(centered) / se
+        t[a, b], t[b, a] = t_ab, -t_ab
+
     alive = list(range(n_models))
     p_values: dict[str, float] = {}
     elimination_order: list[str] = []
     running_max = 0.0
     while len(alive) > 1:
-        range_stat = 0.0
+        t_alive = t[np.ix_(alive, alive)]
+        range_stat = float(np.abs(t_alive).max())
         null_max = np.zeros(replicates)
-        deficits = np.full(len(alive), -np.inf)
-        for a_pos, a in enumerate(alive):
-            for b_pos, b in enumerate(alive):
-                if b <= a:
-                    continue
-                centered = boot_means[:, a] - boot_means[:, b]
-                var = float(np.mean(centered**2))
-                mean = col_means[a] - col_means[b]
-                if var < _DEGENERATE_VAR:
-                    t_ab = 0.0 if mean == 0.0 else math.copysign(1e12, mean)
-                else:
-                    se = math.sqrt(var)
-                    t_ab = mean / se
-                    np.maximum(null_max, np.abs(centered) / se, out=null_max)
-                range_stat = max(range_stat, abs(t_ab))
-                deficits[a_pos] = max(deficits[a_pos], t_ab)
-                deficits[b_pos] = max(deficits[b_pos], -t_ab)
+        for pair in itertools.combinations(alive, 2):
+            if pair in scaled:
+                np.maximum(null_max, scaled[pair], out=null_max)
+        np.fill_diagonal(t_alive, -np.inf)
+        deficits = t_alive.max(axis=1)
         p_round = float(np.mean(null_max >= range_stat))
         running_max = max(running_max, p_round)
         worst = np.flatnonzero(deficits == deficits.max())

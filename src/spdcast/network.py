@@ -5,31 +5,21 @@ weights, eigenvalue rectification ``X -> U max(eps I, Lambda) U^T`` between
 them, and identity-padded block expansion whenever a layer's output side
 exceeds its input side.  The last layer is always bilinear (no trailing
 rectification), so the output is symmetric and strictly positive definite
-whenever the input is.
+whenever the input is.  The layers run on ``(B, d, d)`` stacks, one
+matrix per sample, for training and inference alike.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .spd import EigPair, SpdMatrix, _eigh_desc, _symmetrize
+from .spd import EigPair, SpdMatrix, _eigh_desc, _recompose, _symmetrize
 from .stiefel import StiefelParam, random_stiefel
 
-__all__ = [
-    "NetworkSpec",
-    "Network",
-    "ForwardTrace",
-    "bimap_forward",
-    "reeig_forward",
-    "expand_input",
-    "save_network",
-    "load_network",
-]
+__all__ = ["NetworkSpec", "Network", "ForwardTrace"]
 
 
 @dataclass(frozen=True)
@@ -75,12 +65,13 @@ class NetworkSpec:
 
 @dataclass
 class ForwardTrace:
-    """Activations recorded by a forward pass, for backpropagation.
+    """Activations recorded by a forward pass over a stack, for backpropagation.
 
     ``layer_inputs`` holds each bilinear layer's effective (post-expansion)
-    input; ``pre_dims`` the side length before expansion; ``rectify_eigs``
-    the eigendecomposition of each rectified pre-activation (one entry per
-    rectification layer, i.e. all but the last bilinear layer).
+    input stack; ``pre_dims`` the side length before expansion;
+    ``rectify_eigs`` the stacked eigendecomposition of each rectified
+    pre-activation (one entry per rectification layer, i.e. all but the
+    last bilinear layer); ``output`` the stack of outputs.
     """
 
     layer_inputs: list[np.ndarray]
@@ -90,8 +81,12 @@ class ForwardTrace:
 
 
 def _expand(x: np.ndarray, dim: int) -> np.ndarray:
-    z = np.eye(dim)
-    z[: x.shape[0], : x.shape[0]] = x
+    """Each matrix in the top-left block of a ``dim x dim`` one, ones on the new diagonal."""
+    side = x.shape[-1]
+    z = np.zeros((*x.shape[:-2], dim, dim))
+    z[..., :side, :side] = x
+    pad = np.arange(side, dim)
+    z[..., pad, pad] = 1.0
     return z
 
 
@@ -118,20 +113,27 @@ class Network:
         return cls(spec, [StiefelParam(random_stiefel(s, rng)) for s in spec.weight_shapes()])
 
     def forward_trace(self, x: np.ndarray) -> ForwardTrace:
-        """Array-level forward pass recording everything backprop needs."""
+        """Forward pass over a ``(B, d, d)`` stack, recording everything backprop needs.
+
+        Every layer broadcasts over the leading axes, and NumPy decomposes
+        and multiplies a stack one slice at a time, so each sample's output
+        is bit for bit the one it would get alone.  A single ``(d, d)``
+        matrix passes through the same kernels unstacked.
+        """
         a = np.asarray(x, dtype=float)
-        if a.shape != (self.spec.input_dim, self.spec.input_dim):
+        d = self.spec.input_dim
+        if a.ndim < 2 or a.shape[-2:] != (d, d):
             raise DimensionMismatchError(
-                f"input shape {a.shape} does not match input_dim {self.spec.input_dim}"
+                f"input shape {a.shape} does not match input_dim {d}"
             )
         layer_inputs: list[np.ndarray] = []
         pre_dims: list[int] = []
         rectify_eigs: list[EigPair] = []
         n_layers = len(self.weights)
         for i, param in enumerate(self.weights):
-            pre_dims.append(a.shape[0])
+            pre_dims.append(a.shape[-1])
             eff = param.shape[1]
-            if a.shape[0] < eff:
+            if a.shape[-1] < eff:
                 a = _expand(a, eff)
             layer_inputs.append(a)
             y = _symmetrize(param.value @ a @ param.value.T)
@@ -139,91 +141,11 @@ class Network:
                 values, vectors = _eigh_desc(y)
                 rectify_eigs.append(EigPair(values, vectors))
                 clipped = np.maximum(values, self.spec.eps_rectify)
-                a = _symmetrize((vectors * clipped) @ vectors.T)
+                a = _recompose(clipped, vectors)
             else:
                 a = y
         return ForwardTrace(layer_inputs, pre_dims, rectify_eigs, a)
 
     def forward(self, x: SpdMatrix) -> SpdMatrix:
-        """Map an SPD input to the SPD forecast."""
-        return SpdMatrix(self.forward_trace(x.data).output)
-
-
-def bimap_forward(x: SpdMatrix, weight: StiefelParam | np.ndarray) -> SpdMatrix:
-    """Bilinear layer ``W X W^T``; preserves positive (semi)definiteness."""
-    w = np.asarray(getattr(weight, "value", weight), dtype=float)
-    if w.ndim != 2 or w.shape[1] != x.dim:
-        raise DimensionMismatchError(
-            f"weight shape {w.shape} incompatible with input dim {x.dim}"
-        )
-    return SpdMatrix(w @ x.data @ w.T)
-
-
-def reeig_forward(x: SpdMatrix, eps: float) -> SpdMatrix:
-    """Eigenvalue rectification: clip the spectrum from below at ``eps``."""
-    if not (eps > 0.0):
-        raise ValueError(f"eps must be positive, got {eps}")
-    values, vectors = x.eig
-    return SpdMatrix._from_eig(np.maximum(values, eps), vectors)
-
-
-def expand_input(x: SpdMatrix, dim: int) -> SpdMatrix:
-    """Embed ``x`` in the top-left block of a ``dim x dim`` matrix, ones on the new diagonal."""
-    if dim < x.dim:
-        raise DimensionMismatchError(f"cannot expand dim {x.dim} to smaller dim {dim}")
-    if dim == x.dim:
-        return x
-    values, vectors = x.eig
-    extra = dim - x.dim
-    padded_vectors = np.zeros((dim, dim))
-    padded_vectors[: x.dim, : x.dim] = vectors
-    padded_vectors[x.dim :, x.dim :] = np.eye(extra)
-    padded_values = np.concatenate([values, np.ones(extra)])
-    return SpdMatrix._from_eig(padded_values, padded_vectors)
-
-
-def save_network(net: Network, stem: str | Path) -> None:
-    """Persist weights and architecture as ``<stem>.weights`` + ``<stem>.json``.
-
-    Weights are rectangular, so each is embedded in the top-left block of a
-    square record (side = the largest layer dimension) in the matrix-series
-    binary container, keyed by layer index; the JSON manifest records exact
-    shapes, layer dims, and the rectification floor.
-    """
-    from .data import _write_matrix_records
-
-    stem = Path(stem)
-    shapes = [list(p.shape) for p in net.weights]
-    side = max(max(s) for s in shapes)
-    records = np.zeros((len(net.weights), side, side))
-    for i, param in enumerate(net.weights):
-        rows, cols = param.shape
-        records[i, :rows, :cols] = param.value
-    _write_matrix_records(
-        stem.with_suffix(".weights"), np.arange(len(net.weights), dtype=np.int64), records
-    )
-    manifest = {
-        "input_dim": net.spec.input_dim,
-        "layer_dims": list(net.spec.layer_dims),
-        "eps_rectify": net.spec.eps_rectify,
-        "weight_shapes": shapes,
-    }
-    stem.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
-
-
-def load_network(stem: str | Path) -> Network:
-    """Inverse of :func:`save_network`; weights round-trip losslessly."""
-    from .data import _read_matrix_records
-
-    stem = Path(stem)
-    manifest = json.loads(stem.with_suffix(".json").read_text())
-    spec = NetworkSpec(
-        int(manifest["input_dim"]),
-        tuple(manifest["layer_dims"]),
-        float(manifest["eps_rectify"]),
-    )
-    _, records = _read_matrix_records(stem.with_suffix(".weights"))
-    weights = []
-    for i, (rows, cols) in enumerate(manifest["weight_shapes"]):
-        weights.append(StiefelParam(records[i, :rows, :cols]))
-    return Network(spec, weights)
+        """Map an SPD input to the SPD forecast, as a stack of one."""
+        return SpdMatrix(self.forward_trace(x.data[None]).output[0])

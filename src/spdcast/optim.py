@@ -25,7 +25,7 @@ from .exceptions import (
     TrainingDivergedError,
 )
 from .network import ForwardTrace, Network
-from .spd import SpdMatrix, _eigh_desc, _symmetrize, ensure_pd, logm
+from .spd import SpdMatrix, _eigh_desc, _recompose, _symmetrize, ensure_pd, logm
 from .stiefel import stiefel_project, stiefel_retract
 
 __all__ = [
@@ -95,30 +95,30 @@ class TrainResult:
 
 @dataclass
 class BackwardResult:
-    """Euclidean weight gradients for one recorded forward pass."""
+    """Per-sample Euclidean gradients and gap diagnostics for one recorded
+    forward pass: each field has the traced stack's leading axis ``B``."""
 
     weight_grads: list[np.ndarray]
     input_grad: np.ndarray
-    gap_clamps: int
-    min_gap: float
+    gap_clamps: np.ndarray
+    min_gap: np.ndarray
 
 
 def _loewner_kernel(
     values: np.ndarray, fvalues: np.ndarray, fprime: np.ndarray, gap_floor: float
-) -> tuple[np.ndarray, int, float]:
-    """Divided-difference multiplier; near-zero gaps clamped to sign/gap_floor."""
-    gaps = values[:, None] - values[None, :]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Divided-difference multipliers of each spectrum in a stack, near-zero
+    gaps clamped to sign/gap_floor; per spectrum also the clamped gap count
+    and the smallest off-diagonal gap (inf for a 1x1 matrix)."""
+    gaps = values[..., :, None] - values[..., None, :]
     small = np.abs(gaps) < gap_floor
     safe = np.where(small, np.where(gaps >= 0.0, gap_floor, -gap_floor), gaps)
-    kernel = (fvalues[:, None] - fvalues[None, :]) / safe
-    np.fill_diagonal(kernel, fprime)
-    n = values.shape[0]
-    clamped = int(small.sum()) - n  # the diagonal is always "small"
-    if n > 1:
-        off = np.abs(gaps)[~np.eye(n, dtype=bool)]
-        min_gap = float(off.min())
-    else:
-        min_gap = np.inf
+    kernel = (fvalues[..., :, None] - fvalues[..., None, :]) / safe
+    n = values.shape[-1]
+    diag = np.arange(n)
+    kernel[..., diag, diag] = fprime
+    clamped = small.sum(axis=(-2, -1)) - n  # the diagonal is always "small"
+    min_gap = np.where(np.eye(n, dtype=bool), np.inf, np.abs(gaps)).min(axis=(-2, -1))
     return kernel, clamped, min_gap
 
 
@@ -129,10 +129,16 @@ def _spectral_backward(
     fvalues: np.ndarray,
     fprime: np.ndarray,
     gap_floor: float,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kernel, clamped, min_gap = _loewner_kernel(values, fvalues, fprime, gap_floor)
-    inner = vectors.T @ _symmetrize(upstream) @ vectors
-    return _symmetrize(vectors @ (kernel * inner) @ vectors.T), clamped, min_gap
+    vectors_t = np.swapaxes(vectors, -1, -2)
+    inner = vectors_t @ _symmetrize(upstream) @ vectors
+    return _symmetrize(vectors @ (kernel * inner) @ vectors_t), clamped, min_gap
+
+
+def _sum_squares(a: np.ndarray) -> np.ndarray:
+    """Sum of squared entries of each matrix, bit for bit ``np.sum(m ** 2)`` of each alone."""
+    return (a**2).reshape(*a.shape[:-2], -1).sum(axis=-1)
 
 
 def loss_mse(pred: SpdMatrix, target: SpdMatrix) -> float:
@@ -164,27 +170,28 @@ def loss_log_euclidean(pred: SpdMatrix, target: SpdMatrix) -> float:
     return float(np.sum((logs[0] - logs[1]) ** 2))
 
 
-def _grad_mse(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    n = pred.shape[0]
+def _grad_mse(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample mean squared entry error and its gradient."""
+    n = pred.shape[-1]
     diff = pred - target
-    return float(np.sum(diff**2)) / (n * n), (2.0 / (n * n)) * diff
+    return _sum_squares(diff) / (n * n), (2.0 / (n * n)) * diff
 
 
 def _grad_log_euclidean(
     pred: np.ndarray, target_log: np.ndarray, gap_floor: float
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample squared log-Euclidean loss, its gradient, and the output kernel's clamps."""
     values, vectors = _eigh_desc(pred)
-    if values[-1] <= 0.0:
+    if np.any(values[..., -1] <= 0.0):
         raise NotPositiveDefiniteError(
             "prediction lost strict positive definiteness during training"
         )
-    log_pred = _symmetrize((vectors * np.log(values)) @ vectors.T)
-    diff = log_pred - target_log
-    loss = float(np.sum(diff**2))
+    log_values = np.log(values)
+    diff = _recompose(log_values, vectors) - target_log
     grad, clamped, _ = _spectral_backward(
-        2.0 * diff, values, vectors, np.log(values), 1.0 / values, gap_floor
+        2.0 * diff, values, vectors, log_values, 1.0 / values, gap_floor
     )
-    return loss, grad, clamped
+    return _sum_squares(diff), grad, clamped
 
 
 def backward(
@@ -193,7 +200,7 @@ def backward(
     output_grad: np.ndarray,
     gap_floor: float = 1e-6,
 ) -> BackwardResult:
-    """Pull a loss gradient at the output back to Euclidean weight gradients.
+    """Pull a stack of loss gradients at the output back to per-sample weight gradients.
 
     Bilinear layers contribute ``dW = 2 sym(g) W X`` and propagate
     ``W^T sym(g) W``; expansion layers truncate to the original block;
@@ -203,30 +210,29 @@ def backward(
     eps = net.spec.eps_rectify
     g = _symmetrize(np.asarray(output_grad, dtype=float))
     grads: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    clamps = 0
-    min_gap = np.inf
+    clamps = np.zeros(g.shape[:-2], dtype=int)
+    min_gap = np.full(g.shape[:-2], np.inf)
     for i in reversed(range(len(net.weights))):
         w = net.weights[i].value
-        x = trace.layer_inputs[i]
-        grads[i] = 2.0 * g @ w @ x
+        grads[i] = 2.0 * g @ w @ trace.layer_inputs[i]
         g = w.T @ g @ w
         pre = trace.pre_dims[i]
-        if pre < g.shape[0]:
-            g = _symmetrize(g[:pre, :pre].copy())
+        if pre < g.shape[-1]:
+            g = _symmetrize(g[..., :pre, :pre])
         if i > 0:
             values, vectors = trace.rectify_eigs[i - 1]
             fvalues = np.maximum(values, eps)
             fprime = (values > eps).astype(float)
             g, c, gap = _spectral_backward(g, values, vectors, fvalues, fprime, gap_floor)
-            clamps += c
-            min_gap = min(min_gap, gap)
+            clamps = clamps + c
+            min_gap = np.minimum(min_gap, gap)
     return BackwardResult(grads, g, clamps, min_gap)
 
 
-def _prepare_targets(targets: Sequence[SpdMatrix], loss: str) -> tuple[list[np.ndarray], int]:
-    """For the log-Euclidean loss, precompute target logarithms (floored if needed)."""
+def _prepare_targets(targets: Sequence[SpdMatrix], loss: str) -> tuple[np.ndarray, int]:
+    """The target stack; for the log-Euclidean loss, of target logarithms (floored if needed)."""
     if loss == LOSS_MSE:
-        return [t.data for t in targets], 0
+        return np.stack([t.data for t in targets]), 0
     logs = []
     floored = 0
     for t in targets:
@@ -239,7 +245,7 @@ def _prepare_targets(targets: Sequence[SpdMatrix], loss: str) -> tuple[list[np.n
             RuntimeWarning,
             stacklevel=3,
         )
-    return logs, floored
+    return np.stack(logs), floored
 
 
 def train(
@@ -250,20 +256,23 @@ def train(
 ) -> TrainResult:
     """Minibatch Riemannian SGD.
 
-    Per batch: average the Euclidean weight gradients, project each onto the
-    tangent space at its weight, and retract ``W - lr * V`` back onto the
-    manifold.  The learning rate decays geometrically per epoch.  Run order
-    is driven entirely by ``cfg.seed``, so training is reproducible given
-    (seed, config, data order).  A non-finite loss aborts with diagnostics.
+    Each minibatch runs as one ``(B, d, d)`` stack through the forward pass,
+    the loss gradient and the backward pass.  Per batch: average the
+    per-sample Euclidean weight gradients (added in sample order), project
+    each onto the tangent space at its weight, and retract ``W - lr * V``
+    back onto the manifold.  The learning rate decays geometrically per
+    epoch.  Run order is driven entirely by ``cfg.seed``, so training is
+    reproducible given (seed, config, data order).  A non-finite loss
+    aborts with diagnostics.
     """
     if len(inputs) != len(targets) or len(inputs) == 0:
         raise DimensionMismatchError("inputs and targets must be equal-length and nonempty")
-    x_arrays = [x.data for x in inputs]
-    target_arrays, floored = _prepare_targets(targets, cfg.loss)
+    x_stack = np.stack([x.data for x in inputs])
+    target_stack, floored = _prepare_targets(targets, cfg.loss)
 
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
-    n_samples = len(x_arrays)
+    n_samples = len(x_stack)
     epoch_losses = np.zeros(cfg.epochs)
     grad_norms = np.zeros(cfg.epochs)
     min_gaps = np.full(cfg.epochs, np.inf)
@@ -275,23 +284,20 @@ def train(
         batch_norms: list[float] = []
         for start in range(0, n_samples, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            acc = [np.zeros(p.shape) for p in net.weights]
+            trace = net.forward_trace(x_stack[batch])
+            if cfg.loss == LOSS_MSE:
+                losses, out_grad = _grad_mse(trace.output, target_stack[batch])
+            else:
+                losses, out_grad, c = _grad_log_euclidean(
+                    trace.output, target_stack[batch], cfg.eig_gap_floor
+                )
+                total_clamps += int(c.sum())
+            back = backward(net, trace, out_grad, cfg.eig_gap_floor)
+            total_clamps += int(back.gap_clamps.sum())
+            min_gaps[epoch] = min(min_gaps[epoch], float(back.min_gap.min()))
             running = 0.0
-            for idx in batch:
-                trace = net.forward_trace(x_arrays[idx])
-                if cfg.loss == LOSS_MSE:
-                    loss, out_grad = _grad_mse(trace.output, target_arrays[idx])
-                else:
-                    loss, out_grad, c = _grad_log_euclidean(
-                        trace.output, target_arrays[idx], cfg.eig_gap_floor
-                    )
-                    total_clamps += c
-                back = backward(net, trace, out_grad, cfg.eig_gap_floor)
-                total_clamps += back.gap_clamps
-                min_gaps[epoch] = min(min_gaps[epoch], back.min_gap)
+            for loss in losses.tolist():
                 running += loss
-                for a, g in zip(acc, back.weight_grads):
-                    a += g
             mean_loss = running / len(batch)
             if not np.isfinite(mean_loss):
                 raise TrainingDivergedError(
@@ -300,7 +306,10 @@ def train(
                 )
             batch_losses.append(mean_loss)
             sq_norm = 0.0
-            for param, g in zip(net.weights, acc):
+            for param, sample_grads in zip(net.weights, back.weight_grads):
+                g = np.zeros(param.shape)
+                for sample_grad in sample_grads:
+                    g += sample_grad
                 g /= len(batch)
                 param.grad_euclidean = g
                 v = stiefel_project(param.value, g)

@@ -484,6 +484,14 @@ def _read_returns_csv(path: Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
 # Forecasters
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or the library error it raised."""
+    try:
+        return fn(*args)
+    except SpdcastError as exc:
+        return exc
+
+
 class _Forecaster:
     """One model's fit/predict protocol over rolling windows.
 
@@ -505,6 +513,12 @@ class _Forecaster:
 
     def predict(self, series: CovSeries, t: int) -> SpdMatrix:
         raise NotImplementedError
+
+    def predict_many(
+        self, series: CovSeries, positions: Sequence[int]
+    ) -> list[SpdMatrix | SpdcastError]:
+        """The forecast for each position from the current fit, or the error that failed it."""
+        return [_attempt(self.predict, series, t) for t in positions]
 
 
 class _RwForecaster(_Forecaster):
@@ -533,6 +547,10 @@ class _FavarForecaster(_Forecaster):
 
     def predict(self, series: CovSeries, t: int) -> SpdMatrix:
         return favar_forecast(self.model, series, t)
+
+
+# Test dates per stacked forward pass: bounds the trace's memory on long panels.
+_PREDICT_CHUNK = 256
 
 
 class _NetForecaster(_Forecaster):
@@ -575,8 +593,22 @@ class _NetForecaster(_Forecaster):
         self.net = net
         self.fit_count += 1
 
-    def predict(self, series: CovSeries, t: int) -> SpdMatrix:
-        return self.net.forward(self._build_input(series, t))
+    def predict_many(
+        self, series: CovSeries, positions: Sequence[int]
+    ) -> list[SpdMatrix | SpdcastError]:
+        """Build each input alone, then forward the built ones as stacks of
+        up to ``_PREDICT_CHUNK`` samples; each output is checked alone."""
+        outcomes: list[SpdMatrix | SpdcastError] = []
+        for start in range(0, len(positions), _PREDICT_CHUNK):
+            chunk = [_attempt(self._build_input, series, t)
+                     for t in positions[start : start + _PREDICT_CHUNK]]
+            built = [k for k, x in enumerate(chunk) if isinstance(x, SpdMatrix)]
+            if built:
+                stack = np.stack([chunk[k].data for k in built])
+                for k, out in zip(built, self.net.forward_trace(stack).output):
+                    chunk[k] = _attempt(SpdMatrix, out)
+            outcomes += chunk
+        return outcomes
 
 
 class _RespdnetForecaster(_NetForecaster):
@@ -642,10 +674,12 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     """All rolling one-step forecasts for one model.
 
     Trainable models fit on the first window and re-fit every
-    ``cfg.refit_every`` windows (0 = never re-fit).  A window where
-    prediction fails is dropped and recorded.  A failed fit is recorded
-    and fails its window, and the fit is retried on every later window
-    until one succeeds; the refit schedule then resumes.
+    ``cfg.refit_every`` windows (0 = never re-fit).  The dates one fit
+    serves are predicted together, just before the next fit or at the end,
+    so a network forwards them as one stack.  A window where prediction
+    fails is dropped and recorded.  A failed fit is recorded and fails its
+    window, and the fit is retried on every later window until one
+    succeeds; the refit schedule then resumes.
     """
     forecaster = _make_forecaster(spec, cfg)
     if cfg.window <= forecaster.min_history:
@@ -656,6 +690,18 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     dates: list[np.datetime64] = []
     predictions: list[SpdMatrix] = []
     failures: list[tuple[str, str]] = []
+    pending: list[int] = []
+
+    def predict_pending() -> None:
+        for t, outcome in zip(pending, forecaster.predict_many(series, pending)):
+            if isinstance(outcome, SpdcastError):
+                log.warning("model %s failed at %s: %s", spec.name, series.dates[t], outcome)
+                failures.append((str(series.dates[t]), str(outcome)))
+            else:
+                predictions.append(outcome)
+                dates.append(series.dates[t])
+        pending.clear()
+
     trainable = forecaster.trainable
     fitted = False
     for window_index, (train_slice, t) in enumerate(rolling_windows(series, cfg.window)):
@@ -665,6 +711,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             or (cfg.refit_every > 0 and window_index % cfg.refit_every == 0)
         )
         if trainable and refit_due:
+            predict_pending()
             try:
                 forecaster.fit(
                     series, train_slice, _model_seed(cfg.seed, spec.name, forecaster.fit_count)
@@ -675,15 +722,8 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
                 failures.append((str(series.dates[t]), f"fit: {exc}"))
                 fitted = False
                 continue
-        if trainable and not fitted:
-            failures.append((str(series.dates[t]), "fit unavailable"))
-            continue
-        try:
-            predictions.append(forecaster.predict(series, t))
-            dates.append(series.dates[t])
-        except SpdcastError as exc:
-            log.warning("model %s failed at %s: %s", spec.name, series.dates[t], exc)
-            failures.append((str(series.dates[t]), str(exc)))
+        pending.append(t)
+    predict_pending()
     return ModelRunResult(spec.name, dates, predictions, failures, list(forecaster.fits))
 
 
@@ -767,9 +807,10 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
 
     Artifacts: ``data/realized.matbin`` (test-date truth), one
     ``forecasts/<model>.matbin`` per model, per-fit loss traces, a failure
-    log, and the manifest.  The series is the data stage's
-    ``data/series.matbin`` when that stage's manifest key matches ``cfg``,
-    and is rebuilt from the source otherwise.  Returns nonzero iff a
+    log, and the manifest, whose ``training`` record counts each network
+    model's fits, eigenvalue-gap clamps and floor-projected targets.  The
+    series is the data stage's ``data/series.matbin`` when that stage's
+    manifest key matches ``cfg``, and is rebuilt from the source otherwise.  Returns nonzero iff a
     requested model produced no forecasts at all.
     """
     series = _stage_series(cfg)
@@ -806,9 +847,17 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     artifacts: dict[str, str] = {"realized": "data/realized.matbin"}
     failed_models: list[str] = []
     failure_rows: list[tuple[str, str, str]] = []
+    training: dict[str, dict[str, int]] = {}
     for result in results:
         for date, reason in result.failures:
             failure_rows.append((result.name, date, reason))
+        if result.traces:
+            fits = [trained for _, trained in result.traces]
+            training[result.name] = {
+                "fits": len(fits),
+                "gap_clamps": sum(f.gap_clamp_count for f in fits),
+                "floored_targets": sum(f.floored_target_count for f in fits),
+            }
         if not result.dates:
             failed_models.append(result.name)
             log.error("model %s produced no forecasts", result.name)
@@ -822,7 +871,8 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     if failure_rows:
         _write_csv(out / "train" / "failures.csv", ["model", "date", "reason"], failure_rows)
         log.warning("%d window failures recorded", len(failure_rows))
-    _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from)
+    _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from,
+                    training=training)
     return 1 if failed_models else 0
 
 

@@ -60,16 +60,21 @@ class EigPair(NamedTuple):
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _recompose(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Symmetrized ``U diag(values) U^T`` of a decomposition or of each in a stack."""
+    return _symmetrize((vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2))
 
 
 def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition, eigenvalues descending."""
+    """Symmetric eigendecomposition of a matrix or a stack, eigenvalues descending."""
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-    return np.ascontiguousarray(values[::-1]), np.ascontiguousarray(vectors[:, ::-1])
+    return np.ascontiguousarray(values[..., ::-1]), np.ascontiguousarray(vectors[..., ::-1])
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -121,7 +126,7 @@ class SpdMatrix:
         order = np.argsort(-values, kind="stable")
         values = np.ascontiguousarray(values[order])
         vectors = np.ascontiguousarray(vectors[:, order])
-        data = _symmetrize((vectors * values) @ vectors.T)
+        data = _recompose(values, vectors)
         obj = object.__new__(cls)
         obj._data = _freeze(data)
         obj._eig = EigPair(_freeze(values), _freeze(vectors))
@@ -155,7 +160,7 @@ def logm(a: SpdMatrix) -> np.ndarray:
             f"matrix logarithm requires strictly positive eigenvalues "
             f"(smallest is {values[-1]:.6e})"
         )
-    return _symmetrize((vectors * np.log(values)) @ vectors.T)
+    return _recompose(np.log(values), vectors)
 
 
 def expm(s: np.ndarray) -> SpdMatrix:
@@ -173,7 +178,7 @@ def sqrtm_psd(a: SpdMatrix) -> np.ndarray:
     """Symmetric PSD square root (round-off negatives clipped to zero)."""
     values, vectors = a.eig
     root = np.sqrt(np.maximum(values, 0.0))
-    return _symmetrize((vectors * root) @ vectors.T)
+    return _recompose(root, vectors)
 
 
 def vech(a: SpdMatrix | np.ndarray) -> np.ndarray:

@@ -325,6 +325,12 @@ class TestSimulate:
         for m in series.matrices:
             assert m.eig.values[-1] > 0.0
 
+    def test_unfactorable_covariance_is_a_typed_error_naming_the_day(self):
+        # vol = 30 spreads the latent log-spectrum so far that the day's
+        # covariance is numerically singular and its Cholesky factor fails.
+        with pytest.raises(DecompositionError, match=r"simulated day \d+: .*vol=30"):
+            simulate_market(3, 50, 0.9, 12, 0, vol=30)
+
 
 class TestMatbin:
     def test_round_trip_bitwise(self, tmp_path, rng):

@@ -1,4 +1,8 @@
-"""Layer maps, architecture shapes, Stiefel utilities, persistence."""
+"""Layer maps, architecture shapes, Stiefel utilities.
+
+The layer oracles below are the maps written out in plain NumPy, one
+matrix at a time.
+"""
 
 import numpy as np
 import pytest
@@ -9,17 +13,35 @@ from spdcast import (
     NetworkSpec,
     SpdMatrix,
     StiefelParam,
-    bimap_forward,
     blockdiag_spd,
-    expand_input,
-    load_network,
     random_stiefel,
-    reeig_forward,
-    save_network,
     stiefel_error,
     stiefel_project,
     stiefel_retract,
 )
+from spdcast.network import _expand
+
+
+def bimap(x, w):
+    y = w @ x @ w.T
+    return 0.5 * (y + y.T)
+
+
+def reeig(x, eps):
+    values, vectors = np.linalg.eigh(x)
+    return (vectors * np.maximum(values, eps)) @ vectors.T
+
+
+def expand(x, dim):
+    z = np.eye(dim)
+    z[: len(x), : len(x)] = x
+    return z
+
+
+def identity_net(dims, eps):
+    """Square identity weights: the network reduces to its ReEig and expansion layers."""
+    spec = NetworkSpec(dims[0], dims[1:], eps_rectify=eps)
+    return Network(spec, [StiefelParam(np.eye(rows)) for rows, _ in spec.weight_shapes()])
 
 
 class TestNetworkSpec:
@@ -102,38 +124,38 @@ class TestStiefel:
 class TestLayers:
     def test_bimap_matches_direct_product(self, rng):
         w = random_stiefel((2, 4), rng)
+        net = Network(NetworkSpec(4, (2,)), [StiefelParam(w)])
         x = random_spd(rng, 4)
-        out = bimap_forward(x, w)
         expected = w @ x.data @ w.T
-        assert np.allclose(out.data, 0.5 * (expected + expected.T), atol=1e-12)
+        assert np.allclose(net.forward(x).data, 0.5 * (expected + expected.T), atol=1e-12)
 
     def test_bimap_preserves_spd(self, rng):
         for _ in range(20):
-            w = random_stiefel((3, 6), rng)
+            net = Network(NetworkSpec(6, (3,)), [StiefelParam(random_stiefel((3, 6), rng))])
             x = random_spd(rng, 6, lo=0.01, hi=10.0)
-            assert bimap_forward(x, w).eig.values[-1] > 0.0
+            assert net.forward(x).eig.values[-1] > 0.0
 
     def test_reeig_clips_known_spectrum(self, rng):
-        eps = 0.5
         m = spd_from_spectrum(rng, [3.0, 1.0, 0.1])
-        out = reeig_forward(m, eps)
+        out = identity_net((3, 3, 3), eps=0.5).forward(m)
         assert np.allclose(np.sort(out.eig.values), [0.5, 1.0, 3.0], atol=1e-12)
 
     def test_reeig_noop_above_threshold(self, rng):
         m = random_spd(rng, 4, lo=1.0, hi=2.0)
-        out = reeig_forward(m, 1e-4)
+        out = identity_net((4, 4, 4), eps=1e-4).forward(m)
         assert np.allclose(out.data, m.data, atol=1e-12)
 
     def test_expand_embeds_identity_block(self, rng):
-        x = random_spd(rng, 3)
-        out = expand_input(x, 5)
-        expected = np.eye(5)
-        expected[:3, :3] = x.data
-        assert np.allclose(out.data, expected, atol=1e-12)
+        stack = np.stack([random_spd(rng, 3).data for _ in range(4)])
+        out = _expand(stack, 5)
+        assert out.shape == (4, 5, 5)
+        for x, z in zip(stack, out):
+            assert np.array_equal(z, expand(x, 5))
 
     def test_expand_same_dim_is_noop(self, rng):
-        x = random_spd(rng, 3)
-        assert np.array_equal(expand_input(x, 3).data, x.data)
+        stack = np.stack([random_spd(rng, 3).data for _ in range(2)])
+        trace = identity_net((3, 3), eps=1e-4).forward_trace(stack)
+        assert np.array_equal(trace.layer_inputs[0], stack)
 
 
 class TestNetworkForward:
@@ -141,19 +163,37 @@ class TestNetworkForward:
         spec = NetworkSpec(6, (4, 3), eps_rectify=1e-3)
         net = Network.init_random(spec, 11)
         x = random_spd(rng, 6)
-        manual = bimap_forward(x, net.weights[0].value)
-        manual = reeig_forward(manual, 1e-3)
-        manual = bimap_forward(manual, net.weights[1].value)
-        assert np.allclose(net.forward(x).data, manual.data, atol=1e-12)
+        manual = bimap(x.data, net.weights[0].value)
+        manual = reeig(manual, 1e-3)
+        manual = bimap(manual, net.weights[1].value)
+        assert np.allclose(net.forward(x).data, manual, atol=1e-12)
 
     def test_expansion_path_composition(self, rng):
         spec = NetworkSpec(3, (5, 2), eps_rectify=1e-3)
         net = Network.init_random(spec, 7)
         x = random_spd(rng, 3)
-        manual = bimap_forward(expand_input(x, 5), net.weights[0].value)
-        manual = reeig_forward(manual, 1e-3)
-        manual = bimap_forward(manual, net.weights[1].value)
-        assert np.allclose(net.forward(x).data, manual.data, atol=1e-12)
+        manual = bimap(expand(x.data, 5), net.weights[0].value)
+        manual = reeig(manual, 1e-3)
+        manual = bimap(manual, net.weights[1].value)
+        assert np.allclose(net.forward(x).data, manual, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(6, 4, 3, 3), (3, 5, 3), (2, 4, 2)])
+    def test_stack_matches_each_matrix_alone(self, rng, dims):
+        # NumPy decomposes and multiplies a stack slice by slice, so every
+        # recorded activation is bit for bit that of its matrix alone.
+        net = Network.init_random(NetworkSpec(dims[0], dims[1:], eps_rectify=0.3), 4)
+        stack = np.stack([random_spd(rng, dims[0], lo=0.01, hi=3.0).data for _ in range(7)])
+        batched = net.forward_trace(stack)
+        for k, x in enumerate(stack):
+            alone = net.forward_trace(x[None])
+            assert np.array_equal(batched.output[k], alone.output[0])
+            for a, b in zip(batched.layer_inputs, alone.layer_inputs):
+                assert np.array_equal(a[k], b[0])
+            for a, b in zip(batched.rectify_eigs, alone.rectify_eigs):
+                assert np.array_equal(a.values[k], b.values[0])
+                assert np.array_equal(a.vectors[k], b.vectors[0])
+            forecast = net.forward(SpdMatrix(x))
+            assert np.array_equal(forecast.data, SpdMatrix(batched.output[k]).data)
 
     def test_output_dimension(self, rng):
         spec = NetworkSpec.default(9, 3)
@@ -189,23 +229,3 @@ class TestNetworkForward:
         weights[0] = StiefelParam(random_stiefel((4, 5), rng))
         with pytest.raises(ValueError):
             Network(spec, weights)
-
-
-class TestPersistence:
-    def test_round_trip_bitwise(self, tmp_path, rng):
-        spec = NetworkSpec(6, (5, 3, 3), eps_rectify=2e-4)
-        net = Network.init_random(spec, 42)
-        stem = tmp_path / "model"
-        save_network(net, stem)
-        loaded = load_network(stem)
-        assert loaded.spec == net.spec
-        for wa, wb in zip(net.weights, loaded.weights):
-            assert np.array_equal(wa.value, wb.value)
-
-    def test_loaded_network_forwards_identically(self, tmp_path, rng):
-        net = Network.init_random(NetworkSpec(4, (3, 2)), 9)
-        stem = tmp_path / "model"
-        save_network(net, stem)
-        loaded = load_network(stem)
-        x = random_spd(rng, 4)
-        assert np.array_equal(net.forward(x).data, loaded.forward(x).data)

@@ -337,6 +337,82 @@ class TestStackFailures:
         assert len(roots) == len(series)
 
 
+class TestStackedPrediction:
+    """A network predicts the dates one fit serves as one stack; a date
+    whose input or output fails still fails alone."""
+
+    SPEC = ModelSpec("respdnet", "respdnet2_le", {"lags": 2, "loss": "log_euclidean"})
+
+    @staticmethod
+    def config_and_series(tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        return cfg, simulate_market(3, 70, 0.8, 7, 5)[0]
+
+    @staticmethod
+    def record_batches(monkeypatch):
+        sizes = []
+        original = pipeline.Network.forward_trace
+
+        def recording(self, x):
+            sizes.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(pipeline.Network, "forward_trace", recording)
+        return sizes
+
+    def test_input_failure_fails_only_its_date(self, tmp_path, monkeypatch):
+        cfg, series = self.config_and_series(tmp_path)
+        clean = run_model(self.SPEC, cfg, series)
+        assert len(clean.dates) == 30 and clean.failures == []
+        original = pipeline._RespdnetForecaster._build_input
+
+        def failing(self, series, t):
+            if t == 50:
+                raise DecompositionError("input failed on the bad day")
+            return original(self, series, t)
+
+        monkeypatch.setattr(pipeline._RespdnetForecaster, "_build_input", failing)
+        sizes = self.record_batches(monkeypatch)
+        result = run_model(self.SPEC, cfg, series)
+        assert result.failures == [(str(series.dates[50]), "input failed on the bad day")]
+        assert sizes[-1] == 29 and sizes.count(29) == 1  # one stack for 29 dates
+        kept = [k for k, t in enumerate(range(40, 70)) if t != 50]
+        assert list(result.dates) == [clean.dates[k] for k in kept]
+        for k, pred in zip(kept, result.predictions):
+            assert np.array_equal(pred.data, clean.predictions[k].data)
+
+    def test_non_pd_output_fails_only_its_date(self, tmp_path, monkeypatch):
+        cfg, series = self.config_and_series(tmp_path)
+        clean = run_model(self.SPEC, cfg, series)
+        original = pipeline.Network.forward_trace
+
+        def negating(self, x):
+            trace = original(self, x)
+            if len(x) == 30:
+                trace.output[3] = -trace.output[3]
+            return trace
+
+        monkeypatch.setattr(pipeline.Network, "forward_trace", negating)
+        result = run_model(self.SPEC, cfg, series)
+        assert [d for d, _ in result.failures] == [str(series.dates[43])]
+        assert "below the PSD tolerance" in result.failures[0][1]
+        assert len(result.dates) == 29 and series.dates[43] not in result.dates
+
+    def test_each_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
+        cfg, series = self.config_and_series(tmp_path)
+        cfg.refit_every = 10
+        sizes = self.record_batches(monkeypatch)
+        result = run_model(self.SPEC, cfg, series)
+        assert [k for k, _ in result.traces] == [0, 1, 2]
+        assert sizes.count(10) == 3  # one stack per fit, besides training batches
+        forecaster = pipeline._make_forecaster(self.SPEC, cfg)
+        for k, (date, pred) in enumerate(zip(result.dates, result.predictions)):
+            net = result.traces[k // 10][1].network
+            alone = net.forward(forecaster._build_input(series, 40 + k))
+            assert date == series.dates[40 + k]
+            assert np.array_equal(pred.data, alone.data)
+
+
 class TestCommands:
     def run_cli(self, command, config_path, *extra):
         return main([command, "--config", str(config_path), *extra])
@@ -364,6 +440,26 @@ class TestCommands:
         manifest = json.loads((out / "manifest_train_forecast.json").read_text())
         assert manifest["seed"] == 5
         assert manifest["artifacts"]["rw"] == "forecasts/rw.matbin"
+
+    def test_manifest_counts_training_repairs_per_model(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace(
+            "rw, favar:factors=2", "rw, respdnet:lags=1, geohar:metric=log_euclidean"))
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_train_forecast.json").read_text())
+        cfg = load_config(path)
+        series = load_series(tmp_path / "out" / "data" / "series.matbin")
+        expected = {}
+        for spec in cfg.roster[1:]:
+            fits = [trained for _, trained in run_model(spec, cfg, series).traces]
+            expected[spec.name] = {
+                "fits": len(fits),
+                "gap_clamps": sum(f.gap_clamp_count for f in fits),
+                "floored_targets": sum(f.floored_target_count for f in fits),
+            }
+        assert manifest["training"] == expected
+        assert set(expected) == {"respdnet1_le", "geohar_le_le"}
+        assert all(record["fits"] == 1 for record in expected.values())
 
     def test_forecasts_reproducible_bytewise(self, tmp_path):
         path = write_config(tmp_path)
