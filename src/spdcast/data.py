@@ -17,6 +17,8 @@ differencing log prices.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import logging
 import struct
 from dataclasses import dataclass, field
@@ -202,8 +204,7 @@ class SupervisedSet:
         return len(self.inputs)
 
 
-def realized_cov(day_returns: np.ndarray) -> SpdMatrix:
-    """Sum of return cross products over one day's observations."""
+def _cross_product(day_returns: np.ndarray) -> np.ndarray:
     r = np.asarray(day_returns, dtype=float)
     if r.ndim != 2 or r.shape[0] < 1:
         raise DimensionMismatchError(
@@ -211,7 +212,12 @@ def realized_cov(day_returns: np.ndarray) -> SpdMatrix:
         )
     if not np.all(np.isfinite(r)):
         raise ValueError("returns must be finite")
-    return SpdMatrix(r.T @ r)
+    return r.T @ r
+
+
+def realized_cov(day_returns: np.ndarray) -> SpdMatrix:
+    """Sum of return cross products over one day's observations."""
+    return SpdMatrix(_cross_product(day_returns))
 
 
 def log_returns(prices: np.ndarray) -> np.ndarray:
@@ -396,15 +402,18 @@ def simulate_market(
     innovation = vol * np.sqrt(1.0 - persistence**2)
     state = center + _symmetric_noise(rng, n, vol)
     dates = np.datetime64("2000-01-03", "D") + np.arange(n_days)
-    matrices: list[SpdMatrix] = []
+    realized = np.zeros((n_days, n, n))
     daily_returns = np.zeros((n_days, n))
     for t in range(n_days):
         if t > 0:
             state = center + persistence * (state - center) + _symmetric_noise(
                 rng, n, innovation
             )
-        sigma = expm(state)
+        with np.errstate(over="ignore"):
+            sigma = expm(state)
         try:
+            if not np.isfinite(sigma.eig.values[0]):
+                raise np.linalg.LinAlgError("its largest eigenvalue overflows")
             root = np.linalg.cholesky(sigma.data / df)
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(
@@ -412,9 +421,9 @@ def simulate_market(
                 f"definite (vol={vol} spreads its spectrum too far): {exc}"
             ) from exc
         intraday = rng.standard_normal((df, n)) @ root.T
-        matrices.append(SpdMatrix(intraday.T @ intraday))
+        realized[t] = intraday.T @ intraday
         daily_returns[t] = intraday.sum(axis=0)
-    return CovSeries(dates, matrices), daily_returns
+    return CovSeries(dates, SpdMatrix.stack(realized)), daily_returns
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +434,19 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIIQ")
 
 
+def _record_dtype(side: int) -> np.dtype:
+    """One record: the i64 day key, then the row-major f64 matrix, both little-endian."""
+    return np.dtype([("key", "<i8"), ("m", "<f8", (side, side))])
+
+
 def _write_matrix_records(path: str | Path, keys: np.ndarray, records: np.ndarray) -> None:
-    records = np.ascontiguousarray(records, dtype="<f8")
-    keys = np.ascontiguousarray(keys, dtype="<i8")
+    records = np.asarray(records)
     count, side, side2 = records.shape
     if side != side2 or len(keys) != count:
         raise DimensionMismatchError("records must be (count, side, side) with matching keys")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, side, count))
-        for key, rec in zip(keys, records):
-            fh.write(struct.pack("<q", int(key)))
-            fh.write(rec.tobytes())
+        fh.write(np.rec.fromarrays([keys, records], dtype=_record_dtype(side)).tobytes())
 
 
 def _read_matrix_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
@@ -447,23 +458,14 @@ def _read_matrix_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise SeriesFormatError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise SeriesFormatError(f"{path}: unsupported version {version}")
-    record_bytes = 8 + 8 * side * side
-    expected = _HEADER.size + count * record_bytes
+    dtype = _record_dtype(side)
+    expected = _HEADER.size + count * dtype.itemsize
     if len(raw) != expected:
         raise SeriesFormatError(
             f"{path}: expected {expected} bytes for {count} records, found {len(raw)}"
         )
-    keys = np.zeros(count, dtype=np.int64)
-    records = np.zeros((count, side, side))
-    offset = _HEADER.size
-    for i in range(count):
-        (keys[i],) = struct.unpack_from("<q", raw, offset)
-        offset += 8
-        records[i] = np.frombuffer(raw, dtype="<f8", count=side * side, offset=offset).reshape(
-            side, side
-        )
-        offset += 8 * side * side
-    return keys, records
+    table = np.frombuffer(raw, dtype, count=count, offset=_HEADER.size)
+    return table["key"].astype(np.int64), table["m"].astype(float)
 
 
 def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -> None:
@@ -484,11 +486,11 @@ def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _record(path: str | Path, date, values: np.ndarray) -> SpdMatrix:
-    try:
-        return SpdMatrix(values)
-    except (ValueError, SpdcastError) as exc:
-        raise SeriesFormatError(f"{path}: date {date}: {exc}") from exc
+def _records(path: str | Path, dates: Sequence, values: np.ndarray) -> list[SpdMatrix]:
+    """The matrix of each record; the first bad one is named by file and date."""
+    return SpdMatrix.stack(
+        values, lambda i, exc: SeriesFormatError(f"{path}: date {dates[i]}: {exc}")
+    )
 
 
 def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
@@ -500,7 +502,7 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
     if fmt == FORMAT_MATBIN:
         keys, records = _read_matrix_records(path)
         dates = _EPOCH + keys
-        return CovSeries(dates, [_record(path, d, r) for d, r in zip(dates, records)])
+        return CovSeries(dates, _records(path, dates, records))
     if fmt == FORMAT_CSVLONG:
         per_date: dict[str, dict[tuple[int, int], float]] = {}
         order: list[str] = []
@@ -544,7 +546,7 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
                     raise SeriesFormatError(f"{path}: date {date} exceeds dimension {n}")
                 mat[i, j] = v
                 mat[j, i] = v
-            matrices.append(_record(path, date, mat))
+            matrices.extend(_records(path, [date], mat[None]))
         return CovSeries(np.array(order, dtype="datetime64[D]"), matrices)
     raise ValueError(f"unknown format {fmt!r}")
 
@@ -553,69 +555,188 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
 # Intraday ingestion
 
 
+_TICK_HEADER = ["date", "time", "ticker", "price"]
+_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)  # those of one row of 4 fields
+# Rows are split a block at a time because the tokens of a whole file take
+# several times its size in string objects.
+_BLOCK_CHARS = 1 << 17
+
+
+def _seconds(time_s: str) -> int:
+    parts = time_s.split(":")
+    if len(parts) not in (2, 3):
+        raise ValueError(f"bad time {time_s!r}")
+    return int(parts[0]) * 3600 + int(parts[1]) * 60 + (int(parts[2]) if len(parts) == 3 else 0)
+
+
+def _day(date: str) -> np.datetime64:
+    try:
+        day = np.datetime64(date, "D")
+    except ValueError:
+        day = np.datetime64("NaT")
+    if np.isnat(day):
+        raise ValueError(f"bad date {date!r}")
+    return day
+
+
+def _or_none(parse: Callable[[str], object], text: str):
+    try:
+        return parse(text)
+    except ValueError:
+        return None
+
+
+def _check_tick(path: str | Path, row: int) -> None:
+    """Raise the error of the row-th tick row, read as :mod:`csv` reads it, field by field."""
+    with open(path, newline="") as fh:
+        rec = next(itertools.islice(csv.reader(fh), row + 1, None))
+    try:
+        if len(rec) != 4:
+            raise ValueError("expected 4 fields")
+        date, time_s, _, price_s = rec
+        _seconds(time_s)
+        price = float(price_s)
+        if price <= 0.0:
+            raise ValueError("nonpositive price")
+        if not np.isfinite(price):
+            raise ValueError(f"non-finite price {price_s!r}")
+        _day(date)
+    except ValueError as exc:
+        raise SeriesFormatError(f"{path}:{row + 2}: {exc}") from None
+
+
+def _tick_blocks(path: str | Path) -> Iterator[tuple[list[list[str]], int | None]]:
+    """The four columns of each block of rows, and the first row without 4 fields.
+
+    A block ends before that row (None while there is none).  Fields are
+    counted with byte masks and a block is split in one pass, except that
+    from the first block with a ``"`` on, :mod:`csv` reads the rest of the
+    file, so quoted fields parse.
+    """
+    with open(path) as fh:
+        first = fh.readline()
+        header = next(csv.reader([first])) if first else None
+        if header != _TICK_HEADER:
+            raise SeriesFormatError(f"{path}: bad header {header}")
+        rows = 0
+        while text := fh.read(_BLOCK_CHARS) + fh.readline():
+            if '"' in text:
+                records = list(csv.reader(io.StringIO(text + fh.read())))
+                short = next((i for i, rec in enumerate(records) if len(rec) != 4), None)
+                tokens = [field for rec in records[:short] for field in rec]
+            else:
+                text += "" if text.endswith("\n") else "\n"
+                codes = np.frombuffer(text.encode(), np.uint8)
+                seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
+                wrong = np.flatnonzero(seps != np.resize(_SEPARATORS, len(seps)))
+                short = int(wrong[0]) // 4 if len(wrong) else None
+                tokens = text.replace("\n", ",").split(",")[: -1 if short is None else 4 * short]
+            yield [tokens[k::4] for k in range(4)], None if short is None else rows + short
+            rows += len(tokens) // 4
+
+
+def _codes(levels: dict[str, int], column: list[str]) -> np.ndarray:
+    """Each value's number in ``levels``, where new values are numbered as first seen."""
+    for value in set(column).difference(levels):
+        levels[value] = len(levels)
+    return np.fromiter(map(levels.__getitem__, column), np.intp, len(column))
+
+
+def _in_order(levels: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The sorted values, and ``codes`` renumbered to match."""
+    values = sorted(levels)
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[[levels[v] for v in values]] = np.arange(len(values))
+    return values, rank[codes]
+
+
 def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
     """Load ``date,time,ticker,price`` rows into a gridded return panel.
 
     Tickers are ordered alphabetically.  Each day is resampled on a
     ``grid_seconds``-spaced grid spanning the interval where every ticker has
-    traded, carrying the last observation forward; log returns are taken
-    between consecutive grid points.
+    traded, carrying the last observation forward; of several ticks of one
+    ticker in the same second the highest price counts.  Log returns are
+    taken between consecutive grid points.  The first malformed row raises
+    :class:`SeriesFormatError` naming its line.
     """
     if grid_seconds < 1:
         raise ValueError("grid_seconds must be positive")
-    by_day: dict[str, dict[str, list[tuple[int, float]]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["date", "time", "ticker", "price"]:
-            raise SeriesFormatError(f"{path}: bad header {header}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != 4:
-                raise SeriesFormatError(f"{path}:{lineno}: expected 4 fields")
-            date, time_s, ticker, price_s = rec
-            parts = time_s.split(":")
-            if len(parts) not in (2, 3):
-                raise SeriesFormatError(f"{path}:{lineno}: bad time {time_s!r}")
-            try:
-                seconds = int(parts[0]) * 3600 + int(parts[1]) * 60 + (
-                    int(parts[2]) if len(parts) == 3 else 0
-                )
-                price = float(price_s)
-            except ValueError as exc:
-                raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
-            if price <= 0.0:
-                raise SeriesFormatError(f"{path}:{lineno}: nonpositive price")
-            by_day.setdefault(date, {}).setdefault(ticker, []).append((seconds, price))
-    if not by_day:
+    dates, times, names = {}, {}, {}  # each value's number, as first seen
+    parts: list[tuple[np.ndarray, ...]] = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
+    short = None
+    for (date_col, time_col, name_col, price_col), short in _tick_blocks(path):
+        try:
+            prices = np.array(price_col, dtype=float)
+        except ValueError:  # unparseable prices become NaN, which the row check names
+            prices = np.array([_or_none(float, v) for v in price_col], dtype=float)
+        codes = (_codes(dates, date_col), _codes(times, time_col), _codes(names, name_col))
+        parts.append((*codes, prices))
+        if short is not None:
+            break
+    day_code, time_code, ticker_code, prices = (np.concatenate(c) for c in zip(*parts))
+    del parts
+    days = [_or_none(_day, d) for d in dates]
+    seconds = [_or_none(_seconds, t) for t in times]
+    bad = ~((prices > 0.0) & (prices < np.inf))
+    bad |= np.array([d is None for d in days], dtype=bool)[day_code]
+    bad |= np.array([s is None for s in seconds], dtype=bool)[time_code]
+    if bad.any() or short is not None:
+        _check_tick(path, int(np.argmax(bad)) if bad.any() else short)
+    if len(prices) == 0:
         raise SeriesFormatError(f"{path}: no records")
-    tickers = sorted({t for day in by_day.values() for t in day})
-    dates = sorted(by_day)
-    blocks = []
-    for date in dates:
-        day = by_day[date]
-        missing = [t for t in tickers if t not in day]
+    date_levels, day_code = _in_order(dates, day_code)
+    tickers, ticker_code = _in_order(names, ticker_code)
+    n = len(tickers)
+
+    # One key per (day, ticker, rank of seconds): rows sorted with one
+    # argsort, and the ticks of one key collapsed to the highest price.
+    ranks = np.array(sorted(set(seconds)), dtype=np.int64)
+
+    def key(group: np.ndarray, secs: np.ndarray) -> np.ndarray:
+        return group * (len(ranks) + 1) + np.searchsorted(ranks, secs, side="right")
+
+    keys = key(day_code * n + ticker_code, np.array(seconds, dtype=np.int64)[time_code])
+    del day_code, time_code, ticker_code  # row arrays go as soon as they are used: peak RSS
+    order = np.argsort(keys)
+    keys, prices = keys[order], prices[order]
+    del order
+    firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys, prices = keys[firsts], np.maximum.reduceat(prices, firsts)
+    group, rank = np.divmod(keys, len(ranks) + 1)
+    secs = ranks[rank - 1]
+    bounds = np.searchsorted(group, np.arange(len(dates) * n + 1))  # of each (day, ticker)
+    present = (bounds[1:] > bounds[:-1]).reshape(-1, n)
+    start = secs[np.minimum(bounds[:-1], len(secs) - 1)].reshape(-1, n).max(axis=1)
+    stop = secs[bounds[1:] - 1].reshape(-1, n).min(axis=1)
+    points = np.where(stop >= start, (stop - start) // grid_seconds + 1, 0)
+    failed = ~present.all(axis=1) | (points < 2)
+    if failed.any():
+        d = int(np.argmax(failed))
+        missing = [t for t, here in zip(tickers, present[d]) if not here]
         if missing:
-            raise SeriesFormatError(f"{path}: date {date} missing tickers {missing}")
-        series = {t: sorted(day[t]) for t in tickers}
-        start = max(obs[0][0] for obs in series.values())
-        stop = min(obs[-1][0] for obs in series.values())
-        grid = np.arange(start, stop + 1, grid_seconds)
-        if len(grid) < 2:
-            raise SeriesFormatError(
-                f"{path}: date {date} has fewer than two grid points at "
-                f"{grid_seconds}s spacing"
-            )
-        prices = np.zeros((len(grid), len(tickers)))
-        for k, t in enumerate(tickers):
-            obs = series[t]
-            times = np.array([o[0] for o in obs])
-            vals = np.array([o[1] for o in obs])
-            pos = np.searchsorted(times, grid, side="right") - 1
-            prices[:, k] = vals[pos]
-        blocks.append(log_returns(prices))
-    return ReturnPanel(np.array(dates, dtype="datetime64[D]"), blocks, tickers)
+            raise SeriesFormatError(f"{path}: date {date_levels[d]} missing tickers {missing}")
+        raise SeriesFormatError(
+            f"{path}: date {date_levels[d]} has fewer than two grid points at "
+            f"{grid_seconds}s spacing"
+        )
+
+    # Every day's grid in one array; the quote carried to a grid time is the
+    # last key of its (day, ticker) at or before it, found by one searchsorted.
+    point_day = np.repeat(np.arange(len(dates)), points)
+    grid = start[point_day] + grid_seconds * (
+        np.arange(len(point_day)) - np.repeat(np.cumsum(points) - points, points)
+    )
+    point_groups = point_day[:, None] * n + np.arange(n)
+    carried = np.searchsorted(keys, key(point_groups, grid[:, None]), side="right")
+    returns = log_returns(prices[carried - 1])[point_day[1:] == point_day[:-1]]
+    return ReturnPanel(
+        np.array([days[dates[d]] for d in date_levels], dtype="datetime64[D]"),
+        np.split(returns, np.cumsum(points - 1)[:-1]),
+        tickers,
+    )
 
 
 def realized_series(panel: ReturnPanel) -> CovSeries:
-    """Daily realized covariances from a gridded return panel."""
-    return CovSeries(panel.dates, [realized_cov(r) for r in panel.returns])
+    """Daily realized covariances from a gridded return panel, from one stacked ``eigh``."""
+    return CovSeries(panel.dates, SpdMatrix.stack([_cross_product(r) for r in panel.returns]))

@@ -10,7 +10,7 @@ square roots.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,24 +97,63 @@ class SpdMatrix:
     __slots__ = ("_data", "_eig")
 
     def __init__(self, data: np.ndarray | Sequence[Sequence[float]]) -> None:
-        a = np.array(data, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        a = np.asarray(data, dtype=float)
+        if a.ndim != 2:
             raise DimensionMismatchError(
                 f"expected a nonempty square matrix, got shape {a.shape}"
             )
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a = _symmetrize(a)
-        values, vectors = _eigh_desc(a)
-        lmax = float(values[0])
-        tolerance = max(PSD_RTOL * lmax, _PSD_ATOL) if lmax > 0.0 else 0.0
-        if values[-1] < -tolerance:
-            raise NotPositiveDefiniteError(
-                f"smallest eigenvalue {values[-1]:.6e} is below the PSD "
-                f"tolerance {-tolerance:.6e}"
+        (only,) = SpdMatrix.stack(a[None])
+        self._data, self._eig = only._data, only._eig
+
+    @classmethod
+    def stack(
+        cls, data: np.ndarray, error: Callable[[int, Exception], Exception] | None = None
+    ) -> list["SpdMatrix"]:
+        """``SpdMatrix(m)`` of each ``m`` in a ``(B, n, n)`` array, bit for bit, from one ``eigh``.
+
+        The first record the constructor rejects raises its error, or, given
+        ``error``, ``error(i, exc)`` for record i, raised from ``exc``.  The
+        matrices hold read-only views of the stacked arrays.
+        """
+        a = np.asarray(data, dtype=float)
+        if a.ndim != 3:
+            raise DimensionMismatchError(f"expected a (B, n, n) stack, got shape {a.shape}")
+        if len(a) == 0:
+            return []
+        failure = None
+        if a.shape[1] != a.shape[2] or a.shape[1] == 0:
+            failure = 0, DimensionMismatchError(
+                f"expected a nonempty square matrix, got shape {a.shape[1:]}"
             )
-        self._data = _freeze(a)
-        self._eig = EigPair(_freeze(values), _freeze(vectors))
+        else:
+            finite = np.isfinite(a).all(axis=(1, 2))
+            if not finite.all():
+                a = np.where(finite[:, None, None], a, 0.0)  # decomposable; rejected below
+            a = _symmetrize(a)
+            values, vectors = _eigh_desc(a)
+            if not finite.all() or values[:, -1].min() < 0.0:
+                lmax = values[:, 0]
+                tolerance = np.where(lmax > 0.0, np.maximum(PSD_RTOL * lmax, _PSD_ATOL), 0.0)
+                rejected = ~finite | (values[:, -1] < -tolerance)
+                i = int(np.argmax(rejected))
+                if not finite[i]:
+                    failure = i, ValueError("matrix entries must be finite")
+                elif rejected[i]:
+                    failure = i, NotPositiveDefiniteError(
+                        f"smallest eigenvalue {values[i, -1]:.6e} is below the PSD "
+                        f"tolerance {-tolerance[i]:.6e}"
+                    )
+        if failure is not None:
+            i, exc = failure
+            if error is None:
+                raise exc
+            raise error(i, exc) from exc
+        matrices = []
+        for d, v, u in zip(_freeze(a), _freeze(values), _freeze(vectors)):
+            obj = object.__new__(cls)
+            obj._data, obj._eig = d, EigPair(v, u)
+            matrices.append(obj)
+        return matrices
 
     @classmethod
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":

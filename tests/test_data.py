@@ -1,10 +1,15 @@
 """Series containers, supervised builders, simulation, and file formats."""
 
+import csv
+import itertools
 import logging
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spd
 from spdcast import (
@@ -28,7 +33,8 @@ from spdcast import (
     save_series,
     simulate_market,
 )
-from spdcast.data import _write_matrix_records, har_input
+from spdcast import data
+from spdcast.data import _read_matrix_records, _write_matrix_records, har_input
 from spdcast.frechet import (
     METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
@@ -331,6 +337,15 @@ class TestSimulate:
         with pytest.raises(DecompositionError, match=r"simulated day \d+: .*vol=30"):
             simulate_market(3, 50, 0.9, 12, 0, vol=30)
 
+    def test_overflowing_covariance_is_a_typed_error_naming_the_day(self):
+        # vol = 1000 drives the latent log-spectrum past the largest double's
+        # logarithm, so the day's covariance overflows in expm.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            match = r"simulated day \d+: .*vol=1000.*overflows"
+            with pytest.raises(DecompositionError, match=match):
+                simulate_market(3, 50, 0.9, 12, 0, vol=1000)
+
 
 class TestMatbin:
     def test_round_trip_bitwise(self, tmp_path, rng):
@@ -509,3 +524,297 @@ class TestIntraday:
         self.write_csv(path, ["2001-01-02,09:30,aaa,-1.0"])
         with pytest.raises(SeriesFormatError):
             load_intraday_csv(path)
+
+
+TICK_HEADER = "date,time,ticker,price\n"
+TWO_TICKERS = (
+    "2001-01-02,09:30,aaa,100.0\n2001-01-02,09:40,aaa,101.0\n"
+    "2001-01-02,09:30,bbb,50.0\n2001-01-02,09:40,bbb,51.0\n"
+)
+
+# (file text, expected message after "<path>"): one per loader check, and
+# cases where several rows are bad and the first one must be named.
+INTRADAY_MESSAGES = [
+    ("", ": bad header None"),
+    ("\n2001-01-02,09:30,aaa,100.0\n", ": bad header []"),
+    ("time,ticker,price\n", ": bad header ['time', 'ticker', 'price']"),
+    ("date,time,ticker,price,size\n", ": bad header ['date', 'time', 'ticker', 'price', 'size']"),
+    (TICK_HEADER + "2001-01-02,09:30,aaa\n", ":2: expected 4 fields"),
+    (TICK_HEADER + "2001-01-02,09:30,aaa,1.0,7\n", ":2: expected 4 fields"),
+    (TICK_HEADER + "2001-01-02,09:30,aaa,1.0\n\n2001-01-02,09:31,aaa,1.0\n", ":3: expected 4 fields"),
+    (TICK_HEADER + TWO_TICKERS + "\n", ":6: expected 4 fields"),
+    (TICK_HEADER + "2001-01-02,0930,aaa,1.0\n", ":2: bad time '0930'"),
+    (TICK_HEADER + "2001-01-02,9:30:00:00,aaa,1.0\n", ":2: bad time '9:30:00:00'"),
+    (TICK_HEADER + "2001-01-02,9:3x,aaa,1.0\n", ":2: invalid literal for int() with base 10: '3x'"),
+    (TICK_HEADER + "2001-01-02,:30,aaa,1.0\n", ":2: invalid literal for int() with base 10: ''"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,abc\n", ":2: could not convert string to float: 'abc'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,\n", ":2: could not convert string to float: ''"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,-1.0\n", ":2: nonpositive price"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,0\n", ":2: nonpositive price"),
+    (TICK_HEADER, ": no records"),
+    ("date,time,ticker,price", ": no records"),
+    (
+        TICK_HEADER + TWO_TICKERS + "2001-01-03,09:30,aaa,100.0\n2001-01-03,09:40,aaa,101.0\n",
+        ": date 2001-01-03 missing tickers ['bbb']",
+    ),
+    (
+        TICK_HEADER + "2001-01-02,09:30,aaa,100.0\n2001-01-02,09:34,aaa,101.0\n"
+        "2001-01-02,09:30,bbb,50.0\n2001-01-02,09:34,bbb,51.0\n",
+        ": date 2001-01-02 has fewer than two grid points at 300s spacing",
+    ),
+    (
+        # the first day that fails either day check is named
+        TICK_HEADER + "2001-01-03,09:30,aaa,100.0\n2001-01-03,09:31,aaa,101.0\n"
+        "2001-01-03,09:30,bbb,50.0\n2001-01-03,09:31,bbb,51.0\n" + TWO_TICKERS.replace("bbb", "ccc"),
+        ": date 2001-01-02 missing tickers ['bbb']",
+    ),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,-1.0\n2001-01-02,930,aaa,1.0\n", ":2: nonpositive price"),
+    (TICK_HEADER + "2001-01-02,930,aaa,1.0\n2001-01-02,9:30,aaa,-1.0\n", ":2: bad time '930'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,1.0\n2001-01-02,9:30,aaa,x\n2001-01-02,9:30\n",
+     ":3: could not convert string to float: 'x'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,1.0\n2001-01-02,9:30\n2001-01-02,9:30,aaa,x\n",
+     ":3: expected 4 fields"),
+    (TICK_HEADER.replace("\n", "\r\n") + "2001-01-02,9:30,aaa,1.0\r\n2001-01-02,9:30,aaa,0\r\n",
+     ":3: nonpositive price"),
+    (TICK_HEADER + '2001-01-02,9:30,"aaa",1.0\n2001-01-02,"9:30,aaa",1.0\n',
+     ":3: expected 4 fields"),
+]
+
+# Rows the loader once let through to a raw ValueError.
+INTRADAY_NEW_MESSAGES = [
+    (TICK_HEADER + "2001-13-45,9:30,aaa,1.0\n", ":2: bad date '2001-13-45'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,1.0\nNaT,9:30,aaa,1.0\n", ":3: bad date 'NaT'"),
+    (TICK_HEADER + ",9:30,aaa,1.0\n", ":2: bad date ''"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,nan\n", ":2: non-finite price 'nan'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,inf\n", ":2: non-finite price 'inf'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,1e999\n", ":2: non-finite price '1e999'"),
+    # the first bad row is named, whatever is wrong with it
+    (TICK_HEADER + "2001-01-02,9:30,aaa,nan\n2001-01-02,9:3x,aaa,1.0\n", ":2: non-finite price 'nan'"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,-1\n2001-99-02,9:30,aaa,1.0\n", ":2: nonpositive price"),
+    (TICK_HEADER + "2001-99-02,9:30,aaa,1.0\n2001-01-02,9:30\n", ":2: bad date '2001-99-02'"),
+]
+
+
+class TestIntradayMessages:
+    """Exact loader messages: each names the file, and a row error its line."""
+
+    @pytest.mark.parametrize("text, suffix", INTRADAY_MESSAGES, ids=range(len(INTRADAY_MESSAGES)))
+    def test_message(self, tmp_path, text, suffix):
+        path = tmp_path / "ticks.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(SeriesFormatError) as err:
+            load_intraday_csv(path)
+        assert str(err.value) == f"{path}{suffix}"
+
+    @pytest.mark.parametrize(
+        "text, suffix", INTRADAY_NEW_MESSAGES, ids=range(len(INTRADAY_NEW_MESSAGES))
+    )
+    def test_new_row_errors(self, tmp_path, text, suffix):
+        self.test_message(tmp_path, text, suffix)
+
+
+def _matbin_bytes(side, keys, records, version=1):
+    head = struct.pack("<4sIIQ", b"SPDS", version, side, len(keys))
+    return head + b"".join(
+        struct.pack("<q", k) + np.asarray(r, dtype="<f8").tobytes() for k, r in zip(keys, records)
+    )
+
+
+KEYS = [11323, 11324]  # 2001-01-01, 2001-01-02
+EYE = np.eye(2)
+NOT_PSD = np.array([[1.0, 2.0], [2.0, 1.0]])
+PSD_MESSAGE = "smallest eigenvalue -1.000000e+00 is below the PSD tolerance -3.000000e-10"
+
+MATBIN_MESSAGES = [
+    (b"SPDS", ": truncated header"),
+    (b"JUNKxxxxxxxxxxxxxxxxxxxx", ": bad magic b'JUNK'"),
+    (_matbin_bytes(2, KEYS, [EYE, EYE], version=2), ": unsupported version 2"),
+    (_matbin_bytes(2, KEYS, [EYE, EYE])[:-1], ": expected 100 bytes for 2 records, found 99"),
+    (_matbin_bytes(2, KEYS, [EYE, EYE]) + b"\0", ": expected 100 bytes for 2 records, found 101"),
+    (_matbin_bytes(2, KEYS, [EYE, NOT_PSD]), ": date 2001-01-02: " + PSD_MESSAGE),
+    (_matbin_bytes(2, KEYS, [NOT_PSD, [[np.inf, 0], [0, 1]]]), ": date 2001-01-01: " + PSD_MESSAGE),
+    (_matbin_bytes(2, KEYS, [[[np.inf, 0], [0, 1]], NOT_PSD]),
+     ": date 2001-01-01: matrix entries must be finite"),
+    (_matbin_bytes(0, KEYS, [np.zeros((0, 0))] * 2),
+     ": date 2001-01-01: expected a nonempty square matrix, got shape (0, 0)"),
+    (_matbin_bytes(2, [], []), None),
+]
+
+CSV_HEADER = "date,row,col,value\n"
+CSV_EYE = "2001-01-01,0,0,1.0\n2001-01-01,0,1,0.0\n2001-01-01,1,1,1.0\n"
+CSVLONG_MESSAGES = [
+    ("", ": bad header None"),
+    ("date,row,col\n", ": bad header ['date', 'row', 'col']"),
+    (CSV_HEADER + "2001-01-01,0,0\n", ":2: expected 4 fields"),
+    (CSV_HEADER + "2001-01-01,0,x,1.0\n", ":2: invalid literal for int() with base 10: 'x'"),
+    (CSV_HEADER + "2001-01-01,0,0,abc\n", ":2: could not convert string to float: 'abc'"),
+    (CSV_HEADER + "2001-01-01,1,0,0.5\n", ":2: need 0 <= row <= col, got (1, 0)"),
+    (CSV_HEADER + "2001-01-01,-1,0,0.5\n", ":2: need 0 <= row <= col, got (-1, 0)"),
+    (CSV_HEADER + CSV_EYE + "2001-01-01,0,0,2.0\n", ":5: duplicate entry (0, 0)"),
+    (CSV_HEADER, ": no records"),
+    (CSV_HEADER + CSV_EYE + "2001-01-02,0,0,1.0\n", ": date 2001-01-02 has 1 entries, expected 3"),
+    (CSV_HEADER + CSV_EYE + "2001-01-02,0,0,1.0\n2001-01-02,0,2,0.0\n2001-01-02,1,1,1.0\n",
+     ": date 2001-01-02 exceeds dimension 2"),
+    (CSV_HEADER + CSV_EYE + CSV_EYE.replace("0,1,0.0", "0,1,2.0").replace("-01,", "-02,"),
+     ": date 2001-01-02: " + PSD_MESSAGE),
+    (CSV_HEADER + CSV_EYE.replace("0,1,0.0", "0,1,nan"),
+     ": date 2001-01-01: matrix entries must be finite"),
+]
+
+
+class TestSeriesMessages:
+    """Exact ``load_series`` messages for malformed files and records."""
+
+    @pytest.mark.parametrize("blob, suffix", MATBIN_MESSAGES, ids=range(len(MATBIN_MESSAGES)))
+    def test_matbin(self, tmp_path, blob, suffix):
+        path = tmp_path / "series.matbin"
+        path.write_bytes(blob)
+        with pytest.raises(SeriesFormatError) as err:
+            load_series(path, FORMAT_MATBIN)
+        assert str(err.value) == (f"{path}{suffix}" if suffix else "empty series")
+
+    @pytest.mark.parametrize("text, suffix", CSVLONG_MESSAGES, ids=range(len(CSVLONG_MESSAGES)))
+    def test_csvlong(self, tmp_path, text, suffix):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(SeriesFormatError) as err:
+            load_series(path, FORMAT_CSVLONG)
+        assert str(err.value) == f"{path}{suffix}"
+
+
+def _reference_panel(path, grid_seconds):
+    """The row-at-a-time loader this package used before its columnar one."""
+    by_day = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for date, time_s, ticker, price_s in reader:
+            parts = [int(p) for p in time_s.split(":")] + [0]
+            seconds = parts[0] * 3600 + parts[1] * 60 + parts[2]
+            by_day.setdefault(date, {}).setdefault(ticker, []).append((seconds, float(price_s)))
+    tickers = sorted({t for day in by_day.values() for t in day})
+    blocks = []
+    for date in sorted(by_day):
+        obs = {t: sorted(by_day[date][t]) for t in tickers}
+        start = max(o[0][0] for o in obs.values())
+        stop = min(o[-1][0] for o in obs.values())
+        grid = np.arange(start, stop + 1, grid_seconds)
+        prices = np.zeros((len(grid), len(tickers)))
+        for k, t in enumerate(tickers):
+            times = np.array([o[0] for o in obs[t]])
+            pos = np.searchsorted(times, grid, side="right") - 1
+            prices[:, k] = np.array([o[1] for o in obs[t]])[pos]
+        blocks.append(log_returns(prices))
+    return sorted(by_day), blocks, tickers
+
+
+def _tick_rows(rng, short_times):
+    """Rows of 2 to 3 tickers over 1 to 3 days, with same-second repeats."""
+    rows = []
+    tickers = ["zz", "aa", "mm"][: int(rng.integers(2, 4))]
+    for day in range(int(rng.integers(1, 4))):
+        date = str(np.datetime64("2003-03-03") + day)
+        for ticker in tickers:
+            step = 60 if short_times else 1
+            seconds = 9 * 3600 + step * rng.integers(0, 7200 // step, size=int(rng.integers(2, 9)))
+            seconds = np.r_[seconds, 9 * 3600, 11 * 3600]
+            seconds = np.r_[seconds, rng.choice(seconds, size=3)]  # same-second ticks
+            for s, price in zip(seconds, rng.uniform(10.0, 20.0, size=len(seconds))):
+                clock = (f"{s // 3600}:{s // 60 % 60:02d}" if short_times
+                         else f"{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}")
+                rows.append([date, clock, ticker, repr(float(price))])
+    return rows
+
+
+class TestIntradayColumnar:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        crlf=st.booleans(),
+        quoted=st.booleans(),
+        short_times=st.booleans(),
+    )
+    def test_shuffled_rows_give_the_same_panel_bitwise(
+        self, tmp_path_factory, seed, crlf, quoted, short_times
+    ):
+        rng = np.random.default_rng(seed)
+        rows = _tick_rows(rng, short_times)
+        end = "\r\n" if crlf else "\n"
+        paths = []
+        for k, order in enumerate([np.arange(len(rows)), rng.permutation(len(rows))]):
+            lines = [",".join(f'"{v}"' if quoted and j == 2 else v for j, v in enumerate(rows[i]))
+                     for i in order]
+            path = tmp_path_factory.mktemp("ticks") / f"ticks{k}.csv"
+            path.write_bytes(("date,time,ticker,price" + end + end.join(lines) + end).encode())
+            paths.append(path)
+        panels = [load_intraday_csv(path, grid_seconds=300) for path in paths]
+        dates, blocks, tickers = _reference_panel(paths[0], 300)
+        for panel in panels:
+            assert list(panel.tickers) == tickers
+            assert np.array_equal(panel.dates, np.array(dates, dtype="datetime64[D]"))
+            assert [r.tobytes() for r in panel.returns] == [b.tobytes() for b in blocks]
+
+    def test_highest_price_of_one_second_is_carried(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        path.write_text(
+            TICK_HEADER + "2001-01-02,9:30,aaa,100.0\n2001-01-02,9:31,aaa,105.0\n"
+            "2001-01-02,9:31,aaa,104.0\n2001-01-02,9:31,aaa,103.0\n2001-01-02,9:32,aaa,100.0\n"
+        )
+        r = load_intraday_csv(path, grid_seconds=60).returns[0][:, 0]
+        assert r.tolist() == [np.log(105.0 / 100.0), np.log(100.0 / 105.0)]
+
+    def test_rows_span_many_blocks(self, tmp_path, monkeypatch):
+        # Blocks of a few lines: the loader must not depend on where they end.
+        rows = _tick_rows(np.random.default_rng(5), short_times=False)
+        path = tmp_path / "ticks.csv"
+        path.write_text(TICK_HEADER + "".join(",".join(r) + "\n" for r in rows))
+        whole = load_intraday_csv(path)
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 64)
+        cut = load_intraday_csv(path)
+        assert [r.tobytes() for r in cut.returns] == [r.tobytes() for r in whole.returns]
+        lines = path.read_text().splitlines()
+        lines[40] = lines[40].replace(",", ";", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SeriesFormatError, match=r":41: expected 4 fields$"):
+            load_intraday_csv(path)
+
+
+def _reference_write(path, keys, records):
+    """The record-at-a-time MatBin writer this package used before."""
+    count, side, _ = records.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQ", b"SPDS", 1, side, count))
+        for key, rec in zip(keys, records):
+            fh.write(struct.pack("<q", int(key)))
+            fh.write(np.ascontiguousarray(rec, dtype="<f8").tobytes())
+
+
+def _reference_read(path):
+    raw = path.read_bytes()
+    _, _, side, count = struct.unpack_from("<4sIIQ", raw)
+    keys, records = np.zeros(count, dtype=np.int64), np.zeros((count, side, side))
+    offset = struct.calcsize("<4sIIQ")
+    for i in range(count):
+        (keys[i],) = struct.unpack_from("<q", raw, offset)
+        records[i] = np.frombuffer(raw, "<f8", side * side, offset + 8).reshape(side, side)
+        offset += 8 + 8 * side * side
+    return keys, records
+
+
+class TestMatbinRecords:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 20), side=st.integers(1, 7))
+    def test_round_trip_matches_the_record_loop_bitwise(self, tmp_path_factory, seed, count, side):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(-(2**62), 2**62, size=count)
+        records = rng.standard_normal((count, side, side)) * 10.0 ** rng.integers(-320, 300)
+        special = [np.nan, np.inf, -0.0][: records.size]
+        records.flat[rng.integers(0, records.size, size=len(special))] = special
+        folder = tmp_path_factory.mktemp("matbin")
+        ours, theirs = folder / "ours.matbin", folder / "theirs.matbin"
+        _write_matrix_records(ours, keys, records)
+        _reference_write(theirs, keys, records)
+        assert ours.read_bytes() == theirs.read_bytes()
+        for got, want in zip(_read_matrix_records(theirs), _reference_read(theirs)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

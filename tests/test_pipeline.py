@@ -637,6 +637,25 @@ class TestCommands:
         assert self.run_cli("ingest", config, "--out", str(tmp_path / "out")) == 1
         assert str(absent) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("2001-13-45,9:32,aaa,101.0", "bad date '2001-13-45'"),
+            ("2001-01-02,9:32,aaa,nan", "non-finite price 'nan'"),
+            ("2001-01-02,9:32,aaa,inf", "non-finite price 'inf'"),
+        ],
+    )
+    def test_bad_tick_row_exits_1_naming_its_line(self, tmp_path, capsys, row, reason):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_text(
+            "date,time,ticker,price\n2001-01-02,9:30,aaa,100.0\n2001-01-02,9:31,aaa,100.5\n"
+            f"{row}\n2001-01-02,9:33,aaa,101.0\n"
+        )
+        config = tmp_path / "ingest.ini"
+        config.write_text(f"[data]\nsource = intraday\npath = {ticks}\ngrid_seconds = 60\n")
+        assert self.run_cli("ingest", config, "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"spdcast: {ticks}:4: {reason}\n"
+
     def test_ingest_chain(self, tmp_path):
         ticks = tmp_path / "ticks.csv"
         write_ticks(ticks, days=3)

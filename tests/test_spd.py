@@ -5,6 +5,8 @@ constructed from known spectra and eigenbases, so expected values follow
 from the construction.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import random_orthogonal, random_spd, spd_from_spectrum
 from spdcast import (
     DecompositionError,
+    DimensionMismatchError,
     NotPositiveDefiniteError,
     SpdMatrix,
     dist_euclidean,
@@ -65,6 +68,88 @@ class TestSpdMatrix:
 
     def test_dim(self, rng):
         assert random_spd(rng, 4).dim == 4
+
+
+def _one_by_one(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the constructor computes for one matrix, with its own eigh call."""
+    sym = 0.5 * (a + a.T)
+    values, vectors = np.linalg.eigh(sym)
+    return sym, values[::-1], vectors[:, ::-1]
+
+
+def _stack_case(seed: int, count: int, n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        q = random_orthogonal(rng, n)
+        spectrum = rng.uniform(0.1, 3.0, n)
+        if kind == "rank_deficient":
+            spectrum[rng.integers(0, n, size=max(1, n // 2))] = 0.0
+        elif kind == "subnormal":
+            spectrum *= 1e-320
+        a = q @ np.diag(spectrum) @ q.T
+        if kind == "asymmetric":
+            a += 1e-12 * rng.standard_normal((n, n))
+        out.append(a)
+    return np.stack(out)
+
+
+class TestStackConstructor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 12),
+        n=st.integers(1, 6),
+        kind=st.sampled_from(["full_rank", "rank_deficient", "subnormal", "asymmetric"]),
+    )
+    def test_equals_the_per_matrix_constructor_bitwise(self, seed, count, n, kind):
+        stack = _stack_case(seed, count, n, kind)
+        try:
+            expected = [SpdMatrix(a) for a in stack]
+        except NotPositiveDefiniteError as exc:  # round-off below the tolerance
+            with pytest.raises(NotPositiveDefiniteError, match=re.escape(str(exc))):
+                SpdMatrix.stack(stack)
+            return
+        built = SpdMatrix.stack(stack)
+        assert len(built) == count
+        for a, one, m in zip(stack, expected, built):
+            sym, values, vectors = _one_by_one(a)
+            for got in (one, m):
+                assert got.data.tobytes() == sym.tobytes()
+                assert got.eig.values.tobytes() == values.tobytes()
+                assert got.eig.vectors.tobytes() == vectors.tobytes()
+            assert not m.data.flags.writeable and not m.eig.vectors.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[1.0, 0.0], [0.0, np.nan]], "matrix entries must be finite"),
+            ([[1.0, 2.0], [2.0, 1.0]], "smallest eigenvalue -1.000000e+00 is below the PSD "
+                                       "tolerance -3.000000e-10"),
+        ],
+    )
+    def test_first_rejected_record_raises_its_own_error(self, bad, message):
+        stack = np.stack([np.eye(2), np.eye(2), bad, [[1.0, 0.0], [0.0, np.inf]]])
+        with pytest.raises(ValueError) as single:
+            SpdMatrix(bad)
+        with pytest.raises(type(single.value)) as err:
+            SpdMatrix.stack(stack)
+        assert str(err.value) == str(single.value) == message
+
+        def name(i, exc):
+            return KeyError(f"record {i}: {exc}")
+
+        with pytest.raises(KeyError) as err:
+            SpdMatrix.stack(stack, name)
+        assert err.value.args[0] == f"record 2: {message}"
+        assert err.value.__cause__ is not None
+
+    def test_shapes(self):
+        assert SpdMatrix.stack(np.zeros((0, 3, 3))) == []
+        with pytest.raises(DimensionMismatchError, match=r"got shape \(2, 3\)"):
+            SpdMatrix.stack(np.ones((4, 2, 3)))
+        with pytest.raises(DimensionMismatchError, match="stack"):
+            SpdMatrix.stack(np.eye(3))
 
 
 class TestSpectralMaps:
