@@ -791,3 +791,99 @@ class TestSeriesReuse:
         monkeypatch.undo()
         assert self.run_cli("train-forecast", config) == 0
         assert self.series_from(out) == "simulate"
+
+
+class TestRosterMessages:
+    """Each roster rejection's exact message."""
+
+    REJECTIONS = [
+        ("respdnet:lags", "expected key=value in 'respdnet:lags', got 'lags'"),
+        ("oracle", "unknown model kind 'oracle' (rw, favar, respdnet, geohar)"),
+        ("favar:factors=many", "favar factors must be an integer or 'auto', got 'many'"),
+        ("respdnet:lags=two", "respdnet lags must be an integer"),
+        ("respdnet:lags=0", "respdnet lags must be >= 1"),
+        ("respdnet:lags=0:loss=hinge", "respdnet lags must be >= 1"),
+        ("respdnet:loss=hinge", "unknown loss 'hinge' (mse, log_euclidean)"),
+        ("geohar:loss=hinge", "unknown loss 'hinge' (mse, log_euclidean)"),
+        ("geohar:metric=cosine", "unknown metric 'cosine' (log_euclidean, procrustes)"),
+        ("geohar:loss=hinge:metric=cosine", "unknown metric 'cosine' (log_euclidean, procrustes)"),
+        (" , ", "no models specified"),
+        ("rw, rw", "duplicate model names ['rw', 'rw']"),
+        ("rw, favar:name=rw", "duplicate model names ['rw', 'rw']"),
+    ]
+
+    @pytest.mark.parametrize("roster, message", REJECTIONS)
+    def test_message(self, roster, message):
+        with pytest.raises(ConfigError) as err:
+            _parse_roster(roster)
+        assert str(err.value) == f"[models] roster: {message}"
+
+
+class TestMissingDates:
+    """Each command that matches rows of one file to the dates of another
+    names what is missing, and exits 2."""
+
+    def run_cli(self, command, config_path):
+        return main([command, "--config", str(config_path)])
+
+    @staticmethod
+    def write_dated(path, header, dates, rows):
+        lines = [",".join(header)]
+        lines += [",".join([str(d)] + [f"{x:.17g}" for x in row]) for d, row in zip(dates, rows)]
+        path.write_text("\n".join(lines) + "\n")
+
+    def forecast(self, tmp_path):
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        return path, tmp_path / "out"
+
+    def test_matbin_series_date_without_a_return_row(self, tmp_path, capsys):
+        series, returns = simulate_market(3, 70, 0.8, 7, 1)
+        save_series(series, tmp_path / "series.matbin")
+        keep = [k for k in range(70) if k not in (10, 20)]
+        self.write_dated(tmp_path / "returns.csv", ["date", "a", "b", "c"],
+                         series.dates[keep], returns[keep])
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}\n"
+            f"returns = {tmp_path / 'returns.csv'}"))
+        assert self.run_cli("train-forecast", path) == 2
+        assert capsys.readouterr().err == (
+            f"spdcast: config error: [data] returns: no return row for date {series.dates[10]}\n")
+
+    def test_returns_missing_forecast_dates(self, tmp_path, capsys):
+        path, out = self.forecast(tmp_path)
+        returns = out / "data" / "returns.csv"
+        lines = returns.read_text().splitlines()
+        returns.write_text("\n".join(lines[:46]) + "\n")  # the header and days 0..44
+        realized = load_series(out / "data" / "realized.matbin")
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 2
+        assert capsys.readouterr().err == (
+            f"spdcast: config error: returns file {returns} is missing 25 forecast dates "
+            f"(first: {realized.dates[5]})\n")
+
+    def test_proxy_missing_evaluation_dates(self, tmp_path, capsys):
+        path, out = self.forecast(tmp_path)
+        realized = load_series(out / "data" / "realized.matbin")
+        keep = [k for k in range(30) if k not in (3, 17)]
+        proxy = tmp_path / "proxy.csv"
+        self.write_dated(proxy, ["date", "value"], realized.dates[keep],
+                         [[np.trace(realized.matrices[k].data)] for k in keep])
+        path.write_text(path.read_text().replace(
+            "replicates = 120", f"replicates = 120\nmarket_variance = {proxy}"))
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 2
+        assert capsys.readouterr().err == (
+            f"spdcast: config error: [evaluate] market_variance: 2 evaluation dates missing "
+            f"from {proxy} (first: {realized.dates[3]})\n")
+
+    def test_forecast_files_without_common_dates(self, tmp_path, capsys):
+        path, out = self.forecast(tmp_path)
+        favar = load_series(out / "forecasts" / "favar.matbin")
+        save_series(CovSeries(favar.dates + 1000, favar.matrices), out / "forecasts" / "favar.matbin")
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 2
+        assert capsys.readouterr().err == (
+            "spdcast: config error: forecast files share no common dates\n")
