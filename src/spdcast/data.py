@@ -21,6 +21,7 @@ import io
 import itertools
 import logging
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Hashable, Iterator, Sequence
@@ -486,6 +487,16 @@ def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -
         raise ValueError(f"unknown format {fmt!r}")
 
 
+@contextmanager
+def _open_text(path: str | Path, newline: str | None = "", error=SeriesFormatError):
+    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise ``error`` naming it."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _records(path: str | Path, dates: Sequence, values: np.ndarray) -> list[SpdMatrix]:
     """The matrix of each record; the first bad one is named by file and date."""
     return SpdMatrix.stack(
@@ -504,9 +515,8 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
         dates = _EPOCH + keys
         return CovSeries(dates, _records(path, dates, records))
     if fmt == FORMAT_CSVLONG:
-        per_date: dict[str, dict[tuple[int, int], float]] = {}
-        order: list[str] = []
-        with open(path, newline="") as fh:
+        per_date: dict[str, dict[tuple[int, int], float]] = {}  # in file order
+        with _open_text(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["date", "row", "col", "value"]:
@@ -523,18 +533,15 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
                     raise SeriesFormatError(
                         f"{path}:{lineno}: need 0 <= row <= col, got ({i}, {j})"
                     )
-                if date not in per_date:
-                    per_date[date] = {}
-                    order.append(date)
-                if (i, j) in per_date[date]:
+                entries = per_date.setdefault(date, {})
+                if (i, j) in entries:
                     raise SeriesFormatError(f"{path}:{lineno}: duplicate entry ({i}, {j})")
-                per_date[date][(i, j)] = v
-        if not order:
+                entries[(i, j)] = v
+        if not per_date:
             raise SeriesFormatError(f"{path}: no records")
-        n = 1 + max(j for (_, j) in per_date[order[0]])
+        n = 1 + max(j for (_, j) in next(iter(per_date.values())))
         matrices = []
-        for date in order:
-            entries = per_date[date]
+        for date, entries in per_date.items():
             if len(entries) != n * (n + 1) // 2:
                 raise SeriesFormatError(
                     f"{path}: date {date} has {len(entries)} entries, "
@@ -547,7 +554,7 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
                 mat[i, j] = v
                 mat[j, i] = v
             matrices.extend(_records(path, [date], mat[None]))
-        return CovSeries(np.array(order, dtype="datetime64[D]"), matrices)
+        return CovSeries(np.array(list(per_date), dtype="datetime64[D]"), matrices)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -588,7 +595,7 @@ def _or_none(parse: Callable[[str], object], text: str):
 
 def _check_tick(path: str | Path, row: int) -> None:
     """Raise the error of the row-th tick row, read as :mod:`csv` reads it, field by field."""
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         rec = next(itertools.islice(csv.reader(fh), row + 1, None))
     try:
         if len(rec) != 4:
@@ -613,7 +620,7 @@ def _tick_blocks(path: str | Path) -> Iterator[tuple[list[list[str]], int | None
     from the first block with a ``"`` on, :mod:`csv` reads the rest of the
     file, so quoted fields parse.
     """
-    with open(path) as fh:
+    with _open_text(path, None) as fh:
         first = fh.readline()
         header = next(csv.reader([first])) if first else None
         if header != _TICK_HEADER:

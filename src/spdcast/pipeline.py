@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -20,17 +21,19 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .baselines import default_factor_count, favar_fit, favar_forecast, forecast_rw
+from .baselines import favar_fit, favar_forecast, forecast_rw
 from .data import (
     FORMAT_CSVLONG,
     FORMAT_MATBIN,
     CovSeries,
+    _open_text,
     blockdiag_spd,
     build_geohar_inputs,
     build_lagged_inputs,
@@ -67,8 +70,6 @@ from .spd import SpdMatrix
 
 log = logging.getLogger(__name__)
 
-_LOSS_TAGS = {"mse": LOSS_MSE, "log_euclidean": LOSS_LOG_EUCLIDEAN}
-_METRIC_TAGS = {"log_euclidean": METRIC_LOG_EUCLIDEAN, "procrustes": METRIC_PROCRUSTES}
 _SHORT = {"log_euclidean": "le", "mse": "mse", "procrustes": "pro"}
 
 
@@ -117,98 +118,34 @@ class RunConfig:
         return hashlib.sha256(self.raw_text.encode()).hexdigest()
 
 
-def _parse_roster(raw: str) -> list[ModelSpec]:
-    specs: list[ModelSpec] = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        kind = parts[0].strip().lower()
-        params: dict = {}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise ConfigError(
-                    f"[models] roster: expected key=value in {chunk!r}, got {part!r}"
-                )
-            key, value = part.split("=", 1)
-            params[key.strip()] = value.strip()
-        if kind == "rw":
-            name = params.pop("name", "rw")
-        elif kind == "favar":
-            factors = params.pop("factors", "auto")
-            if factors != "auto":
-                try:
-                    params["factors"] = int(factors)
-                except ValueError:
-                    raise ConfigError(
-                        f"[models] roster: favar factors must be an integer or "
-                        f"'auto', got {factors!r}"
-                    ) from None
-            name = params.pop("name", "favar")
-        elif kind == "respdnet":
-            try:
-                params["lags"] = int(params.get("lags", 3))
-            except ValueError:
-                raise ConfigError("[models] roster: respdnet lags must be an integer") from None
-            if params["lags"] < 1:
-                raise ConfigError("[models] roster: respdnet lags must be >= 1")
-            loss = params.get("loss", "log_euclidean")
-            if loss not in _LOSS_TAGS:
-                raise ConfigError(
-                    f"[models] roster: unknown loss {loss!r} (mse, log_euclidean)"
-                )
-            params["loss"] = loss
-            name = params.pop("name", f"respdnet{params['lags']}_{_SHORT[loss]}")
-        elif kind == "geohar":
-            metric = params.get("metric", "log_euclidean")
-            if metric not in _METRIC_TAGS:
-                raise ConfigError(
-                    f"[models] roster: unknown metric {metric!r} "
-                    f"(log_euclidean, procrustes)"
-                )
-            loss = params.get("loss", "log_euclidean")
-            if loss not in _LOSS_TAGS:
-                raise ConfigError(
-                    f"[models] roster: unknown loss {loss!r} (mse, log_euclidean)"
-                )
-            params["metric"] = metric
-            params["loss"] = loss
-            name = params.pop("name", f"geohar_{_SHORT[metric]}_{_SHORT[loss]}")
-        else:
-            raise ConfigError(
-                f"[models] roster: unknown model kind {kind!r} "
-                f"(rw, favar, respdnet, geohar)"
-            )
-        specs.append(ModelSpec(kind, name, params))
-    if not specs:
-        raise ConfigError("[models] roster: no models specified")
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"[models] roster: duplicate model names {names}")
-    return specs
-
-
 class _Invalid(ValueError):
     """A bad config value; :func:`load_config` reports it as ``[section] key: <message>``."""
 
 
-def _parser(convert, expected: str):
+def _parser(convert, problem: str):
+    """Parse with ``convert``; a value it rejects is ``problem``, formatted with the value."""
+
     def parse(raw: str):
         try:
             return convert(raw)
         except (KeyError, ValueError):
-            raise _Invalid(f"expected {expected}, got {raw!r}") from None
+            raise _Invalid(problem.format(raw)) from None
 
     return parse
 
 
 _FLAGS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
-_INT = _parser(int, "an integer")
-_REAL = _parser(float, "a number")
-_FLAG = _parser(lambda raw: _FLAGS[raw.strip().lower()], "a boolean")
-_AUTO_OR_INT = _parser(lambda raw: None if raw == "auto" else int(raw), "'auto' or an integer")
+_INT = _parser(int, "expected an integer, got {!r}")
+_REAL = _parser(float, "expected a number, got {!r}")
+_FLAG = _parser(lambda raw: _FLAGS[raw.strip().lower()], "expected a boolean, got {!r}")
+
+
+def _auto_or_int(raw: str) -> int | None:
+    return None if raw == "auto" else int(raw)
+
+
+_AUTO_OR_INT = _parser(_auto_or_int, "expected 'auto' or an integer, got {!r}")
 
 
 def _hidden(raw: str) -> tuple[int, ...] | None:
@@ -243,10 +180,75 @@ def _in_open_unit(v: float) -> str | None:
     return None if 0.0 < v < 1.0 else f"must be in (0, 1), got {v}"
 
 
+def _value(raw: str | None, parse, check):
+    """``raw`` parsed (None stays None) and checked; a problem raises :class:`_Invalid`."""
+    value = None if raw is None else parse(raw)
+    problem = check(value) if check else None
+    if problem:
+        raise _Invalid(problem)
+    return value
+
+
 def _source(v: str) -> str | None:
     if v in ("simulate", "matbin", "csvlong", "intraday"):
         return None
     return f"expected simulate, matbin, csvlong, or intraday, got {v!r}"
+
+
+def _one_of(what: str, *options: str):
+    return _parser(lambda raw: options[options.index(raw)],
+                   f"unknown {what} {{!r}} ({', '.join(options)})")
+
+
+_LOSS = _one_of("loss", LOSS_MSE, LOSS_LOG_EUCLIDEAN)
+_METRIC = _one_of("metric", METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
+_FACTORS = _parser(_auto_or_int, "favar factors must be an integer or 'auto', got {!r}")
+_LAGS = _parser(int, "respdnet lags must be an integer")
+
+
+def _parse_roster(raw: str) -> list[ModelSpec]:
+    """``kind[:key=value]...`` entries, comma-separated; each kind's keys are in :data:`_KINDS`."""
+    specs: list[ModelSpec] = []
+    for chunk in raw.split(","):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        kind, *parts = chunk.split(":")
+        kind = kind.strip().lower()
+        given: dict[str, str] = {}
+        for part in parts:
+            if "=" not in part:
+                raise ConfigError(
+                    f"[models] roster: expected key=value in {chunk!r}, got {part!r}"
+                )
+            key, value = part.split("=", 1)
+            given[key.strip()] = value.strip()
+        if kind not in _KINDS:
+            raise ConfigError(
+                f"[models] roster: unknown model kind {kind!r} ({', '.join(_KINDS)})"
+            )
+        keys, pattern, _ = _KINDS[kind]
+        name = given.pop("name", None)
+        unknown = [key for key in given if key not in keys]
+        if unknown:
+            raise ConfigError(
+                f"[models] roster: unknown {kind} parameter {unknown[0]!r} "
+                f"(known: {', '.join([*keys, 'name'])})"
+            )
+        try:
+            params = {key: _value(given.get(key, default), parse, check)
+                      for key, (parse, default, check) in keys.items()}
+        except _Invalid as exc:
+            raise ConfigError(f"[models] roster: {exc}") from None
+        if name is None:
+            name = pattern.format(**{key: _SHORT.get(v, v) for key, v in params.items()})
+        specs.append(ModelSpec(kind, name, params))
+    if not specs:
+        raise ConfigError("[models] roster: no models specified")
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"[models] roster: duplicate model names {names}")
+    return specs
 
 
 # (section, key, RunConfig field, parse, default, check).  An absent or empty
@@ -296,7 +298,8 @@ def load_config(
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    raw_text = path.read_text()
+    with _open_text(path, None, ConfigError) as fh:
+        raw_text = fh.read()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(raw_text, source=str(path))
@@ -321,14 +324,10 @@ def load_config(
         raise ConfigError(f"--workers: must be >= 1, got {workers_override}")
     values = {}
     for section, key, name, parse, default, check in _KEYS:
-        raw = given[section].get(key) or default
         try:
-            values[name] = None if raw is None else parse(raw)
-            problem = check(values[name]) if check else None
+            values[name] = _value(given[section].get(key) or default, parse, check)
         except _Invalid as exc:
-            problem = str(exc)
-        if problem:
-            raise ConfigError(f"[{section}] {key}: {problem}")
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
 
     # Rules that tie several keys together.
     source, n, df = values["source"], values["sim_n"], values["sim_df"]
@@ -371,12 +370,12 @@ def _model_seed(run_seed: int, model_name: str, fit_index: int = 0) -> int:
 
 
 @contextmanager
-def _reading(key: str, path: Path):
-    """Report an unreadable ``[data] <key>`` file as a :class:`DataFileError`."""
+def _reading(setting: str, path: Path):
+    """Report an unreadable file, named by its ``[section] key``, as a :class:`DataFileError`."""
     try:
         yield
     except OSError as exc:
-        raise DataFileError(f"[data] {key}: cannot read {path}: {exc.strerror or exc}") from exc
+        raise DataFileError(f"{setting}: cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def resolve_series(cfg: RunConfig) -> tuple[CovSeries, np.ndarray | None, list[str]]:
@@ -385,24 +384,18 @@ def resolve_series(cfg: RunConfig) -> tuple[CovSeries, np.ndarray | None, list[s
         series, returns = simulate_market(
             cfg.sim_n, cfg.sim_days, cfg.sim_persistence, cfg.sim_df, cfg.seed
         )
-        tickers = [f"A{i:02d}" for i in range(cfg.sim_n)]
-        return series, returns, tickers
+        return series, returns, [f"A{i:02d}" for i in range(cfg.sim_n)]
     if cfg.source in (FORMAT_MATBIN, FORMAT_CSVLONG):
-        with _reading("path", cfg.data_path):
+        with _reading("[data] path", cfg.data_path):
             series = load_series(cfg.data_path, cfg.source)
         returns, tickers = None, [f"A{i:02d}" for i in range(series.dim)]
         if cfg.returns_path is not None:
-            with _reading("returns", cfg.returns_path):
-                dates, returns, tickers = _read_returns_csv(cfg.returns_path)
-            lookup = {d: i for i, d in enumerate(dates)}
-            rows = []
-            for d in series.dates:
-                if d not in lookup:
-                    raise ConfigError(f"[data] returns: no return row for date {d}")
-                rows.append(returns[lookup[d]])
-            returns = np.asarray(rows)
+            with _reading("[data] returns", cfg.returns_path):
+                dates, returns, tickers = _read_dated_csv(cfg.returns_path, "returns")
+            returns = returns[_rows_of(dates, series.dates, lambda count, first: ConfigError(
+                f"[data] returns: no return row for date {first}"))]
         return series, returns, tickers
-    with _reading("path", cfg.data_path):
+    with _reading("[data] path", cfg.data_path):
         panel = load_intraday_csv(cfg.data_path, cfg.grid_seconds)
     series = realized_series(panel)
     daily = np.stack([r.sum(axis=0) for r in panel.returns])
@@ -422,7 +415,7 @@ def _data_key(cfg: RunConfig) -> str:
                   np.__version__]
     else:
         digest = hashlib.sha256()
-        with _reading("path", cfg.data_path), open(cfg.data_path, "rb") as fh:
+        with _reading("[data] path", cfg.data_path), open(cfg.data_path, "rb") as fh:
             for block in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(block)
         inputs = [cfg.grid_seconds, digest.hexdigest()]
@@ -452,32 +445,52 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _dated_rows(dates: np.ndarray, values: np.ndarray):
-    """``date, v_1, ..., v_k`` rows, the values to 17 significant digits."""
-    return ([str(d)] + [f"{x:.17g}" for x in row] for d, row in zip(dates, values))
+def _write_dated_csv(path: Path, columns: list[str], dates: np.ndarray, values: np.ndarray) -> None:
+    """A ``date,<columns>`` file, the values to 17 significant digits."""
+    _write_csv(path, ["date", *columns],
+               ([str(d)] + [f"{x:.17g}" for x in row] for d, row in zip(dates, values)))
 
 
-def _read_returns_csv(path: Path) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Dates, daily returns and tickers of a ``date,<tickers>`` file.
+def _read_dated_csv(
+    path: Path, what: str, columns: list[str] | None = None
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Dates, values and column names of a ``date,<columns>`` file of ``what``.
 
-    A malformed file raises :class:`SeriesFormatError` naming ``path:line``.
+    ``columns`` are the names the file must have; None takes any (a returns
+    file's tickers).  A malformed file raises :class:`SeriesFormatError`
+    naming ``path:line``.
     """
-    with open(path, newline="") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[0] != "date" or len(header) < 2:
-            raise SeriesFormatError(f"returns file {path}:1: expected header date,<tickers>")
-        tickers = header[1:]
+        if not header or header[0] != "date" or len(header) < 2 or (
+            columns is not None and header[1:] != columns
+        ):
+            expected = ",".join(columns or ["<tickers>"])
+            raise SeriesFormatError(f"{what} file {path}:1: expected header date,{expected}")
         dates, rows = [], []
         for lineno, rec in enumerate(reader, start=2):
             if len(rec) != len(header):
-                raise SeriesFormatError(f"returns file {path}:{lineno}: wrong field count")
+                raise SeriesFormatError(f"{what} file {path}:{lineno}: wrong field count")
             try:
                 dates.append(np.datetime64(rec[0], "D"))
                 rows.append([float(x) for x in rec[1:]])
             except ValueError as exc:
-                raise SeriesFormatError(f"returns file {path}:{lineno}: {exc}") from None
-    return np.array(dates, dtype="datetime64[D]"), np.asarray(rows), tickers
+                raise SeriesFormatError(f"{what} file {path}:{lineno}: {exc}") from None
+    return np.array(dates, dtype="datetime64[D]"), np.asarray(rows), header[1:]
+
+
+def _rows_of(dates: np.ndarray, wanted: np.ndarray, missing=None) -> np.ndarray:
+    """The row of each wanted date in ``dates`` (of a repeated date, the last).
+
+    If ``dates`` lacks some, raises ``missing(count, first absent date)``;
+    None when every wanted date is known to be there.
+    """
+    absent = wanted[~np.isin(wanted, dates)]
+    if len(absent):
+        raise missing(len(absent), absent[0])
+    order = np.argsort(dates, kind="stable")
+    return order[np.searchsorted(dates[order], wanted, side="right") - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -501,12 +514,15 @@ class _Forecaster:
     and ``fits`` holds the ``(fit_index, TrainResult)`` of each trained fit.
     """
 
-    name: str
     min_history: int
     trainable = True
     refit_every_window = False
     fit_count = 0
     fits: Sequence[tuple[int, TrainResult]] = ()
+
+    def __init__(self, name: str, cfg: RunConfig):
+        self.name = name
+        self.run_cfg = cfg
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         pass
@@ -525,25 +541,22 @@ class _RwForecaster(_Forecaster):
     min_history = 1
     trainable = False
 
-    def __init__(self, name: str):
-        self.name = name
-
     def predict(self, series: CovSeries, t: int) -> SpdMatrix:
         return forecast_rw(series, t)
 
 
 class _FavarForecaster(_Forecaster):
-    min_history = 3
     refit_every_window = True
 
-    def __init__(self, name: str, factors):
-        self.name = name
-        self.factors = factors
+    def __init__(self, name: str, cfg: RunConfig, factors: int | None = None):
+        super().__init__(name, cfg)
+        self.factors = factors  # None: favar_fit's default count, at least 1
+        # A fit needs more than factors + 1 training days.
+        self.min_history = (factors or 1) + 1
         self.model = None
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
-        n_factors = None if self.factors == "auto" or self.factors is None else self.factors
-        self.model = favar_fit(series, n_factors, train_slice)
+        self.model = favar_fit(series, self.factors, train_slice)
 
     def predict(self, series: CovSeries, t: int) -> SpdMatrix:
         return favar_forecast(self.model, series, t)
@@ -554,26 +567,21 @@ _PREDICT_CHUNK = 256
 
 
 class _NetForecaster(_Forecaster):
+    """A network on block diagonals of ``input_blocks`` n x n matrices: those of a
+    window's training pairs from ``_build_supervised``, of a date from ``_build_input``."""
+
+    input_blocks: int
+
     def __init__(self, name: str, cfg: RunConfig, loss: str):
-        self.name = name
-        self.run_cfg = cfg
+        super().__init__(name, cfg)
         self.loss = loss
         self.net: Network | None = None
         self.fits: list[tuple[int, TrainResult]] = []
 
-    def _build_supervised(self, series: CovSeries, train_slice: slice):
-        raise NotImplementedError
-
-    def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
-        raise NotImplementedError
-
-    def _input_dim(self, n: int) -> int:
-        raise NotImplementedError
-
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         cfg = self.run_cfg
         n = series.dim
-        input_dim = self._input_dim(n)
+        input_dim = self.input_blocks * n
         if cfg.hidden is None:
             spec = NetworkSpec.default(input_dim, n, cfg.eps_rectify)
         else:
@@ -615,10 +623,8 @@ class _RespdnetForecaster(_NetForecaster):
     def __init__(self, name: str, cfg: RunConfig, lags: int, loss: str):
         super().__init__(name, cfg, loss)
         self.lags = lags
+        self.input_blocks = lags
         self.min_history = lags
-
-    def _input_dim(self, n: int) -> int:
-        return self.lags * n
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_lagged_inputs(series.subseries(train_slice), self.lags)
@@ -628,15 +634,13 @@ class _RespdnetForecaster(_NetForecaster):
 
 
 class _GeoharForecaster(_NetForecaster):
+    input_blocks = 3  # the daily, weekly and monthly means
     min_history = 22
 
     def __init__(self, name: str, cfg: RunConfig, metric: str, loss: str):
         super().__init__(name, cfg, loss)
         self.metric = metric
         self.frechet_cfg = FrechetConfig(metric=metric)
-
-    def _input_dim(self, n: int) -> int:
-        return 3 * n
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_geohar_inputs(series.subseries(train_slice), self.metric, self.frechet_cfg)
@@ -645,20 +649,26 @@ class _GeoharForecaster(_NetForecaster):
         return har_input(series, t, self.frechet_cfg)
 
 
+# kind: ({key: (parse, default, check)}, default name, forecaster class).
+# Parameters are parsed and checked like _KEYS values, an absent key taking the
+# default; a problem's message follows "[models] roster: ".  The default name
+# formats the parsed values, shortened by _SHORT.  Every kind also takes name.
+_KINDS = {
+    "rw": ({}, "rw", _RwForecaster),
+    "favar": ({"factors": (_FACTORS, "auto", lambda v: None if v is None or v >= 1
+                           else f"favar factors must be >= 1, got {v}")},
+              "favar", _FavarForecaster),
+    "respdnet": ({"lags": (_LAGS, "3", lambda v: None if v >= 1 else "respdnet lags must be >= 1"),
+                  "loss": (_LOSS, LOSS_LOG_EUCLIDEAN, None)},
+                 "respdnet{lags}_{loss}", _RespdnetForecaster),
+    "geohar": ({"metric": (_METRIC, METRIC_LOG_EUCLIDEAN, None),
+                "loss": (_LOSS, LOSS_LOG_EUCLIDEAN, None)},
+               "geohar_{metric}_{loss}", _GeoharForecaster),
+}
+
+
 def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
-    if spec.kind == "rw":
-        return _RwForecaster(spec.name)
-    if spec.kind == "favar":
-        return _FavarForecaster(spec.name, spec.params.get("factors", "auto"))
-    if spec.kind == "respdnet":
-        return _RespdnetForecaster(
-            spec.name, cfg, spec.params["lags"], _LOSS_TAGS[spec.params["loss"]]
-        )
-    if spec.kind == "geohar":
-        return _GeoharForecaster(
-            spec.name, cfg, _METRIC_TAGS[spec.params["metric"]], _LOSS_TAGS[spec.params["loss"]]
-        )
-    raise ConfigError(f"unknown model kind {spec.kind!r}")
+    return _KINDS[spec.kind][2](spec.name, cfg, **spec.params)
 
 
 @dataclass
@@ -702,7 +712,6 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
                 dates.append(series.dates[t])
         pending.clear()
 
-    trainable = forecaster.trainable
     fitted = False
     for window_index, (train_slice, t) in enumerate(rolling_windows(series, cfg.window)):
         refit_due = (
@@ -710,7 +719,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             or forecaster.refit_every_window
             or (cfg.refit_every > 0 and window_index % cfg.refit_every == 0)
         )
-        if trainable and refit_due:
+        if forecaster.trainable and refit_due:
             predict_pending()
             try:
                 forecaster.fit(
@@ -725,11 +734,6 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
         pending.append(t)
     predict_pending()
     return ModelRunResult(spec.name, dates, predictions, failures, list(forecaster.fits))
-
-
-def _run_model_job(args: tuple) -> ModelRunResult:
-    spec, cfg, series = args
-    return run_model(spec, cfg, series)
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +782,7 @@ def _run_data_stage(cfg: RunConfig, command: str) -> tuple[CovSeries, list[str]]
     series, returns, tickers = resolve_series(cfg)
     (cfg.out_dir / "data").mkdir(parents=True, exist_ok=True)
     save_series(series, cfg.out_dir / _SERIES_FILE, FORMAT_MATBIN)
-    _write_csv(cfg.out_dir / _RETURNS_FILE, ["date", *tickers], _dated_rows(series.dates, returns))
+    _write_dated_csv(cfg.out_dir / _RETURNS_FILE, tickers, series.dates, returns)
     _write_manifest(cfg, command, {"series": _SERIES_FILE, "returns": _RETURNS_FILE},
                     data_key=key)
     return series, tickers
@@ -826,26 +830,22 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
             f"{len(series)}"
         )
     out = cfg.out_dir
-    (out / "forecasts").mkdir(parents=True, exist_ok=True)
-    (out / "data").mkdir(parents=True, exist_ok=True)
-    (out / "train").mkdir(parents=True, exist_ok=True)
+    for sub in ("forecasts", "data", "train"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
 
-    test_positions = list(range(cfg.window, len(series)))
-    realized = CovSeries(series.dates[cfg.window :], [series.matrices[t] for t in test_positions])
+    realized = series.subseries(slice(cfg.window, None))
     save_series(realized, out / "data" / "realized.matbin", FORMAT_MATBIN)
     if returns is not None:
         _forget_data_stages(cfg)
-        _write_csv(out / _RETURNS_FILE, ["date", *tickers], _dated_rows(series.dates, returns))
+        _write_dated_csv(out / _RETURNS_FILE, tickers, series.dates, returns)
 
-    jobs = [(spec, cfg, series) for spec in cfg.roster]
-    if cfg.workers > 1 and len(jobs) > 1:
+    if cfg.workers > 1 and len(cfg.roster) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_run_model_job, jobs))
+            results = list(pool.map(run_model, cfg.roster, repeat(cfg), repeat(series)))
     else:
-        results = [_run_model_job(job) for job in jobs]
+        results = [run_model(spec, cfg, series) for spec in cfg.roster]
 
     artifacts: dict[str, str] = {"realized": "data/realized.matbin"}
-    failed_models: list[str] = []
     failure_rows: list[tuple[str, str, str]] = []
     training: dict[str, dict[str, int]] = {}
     for result in results:
@@ -859,7 +859,6 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
                 "floored_targets": sum(f.floored_target_count for f in fits),
             }
         if not result.dates:
-            failed_models.append(result.name)
             log.error("model %s produced no forecasts", result.name)
             continue
         run_series = CovSeries(np.array(result.dates, dtype="datetime64[D]"),
@@ -873,7 +872,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
         log.warning("%d window failures recorded", len(failure_rows))
     _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from,
                     training=training)
-    return 1 if failed_models else 0
+    return 1 if any(not result.dates for result in results) else 0
 
 
 def _load_forecast_runs(cfg: RunConfig) -> tuple[list[ForecastRun], CovSeries]:
@@ -891,26 +890,28 @@ def _load_forecast_runs(cfg: RunConfig) -> tuple[list[ForecastRun], CovSeries]:
         available.append((spec.name, load_series(path, FORMAT_MATBIN)))
     if not available:
         raise ConfigError("no forecast files found; run train-forecast first")
-    common = set(str(d) for d in realized.dates)
-    for _, fseries in available:
-        common &= set(str(d) for d in fseries.dates)
-    if not common:
+    common_dates = functools.reduce(np.intersect1d, (f.dates for _, f in available), realized.dates)
+    if not len(common_dates):
         raise ConfigError("forecast files share no common dates")
-    common_dates = np.array(sorted(common), dtype="datetime64[D]")
-    realized_lookup = {str(d): m for d, m in zip(realized.dates, realized.matrices)}
-    realized_mats = [realized_lookup[str(d)] for d in common_dates]
+    realized_mats = [realized.matrices[i] for i in _rows_of(realized.dates, common_dates)]
     for name, fseries in available:
-        lookup = {str(d): m for d, m in zip(fseries.dates, fseries.matrices)}
-        runs.append(
-            ForecastRun(name, common_dates, [lookup[str(d)] for d in common_dates], realized_mats)
-        )
+        predicted = [fseries.matrices[i] for i in _rows_of(fseries.dates, common_dates)]
+        runs.append(ForecastRun(name, common_dates, predicted, realized_mats))
         dropped = len(fseries) - len(common_dates)
         if dropped:
             log.info("model %s: %d dates outside the common panel", name, dropped)
     return runs, CovSeries(common_dates, realized_mats)
 
 
-def _write_loss_table(path: Path, panel, result) -> None:
+def _write_loss_table(path: Path, panel: LossPanel, cfg: RunConfig) -> None:
+    """Average losses and the MCS; a panel within one bootstrap block keeps all, at p = 1."""
+    n_obs = len(panel.dates)
+    block = cfg.block_len if cfg.block_len is not None else default_block_len(n_obs)
+    if n_obs <= block:
+        result = McsResult(set(panel.models), {m: 1.0 for m in panel.models}, cfg.alpha,
+                           cfg.replicates, block, [])
+    else:
+        result = mcs(panel, cfg.alpha, cfg.replicates, cfg.block_len, cfg.seed)
     order = {name: i for i, name in enumerate(result.elimination_order)}
     means = panel.losses.mean(axis=0)
     _write_csv(
@@ -920,17 +921,6 @@ def _write_loss_table(path: Path, panel, result) -> None:
           int(name in result.surviving), order.get(name, "")]
          for i, name in enumerate(panel.models)),
     )
-
-
-def _mcs_or_trivial(panel, cfg: RunConfig, seed: int):
-    n_obs = panel.losses.shape[0]
-    block = cfg.block_len if cfg.block_len is not None else default_block_len(n_obs)
-    if len(panel.models) == 1 or n_obs <= block:
-        return McsResult(
-            set(panel.models), {m: 1.0 for m in panel.models}, cfg.alpha,
-            cfg.replicates, block, [],
-        )
-    return mcs(panel, cfg.alpha, cfg.replicates, cfg.block_len, seed)
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -948,74 +938,50 @@ def cmd_evaluate(cfg: RunConfig) -> int:
                 f"[evaluate] market_variance: expected 'trace' or a CSV path, "
                 f"got {cfg.market_variance!r}"
             )
-        lookup = {}
-        with open(proxy_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["date", "value"]:
-                raise ConfigError(f"{proxy_path}: expected header date,value")
-            for lineno, rec in enumerate(reader, start=2):
-                try:
-                    lookup[rec[0]] = float(rec[1])
-                except (IndexError, ValueError) as exc:
-                    raise ConfigError(f"{proxy_path}:{lineno}: {exc}") from None
-        missing = [str(d) for d in realized.dates if str(d) not in lookup]
-        if missing:
-            raise ConfigError(
-                f"[evaluate] market_variance: {len(missing)} evaluation dates missing "
-                f"from {proxy_path} (first: {missing[0]})"
-            )
-        proxy = np.array([lookup[str(d)] for d in realized.dates])
+        with _reading("[evaluate] market_variance", proxy_path):
+            dates, values, _ = _read_dated_csv(proxy_path, "market_variance", ["value"])
+        proxy = values[_rows_of(dates, realized.dates, lambda count, first: ConfigError(
+            f"[evaluate] market_variance: {count} evaluation dates missing "
+            f"from {proxy_path} (first: {first})")), 0]
 
-    calm, turbulent = regime_split(proxy, realized.dates, cfg.regime_quantile)
-    turbulent_set = set(str(d) for d in turbulent)
+    _, turbulent = regime_split(proxy, realized.dates, cfg.regime_quantile)
+    turbulent_days = np.isin(realized.dates, turbulent)
     _write_csv(
         eval_dir / "regime_labels.csv",
         ["date", "label"],
-        ([str(d), "turbulent" if str(d) in turbulent_set else "calm"] for d in realized.dates),
+        ([str(d), "turbulent" if t else "calm"] for d, t in zip(realized.dates, turbulent_days)),
     )
 
     artifacts = {"regime_labels": "eval/regime_labels.csv"}
+    # The panel's dates are the realized ones: all days, then each regime.
+    subsets = (("", np.ones_like(turbulent_days)), ("_calm", ~turbulent_days),
+               ("_turbulent", turbulent_days))
     for metric in cfg.metrics:
         panel = loss_panel(runs, metric)
-        result = _mcs_or_trivial(panel, cfg, cfg.seed)
-        _write_loss_table(eval_dir / f"losses_{metric}.csv", panel, result)
-        artifacts[f"losses_{metric}"] = f"eval/losses_{metric}.csv"
-        for label, dates in (("calm", calm), ("turbulent", turbulent)):
-            mask = np.isin(panel.dates, dates)
-            if not mask.any():
-                log.info("regime %s is empty under metric %s", label, metric)
+        for suffix, days in subsets:
+            if not days.any():
+                log.info("regime %s is empty under metric %s", suffix[1:], metric)
                 continue
-            sub = LossPanel(list(panel.models), panel.dates[mask], panel.losses[mask])
-            sub_result = _mcs_or_trivial(sub, cfg, cfg.seed)
-            _write_loss_table(eval_dir / f"losses_{metric}_{label}.csv", sub, sub_result)
-            artifacts[f"losses_{metric}_{label}"] = f"eval/losses_{metric}_{label}.csv"
+            sub = LossPanel(list(panel.models), panel.dates[days], panel.losses[days])
+            name = f"losses_{metric}{suffix}"
+            _write_loss_table(eval_dir / f"{name}.csv", sub, cfg)
+            artifacts[name] = f"eval/{name}.csv"
     _write_manifest(cfg, "evaluate", artifacts)
     return 0
 
 
 def _portfolio_returns_matrix(cfg: RunConfig, dates: np.ndarray) -> np.ndarray:
     """Daily returns on ``dates``: the ``[data] returns`` file if set, else ``data/returns.csv``."""
-    if cfg.returns_path is not None:
-        path = cfg.returns_path
-        with _reading("returns", path):
-            rdates, returns, _ = _read_returns_csv(path)
-    else:
-        path = cfg.out_dir / _RETURNS_FILE
-        if not path.exists():
-            raise ConfigError(
-                "no daily returns available: set [data] returns or run a source that "
-                "produces data/returns.csv"
-            )
-        rdates, returns, _ = _read_returns_csv(path)
-    lookup = {str(d): i for i, d in enumerate(rdates)}
-    missing = [str(d) for d in dates if str(d) not in lookup]
-    if missing:
+    path = cfg.returns_path or cfg.out_dir / _RETURNS_FILE
+    if cfg.returns_path is None and not path.exists():
         raise ConfigError(
-            f"returns file {path} is missing {len(missing)} forecast dates "
-            f"(first: {missing[0]})"
+            "no daily returns available: set [data] returns or run a source that "
+            "produces data/returns.csv"
         )
-    return np.stack([returns[lookup[str(d)]] for d in dates])
+    with _reading("[data] returns", path):
+        rdates, returns, _ = _read_dated_csv(path, "returns")
+    return returns[_rows_of(rdates, dates, lambda count, first: ConfigError(
+        f"returns file {path} is missing {count} forecast dates (first: {first})"))]
 
 
 def cmd_portfolio(cfg: RunConfig) -> int:
@@ -1041,14 +1007,11 @@ def cmd_portfolio(cfg: RunConfig) -> int:
             path = WeightPath(realized.dates, weights)
             report = evaluate_portfolio(path, returns)
             rows.append((run.model, variant, report.annualized_std, report.avg_turnover))
-            weight_file = port_dir / f"weights_{run.model}_{variant}.csv"
-            _write_csv(weight_file, ["date"] + [f"w_{i}" for i in range(weights.shape[1])],
-                       _dated_rows(realized.dates, weights))
-            artifacts[f"weights_{run.model}_{variant}"] = str(
-                weight_file.relative_to(cfg.out_dir)
-            )
-    n_assets = realized.dim
-    naive = np.tile(naive_weights(n_assets), (len(realized.dates), 1))
+            name = f"weights_{run.model}_{variant}"
+            _write_dated_csv(port_dir / f"{name}.csv", [f"w_{i}" for i in range(weights.shape[1])],
+                             realized.dates, weights)
+            artifacts[name] = f"portfolio/{name}.csv"
+    naive = np.tile(naive_weights(realized.dim), (len(realized.dates), 1))
     naive_report = evaluate_portfolio(WeightPath(realized.dates, naive), returns)
     rows.append(("naive", "static", naive_report.annualized_std, naive_report.avg_turnover))
 
@@ -1062,19 +1025,14 @@ def cmd_portfolio(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_csv_table(path: Path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def _markdown_table(rows: list[list[str]]) -> str:
+def _markdown_table(path: Path) -> str:
+    """The CSV file at ``path`` as a markdown table."""
+    with _open_text(path) as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         return "(empty)\n"
-    header, *body = rows
-    out = ["| " + " | ".join(header) + " |", "|" + "---|" * len(header)]
-    for row in body:
-        out.append("| " + " | ".join(row) + " |")
-    return "\n".join(out) + "\n"
+    lines = ["| " + " | ".join(row) + " |" for row in rows]
+    return "\n".join([lines[0], "|" + "---|" * len(rows[0]), *lines[1:]]) + "\n"
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -1087,26 +1045,18 @@ def cmd_report(cfg: RunConfig) -> int:
         f"- models: {', '.join(s.name for s in cfg.roster)}",
         "",
     ]
-    found = False
-    for metric in cfg.metrics:
-        for suffix, title in (("", "all days"), ("_calm", "calm days"),
-                              ("_turbulent", "turbulent days")):
-            path = cfg.out_dir / "eval" / f"losses_{metric}{suffix}.csv"
-            if path.exists():
-                found = True
-                lines.append(f"## {metric} ({title})")
-                lines.append("")
-                lines.append(_markdown_table(_read_csv_table(path)))
-    port = cfg.out_dir / "portfolio" / "report.csv"
-    if port.exists():
-        found = True
-        lines.append("## Portfolios")
-        lines.append("")
-        lines.append(_markdown_table(_read_csv_table(port)))
-    if not found:
+    tables = [(f"{metric} ({title})", cfg.out_dir / "eval" / f"losses_{metric}{suffix}.csv")
+              for metric in cfg.metrics
+              for suffix, title in (("", "all days"), ("_calm", "calm days"),
+                                    ("_turbulent", "turbulent days"))]
+    tables.append(("Portfolios", cfg.out_dir / "portfolio" / "report.csv"))
+    tables = [(title, path) for title, path in tables if path.exists()]
+    if not tables:
         raise ConfigError(
             f"nothing to report under {cfg.out_dir}; run evaluate or portfolio first"
         )
+    for title, path in tables:
+        lines += [f"## {title}", "", _markdown_table(path)]
     report_path = cfg.out_dir / "report.md"
     report_path.write_text("\n".join(lines))
     _write_manifest(cfg, "report", {"report": "report.md"})

@@ -6,6 +6,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdcast import (
     ConfigError,
@@ -887,3 +889,211 @@ class TestMissingDates:
         assert self.run_cli("evaluate", path) == 2
         assert capsys.readouterr().err == (
             "spdcast: config error: forecast files share no common dates\n")
+
+
+class TestRosterValidation:
+    """Each kind takes only its own parameters, and FAVAR's factor count is
+    checked before a fit can fail on it."""
+
+    @pytest.mark.parametrize("roster, message", [
+        ("geohar:metrc=procrustes", "unknown geohar parameter 'metrc' (known: metric, loss, name)"),
+        ("rw:lags=4", "unknown rw parameter 'lags' (known: name)"),
+        ("favar:factor=3", "unknown favar parameter 'factor' (known: factors, name)"),
+        ("rw, favar:factors=0", "favar factors must be >= 1, got 0"),
+        ("favar:factors=-2", "favar factors must be >= 1, got -2"),
+    ])
+    def test_rejected(self, roster, message):
+        with pytest.raises(ConfigError) as err:
+            _parse_roster(roster)
+        assert str(err.value) == f"[models] roster: {message}"
+
+    def test_parsed_parameters_and_default_names(self):
+        specs = _parse_roster("rw, favar, favar:factors=2:name=f2, respdnet:loss=mse, "
+                              "geohar:metric=procrustes")
+        assert [(s.kind, s.name, s.params) for s in specs] == [
+            ("rw", "rw", {}),
+            ("favar", "favar", {"factors": None}),
+            ("favar", "f2", {"factors": 2}),
+            ("respdnet", "respdnet3_mse", {"lags": 3, "loss": "mse"}),
+            ("geohar", "geohar_pro_le", {"metric": "procrustes", "loss": "log_euclidean"}),
+        ]
+
+    def test_zero_factors_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("favar:factors=2", "favar:factors=0"))
+        assert main(["train-forecast", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "spdcast: config error: [models] roster: favar factors must be >= 1, got 0\n")
+
+    def test_factors_that_leave_no_training_pairs_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("favar:factors=2", "favar:factors=39"))
+        assert main(["train-forecast", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "spdcast: config error: [forecast] window: 40 leaves no training pairs for model "
+            "'favar' (needs more than 40)\n")
+
+    @pytest.mark.parametrize("factors", [None, 1, 2, 5])
+    def test_min_history_is_what_a_fit_needs(self, tmp_path, factors):
+        cfg = load_config(write_config(tmp_path))
+        series, _ = simulate_market(3, 20, 0.8, 7, 1)
+        spec = ModelSpec("favar", "favar", {"factors": factors})
+        need = pipeline._make_forecaster(spec, cfg).min_history
+        baselines.favar_fit(series, factors, slice(0, need + 1))
+        with pytest.raises(ValueError):
+            baselines.favar_fit(series, factors, slice(0, need))
+
+
+class TestUtf8Inputs:
+    """An input file that is not UTF-8 is a typed error naming it."""
+
+    def run_cli(self, command, config_path):
+        return main([command, "--config", str(config_path)])
+
+    def test_tick_file(self, tmp_path, capsys):
+        ticks = tmp_path / "ticks.csv"
+        ticks.write_bytes(b"date,time,ticker,price\n2001-01-02,9:30,a\xffa,100.0\n")
+        config = tmp_path / "ingest.ini"
+        config.write_text(f"[run]\nout = {tmp_path / 'out'}\n\n"
+                          f"[data]\nsource = intraday\npath = {ticks}\n")
+        assert self.run_cli("ingest", config) == 1
+        assert capsys.readouterr().err == f"spdcast: {ticks}: not UTF-8 text (invalid start byte)\n"
+
+    def test_csvlong_series_file(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_bytes(b"date,row,col,value\n2001-01-02,0,0,1\xff\n")
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "source = simulate", f"source = csvlong\npath = {series}"))
+        assert self.run_cli("train-forecast", path) == 1
+        assert capsys.readouterr().err == f"spdcast: {series}: not UTF-8 text (invalid start byte)\n"
+
+    def test_returns_file(self, tmp_path, capsys):
+        returns = tmp_path / "returns.csv"
+        returns.write_bytes(b"date,A00,A01,A\xff02\n")
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("df = 7", f"df = 7\nreturns = {returns}"))
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 1
+        assert capsys.readouterr().err == (
+            f"spdcast: {returns}: not UTF-8 text (invalid start byte)\n")
+
+    def test_market_variance_file(self, tmp_path, capsys):
+        proxy = tmp_path / "proxy.csv"
+        proxy.write_bytes(b"date,value\n2000-01-03,\xff\n")
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "replicates = 120", f"replicates = 120\nmarket_variance = {proxy}"))
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 1
+        assert capsys.readouterr().err == f"spdcast: {proxy}: not UTF-8 text (invalid start byte)\n"
+
+    def test_config_file(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"seed = 5", b"seed = 5 # \xff"))
+        assert self.run_cli("simulate", path) == 2
+        assert capsys.readouterr().err == (
+            f"spdcast: config error: {path}: not UTF-8 text (invalid start byte)\n")
+
+
+class TestMarketVarianceFile:
+    """A ``date,value`` proxy defines the regimes as the realized traces do."""
+
+    def run_cli(self, command, config_path):
+        return main([command, "--config", str(config_path)])
+
+    def forecast(self, tmp_path):
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path) == 0
+        assert self.run_cli("train-forecast", path) == 0
+        return path, tmp_path / "out"
+
+    @staticmethod
+    def use_proxy(path, proxy):
+        path.write_text(path.read_text().replace(
+            "replicates = 120", f"replicates = 120\nmarket_variance = {proxy}", 1))
+
+    def test_file_of_traces_matches_trace(self, tmp_path):
+        path, out = self.forecast(tmp_path)
+        assert self.run_cli("evaluate", path) == 0
+        by_trace = {p.name: p.read_bytes() for p in (out / "eval").glob("*.csv")}
+        assert len(by_trace) == 4 and "losses_frobenius_turbulent.csv" in by_trace
+        for p in (out / "eval").glob("*.csv"):
+            p.unlink()
+        realized = load_series(out / "data" / "realized.matbin")
+        rows = [f"{d},{float(np.trace(m.data)):.17g}"
+                for d, m in zip(realized.dates, realized.matrices)]
+        # In another order, with a date the panel does not use.
+        rows = rows[::-1] + [f"{realized.dates[0] - 1},1e9"]
+        proxy = tmp_path / "proxy.csv"
+        proxy.write_text("date,value\n" + "\n".join(rows) + "\n")
+        self.use_proxy(path, proxy)
+        assert self.run_cli("evaluate", path) == 0
+        assert {p.name: p.read_bytes() for p in (out / "eval").glob("*.csv")} == by_trace
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path, _ = self.forecast(tmp_path)
+        absent = tmp_path / "absent.csv"
+        self.use_proxy(path, absent)
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 2
+        assert capsys.readouterr().err == (
+            f"spdcast: config error: [evaluate] market_variance: expected 'trace' or a CSV path, "
+            f"got '{absent}'\n")
+
+    def test_unreadable_file_exits_1(self, tmp_path, capsys):
+        path, _ = self.forecast(tmp_path)
+        folder = tmp_path / "proxy.csv"
+        folder.mkdir()
+        self.use_proxy(path, folder)
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 1
+        assert capsys.readouterr().err == (
+            f"spdcast: [evaluate] market_variance: cannot read {folder}: Is a directory\n")
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("date,value\n2000-01-03,1.0\n2000-01-04,high\n", 3,
+         "could not convert string to float: 'high'"),
+        ("date,value\n2000-01-03,1.0,2.0\n", 2, "wrong field count"),
+        ("date,level\n2000-01-03,1.0\n", 1, "expected header date,value"),
+        ("day,value\n", 1, "expected header date,value"),
+        ("", 1, "expected header date,value"),
+    ])
+    def test_malformed_file_exits_1_naming_its_line(self, tmp_path, capsys, text, line, reason):
+        path, _ = self.forecast(tmp_path)
+        proxy = tmp_path / "proxy.csv"
+        proxy.write_text(text)
+        self.use_proxy(path, proxy)
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 1
+        assert capsys.readouterr().err == f"spdcast: market_variance file {proxy}:{line}: {reason}\n"
+
+
+class TestOneModelEvaluation:
+    def test_single_model_keeps_itself_at_p_1(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace("rw, favar:factors=2", "rw"))
+        for command in ("simulate", "train-forecast", "evaluate"):
+            assert main([command, "--config", str(path)]) == 0
+        table = (tmp_path / "out" / "eval" / "losses_frobenius.csv").read_text().splitlines()
+        assert table[1].split(",")[0] == "rw" and table[1].split(",")[2:] == ["1", "1", ""]
+
+
+class TestRowsOf:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 30), max_size=40), st.lists(st.integers(0, 30), min_size=1,
+                                                               max_size=20))
+    def test_matches_a_dict_of_the_last_row(self, days, wanted_days):
+        dates = np.datetime64("2001-01-01") + np.array(days, dtype="timedelta64[D]")
+        wanted = np.datetime64("2001-01-01") + np.array(wanted_days, dtype="timedelta64[D]")
+        last = {d: i for i, d in enumerate(dates)}
+        absent = [d for d in wanted if d not in last]
+        if absent:
+            with pytest.raises(ConfigError) as err:
+                pipeline._rows_of(dates, wanted, lambda count, first: ConfigError((count, first)))
+            assert err.value.args[0] == (len(absent), absent[0])
+        else:
+            assert list(pipeline._rows_of(dates, wanted)) == [last[d] for d in wanted]
