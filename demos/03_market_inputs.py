@@ -18,8 +18,8 @@ def main():
     print("first date:", series.dates[0], " last:", series.dates[-1])
     print("returns panel shape:", returns.shape)
 
-    traces = [np.trace(m.data) for m in series.matrices]
-    print(f"trace range: {min(traces):.3f} .. {max(traces):.3f}")
+    traces = np.trace(series.data, axis1=1, axis2=2)  # series.data is (days, n, n)
+    print(f"trace range: {traces.min():.3f} .. {traces.max():.3f}")
 
     print()
     lagged = build_lagged_inputs(series, lags=3)
@@ -28,7 +28,7 @@ def main():
     print("first target date:", lagged.dates[0])
     # block 0 of the first input is yesterday's matrix for that target
     first = lagged.inputs[0].data
-    yesterday = series.matrices[2].data
+    yesterday = series[2].data
     print("top-left block equals most recent lag:",
           bool(np.allclose(first[:4, :4], yesterday)))
 

@@ -38,7 +38,7 @@ def main():
     print("fitting models on the first window...")
     favar = favar_fit(series, train=slice(0, WINDOW))
 
-    sup = build_lagged_inputs(series.subseries(slice(0, WINDOW)), LAGS)
+    sup = build_lagged_inputs(series[:WINDOW], LAGS)
     net = Network.init_random(NetworkSpec.default(LAGS * 4, 4), seed=2)
     result = train(net, sup.inputs, sup.targets,
                    TrainConfig(loss="log_euclidean", seed=2))
@@ -46,10 +46,10 @@ def main():
 
     losses = {"rw": [], "favar": [], "respdnet": []}
     for t in test_range:
-        actual = series.matrices[t]
+        actual = series[t]
         losses["rw"].append(dist_log_euclidean(forecast_rw(series, t), actual))
         losses["favar"].append(dist_log_euclidean(favar_forecast(favar, series, t), actual))
-        x = blockdiag_spd([series.matrices[t - j] for j in range(1, LAGS + 1)])
+        x = blockdiag_spd([series[t - j] for j in range(1, LAGS + 1)])
         losses["respdnet"].append(dist_log_euclidean(net.forward(x), actual))
 
     print()

@@ -35,7 +35,6 @@ from .data import (
 )
 from .evaluation import (
     METRICS,
-    ForecastRun,
     LossPanel,
     McsResult,
     block_bootstrap_indices,

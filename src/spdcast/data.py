@@ -22,23 +22,31 @@ import itertools
 import logging
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Hashable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError, SpdcastError
+from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError
 from .frechet import (
     METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
     FrechetConfig,
-    log_stack,
     mean_from_logs,
     mean_from_roots,
-    root_stack,
 )
-from .spd import SpdMatrix, _symmetrize, expm
+from .spd import (
+    SpdMatrix,
+    _check_records,
+    _freeze,
+    _symmetrize,
+    ensure_pd_values,
+    expm,
+    logm_stack,
+    sqrtm_stack,
+    validate_stack,
+)
 
 __all__ = [
     "FORMAT_MATBIN",
@@ -75,97 +83,81 @@ def _as_dates(dates: Sequence) -> np.ndarray:
     return arr
 
 
-def _build_stack(
-    build: Callable[[SpdMatrix], np.ndarray], matrices: list[SpdMatrix]
-) -> tuple[np.ndarray, dict[int, SpdcastError]]:
-    # One row per matrix.  A failed row is NaN, and its error is kept, by
-    # position in ascending order, for the windows that include its matrix.
-    rows: list[np.ndarray | None] = []
-    errors: dict[int, SpdcastError] = {}
-    for i, m in enumerate(matrices):
-        try:
-            rows.append(build(m))
-        except SpdcastError as exc:
-            rows.append(None)
-            errors[i] = exc
-    like = next((r for r in rows if r is not None), np.zeros(0))
-    return np.stack([np.full_like(like, np.nan) if r is None else r for r in rows]), errors
-
-
-@dataclass
 class CovSeries:
-    """Dated sequence of same-dimension SPD matrices, strictly increasing dates.
+    """Dated sequence of same-dimension PSD matrices, strictly increasing dates.
 
-    Per-matrix stacks (logarithms, square roots, Cholesky vectors) are built
-    once per series on first use and kept; see :meth:`stack`.
+    ``CovSeries(dates, data)`` validates a ``(T, n, n)`` array as
+    :class:`SpdMatrix` does, with one stacked ``eigh`` (given ``error``, a
+    rejected matrix t raises ``error(t, exc)``), and keeps the read-only
+    symmetrized ``data`` and its descending eigenvalue and eigenvector
+    stacks ``values`` and ``vectors``.  ``series[t]`` is a read-only
+    :class:`SpdMatrix` view of row t and ``series[rows]`` (a slice or an
+    index array) the series of those rows; neither decomposes anything
+    again.  Derived stacks are built once per series; see :meth:`stack`.
     """
 
-    dates: np.ndarray
-    matrices: list[SpdMatrix]
-    # (series whose stacks this one reads, offset into it): contiguous
-    # subseries share their parent's stacks instead of building their own.
-    _origin: tuple["CovSeries", int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _stacks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, dates: Sequence, data: np.ndarray,
+                 error: Callable[[int, Exception], Exception] | None = None) -> None:
+        try:
+            data = np.asarray(data, dtype=float)
+        except ValueError as exc:
+            raise DimensionMismatchError(f"series is not dimension-uniform: {exc}") from None
+        dates = _as_dates(dates)
+        if len(dates) != len(data):
+            raise SeriesFormatError(f"{len(dates)} dates but {len(data)} matrices")
+        self._set(dates, *validate_stack(data, error))
 
-    def __post_init__(self) -> None:
-        self.dates = _as_dates(self.dates)
-        self.matrices = list(self.matrices)
-        if len(self.dates) != len(self.matrices):
-            raise SeriesFormatError(
-                f"{len(self.dates)} dates but {len(self.matrices)} matrices"
-            )
-        if len(self.matrices) == 0:
+    def _set(self, dates: np.ndarray, *arrays: np.ndarray) -> "CovSeries":
+        if len(dates) == 0:
             raise SeriesFormatError("empty series")
-        if len(self.dates) > 1 and not np.all(self.dates[1:] > self.dates[:-1]):
+        if not np.all(dates[1:] > dates[:-1]):
             raise SeriesFormatError("dates must be strictly increasing")
-        dim = self.matrices[0].dim
-        for m in self.matrices:
-            if m.dim != dim:
-                raise DimensionMismatchError(
-                    f"series is not dimension-uniform: {m.dim} vs {dim}"
-                )
+        self.dates = dates
+        self.data, self.values, self.vectors = (_freeze(a) for a in arrays)
+        self._stacks: dict = {}
+        return self
+
+    @classmethod
+    def accepted(cls, dates: np.ndarray, data: np.ndarray) -> tuple["CovSeries | None", dict]:
+        """The series of the matrices in ``data`` that :class:`SpdMatrix` accepts, from one
+        stacked check, and the error of each it rejects, keyed by row in ascending order."""
+        *arrays, rejected = _check_records(np.asarray(data, dtype=float))
+        kept = np.delete(np.arange(len(data)), list(rejected))
+        if not len(kept):
+            return None, rejected
+        return object.__new__(cls)._set(dates[kept], *(a[kept] for a in arrays)), rejected
 
     def __len__(self) -> int:
-        return len(self.matrices)
+        return len(self.data)
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].dim
+        return self.data.shape[1]
 
-    def subseries(self, sl: slice) -> "CovSeries":
-        sub = CovSeries(self.dates[sl], self.matrices[sl])
-        positions = range(len(self))[sl]
-        if positions.step == 1:
-            root, offset = self._origin or (self, 0)
-            sub._origin = (root, offset + positions.start)
-        return sub
+    def __getitem__(self, key):
+        arrays = (self.data[key], self.values[key], self.vectors[key])
+        if isinstance(key, (int, np.integer)):
+            return SpdMatrix._view(*arrays)
+        return object.__new__(CovSeries)._set(self.dates[key], *arrays)
 
-    def stack(
-        self,
-        key: Hashable,
-        build: Callable[[SpdMatrix], np.ndarray],
-        rows: slice = slice(None),
-    ) -> np.ndarray:
-        """Rows ``rows`` of the stack of ``build(m)`` over the matrices, built once under ``key``.
+    def stack(self, kernel: Callable[["CovSeries"], tuple], rows: slice = slice(None)) -> np.ndarray:
+        """Rows ``rows`` of ``kernel(self)``'s stack, built once per series and kept.
 
-        A subseries reads its rows of its parent's stack.  If ``build`` raises
-        an :class:`SpdcastError` on some matrix, the call raises that error
-        whenever ``rows`` includes the matrix: a failure is attributed only
-        to the windows that contain it.
+        ``kernel`` returns the stack and, keyed by row in ascending order,
+        the :class:`SpdcastError` of each row it could not build.  The call
+        raises the first of those errors that ``rows`` holds: a failure is
+        attributed only to the windows that contain its matrix.
         """
-        root, offset = self._origin or (self, 0)
-        if key not in root._stacks:
-            root._stacks[key] = _build_stack(build, root.matrices)
-        values, errors = root._stacks[key]
-        wanted = range(offset, offset + len(self))[rows]
+        if kernel not in self._stacks:
+            self._stacks[kernel] = kernel(self)
+        values, errors = self._stacks[kernel]
+        wanted = range(len(self))[rows]
         for position, exc in errors.items():
             if position in wanted:
                 # Without the traceback of its last raise, which each raise
                 # would otherwise extend.
                 raise exc.with_traceback(None)
-        return values[offset : offset + len(self)][rows]
+        return values[rows]
 
 
 @dataclass
@@ -260,9 +252,19 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
         raise ValueError(f"series of length {len(series)} too short for {lags} lags")
     inputs, targets = [], []
     for t in range(lags, len(series)):
-        inputs.append(blockdiag_spd([series.matrices[t - j] for j in range(1, lags + 1)]))
-        targets.append(series.matrices[t])
+        inputs.append(blockdiag_spd([series[t - j] for j in range(1, lags + 1)]))
+        targets.append(series[t])
     return SupervisedSet(inputs, targets, series.dates[lags:])
+
+
+def _series_logs(series: CovSeries) -> tuple[np.ndarray, dict]:
+    """``logm(ensure_pd(m))`` of each matrix, the inputs of log-Euclidean means."""
+    return logm_stack(ensure_pd_values(series.values), series.vectors)
+
+
+def _series_roots(series: CovSeries) -> tuple[np.ndarray, dict]:
+    """``sqrtm_psd(m)`` of each matrix, the inputs of Procrustes means; none fails."""
+    return sqrtm_stack(series.values, series.vectors), {}
 
 
 def har_input(
@@ -274,11 +276,11 @@ def har_input(
 ) -> SpdMatrix:
     """Heterogeneous input at position t: yesterday, weekly mean, monthly mean.
 
-    Block-stacks ``series.matrices[t - 1]`` with the Fréchet means of the
+    Block-stacks ``series[t - 1]`` with the Fréchet means of the
     ``weekly_window`` and ``monthly_window`` matrices before t.  The means
-    read the last rows of the series' :func:`log_stack` (log-Euclidean) or
-    :func:`root_stack` (Procrustes), built once per series, so a matrix
-    whose decomposition failed raises here only if it is one of the
+    read the last rows of the series' stack of logarithms (log-Euclidean)
+    or square roots (Procrustes), built once per series, so a matrix
+    whose logarithm failed raises here only if it is one of the
     ``monthly_window`` before t.  A Procrustes mean that exhausts
     ``cfg.max_iters`` is used, and logged as a warning.
     """
@@ -286,11 +288,8 @@ def har_input(
         raise ValueError("windows must satisfy 1 <= weekly <= monthly")
     if not (monthly_window <= t <= len(series)):
         raise IndexError(f"t must be in [{monthly_window}, {len(series)}], got {t}")
-    rows = slice(t - monthly_window, t)
-    if cfg.metric == METRIC_LOG_EUCLIDEAN:
-        stack = series.stack("log", lambda m: log_stack([m])[0], rows)
-    else:
-        stack = series.stack("root", lambda m: root_stack([m])[0], rows)
+    kernel = _series_logs if cfg.metric == METRIC_LOG_EUCLIDEAN else _series_roots
+    stack = series.stack(kernel, slice(t - monthly_window, t))
 
     def mean(k: int) -> SpdMatrix:
         if cfg.metric == METRIC_LOG_EUCLIDEAN:
@@ -303,7 +302,7 @@ def har_input(
             )
         return result.mean
 
-    return blockdiag_spd([series.matrices[t - 1], mean(weekly_window), mean(monthly_window)])
+    return blockdiag_spd([series[t - 1], mean(weekly_window), mean(monthly_window)])
 
 
 def build_geohar_inputs(
@@ -312,30 +311,34 @@ def build_geohar_inputs(
     cfg: FrechetConfig | None = None,
     weekly_window: int = 5,
     monthly_window: int = 22,
+    train: slice | None = None,
 ) -> SupervisedSet:
-    """Supervised pairs of :func:`har_input` and the next matrix.
+    """Supervised pairs of :func:`har_input` and the next matrix, within ``train``.
 
     The input at position t block-stacks the matrix at t-1, the Fréchet
     mean of the ``weekly_window`` most recent matrices, and the mean of the
-    ``monthly_window`` most recent, under the chosen metric.  The means
-    read slices of one stack per series (see :func:`har_input`).
+    ``monthly_window`` most recent, under the chosen metric.  Only matrices
+    in ``train`` (default: the whole series) enter, so the first target is
+    ``monthly_window`` positions into it.  The means read rows of one stack
+    per series (see :func:`har_input`), so fits on overlapping windows take
+    each matrix's logarithm or root once.
     """
     if metric not in (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES):
         raise ValueError(f"unknown metric {metric!r}")
     if not (1 <= weekly_window <= monthly_window):
         raise ValueError("windows must satisfy 1 <= weekly <= monthly")
-    if len(series) <= monthly_window:
-        raise ValueError(
-            f"series of length {len(series)} too short for a {monthly_window}-day window"
-        )
+    window = range(len(series))[train or slice(None)]
+    if window.step != 1 or len(window) <= monthly_window:
+        raise ValueError(f"training window of length {len(window)} too short for a "
+                         f"{monthly_window}-day window")
     if cfg is None:
         cfg = FrechetConfig(metric=metric)
     elif cfg.metric != metric:
         raise ValueError("cfg.metric disagrees with the metric argument")
-    positions = range(monthly_window, len(series))
+    positions = window[monthly_window:]
     inputs = [har_input(series, t, cfg, weekly_window, monthly_window) for t in positions]
-    targets = [series.matrices[t] for t in positions]
-    return SupervisedSet(inputs, targets, series.dates[monthly_window:])
+    targets = [series[t] for t in positions]
+    return SupervisedSet(inputs, targets, series.dates[positions.start : positions.stop])
 
 
 def rolling_windows(series: CovSeries, window: int) -> Iterator[tuple[slice, int]]:
@@ -424,7 +427,7 @@ def simulate_market(
         intraday = rng.standard_normal((df, n)) @ root.T
         realized[t] = intraday.T @ intraday
         daily_returns[t] = intraday.sum(axis=0)
-    return CovSeries(dates, SpdMatrix.stack(realized)), daily_returns
+    return CovSeries(dates, realized), daily_returns
 
 
 # ---------------------------------------------------------------------------
@@ -473,16 +476,16 @@ def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -
     """Write a series; ``matbin`` round-trips bitwise, ``csvlong`` to 17 digits."""
     if fmt == FORMAT_MATBIN:
         keys = (series.dates - _EPOCH).astype(np.int64)
-        _write_matrix_records(path, keys, np.stack([m.data for m in series.matrices]))
+        _write_matrix_records(path, keys, series.data)
     elif fmt == FORMAT_CSVLONG:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["date", "row", "col", "value"])
             n = series.dim
-            for date, mat in zip(series.dates, series.matrices):
+            for date, mat in zip(series.dates, series.data):
                 for i in range(n):
                     for j in range(i, n):
-                        writer.writerow([str(date), i, j, f"{mat.data[i, j]:.17g}"])
+                        writer.writerow([str(date), i, j, f"{mat[i, j]:.17g}"])
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -497,13 +500,6 @@ def _open_text(path: str | Path, newline: str | None = "", error=SeriesFormatErr
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _records(path: str | Path, dates: Sequence, values: np.ndarray) -> list[SpdMatrix]:
-    """The matrix of each record; the first bad one is named by file and date."""
-    return SpdMatrix.stack(
-        values, lambda i, exc: SeriesFormatError(f"{path}: date {dates[i]}: {exc}")
-    )
-
-
 def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
     """Read a series written by :func:`save_series`; validates as it builds.
 
@@ -513,8 +509,7 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
     if fmt == FORMAT_MATBIN:
         keys, records = _read_matrix_records(path)
         dates = _EPOCH + keys
-        return CovSeries(dates, _records(path, dates, records))
-    if fmt == FORMAT_CSVLONG:
+    elif fmt == FORMAT_CSVLONG:
         per_date: dict[str, dict[tuple[int, int], float]] = {}  # in file order
         with _open_text(path) as fh:
             reader = csv.reader(fh)
@@ -540,22 +535,23 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
         if not per_date:
             raise SeriesFormatError(f"{path}: no records")
         n = 1 + max(j for (_, j) in next(iter(per_date.values())))
-        matrices = []
-        for date, entries in per_date.items():
+        records = np.zeros((len(per_date), n, n))
+        for mat, (date, entries) in zip(records, per_date.items()):
             if len(entries) != n * (n + 1) // 2:
                 raise SeriesFormatError(
                     f"{path}: date {date} has {len(entries)} entries, "
                     f"expected {n * (n + 1) // 2}"
                 )
-            mat = np.zeros((n, n))
             for (i, j), v in entries.items():
                 if j >= n:
                     raise SeriesFormatError(f"{path}: date {date} exceeds dimension {n}")
                 mat[i, j] = v
                 mat[j, i] = v
-            matrices.extend(_records(path, [date], mat[None]))
-        return CovSeries(np.array(list(per_date), dtype="datetime64[D]"), matrices)
-    raise ValueError(f"unknown format {fmt!r}")
+        dates = np.array(list(per_date), dtype="datetime64[D]")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return CovSeries(dates, records,
+                     lambda i, exc: SeriesFormatError(f"{path}: date {dates[i]}: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -746,4 +742,4 @@ def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
 
 def realized_series(panel: ReturnPanel) -> CovSeries:
     """Daily realized covariances from a gridded return panel, from one stacked ``eigh``."""
-    return CovSeries(panel.dates, SpdMatrix.stack([_cross_product(r) for r in panel.returns]))
+    return CovSeries(panel.dates, [_cross_product(r) for r in panel.returns])

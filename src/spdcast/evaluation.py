@@ -14,24 +14,23 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
+from .data import CovSeries
 from .exceptions import DimensionMismatchError
-from .frechet import root_stack
 from .spd import (
-    SpdMatrix,
     euclidean_losses,
     frobenius_losses,
     log_euclidean_losses,
-    logm,
+    logm_stack,
     procrustes_losses,
+    sqrtm_stack,
 )
 
 __all__ = [
     "METRICS",
-    "ForecastRun",
     "LossPanel",
     "McsResult",
     "loss_panel",
@@ -41,43 +40,22 @@ __all__ = [
 ]
 
 
-def _entries(mats: Sequence[SpdMatrix]) -> np.ndarray:
-    return np.stack([m.data for m in mats])
+def _logs(series: CovSeries) -> tuple[np.ndarray, dict]:
+    return logm_stack(series.values, series.vectors)
 
 
-def _logs(mats: Sequence[SpdMatrix]) -> np.ndarray:
-    return np.stack([logm(m) for m in mats])
-
-
-# Per metric: the (B, n, n) stack a sequence of matrices is scored on, and the
-# spd kernel giving each pair of slices its spd.dist_<metric>, bit for bit.
+# Per metric: the (B, n, n) stack a series is scored on, and the spd kernel
+# giving each pair of slices its spd.dist_<metric>, bit for bit.
 _METRIC_KERNELS = {
-    "frobenius": (_entries, frobenius_losses),
-    "euclidean": (_entries, euclidean_losses),
-    "procrustes": (root_stack, procrustes_losses),
-    "log_euclidean": (_logs, log_euclidean_losses),
+    "frobenius": (lambda series: series.data, frobenius_losses),
+    "euclidean": (lambda series: series.data, euclidean_losses),
+    "procrustes": (lambda series: sqrtm_stack(series.values, series.vectors), procrustes_losses),
+    "log_euclidean": (lambda series: series.stack(_logs), log_euclidean_losses),
 }
 METRICS = tuple(_METRIC_KERNELS)
 
 # Below this, a bootstrap variance is treated as exactly degenerate.
 _DEGENERATE_VAR = 1e-300
-
-
-@dataclass
-class ForecastRun:
-    """One model's out-of-sample forecasts aligned with what was realized."""
-
-    model: str
-    dates: np.ndarray
-    predicted: list[SpdMatrix]
-    realized: list[SpdMatrix]
-
-    def __post_init__(self) -> None:
-        self.dates = np.asarray(self.dates, dtype="datetime64[D]")
-        if not (len(self.dates) == len(self.predicted) == len(self.realized)):
-            raise DimensionMismatchError("dates, predicted, realized must be equal length")
-        if len(self.dates) == 0:
-            raise ValueError(f"forecast run {self.model!r} is empty")
 
 
 @dataclass
@@ -114,37 +92,24 @@ class McsResult:
     elimination_order: list[str]
 
 
-def loss_panel(runs: Sequence[ForecastRun], metric: str) -> LossPanel:
-    """Score every model on the shared dates; runs must be mutually aligned.
+def loss_panel(forecasts: Mapping[str, CovSeries], realized: CovSeries, metric: str) -> LossPanel:
+    """Score each model's forecast series against the realized series, on its dates.
 
-    Works on stacks: the log or root of each realized matrix is taken once,
-    from the decomposition it caches, and shared by every model.  Each loss
-    equals ``spd.dist_<metric>(predicted, realized)`` bit for bit.
+    Works on the series' stacks: the realized stack is built once and
+    shared by every model.  Each loss equals
+    ``spd.dist_<metric>(forecasts[model][t], realized[t])`` bit for bit.
     """
     if metric not in _METRIC_KERNELS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    if len(runs) == 0:
-        raise ValueError("no forecast runs")
-    first = runs[0]
-    realized = _entries(first.realized)
-    for run in runs[1:]:
-        if not np.array_equal(run.dates, first.dates):
-            raise ValueError(
-                f"forecast runs are misaligned: {run.model!r} dates differ from "
-                f"{first.model!r}"
-            )
-        # Elementwise, so the same verdict as np.allclose on each matrix.
-        if not np.allclose(_entries(run.realized), realized, rtol=0.0, atol=1e-12):
-            raise ValueError(
-                f"forecast runs disagree on realized values: {run.model!r} vs "
-                f"{first.model!r}"
-            )
+    for model, forecast in forecasts.items():
+        if not np.array_equal(forecast.dates, realized.dates):
+            raise ValueError(f"forecasts of {model!r} are misaligned with the realized dates")
     stack, losses_of = _METRIC_KERNELS[metric]
-    real = stack(first.realized)
-    losses = np.zeros((len(first.dates), len(runs)))
-    for j, run in enumerate(runs):
-        losses[:, j] = losses_of(stack(run.predicted), real)
-    return LossPanel([r.model for r in runs], first.dates, losses)
+    real = stack(realized)
+    losses = np.zeros((len(realized), len(forecasts)))
+    for j, forecast in enumerate(forecasts.values()):
+        losses[:, j] = losses_of(stack(forecast), real)
+    return LossPanel(list(forecasts), realized.dates, losses)
 
 
 def block_bootstrap_indices(

@@ -17,12 +17,12 @@ from .exceptions import DimensionMismatchError
 from .spd import (
     SPD_FLOOR,
     SpdMatrix,
-    ensure_pd,
+    ensure_pd_values,
     expm,
-    logm,
+    logm_stack,
     procrustes_rotation,
     project_to_spd,
-    sqrtm_psd,
+    sqrtm_stack,
 )
 
 __all__ = [
@@ -30,10 +30,8 @@ __all__ = [
     "METRIC_PROCRUSTES",
     "FrechetConfig",
     "GpaResult",
-    "log_stack",
     "mean_from_logs",
     "frechet_mean_log_euclidean",
-    "root_stack",
     "mean_from_roots",
     "frechet_mean_procrustes",
     "frechet_mean",
@@ -71,16 +69,15 @@ class GpaResult:
     objective_trace: np.ndarray
 
 
-def _check_sample(sample: Sequence[SpdMatrix]) -> int:
+def _eig_stacks(sample: Sequence[SpdMatrix]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked eigenvalues and eigenvectors of a dimension-uniform sample."""
     if len(sample) == 0:
         raise ValueError("empty sample")
     dim = sample[0].dim
     for s in sample:
         if s.dim != dim:
-            raise DimensionMismatchError(
-                f"sample is not dimension-uniform: {s.dim} vs {dim}"
-            )
-    return dim
+            raise DimensionMismatchError(f"sample is not dimension-uniform: {s.dim} vs {dim}")
+    return np.array([s.eig.values for s in sample]), np.array([s.eig.vectors for s in sample])
 
 
 def _exact_mean(stack: np.ndarray) -> np.ndarray:
@@ -91,35 +88,22 @@ def _exact_mean(stack: np.ndarray) -> np.ndarray:
     return (sums / count).reshape(stack.shape[1:])
 
 
-def log_stack(sample: Sequence[SpdMatrix]) -> np.ndarray:
-    """The ``(T, n, n)`` stack of ``logm(S_t)``, the inputs of log-Euclidean means.
-
-    Rank-deficient elements are floor-projected by :func:`ensure_pd` before
-    taking logarithms.  Slices of one stack give the means of every window
-    of a series, so each matrix's logarithm is taken once.
-    """
-    _check_sample(sample)
-    return np.stack([logm(ensure_pd(s)) for s in sample])
-
-
 def mean_from_logs(logs: np.ndarray) -> SpdMatrix:
     """Log-Euclidean mean of the matrices whose logarithms ``logs`` stacks."""
     return expm(_exact_mean(logs))
 
 
 def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
-    """Closed-form log-Euclidean mean: ``expm(mean(logm(S_t)))``."""
-    return mean_from_logs(log_stack(sample))
+    """Closed-form log-Euclidean mean: ``expm(mean(logm(S_t)))``.
 
-
-def root_stack(sample: Sequence[SpdMatrix]) -> np.ndarray:
-    """The ``(T, n, n)`` stack of symmetric square roots, the inputs of Procrustes means.
-
-    Slices of one stack give the means of every window of a series, so each
-    matrix is square-rooted once.
+    Rank-deficient elements are floor-projected as :func:`ensure_pd` does
+    first; the first whose floored spectrum still holds a zero raises.
     """
-    _check_sample(sample)
-    return np.stack([sqrtm_psd(s) for s in sample])
+    values, vectors = _eig_stacks(sample)
+    logs, errors = logm_stack(ensure_pd_values(values), vectors)
+    if errors:
+        raise next(iter(errors.values()))
+    return mean_from_logs(logs)
 
 
 def mean_from_roots(roots: np.ndarray, cfg: FrechetConfig | None = None) -> GpaResult:
@@ -161,8 +145,8 @@ def mean_from_roots(roots: np.ndarray, cfg: FrechetConfig | None = None) -> GpaR
 def frechet_mean_procrustes(
     sample: Sequence[SpdMatrix], cfg: FrechetConfig | None = None
 ) -> GpaResult:
-    """Procrustes sample mean: :func:`mean_from_roots` of the sample's :func:`root_stack`."""
-    return mean_from_roots(root_stack(sample), cfg)
+    """Procrustes sample mean: :func:`mean_from_roots` of the sample's symmetric square roots."""
+    return mean_from_roots(sqrtm_stack(*_eig_stacks(sample)), cfg)
 
 
 def frechet_mean(sample: Sequence[SpdMatrix], cfg: FrechetConfig) -> SpdMatrix:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .baselines import favar_fit, favar_forecast, forecast_rw
+from .baselines import favar_fit, favar_forecast
 from .data import (
     FORMAT_CSVLONG,
     FORMAT_MATBIN,
@@ -47,7 +47,6 @@ from .data import (
 )
 from .evaluation import (
     METRICS,
-    ForecastRun,
     LossPanel,
     McsResult,
     default_block_len,
@@ -474,6 +473,8 @@ def _read_dated_csv(
                 raise SeriesFormatError(f"{what} file {path}:{lineno}: wrong field count")
             try:
                 dates.append(np.datetime64(rec[0], "D"))
+                if np.isnat(dates[-1]):
+                    raise ValueError(f"bad date {rec[0]!r}")
                 rows.append([float(x) for x in rec[1:]])
             except ValueError as exc:
                 raise SeriesFormatError(f"{what} file {path}:{lineno}: {exc}") from None
@@ -497,21 +498,16 @@ def _rows_of(dates: np.ndarray, wanted: np.ndarray, missing=None) -> np.ndarray:
 # Forecasters
 
 
-def _attempt(fn, *args):
-    """``fn(*args)``, or the library error it raised."""
-    try:
-        return fn(*args)
-    except SpdcastError as exc:
-        return exc
-
-
 class _Forecaster:
     """One model's fit/predict protocol over rolling windows.
 
-    ``trainable`` forecasters are fitted before they predict;
-    ``refit_every_window`` ones are fitted again on every window, whatever
-    the run's ``refit_every``.  ``fit_count`` numbers a fit's seed stream,
-    and ``fits`` holds the ``(fit_index, TrainResult)`` of each trained fit.
+    ``predict_many(series, positions)`` returns the ``(len(positions), n, n)``
+    forecasts of the current fit, and the error of each that failed (its row
+    is NaN), keyed by index.  ``trainable`` forecasters are fitted before
+    they predict; ``refit_every_window`` ones are fitted again on every
+    window, whatever the run's ``refit_every``.  ``fit_count`` numbers a
+    fit's seed stream, and ``fits`` holds the ``(fit_index, TrainResult)``
+    of each trained fit.
     """
 
     min_history: int
@@ -527,22 +523,13 @@ class _Forecaster:
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         pass
 
-    def predict(self, series: CovSeries, t: int) -> SpdMatrix:
-        raise NotImplementedError
-
-    def predict_many(
-        self, series: CovSeries, positions: Sequence[int]
-    ) -> list[SpdMatrix | SpdcastError]:
-        """The forecast for each position from the current fit, or the error that failed it."""
-        return [_attempt(self.predict, series, t) for t in positions]
-
 
 class _RwForecaster(_Forecaster):
     min_history = 1
     trainable = False
 
-    def predict(self, series: CovSeries, t: int) -> SpdMatrix:
-        return forecast_rw(series, t)
+    def predict_many(self, series: CovSeries, positions: Sequence[int]):
+        return series.data[np.asarray(positions) - 1], {}
 
 
 class _FavarForecaster(_Forecaster):
@@ -558,8 +545,12 @@ class _FavarForecaster(_Forecaster):
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         self.model = favar_fit(series, self.factors, train_slice)
 
-    def predict(self, series: CovSeries, t: int) -> SpdMatrix:
-        return favar_forecast(self.model, series, t)
+    def predict_many(self, series: CovSeries, positions: Sequence[int]):
+        (t,) = positions  # FAVAR refits on every window
+        try:
+            return favar_forecast(self.model, series, t).data[None], {}
+        except SpdcastError as exc:
+            return np.full((1, series.dim, series.dim), np.nan), {0: exc}
 
 
 # Test dates per stacked forward pass: bounds the trace's memory on long panels.
@@ -601,22 +592,21 @@ class _NetForecaster(_Forecaster):
         self.net = net
         self.fit_count += 1
 
-    def predict_many(
-        self, series: CovSeries, positions: Sequence[int]
-    ) -> list[SpdMatrix | SpdcastError]:
+    def predict_many(self, series: CovSeries, positions: Sequence[int]):
         """Build each input alone, then forward the built ones as stacks of
-        up to ``_PREDICT_CHUNK`` samples; each output is checked alone."""
-        outcomes: list[SpdMatrix | SpdcastError] = []
+        up to ``_PREDICT_CHUNK`` samples."""
+        data = np.full((len(positions), series.dim, series.dim), np.nan)
+        errors = {}
         for start in range(0, len(positions), _PREDICT_CHUNK):
-            chunk = [_attempt(self._build_input, series, t)
-                     for t in positions[start : start + _PREDICT_CHUNK]]
-            built = [k for k, x in enumerate(chunk) if isinstance(x, SpdMatrix)]
+            built = {}
+            for k in range(start, min(start + _PREDICT_CHUNK, len(positions))):
+                try:
+                    built[k] = self._build_input(series, positions[k]).data
+                except SpdcastError as exc:
+                    errors[k] = exc
             if built:
-                stack = np.stack([chunk[k].data for k in built])
-                for k, out in zip(built, self.net.forward_trace(stack).output):
-                    chunk[k] = _attempt(SpdMatrix, out)
-            outcomes += chunk
-        return outcomes
+                data[list(built)] = self.net.forward_trace(np.stack(list(built.values()))).output
+        return data, errors
 
 
 class _RespdnetForecaster(_NetForecaster):
@@ -627,10 +617,10 @@ class _RespdnetForecaster(_NetForecaster):
         self.min_history = lags
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
-        return build_lagged_inputs(series.subseries(train_slice), self.lags)
+        return build_lagged_inputs(series[train_slice], self.lags)
 
     def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
-        return blockdiag_spd([series.matrices[t - j] for j in range(1, self.lags + 1)])
+        return blockdiag_spd([series[t - j] for j in range(1, self.lags + 1)])
 
 
 class _GeoharForecaster(_NetForecaster):
@@ -643,7 +633,7 @@ class _GeoharForecaster(_NetForecaster):
         self.frechet_cfg = FrechetConfig(metric=metric)
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
-        return build_geohar_inputs(series.subseries(train_slice), self.metric, self.frechet_cfg)
+        return build_geohar_inputs(series, self.metric, self.frechet_cfg, train=train_slice)
 
     def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
         return har_input(series, t, self.frechet_cfg)
@@ -674,10 +664,13 @@ def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
 @dataclass
 class ModelRunResult:
     name: str
-    dates: list[np.datetime64]
-    predictions: list[SpdMatrix]
+    predictions: CovSeries | None  # None: no date was forecast
     failures: list[tuple[str, str]]
     traces: list[tuple[int, TrainResult]]
+
+    @property
+    def dates(self) -> np.ndarray:
+        return np.array([], "datetime64[D]") if self.predictions is None else self.predictions.dates
 
 
 def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunResult:
@@ -686,7 +679,8 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     Trainable models fit on the first window and re-fit every
     ``cfg.refit_every`` windows (0 = never re-fit).  The dates one fit
     serves are predicted together, just before the next fit or at the end,
-    so a network forwards them as one stack.  A window where prediction
+    so a network forwards them as stacks.  A model's forecasts are checked
+    as one stack.  A window where prediction
     fails is dropped and recorded.  A failed fit is recorded and fails its
     window, and the fit is retried on every later window until one
     succeeds; the refit schedule then resumes.
@@ -697,19 +691,25 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             f"[forecast] window: {cfg.window} leaves no training pairs for model "
             f"{spec.name!r} (needs more than {forecaster.min_history})"
         )
-    dates: list[np.datetime64] = []
-    predictions: list[SpdMatrix] = []
+    predicted: list[int] = []  # the positions forecast, and their forecasts by batch
+    batches = [np.zeros((0, series.dim, series.dim))]
     failures: list[tuple[str, str]] = []
     pending: list[int] = []
 
+    def fail(t: int, exc: SpdcastError) -> None:
+        log.warning("model %s failed at %s: %s", spec.name, series.dates[t], exc)
+        failures.append((str(series.dates[t]), str(exc)))
+
     def predict_pending() -> None:
-        for t, outcome in zip(pending, forecaster.predict_many(series, pending)):
-            if isinstance(outcome, SpdcastError):
-                log.warning("model %s failed at %s: %s", spec.name, series.dates[t], outcome)
-                failures.append((str(series.dates[t]), str(outcome)))
+        if not pending:
+            return
+        data, errors = forecaster.predict_many(series, pending)
+        for k, t in enumerate(pending):
+            if k in errors:
+                fail(t, errors[k])
             else:
-                predictions.append(outcome)
-                dates.append(series.dates[t])
+                predicted.append(t)
+        batches.append(np.delete(data, list(errors), axis=0))
         pending.clear()
 
     fitted = False
@@ -733,7 +733,13 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
                 continue
         pending.append(t)
     predict_pending()
-    return ModelRunResult(spec.name, dates, predictions, failures, list(forecaster.fits))
+    # One stacked check of every forecast, as SpdMatrix checks one matrix: a
+    # forecast that is not a finite PSD matrix fails its own date.
+    predictions, rejected = CovSeries.accepted(series.dates[predicted], np.concatenate(batches))
+    for k, exc in rejected.items():
+        fail(predicted[k], exc)
+    failures.sort(key=lambda failure: failure[0])  # in date order, as they happened
+    return ModelRunResult(spec.name, predictions, failures, list(forecaster.fits))
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +839,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     for sub in ("forecasts", "data", "train"):
         (out / sub).mkdir(parents=True, exist_ok=True)
 
-    realized = series.subseries(slice(cfg.window, None))
+    realized = series[cfg.window :]
     save_series(realized, out / "data" / "realized.matbin", FORMAT_MATBIN)
     if returns is not None:
         _forget_data_stages(cfg)
@@ -858,12 +864,10 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
                 "gap_clamps": sum(f.gap_clamp_count for f in fits),
                 "floored_targets": sum(f.floored_target_count for f in fits),
             }
-        if not result.dates:
+        if result.predictions is None:
             log.error("model %s produced no forecasts", result.name)
             continue
-        run_series = CovSeries(np.array(result.dates, dtype="datetime64[D]"),
-                               result.predictions)
-        save_series(run_series, out / "forecasts" / f"{result.name}.matbin", FORMAT_MATBIN)
+        save_series(result.predictions, out / "forecasts" / f"{result.name}.matbin", FORMAT_MATBIN)
         artifacts[result.name] = f"forecasts/{result.name}.matbin"
         for fit_index, trained in result.traces:
             trained.write_trace(out / "train" / f"{result.name}_fit{fit_index}.csv")
@@ -872,35 +876,34 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
         log.warning("%d window failures recorded", len(failure_rows))
     _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from,
                     training=training)
-    return 1 if any(not result.dates for result in results) else 0
+    return 1 if any(result.predictions is None for result in results) else 0
 
 
-def _load_forecast_runs(cfg: RunConfig) -> tuple[list[ForecastRun], CovSeries]:
+def _load_forecasts(cfg: RunConfig) -> tuple[dict[str, CovSeries], CovSeries]:
+    """Each model's forecast series and the realized series, on the dates all of them hold."""
     realized_path = cfg.out_dir / "data" / "realized.matbin"
     if not realized_path.exists():
         raise ConfigError(f"no realized series at {realized_path}; run train-forecast first")
     realized = load_series(realized_path, FORMAT_MATBIN)
-    runs = []
-    available: list[tuple[str, CovSeries]] = []
+    forecasts: dict[str, CovSeries] = {}
     for spec in cfg.roster:
         path = cfg.out_dir / "forecasts" / f"{spec.name}.matbin"
         if not path.exists():
             log.warning("no forecasts for model %s at %s; dropping it", spec.name, path)
             continue
-        available.append((spec.name, load_series(path, FORMAT_MATBIN)))
-    if not available:
+        forecasts[spec.name] = load_series(path, FORMAT_MATBIN)
+    if not forecasts:
         raise ConfigError("no forecast files found; run train-forecast first")
-    common_dates = functools.reduce(np.intersect1d, (f.dates for _, f in available), realized.dates)
+    common_dates = functools.reduce(np.intersect1d, (f.dates for f in forecasts.values()),
+                                    realized.dates)
     if not len(common_dates):
         raise ConfigError("forecast files share no common dates")
-    realized_mats = [realized.matrices[i] for i in _rows_of(realized.dates, common_dates)]
-    for name, fseries in available:
-        predicted = [fseries.matrices[i] for i in _rows_of(fseries.dates, common_dates)]
-        runs.append(ForecastRun(name, common_dates, predicted, realized_mats))
-        dropped = len(fseries) - len(common_dates)
+    for name, forecast in forecasts.items():
+        dropped = len(forecast) - len(common_dates)
         if dropped:
             log.info("model %s: %d dates outside the common panel", name, dropped)
-    return runs, CovSeries(common_dates, realized_mats)
+        forecasts[name] = forecast[_rows_of(forecast.dates, common_dates)]
+    return forecasts, realized[_rows_of(realized.dates, common_dates)]
 
 
 def _write_loss_table(path: Path, panel: LossPanel, cfg: RunConfig) -> None:
@@ -925,12 +928,12 @@ def _write_loss_table(path: Path, panel: LossPanel, cfg: RunConfig) -> None:
 
 def cmd_evaluate(cfg: RunConfig) -> int:
     """Score forecasts per metric, run the confidence set, split by regime."""
-    runs, realized = _load_forecast_runs(cfg)
+    forecasts, realized = _load_forecasts(cfg)
     eval_dir = cfg.out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
 
     if cfg.market_variance == "trace":
-        proxy = np.array([float(np.trace(m.data)) for m in realized.matrices])
+        proxy = np.trace(realized.data, axis1=1, axis2=2)
     else:
         proxy_path = Path(cfg.market_variance)
         if not proxy_path.exists():
@@ -957,7 +960,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     subsets = (("", np.ones_like(turbulent_days)), ("_calm", ~turbulent_days),
                ("_turbulent", turbulent_days))
     for metric in cfg.metrics:
-        panel = loss_panel(runs, metric)
+        panel = loss_panel(forecasts, realized, metric)
         for suffix, days in subsets:
             if not days.any():
                 log.info("regime %s is empty under metric %s", suffix[1:], metric)
@@ -984,30 +987,37 @@ def _portfolio_returns_matrix(cfg: RunConfig, dates: np.ndarray) -> np.ndarray:
         f"returns file {path} is missing {count} forecast dates (first: {first})"))]
 
 
+def _long_only_weights(forecast: CovSeries) -> np.ndarray:
+    weights = np.empty((len(forecast), forecast.dim))
+    for t, s in enumerate(forecast):  # the active-set search runs one matrix at a time
+        weights[t] = gmv_long_only(s)
+    return weights
+
+
 def cmd_portfolio(cfg: RunConfig) -> int:
     """Weight paths and the volatility/turnover report per model."""
     if not cfg.portfolio_enabled:
         log.info("portfolio disabled in config; nothing to do")
         return 0
-    runs, realized = _load_forecast_runs(cfg)
+    forecasts, realized = _load_forecasts(cfg)
     returns = _portfolio_returns_matrix(cfg, realized.dates)
     port_dir = cfg.out_dir / "portfolio"
     port_dir.mkdir(parents=True, exist_ok=True)
 
-    # Per variant, the (dates, assets) weights of a list of forecasts.
+    # Per variant, the (dates, assets) weights of a forecast series.
     variants = [("gmv", gmv_weights)]
     if cfg.portfolio_long_only:
-        variants.append(("gmv_long", lambda preds: np.stack([gmv_long_only(p) for p in preds])))
+        variants.append(("gmv_long", _long_only_weights))
 
     rows = []
     artifacts = {}
-    for run in runs:
+    for model, forecast in forecasts.items():
         for variant, builder in variants:
-            weights = builder(run.predicted)
+            weights = builder(forecast)
             path = WeightPath(realized.dates, weights)
             report = evaluate_portfolio(path, returns)
-            rows.append((run.model, variant, report.annualized_std, report.avg_turnover))
-            name = f"weights_{run.model}_{variant}"
+            rows.append((model, variant, report.annualized_std, report.avg_turnover))
+            name = f"weights_{model}_{variant}"
             _write_dated_csv(port_dir / f"{name}.csv", [f"w_{i}" for i in range(weights.shape[1])],
                              realized.dates, weights)
             artifacts[name] = f"portfolio/{name}.csv"

@@ -10,12 +10,11 @@ rebalances accounted for.  Transaction costs are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
+from .data import CovSeries
 from .exceptions import ConvergenceError, DimensionMismatchError
-from .spd import SpdMatrix, ensure_pd
+from .spd import SpdMatrix, ensure_pd, ensure_pd_stack
 
 __all__ = [
     "WeightPath",
@@ -63,17 +62,17 @@ class PortfolioReport:
             raise ValueError("report fields must be nonnegative")
 
 
-def gmv_weights(s: SpdMatrix | Sequence[SpdMatrix]) -> np.ndarray:
+def gmv_weights(s: SpdMatrix | CovSeries) -> np.ndarray:
     """Global minimum variance weights ``S^{-1} 1 / (1' S^{-1} 1)``.
 
     Matrices short of strict positive definiteness are floor-projected
     first (:func:`ensure_pd`).  The result is renormalized to sum exactly
     to one; weights may be negative.  Scale-invariant: ``gmv_weights(c S) = gmv_weights(S)``.
-    A sequence of ``B`` matrices gives their ``(B, n)`` weights from one
-    solve on their stack; each row is bit for bit the weights of its matrix.
+    A series of ``B`` matrices gives their ``(B, n)`` weights from one
+    solve on its stack; each row is bit for bit the weights of its matrix.
     """
     single = isinstance(s, SpdMatrix)
-    stack = np.stack([ensure_pd(m).data for m in ([s] if single else s)])
+    stack = ensure_pd(s).data[None] if single else ensure_pd_stack(s.data, s.values, s.vectors)
     raw = np.linalg.solve(stack, np.ones(stack.shape[:-1] + (1,)))[..., 0]
     weights = raw / raw.sum(axis=-1, keepdims=True)
     return weights[0] if single else weights

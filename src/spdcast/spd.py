@@ -40,6 +40,11 @@ __all__ = [
     "procrustes_rotation",
     "project_to_spd",
     "ensure_pd",
+    "validate_stack",
+    "logm_stack",
+    "sqrtm_stack",
+    "ensure_pd_values",
+    "ensure_pd_stack",
 ]
 
 # Round-off negatives down to -PSD_RTOL * lambda_max are accepted as PSD.  When
@@ -74,12 +79,55 @@ def _eigh_desc(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-    return np.ascontiguousarray(values[..., ::-1]), np.ascontiguousarray(vectors[..., ::-1])
+    # Copies, not ascontiguousarray: that keeps a negative stride on axes of
+    # length 1, and np.log then takes another code path for n = 1.
+    return values[..., ::-1].copy(), vectors[..., ::-1].copy()
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_records(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, Exception]]:
+    """A ``(B, n, n)`` stack of square matrices symmetrized, its descending
+    eigenpairs, and the error of each record :class:`SpdMatrix` rejects, in order."""
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = _symmetrize(np.where(finite[:, None, None], a, 0.0))  # decomposable; rejected below
+    values, vectors = _eigh_desc(a)
+    lmax = values[:, 0]
+    tolerance = np.where(lmax > 0.0, np.maximum(PSD_RTOL * lmax, _PSD_ATOL), 0.0)
+    rejected = {
+        int(i): NotPositiveDefiniteError(
+            "matrix entries must be finite" if not finite[i] else
+            f"smallest eigenvalue {values[i, -1]:.6e} is below the PSD tolerance {-tolerance[i]:.6e}"
+        )
+        for i in np.flatnonzero(~finite | (values[:, -1] < -tolerance))
+    }
+    return _freeze(a), _freeze(values), _freeze(vectors), rejected
+
+
+def validate_stack(
+    data: np.ndarray, error: Callable[[int, Exception], Exception] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``SpdMatrix(m)`` of each ``m`` in a ``(B, n, n)`` array, bit for bit, from one
+    ``eigh``: the read-only symmetrized stack and its descending eigenvalue and
+    eigenvector stacks.  The first record the constructor rejects raises its error,
+    or, given ``error``, ``error(i, exc)`` for record i, raised from ``exc``."""
+    a = np.asarray(data, dtype=float)
+    if a.ndim != 3:
+        raise DimensionMismatchError(f"expected a (B, n, n) stack, got shape {a.shape}")
+    if a.shape[1] != a.shape[2] or a.shape[1] == 0:
+        rejected = {0: DimensionMismatchError(
+            f"expected a nonempty square matrix, got shape {a.shape[1:]}")}
+    else:
+        a, values, vectors, rejected = _check_records(a)
+    if rejected:
+        i, exc = next(iter(rejected.items()))
+        if error is None:
+            raise exc
+        raise error(i, exc) from exc
+    return a, values, vectors
 
 
 class SpdMatrix:
@@ -99,61 +147,15 @@ class SpdMatrix:
     def __init__(self, data: np.ndarray | Sequence[Sequence[float]]) -> None:
         a = np.asarray(data, dtype=float)
         if a.ndim != 2:
-            raise DimensionMismatchError(
-                f"expected a nonempty square matrix, got shape {a.shape}"
-            )
-        (only,) = SpdMatrix.stack(a[None])
-        self._data, self._eig = only._data, only._eig
+            raise DimensionMismatchError(f"expected a nonempty square matrix, got shape {a.shape}")
+        data, values, vectors = validate_stack(a[None])
+        self._data, self._eig = data[0], EigPair(values[0], vectors[0])
 
     @classmethod
-    def stack(
-        cls, data: np.ndarray, error: Callable[[int, Exception], Exception] | None = None
-    ) -> list["SpdMatrix"]:
-        """``SpdMatrix(m)`` of each ``m`` in a ``(B, n, n)`` array, bit for bit, from one ``eigh``.
-
-        The first record the constructor rejects raises its error, or, given
-        ``error``, ``error(i, exc)`` for record i, raised from ``exc``.  The
-        matrices hold read-only views of the stacked arrays.
-        """
-        a = np.asarray(data, dtype=float)
-        if a.ndim != 3:
-            raise DimensionMismatchError(f"expected a (B, n, n) stack, got shape {a.shape}")
-        if len(a) == 0:
-            return []
-        failure = None
-        if a.shape[1] != a.shape[2] or a.shape[1] == 0:
-            failure = 0, DimensionMismatchError(
-                f"expected a nonempty square matrix, got shape {a.shape[1:]}"
-            )
-        else:
-            finite = np.isfinite(a).all(axis=(1, 2))
-            if not finite.all():
-                a = np.where(finite[:, None, None], a, 0.0)  # decomposable; rejected below
-            a = _symmetrize(a)
-            values, vectors = _eigh_desc(a)
-            if not finite.all() or values[:, -1].min() < 0.0:
-                lmax = values[:, 0]
-                tolerance = np.where(lmax > 0.0, np.maximum(PSD_RTOL * lmax, _PSD_ATOL), 0.0)
-                rejected = ~finite | (values[:, -1] < -tolerance)
-                i = int(np.argmax(rejected))
-                if not finite[i]:
-                    failure = i, ValueError("matrix entries must be finite")
-                elif rejected[i]:
-                    failure = i, NotPositiveDefiniteError(
-                        f"smallest eigenvalue {values[i, -1]:.6e} is below the PSD "
-                        f"tolerance {-tolerance[i]:.6e}"
-                    )
-        if failure is not None:
-            i, exc = failure
-            if error is None:
-                raise exc
-            raise error(i, exc) from exc
-        matrices = []
-        for d, v, u in zip(_freeze(a), _freeze(values), _freeze(vectors)):
-            obj = object.__new__(cls)
-            obj._data, obj._eig = d, EigPair(v, u)
-            matrices.append(obj)
-        return matrices
+    def _view(cls, data: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
+        obj = object.__new__(cls)  # rows of validate_stack's arrays: validated
+        obj._data, obj._eig = data, EigPair(values, vectors)
+        return obj
 
     @classmethod
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
@@ -165,11 +167,7 @@ class SpdMatrix:
         order = np.argsort(-values, kind="stable")
         values = np.ascontiguousarray(values[order])
         vectors = np.ascontiguousarray(vectors[:, order])
-        data = _recompose(values, vectors)
-        obj = object.__new__(cls)
-        obj._data = _freeze(data)
-        obj._eig = EigPair(_freeze(values), _freeze(vectors))
-        return obj
+        return cls._view(*(_freeze(a) for a in (_recompose(values, vectors), values, vectors)))
 
     @property
     def dim(self) -> int:
@@ -191,15 +189,26 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim}, lambda_range=[{self._eig.values[-1]:.4g}, {self._eig.values[0]:.4g}])"
 
 
+def _log_domain_error(smallest: float) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"matrix logarithm requires strictly positive eigenvalues (smallest is {smallest:.6e})"
+    )
+
+
 def logm(a: SpdMatrix) -> np.ndarray:
     """Matrix logarithm of a strictly SPD matrix (symmetric result)."""
     values, vectors = a.eig
     if values[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"matrix logarithm requires strictly positive eigenvalues "
-            f"(smallest is {values[-1]:.6e})"
-        )
+        raise _log_domain_error(values[-1])
     return _recompose(np.log(values), vectors)
+
+
+def logm_stack(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
+    """:func:`logm` of each decomposition of a stack, bit for bit (NaN where it
+    fails), and the error of each failed row, keyed by row in ascending order."""
+    failed = values[:, -1] <= 0.0
+    logs = _recompose(np.log(np.where(failed[:, None], np.nan, values)), vectors)
+    return logs, {int(i): _log_domain_error(values[i, -1]) for i in np.flatnonzero(failed)}
 
 
 def expm(s: np.ndarray) -> SpdMatrix:
@@ -218,6 +227,11 @@ def sqrtm_psd(a: SpdMatrix) -> np.ndarray:
     values, vectors = a.eig
     root = np.sqrt(np.maximum(values, 0.0))
     return _recompose(root, vectors)
+
+
+def sqrtm_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """:func:`sqrtm_psd` of each decomposition of a stack, bit for bit."""
+    return _recompose(np.sqrt(np.maximum(values, 0.0)), vectors)
 
 
 def vech(a: SpdMatrix | np.ndarray) -> np.ndarray:
@@ -367,3 +381,19 @@ def ensure_pd(s: SpdMatrix) -> SpdMatrix:
     if s.eig.values[-1] < floor:
         return project_to_spd(s, floor)
     return s
+
+
+def ensure_pd_values(values: np.ndarray) -> np.ndarray:
+    """The eigenvalues of :func:`ensure_pd` of each decomposition of a stack."""
+    lmax = values[:, :1]
+    return np.maximum(values, SPD_FLOOR * np.where(lmax > 0.0, lmax, 1.0))
+
+
+def ensure_pd_stack(data: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """:func:`ensure_pd` of each matrix of a stack, given its decomposition, bit for bit."""
+    floored = ensure_pd_values(values)
+    projected = np.flatnonzero(floored[:, -1] > values[:, -1])
+    if len(projected):
+        data = data.copy()
+        data[projected] = _recompose(floored[projected], vectors[projected])
+    return data

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from conftest import random_spd, spd_from_spectrum
+from conftest import random_orthogonal, random_spd, spd_from_spectrum
 from spdcast import (
     LOSS_LOG_EUCLIDEAN,
     LOSS_MSE,
@@ -72,7 +72,10 @@ def test_criterion_1_structural_shapes_and_task_count():
     n, k = 50, 3
 
     dates = np.datetime64("2000-01-03") + np.arange(23)
-    mats = [random_spd(rng, n, lo=0.5, hi=2.0) for _ in range(23)]
+    mats = np.zeros((23, n, n))
+    for m in mats:  # spectrum in [0.5, 2), random eigenbasis; one eigh, in CovSeries
+        q = random_orthogonal(rng, n)
+        m[:] = (q * rng.uniform(0.5, 2.0, size=n)) @ q.T
     series = CovSeries(dates, mats)
     lagged = build_lagged_inputs(series, k)
     geohar = build_geohar_inputs(series)
@@ -80,7 +83,7 @@ def test_criterion_1_structural_shapes_and_task_count():
     ok = ok and lagged.targets[0].dim == n and geohar.targets[0].dim == n
 
     long_dates = np.datetime64("2000-01-03") + np.arange(3409)
-    tiny = [SpdMatrix([[1.0]]) for _ in range(3409)]
+    tiny = np.ones((3409, 1, 1))
     long_series = CovSeries(long_dates, tiny)
     tasks = list(rolling_windows(long_series, 2386))
     ok = ok and len(tasks) == 1023
@@ -262,7 +265,7 @@ def test_criterion_6_trained_network_beats_references():
     wins = 0
     for seed in range(5):
         series, _ = simulate_market(n, n_days, 0.95, 12, seed)
-        supervised = build_lagged_inputs(series.subseries(slice(0, window)), lags)
+        supervised = build_lagged_inputs(series[:window], lags)
         spec = NetworkSpec.default(lags * n, n)
         scores = {}
         for tag, loss in (("le", LOSS_LOG_EUCLIDEAN), ("mse", LOSS_MSE)):
@@ -270,13 +273,13 @@ def test_criterion_6_trained_network_beats_references():
             train(net, supervised.inputs, supervised.targets, TrainConfig(loss=loss, seed=seed))
             errs = []
             for t in range(window, n_days):
-                x = blockdiag_spd([series.matrices[t - j] for j in range(1, lags + 1)])
-                errs.append(dist_log_euclidean(net.forward(x), series.matrices[t]))
+                x = blockdiag_spd([series[t - j] for j in range(1, lags + 1)])
+                errs.append(dist_log_euclidean(net.forward(x), series[t]))
             scores[tag] = float(np.mean(errs))
         rw = float(
             np.mean(
                 [
-                    dist_log_euclidean(forecast_rw(series, t), series.matrices[t])
+                    dist_log_euclidean(forecast_rw(series, t), series[t])
                     for t in range(window, n_days)
                 ]
             )

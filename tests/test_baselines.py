@@ -27,7 +27,8 @@ class TestRandomWalk:
     def test_returns_previous_matrix(self, rng):
         series = series_from([random_spd(rng, 2) for _ in range(6)])
         for t in range(1, 7):
-            assert forecast_rw(series, t) is series.matrices[t - 1]
+            got, want = forecast_rw(series, t), series[t - 1]
+            assert got.data.tobytes() == want.data.tobytes() and np.shares_memory(got.data, want.data)
 
     def test_bounds(self, rng):
         series = series_from([random_spd(rng, 2) for _ in range(3)])
@@ -141,13 +142,13 @@ class TestFavarSeriesStack:
         window = 25
         for t in range(window, len(series) + 1):
             train = slice(t - window, t)
-            vectors = np.stack([chol_vectorize(m) for m in series.matrices[train]])
-            alone = series_from(series.matrices[train])  # its own, per-window stack
-            assert np.array_equal(baselines._chol_rows(series, train), vectors)
+            vectors = np.stack([chol_vectorize(m) for m in series[train]])
+            alone = series[train]  # its own, per-window stack
+            assert np.array_equal(series.stack(baselines._series_chols, train), vectors)
             model = favar_fit(series, 4, train)
             self.assert_same_model(model, favar_fit(alone, 4))
             assert np.array_equal(model.mean_vector, vectors.mean(axis=0))
-            current = chol_vectorize(series.matrices[t - 1])
+            current = chol_vectorize(series[t - 1])
             advanced = model.var_intercept + model.var_coef @ (
                 model.loadings.T @ (current - model.mean_vector)
             )
@@ -156,14 +157,14 @@ class TestFavarSeriesStack:
 
     def test_each_matrix_vectorized_once(self, rng, monkeypatch):
         calls = []
-        original = baselines.chol_vectorize
+        original = baselines._series_chols
 
-        def counted(m, *args):
-            calls.append(m)
-            return original(m, *args)
+        def counted(series):
+            calls.append(len(series))
+            return original(series)
 
-        monkeypatch.setattr(baselines, "chol_vectorize", counted)
+        monkeypatch.setattr(baselines, "_series_chols", counted)
         series = series_from([random_spd(rng, 2) for _ in range(30)])
         for t in range(20, 30):
             favar_forecast(favar_fit(series, 2, slice(t - 20, t)), series, t)
-        assert len(calls) == len(series)
+        assert calls == [len(series)]

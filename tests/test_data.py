@@ -18,6 +18,7 @@ from spdcast import (
     CovSeries,
     DecompositionError,
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     SeriesFormatError,
     SpdMatrix,
     blockdiag_spd,
@@ -41,6 +42,7 @@ from spdcast.frechet import (
     FrechetConfig,
     frechet_mean,
 )
+from spdcast.spd import ensure_pd, logm
 
 
 def make_series(rng, n=3, length=30):
@@ -71,69 +73,74 @@ class TestCovSeries:
 
     def test_subseries(self, rng):
         series = make_series(rng, length=10)
-        sub = series.subseries(slice(2, 7))
+        sub = series[2:7]
         assert len(sub) == 5
         assert sub.dates[0] == series.dates[2]
-        assert sub.matrices[0] is series.matrices[2]
+        for got, want in ((sub.data, series.data), (sub.values, series.values),
+                          (sub.vectors, series.vectors)):
+            assert np.shares_memory(got, want) and np.array_equal(got, want[2:7])
+        picked = series[np.array([1, 4, 8])]
+        assert np.array_equal(picked.dates, series.dates[[1, 4, 8]])
+        assert np.array_equal(picked.vectors, series.vectors[[1, 4, 8]])
+        assert not picked.data.flags.writeable
+        with pytest.raises(SeriesFormatError):
+            series[::-1]
+
+    def test_a_position_is_a_read_only_view(self, rng):
+        series = make_series(rng, length=4)
+        m = series[2]
+        assert isinstance(m, SpdMatrix)
+        assert np.shares_memory(m.data, series.data) and not m.data.flags.writeable
+        assert m.eig.values.tobytes() == series.values[2].tobytes()
+        assert m.eig.vectors.tobytes() == series.vectors[2].tobytes()
+        assert [x.data.tobytes() for x in series] == [x.tobytes() for x in series.data]
 
 
 class TestSeriesStacks:
-    @staticmethod
-    def dense(matrices):
-        return np.stack([m.data for m in matrices])
+    BAD_DAY = np.diag([1e-320, 0.0, 0.0])  # its relative floor underflows: no log, no factor
 
-    def test_subseries_read_the_parent_stack(self, rng):
-        series = make_series(rng, length=30)
-        builds = []
-
-        def build(m):
-            builds.append(m)
-            return m.data
-
-        sub = series.subseries(slice(5, 25)).subseries(slice(2, 10))
-        assert np.array_equal(sub.stack("dense", build), self.dense(series.matrices[7:15]))
-        assert np.array_equal(sub.stack("dense", build, slice(3, 5)),
-                              self.dense(series.matrices[10:12]))
-        assert np.array_equal(series.stack("dense", build), self.dense(series.matrices))
-        assert len(builds) == 30
-        stepped = series.subseries(slice(0, 30, 2))  # not a window: builds its own
-        assert np.array_equal(stepped.stack("dense", build), self.dense(series.matrices[::2]))
-        assert len(builds) == 45
+    def series_with_bad_days(self, rng, length, bad):
+        data = make_series(rng, length=length).data.copy()
+        data[bad] = self.BAD_DAY
+        return CovSeries(np.datetime64("2001-01-01") + np.arange(length), data)
 
     def test_a_failure_is_raised_only_for_rows_that_include_it(self, rng):
-        series = make_series(rng, length=30)
-        bad = series.matrices[12]
-
-        def build(m):
-            if m is bad:
-                raise DecompositionError("day 12 failed")
-            return m.data
-
-        sub = series.subseries(slice(10, 30))
-        with pytest.raises(DecompositionError, match="day 12 failed"):
-            series.stack("dense", build, slice(5, 13))
-        with pytest.raises(DecompositionError, match="day 12 failed"):
-            sub.stack("dense", build, slice(0, 5))
-        with pytest.raises(DecompositionError, match="day 12 failed"):
-            series.stack("dense", build)
-        dense = self.dense(series.matrices)
-        assert np.array_equal(series.stack("dense", build, slice(0, 12)), dense[:12])
-        assert np.array_equal(series.stack("dense", build, slice(13, 30)), dense[13:])
-        assert np.array_equal(sub.stack("dense", build, slice(3, 20)), dense[13:])
+        series = self.series_with_bad_days(rng, 30, [12])
+        sub = series[10:30]
+        match = "matrix logarithm requires strictly positive eigenvalues"
+        with pytest.raises(NotPositiveDefiniteError, match=match):
+            series.stack(data._series_logs, slice(5, 13))
+        with pytest.raises(NotPositiveDefiniteError, match=match):
+            sub.stack(data._series_logs, slice(0, 5))
+        with pytest.raises(NotPositiveDefiniteError, match=match):
+            series.stack(data._series_logs)
+        logs = [logm(ensure_pd(m)) if t != 12 else None for t, m in enumerate(series)]
+        assert np.array_equal(series.stack(data._series_logs, slice(0, 12)), np.stack(logs[:12]))
+        assert np.array_equal(series.stack(data._series_logs, slice(13, 30)), np.stack(logs[13:]))
+        assert np.array_equal(sub.stack(data._series_logs, slice(3, 20)), np.stack(logs[13:]))
 
     def test_a_repeated_failure_keeps_a_short_traceback(self, rng):
-        series = make_series(rng, length=10)
-
-        def build(m):
-            raise DecompositionError("every day fails")
+        series = self.series_with_bad_days(rng, 10, slice(None))
 
         def depth():
-            with pytest.raises(DecompositionError) as info:
-                series.stack("failing", build, slice(0, 1))
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                series.stack(data._series_logs, slice(0, 1))
             return len(info.traceback)
 
         first = depth()
         assert [depth() for _ in range(3)] == [first] * 3
+
+    def test_each_kernel_runs_once_per_series(self, rng, monkeypatch):
+        series = make_series(rng, length=30)
+        calls = []
+        original = data._series_roots
+        monkeypatch.setattr(data, "_series_roots",
+                            lambda s: calls.append(len(s)) or original(s))
+        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+        for t in range(22, 31):
+            har_input(series, t, cfg)
+        build_geohar_inputs(series, METRIC_PROCRUSTES, cfg, train=slice(3, 28))
+        assert calls == [30]
 
 
 class TestReturnsAndCovariance:
@@ -184,10 +191,10 @@ class TestSupervisedBuilders:
         assert np.array_equal(sup.dates, series.dates[3:])
         # input block order at position t is t-1, t-2, t-3
         x0 = sup.inputs[0]
-        assert np.allclose(x0.data[:2, :2], series.matrices[2].data, atol=1e-14)
-        assert np.allclose(x0.data[2:4, 2:4], series.matrices[1].data, atol=1e-14)
-        assert np.allclose(x0.data[4:, 4:], series.matrices[0].data, atol=1e-14)
-        assert np.array_equal(sup.targets[0].data, series.matrices[3].data)
+        assert np.allclose(x0.data[:2, :2], series[2].data, atol=1e-14)
+        assert np.allclose(x0.data[2:4, 2:4], series[1].data, atol=1e-14)
+        assert np.allclose(x0.data[4:, 4:], series[0].data, atol=1e-14)
+        assert np.array_equal(sup.targets[0].data, series[3].data)
         assert sup.inputs[0].dim == 6
 
     def test_lagged_needs_history(self, rng):
@@ -202,9 +209,9 @@ class TestSupervisedBuilders:
         assert np.array_equal(sup.dates, series.dates[22:])
         x0 = sup.inputs[0]
         assert x0.dim == 6
-        assert np.allclose(x0.data[:2, :2], series.matrices[21].data, atol=1e-12)
-        weekly = frechet_mean_log_euclidean(series.matrices[17:22])
-        monthly = frechet_mean_log_euclidean(series.matrices[0:22])
+        assert np.allclose(x0.data[:2, :2], series[21].data, atol=1e-12)
+        weekly = frechet_mean_log_euclidean(series[17:22])
+        monthly = frechet_mean_log_euclidean(series[0:22])
         assert np.allclose(x0.data[2:4, 2:4], weekly.data, atol=1e-10)
         assert np.allclose(x0.data[4:, 4:], monthly.data, atol=1e-10)
 
@@ -221,9 +228,9 @@ class TestHarInputs:
     @staticmethod
     def series_with_singular_day(rng, length=40):
         series = make_series(rng, n=3, length=length)
-        matrices = list(series.matrices)
+        matrices = series.data.copy()
         v = rng.standard_normal(3)
-        matrices[10] = SpdMatrix(np.outer(v, v))  # rank one: floor-projected
+        matrices[10] = np.outer(v, v)  # rank one: floor-projected
         return CovSeries(series.dates, matrices)
 
     @staticmethod
@@ -245,24 +252,24 @@ class TestHarInputs:
         cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
         sup = build_geohar_inputs(series, METRIC_LOG_EUCLIDEAN, cfg)
         for k, t in enumerate(range(22, len(series))):
-            self.assert_same(sup.inputs[k], self.reference(series.matrices, t, cfg))
+            self.assert_same(sup.inputs[k], self.reference(series, t, cfg))
 
     def test_series_log_stack_matches_a_fit_on_a_slice(self, rng):
         series = self.series_with_singular_day(rng)
         cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
-        fit = build_geohar_inputs(series.subseries(slice(5, 35)), METRIC_LOG_EUCLIDEAN, cfg)
+        fit = build_geohar_inputs(series, METRIC_LOG_EUCLIDEAN, cfg, train=slice(5, 35))
         for k, t in enumerate(range(5 + 22, 35)):
             self.assert_same(fit.inputs[k], har_input(series, t, cfg))
         for t in range(22, len(series)):
             self.assert_same(har_input(series, t, cfg),
-                             self.reference(series.matrices, t, cfg))
+                             self.reference(series, t, cfg))
 
     def test_procrustes_route_unchanged(self, rng):
         series = make_series(rng, n=2, length=25)
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
         sup = build_geohar_inputs(series, METRIC_PROCRUSTES, cfg)
         for k, t in enumerate(range(22, len(series))):
-            self.assert_same(sup.inputs[k], self.reference(series.matrices, t, cfg))
+            self.assert_same(sup.inputs[k], self.reference(series, t, cfg))
 
 
     def test_position_needs_a_full_monthly_window(self, rng):
@@ -315,7 +322,7 @@ class TestSimulate:
     def test_deterministic(self):
         a, _ = simulate_market(2, 10, 0.5, 5, seed=9)
         b, _ = simulate_market(2, 10, 0.5, 5, seed=9)
-        for ma, mb in zip(a.matrices, b.matrices):
+        for ma, mb in zip(a, b):
             assert np.array_equal(ma.data, mb.data)
 
     def test_df_below_dim_rejected(self):
@@ -328,7 +335,7 @@ class TestSimulate:
 
     def test_outputs_are_spd(self):
         series, _ = simulate_market(4, 30, 0.95, 8, seed=2)
-        for m in series.matrices:
+        for m in series:
             assert m.eig.values[-1] > 0.0
 
     def test_unfactorable_covariance_is_a_typed_error_naming_the_day(self):
@@ -354,7 +361,7 @@ class TestMatbin:
         save_series(series, path, FORMAT_MATBIN)
         loaded = load_series(path, FORMAT_MATBIN)
         assert np.array_equal(loaded.dates, series.dates)
-        for ma, mb in zip(series.matrices, loaded.matrices):
+        for ma, mb in zip(series, loaded):
             assert np.array_equal(ma.data, mb.data)
 
     def test_header_layout(self, tmp_path, rng):
@@ -387,7 +394,7 @@ class TestMatbin:
 
     def test_non_finite_record_names_file_and_date(self, tmp_path, rng):
         series = make_series(rng, n=3, length=5)
-        records = np.stack([m.data for m in series.matrices])
+        records = series.data.copy()
         records[2, 0, 1] = np.nan
         path = tmp_path / "series.matbin"
         keys = (series.dates - np.datetime64("1970-01-01")).astype(np.int64)
@@ -404,7 +411,7 @@ class TestCsvLong:
         save_series(series, path, FORMAT_CSVLONG)
         loaded = load_series(path, FORMAT_CSVLONG)
         assert np.array_equal(loaded.dates, series.dates)
-        for ma, mb in zip(series.matrices, loaded.matrices):
+        for ma, mb in zip(series, loaded):
             assert np.array_equal(ma.data, mb.data)
 
     def test_only_one_triangle_stored(self, tmp_path, rng):
@@ -481,7 +488,7 @@ class TestIntraday:
         )
         assert np.allclose(r, expected, atol=1e-15)
         series = realized_series(panel)
-        assert np.allclose(series.matrices[0].data, expected.T @ expected, atol=1e-15)
+        assert np.allclose(series[0].data, expected.T @ expected, atol=1e-15)
 
     def test_last_observation_carried_forward(self, tmp_path):
         rows = [

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import random_orthogonal, random_spd
 from spdcast import (
-    ForecastRun,
+    CovSeries,
     LossPanel,
     NotPositiveDefiniteError,
     SpdMatrix,
@@ -39,14 +39,18 @@ DISTANCES = {
 }
 
 
+def series_of(mats, dates=None):
+    if dates is None:
+        dates = np.datetime64("2002-01-01") + np.arange(len(mats))
+    return CovSeries(dates, mats)
+
+
 def make_runs(rng, n_models=2, length=6):
-    dates = np.datetime64("2002-01-01") + np.arange(length)
-    realized = [random_spd(rng, 2) for _ in range(length)]
-    runs = []
-    for m in range(n_models):
-        predicted = [random_spd(rng, 2) for _ in range(length)]
-        runs.append(ForecastRun(f"m{m}", dates, predicted, realized))
-    return runs
+    """``n_models`` forecast series and the realized series, on one set of dates."""
+    realized = series_of([random_spd(rng, 2) for _ in range(length)])
+    forecasts = {f"m{m}": series_of([random_spd(rng, 2) for _ in range(length)])
+                 for m in range(n_models)}
+    return forecasts, realized
 
 
 def reference_mcs(losses, models, indices, alpha):
@@ -98,41 +102,25 @@ def reference_mcs(losses, models, indices, alpha):
 
 class TestLossPanel:
     def test_losses_recomputed_directly(self, rng):
-        runs = make_runs(rng, n_models=3)
-        panel = loss_panel(runs, "frobenius")
-        for j, run in enumerate(runs):
-            for i in range(len(run.dates)):
-                want = dist_frobenius(run.predicted[i], run.realized[i])
+        forecasts, realized = make_runs(rng, n_models=3)
+        panel = loss_panel(forecasts, realized, "frobenius")
+        for j, forecast in enumerate(forecasts.values()):
+            for i in range(len(realized)):
+                want = dist_frobenius(forecast[i], realized[i])
                 assert np.isclose(panel.losses[i, j], want, rtol=1e-14)
 
     def test_rejects_misaligned_dates(self, rng):
-        runs = make_runs(rng, n_models=2)
-        shifted = ForecastRun(
-            "m1",
-            runs[1].dates + np.timedelta64(1, "D"),
-            runs[1].predicted,
-            runs[1].realized,
-        )
+        forecasts, realized = make_runs(rng, n_models=2)
+        forecasts["m1"] = series_of(forecasts["m1"].data, realized.dates + np.timedelta64(1, "D"))
         with pytest.raises(ValueError):
-            loss_panel([runs[0], shifted], "frobenius")
-
-    def test_rejects_disagreeing_realized(self, rng):
-        runs = make_runs(rng, n_models=2)
-        other = ForecastRun(
-            "m1",
-            runs[1].dates,
-            runs[1].predicted,
-            [random_spd(rng, 2) for _ in runs[1].realized],
-        )
-        with pytest.raises(ValueError):
-            loss_panel([runs[0], other], "frobenius")
+            loss_panel(forecasts, realized, "frobenius")
 
     def test_unknown_metric(self, rng):
         with pytest.raises(ValueError):
-            loss_panel(make_runs(rng), "wasserstein")
+            loss_panel(*make_runs(rng), "wasserstein")
 
     def test_column_lookup(self, rng):
-        panel = loss_panel(make_runs(rng, n_models=2), "frobenius")
+        panel = loss_panel(*make_runs(rng, n_models=2), "frobenius")
         assert np.array_equal(panel.column("m1"), panel.losses[:, 1])
 
 
@@ -163,54 +151,27 @@ class TestStackedLossPanel:
         low = rank_deficient and metric != "log_euclidean"
         realized = [spd_with_rank(rng, n, int(rng.integers(0, n)) if low else n)
                     for _ in range(length)]
-        dates = np.datetime64("2002-01-01") + np.arange(length)
-        runs = [ForecastRun(f"m{j}", dates, [random_spd(rng, n) for _ in range(length)], realized)
-                for j in range(n_models)]
-        panel = loss_panel(runs, metric)
+        predicted = [[random_spd(rng, n) for _ in range(length)] for _ in range(n_models)]
+        panel = loss_panel({f"m{j}": series_of(p) for j, p in enumerate(predicted)},
+                           series_of(realized), metric)
         fn = DISTANCES[metric]
-        for j, run in enumerate(runs):
+        for j, p in enumerate(predicted):
             for i in range(length):
-                assert panel.losses[i, j] == fn(run.predicted[i], run.realized[i])
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        delta=st.sampled_from([0.0, 5e-13, 1e-12, 1.0000001e-12, 2e-12, 1e-9]),
-        sign=st.sampled_from([-1.0, 1.0]),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_realized_agreement_is_the_per_matrix_allclose(self, delta, sign, scale, seed):
-        rng = np.random.default_rng(seed)
-        runs = make_runs(rng, n_models=1, length=4)
-        realized = [SpdMatrix(scale * m.data) for m in runs[0].realized]
-        runs = [ForecastRun("m0", runs[0].dates, runs[0].predicted, realized)]
-        bumped = [m.data.copy() for m in realized]
-        i, r, c = rng.integers(0, 4), rng.integers(0, 2), rng.integers(0, 2)
-        bumped[i][r, c] += sign * delta
-        bumped[i][c, r] = bumped[i][r, c]
-        other = ForecastRun("m1", runs[0].dates, runs[0].predicted, [SpdMatrix(b) for b in bumped])
-        agree = all(np.allclose(a.data, b.data, rtol=0.0, atol=1e-12)
-                    for a, b in zip(other.realized, realized))
-        if agree:
-            loss_panel([runs[0], other], "frobenius")
-        else:
-            with pytest.raises(ValueError, match="disagree on realized"):
-                loss_panel([runs[0], other], "frobenius")
+                assert panel.losses[i, j] == fn(p[i], realized[i])
 
     def test_log_euclidean_rejects_a_singular_matrix(self, rng):
-        runs = make_runs(rng, n_models=2, length=5)
-        singular = list(runs[1].predicted)
-        singular[3] = SpdMatrix(np.diag([1.0, 0.0]))
-        runs[1] = ForecastRun("m1", runs[1].dates, singular, runs[1].realized)
+        forecasts, realized = make_runs(rng, n_models=2, length=5)
+        singular = forecasts["m1"].data.copy()
+        singular[3] = np.diag([1.0, 0.0])
+        forecasts["m1"] = series_of(singular)
         with pytest.raises(NotPositiveDefiniteError, match="smallest is 0.000000e"):
-            loss_panel(runs, "log_euclidean")
+            loss_panel(forecasts, realized, "log_euclidean")
 
     def test_rejects_forecasts_of_another_dimension(self, rng):
-        runs = make_runs(rng, n_models=1, length=3)
-        wide = ForecastRun("m1", runs[0].dates, [random_spd(rng, 3) for _ in range(3)],
-                           runs[0].realized)
+        forecasts, realized = make_runs(rng, n_models=1, length=3)
+        forecasts["m1"] = series_of([random_spd(rng, 3) for _ in range(3)])
         with pytest.raises(ValueError):
-            loss_panel([runs[0], wide], "procrustes")
+            loss_panel(forecasts, realized, "procrustes")
 
 
 class TestBootstrap:

@@ -19,7 +19,7 @@ from spdcast import (
     project_to_spd,
     sqrtm_psd,
 )
-from spdcast.frechet import _exact_mean, mean_from_roots, root_stack
+from spdcast.frechet import _exact_mean, mean_from_roots
 from spdcast.spd import SPD_FLOOR
 
 
@@ -157,7 +157,7 @@ class TestBatchedGpa:
         v = rng.standard_normal(n)
         series[25] = SpdMatrix(np.outer(v, v))  # a rank-one day
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-        roots = root_stack(series)
+        roots = np.stack([sqrtm_psd(m) for m in series])
         for k in (5, 22):
             for t in range(k, len(series) + 1):
                 window = series[t - k : t]

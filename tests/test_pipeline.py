@@ -14,13 +14,15 @@ from spdcast import (
     CovSeries,
     DecompositionError,
     SeriesFormatError,
+    SpdcastError,
+    SpdMatrix,
     load_config,
     load_series,
     run_model,
     save_series,
     simulate_market,
 )
-from spdcast import baselines, frechet, pipeline
+from spdcast import baselines, data, pipeline, spd
 from spdcast.cli import main
 from spdcast.pipeline import ModelSpec, _parse_roster
 
@@ -251,7 +253,7 @@ class TestRunModel:
         assert list(result.dates) == list(series.dates[cfg.window :])
         for k, pred in enumerate(result.predictions):
             t = cfg.window + k
-            assert np.array_equal(pred.data, series.matrices[t - 1].data)
+            assert np.array_equal(pred.data, series[t - 1].data)
         assert result.failures == []
 
     def test_window_must_leave_training_pairs(self, tmp_path):
@@ -264,29 +266,31 @@ class TestRunModel:
 
 
 class TestStackFailures:
-    """A matrix whose decomposition fails fails only the fits and predictions
-    whose windows hold it; every other window keeps its forecast."""
+    """A matrix whose logarithm or Cholesky factor fails fails only the fits
+    and predictions whose windows hold it; every other window keeps its
+    forecast."""
 
-    @staticmethod
-    def failing_on(monkeypatch, owner, name, bad):
-        original = getattr(owner, name)
-
-        def failing(m, *args):
-            if m is bad:
-                raise DecompositionError(f"{name} failed on the bad day")
-            return original(m, *args)
-
-        monkeypatch.setattr(owner, name, failing)
+    # Its relative floor underflows to 0, so logm(ensure_pd(m)) and
+    # chol_vectorize(m) both raise.
+    BAD_DAY = np.diag([1e-320, 0.0, 0.0])
 
     @staticmethod
     def run(spec, cfg, series):
         # A fresh series, so that no stack built by an earlier run is reused.
-        return run_model(spec, cfg, CovSeries(series.dates, series.matrices))
+        return run_model(spec, cfg, CovSeries(series.dates, series.data))
+
+    def with_bad_day(self, series, day, oracle):
+        data = series.data.copy()
+        data[day] = self.BAD_DAY
+        bad = CovSeries(series.dates, data)
+        with pytest.raises(SpdcastError) as err:
+            oracle(bad[day])
+        return bad, str(err.value)
 
     @staticmethod
     def check(result, clean, series, failing, reason):
         assert [d for d, _ in result.failures] == [str(series.dates[t]) for t in failing]
-        assert all(reason in why for _, why in result.failures)
+        assert all(why == reason for _, why in result.failures)
         kept = [t for t in range(40, len(series)) if t not in failing]
         assert list(result.dates) == [series.dates[t] for t in kept]
         if clean is not None:
@@ -298,45 +302,46 @@ class TestStackFailures:
         series, _ = simulate_market(3, 70, 0.8, 7, 5)
         return cfg, series
 
-    def test_favar(self, tmp_path, monkeypatch):
+    def test_favar(self, tmp_path):
         cfg, series = self.config_and_series(tmp_path)
         spec = ModelSpec("favar", "favar", {"factors": 2})
         clean = self.run(spec, cfg, series)
         clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
-        self.failing_on(monkeypatch, baselines, "chol_vectorize", series.matrices[50])
+        bad, reason = self.with_bad_day(series, 50, baselines.chol_vectorize)
         # FAVAR refits on every window [t - 40, t); it holds day 50 for t = 51..69.
-        self.check(self.run(spec, cfg, series), clean, series, range(51, 70),
-                   "fit: chol_vectorize failed")
+        self.check(self.run(spec, cfg, bad), clean, series, range(51, 70), f"fit: {reason}")
 
-    @pytest.mark.parametrize("metric, kernel", [("log_euclidean", "logm"),
-                                                ("procrustes", "sqrtm_psd")])
-    def test_geohar(self, tmp_path, monkeypatch, metric, kernel):
+    @pytest.mark.parametrize("metric, kernel", [("log_euclidean", "logm")])
+    def test_geohar(self, tmp_path, metric, kernel):
         cfg, series = self.config_and_series(tmp_path)
         spec = ModelSpec("geohar", "geohar", {"metric": metric, "loss": "log_euclidean"})
         clean = self.run(spec, cfg, series)
         clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
+
+        def oracle(m):  # the per-matrix input of a log-Euclidean mean
+            return getattr(spd, kernel)(spd.ensure_pd(m))
+
         # Day 50 lies after the first fit's window [0, 40); the 22-day means
         # of the predictions for t = 51..69 hold it.
-        self.failing_on(monkeypatch, frechet, kernel, series.matrices[50])
-        self.check(self.run(spec, cfg, series), clean, series, range(51, 70),
-                   f"{kernel} failed")
+        bad, reason = self.with_bad_day(series, 50, oracle)
+        self.check(self.run(spec, cfg, bad), clean, series, range(51, 70), reason)
         # Day 10 is an input of the fits on [t - 40, t) for t = 40..50, which
         # fail until the window passes it; no prediction's means hold it.
-        monkeypatch.undo()
-        self.failing_on(monkeypatch, frechet, kernel, series.matrices[10])
-        self.check(self.run(spec, cfg, series), None, series, range(40, 51),
-                   f"fit: {kernel} failed")
+        bad, reason = self.with_bad_day(series, 10, oracle)
+        self.check(self.run(spec, cfg, bad), None, series, range(40, 51), f"fit: {reason}")
 
     def test_geohar_roots_each_matrix_once(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
         cfg.refit_every = 10
-        roots = []
-        original = frechet.sqrtm_psd
-        monkeypatch.setattr(frechet, "sqrtm_psd", lambda m: roots.append(m) or original(m))
+        rows = []
+        original = data.sqrtm_stack
+        monkeypatch.setattr(data, "sqrtm_stack",
+                            lambda values, vectors: rows.append(len(values)) or
+                            original(values, vectors))
         spec = ModelSpec("geohar", "geohar", {"metric": "procrustes", "loss": "log_euclidean"})
         result = run_model(spec, cfg, series)
         assert len(result.traces) == 3 and len(result.dates) == 30
-        assert len(roots) == len(series)
+        assert rows == [len(series)]
 
 
 class TestStackedPrediction:
@@ -399,6 +404,32 @@ class TestStackedPrediction:
         assert [d for d, _ in result.failures] == [str(series.dates[43])]
         assert "below the PSD tolerance" in result.failures[0][1]
         assert len(result.dates) == 29 and series.dates[43] not in result.dates
+
+    def test_non_finite_output_fails_only_its_date(self, tmp_path, monkeypatch):
+        cfg, series = self.config_and_series(tmp_path)
+        clean = run_model(self.SPEC, cfg, series)
+        original = pipeline.Network.forward_trace
+
+        def poisoning(self, x):
+            trace = original(self, x)
+            if len(x) == 30:
+                trace.output[7, 0, 1] = np.nan
+            return trace
+
+        checked = []
+        check = data._check_records
+        monkeypatch.setattr(pipeline.Network, "forward_trace", poisoning)
+        monkeypatch.setattr(data, "_check_records",
+                            lambda outputs: checked.append(len(outputs)) or check(outputs))
+        result = run_model(self.SPEC, cfg, series)
+        with pytest.raises(SpdcastError) as alone:
+            SpdMatrix(np.diag([1.0, np.nan, 1.0]))
+        assert result.failures == [(str(series.dates[47]), str(alone.value))]
+        assert checked == [30]  # one stacked check of the model's 30 forecasts
+        kept = [k for k in range(30) if k != 7]
+        assert list(result.dates) == [clean.dates[k] for k in kept]
+        for k, pred in zip(kept, result.predictions):
+            assert np.array_equal(pred.data, clean.predictions[k].data)
 
     def test_each_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
@@ -597,6 +628,7 @@ class TestCommands:
          "could not convert string to float: 'abc'"),
         ("date,A00,A01,A02\n2000-01-03,0.1,0.2\n", 2, "wrong field count"),
         ("day,A00,A01,A02\n", 1, "expected header date,<tickers>"),
+        ("date,A00,A01,A02\n,0.5,0,0\n2000-01-03,0.1,0,0\n", 2, "bad date ''"),
     ]
 
     @pytest.mark.parametrize("text, line, reason", BAD_RETURNS)
@@ -740,7 +772,7 @@ class TestSeriesReuse:
         assert self.run_cli("train-forecast", config, "--out", str(out)) == 0
         assert self.series_from(out) == "intraday"
         realized = load_series(out / "data" / "realized.matbin")
-        assert not np.array_equal(realized.matrices[-1].data, ingested.matrices[-1].data)
+        assert not np.array_equal(realized[-1].data, ingested[-1].data)
 
     def test_train_section_edit_still_reuses(self, tmp_path, caplog):
         config = self.simulate_config(tmp_path)
@@ -872,7 +904,7 @@ class TestMissingDates:
         keep = [k for k in range(30) if k not in (3, 17)]
         proxy = tmp_path / "proxy.csv"
         self.write_dated(proxy, ["date", "value"], realized.dates[keep],
-                         [[np.trace(realized.matrices[k].data)] for k in keep])
+                         [[np.trace(realized[k].data)] for k in keep])
         path.write_text(path.read_text().replace(
             "replicates = 120", f"replicates = 120\nmarket_variance = {proxy}"))
         capsys.readouterr()
@@ -884,7 +916,7 @@ class TestMissingDates:
     def test_forecast_files_without_common_dates(self, tmp_path, capsys):
         path, out = self.forecast(tmp_path)
         favar = load_series(out / "forecasts" / "favar.matbin")
-        save_series(CovSeries(favar.dates + 1000, favar.matrices), out / "forecasts" / "favar.matbin")
+        save_series(CovSeries(favar.dates + 1000, favar.data), out / "forecasts" / "favar.matbin")
         capsys.readouterr()
         assert self.run_cli("evaluate", path) == 2
         assert capsys.readouterr().err == (
@@ -1026,7 +1058,7 @@ class TestMarketVarianceFile:
             p.unlink()
         realized = load_series(out / "data" / "realized.matbin")
         rows = [f"{d},{float(np.trace(m.data)):.17g}"
-                for d, m in zip(realized.dates, realized.matrices)]
+                for d, m in zip(realized.dates, realized)]
         # In another order, with a date the panel does not use.
         rows = rows[::-1] + [f"{realized.dates[0] - 1},1e9"]
         proxy = tmp_path / "proxy.csv"
@@ -1062,6 +1094,8 @@ class TestMarketVarianceFile:
         ("date,level\n2000-01-03,1.0\n", 1, "expected header date,value"),
         ("day,value\n", 1, "expected header date,value"),
         ("", 1, "expected header date,value"),
+        ("date,value\n,0.5\n2000-01-03,0.1\n", 2, "bad date ''"),
+        ("date,value\nNaT,0.5\n2000-01-03,0.1\n", 2, "bad date 'NaT'"),
     ])
     def test_malformed_file_exits_1_naming_its_line(self, tmp_path, capsys, text, line, reason):
         path, _ = self.forecast(tmp_path)

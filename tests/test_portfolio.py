@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spd, spd_from_spectrum
 from spdcast import (
+    CovSeries,
     SpdMatrix,
     WeightPath,
     annualized_std,
@@ -59,6 +60,10 @@ class TestGmv:
         assert np.ptp(marginal) <= 1e-10 * abs(marginal[0])
 
 
+def series_of(mats):
+    return CovSeries(np.datetime64("2001-01-01") + np.arange(len(mats)), mats)
+
+
 class TestStackedGmv:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -75,7 +80,7 @@ class TestStackedGmv:
             spectrum = rng.uniform(0.5, 3.0, size=n)
             spectrum[rng.integers(0, n)] = rng.choice([0.0, 1e-12])
             mats[k] = spd_from_spectrum(rng, spectrum)
-        weights = gmv_weights(mats)
+        weights = gmv_weights(series_of(mats))
         assert weights.shape == (count, n)
         for m, row in zip(mats, weights):
             raw = np.linalg.solve(ensure_pd(m).data, np.ones(n))
@@ -84,7 +89,7 @@ class TestStackedGmv:
 
     def test_floor_projected_rows(self, rng):
         singular = SpdMatrix(np.diag([1.0, 2.0, 0.0]))
-        weights = gmv_weights([random_spd(rng, 3), singular])
+        weights = gmv_weights(series_of([random_spd(rng, 3), singular]))
         assert ensure_pd(singular) is not singular
         raw = np.linalg.solve(ensure_pd(singular).data, np.ones(3))
         assert np.array_equal(weights[1], raw / raw.sum())

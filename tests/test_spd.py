@@ -29,7 +29,9 @@ from spdcast import (
     sqrtm_psd,
     vech,
 )
-from spdcast.spd import SPD_FLOOR, ensure_pd
+from spdcast.baselines import _series_chols, chol_vectorize
+from spdcast.data import CovSeries, _series_logs, _series_roots
+from spdcast.spd import SPD_FLOOR, ensure_pd, validate_stack
 
 
 class TestSpdMatrix:
@@ -108,17 +110,17 @@ class TestStackConstructor:
             expected = [SpdMatrix(a) for a in stack]
         except NotPositiveDefiniteError as exc:  # round-off below the tolerance
             with pytest.raises(NotPositiveDefiniteError, match=re.escape(str(exc))):
-                SpdMatrix.stack(stack)
+                validate_stack(stack)
             return
-        built = SpdMatrix.stack(stack)
-        assert len(built) == count
-        for a, one, m in zip(stack, expected, built):
+        built = validate_stack(stack)
+        assert all(len(b) == count for b in built)
+        for a, one, *m in zip(stack, expected, *built):
             sym, values, vectors = _one_by_one(a)
-            for got in (one, m):
-                assert got.data.tobytes() == sym.tobytes()
-                assert got.eig.values.tobytes() == values.tobytes()
-                assert got.eig.vectors.tobytes() == vectors.tobytes()
-            assert not m.data.flags.writeable and not m.eig.vectors.flags.writeable
+            for got in ((one.data, *one.eig), m):
+                assert got[0].tobytes() == sym.tobytes()
+                assert got[1].tobytes() == values.tobytes()
+                assert got[2].tobytes() == vectors.tobytes()
+        assert not any(b.flags.writeable for b in built)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -133,23 +135,74 @@ class TestStackConstructor:
         with pytest.raises(ValueError) as single:
             SpdMatrix(bad)
         with pytest.raises(type(single.value)) as err:
-            SpdMatrix.stack(stack)
+            validate_stack(stack)
         assert str(err.value) == str(single.value) == message
 
         def name(i, exc):
             return KeyError(f"record {i}: {exc}")
 
         with pytest.raises(KeyError) as err:
-            SpdMatrix.stack(stack, name)
+            validate_stack(stack, name)
         assert err.value.args[0] == f"record 2: {message}"
         assert err.value.__cause__ is not None
 
     def test_shapes(self):
-        assert SpdMatrix.stack(np.zeros((0, 3, 3))) == []
+        assert all(b.shape[0] == 0 for b in validate_stack(np.zeros((0, 3, 3))))
         with pytest.raises(DimensionMismatchError, match=r"got shape \(2, 3\)"):
-            SpdMatrix.stack(np.ones((4, 2, 3)))
+            validate_stack(np.ones((4, 2, 3)))
         with pytest.raises(DimensionMismatchError, match="stack"):
-            SpdMatrix.stack(np.eye(3))
+            validate_stack(np.eye(3))
+
+
+def _per_matrix(fn, m):
+    """``fn(m)``, or None if it raises the library error of a failed decomposition."""
+    try:
+        return fn(m)
+    except (NotPositiveDefiniteError, DecompositionError):
+        return None
+
+
+class TestSeriesKernels:
+    """The batched log, root and Cholesky stacks of a series are the
+    per-matrix functions, bit for bit, and fail on the same matrices."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 10),
+        n=st.integers(1, 6),
+        kinds=st.lists(st.sampled_from(["full_rank", "rank_deficient", "subnormal",
+                                        "zero", "underflowing_floor"]), min_size=1, max_size=3),
+    )
+    def test_equal_the_per_matrix_functions(self, seed, count, n, kinds):
+        rng = np.random.default_rng(seed)
+        parts = [_stack_case(int(rng.integers(2**32)), count, n, kind) for kind in kinds
+                 if kind in ("full_rank", "rank_deficient", "subnormal")]
+        if "zero" in kinds:
+            parts.append(np.zeros((1, n, n)))
+        if "underflowing_floor" in kinds:  # lambda_max * SPD_FLOOR underflows to 0
+            parts.append(np.diag([1e-320] + [0.0] * (n - 1))[None])
+        data = np.concatenate(parts)
+        data = data[rng.permutation(len(data))]
+        try:
+            series = CovSeries(np.datetime64("2001-01-01") + np.arange(len(data)), data)
+        except NotPositiveDefiniteError:  # round-off below the PSD tolerance
+            return
+        for kernel, oracle in ((_series_logs, lambda m: logm(ensure_pd(m))),
+                               (_series_roots, sqrtm_psd),
+                               (_series_chols, chol_vectorize)):
+            stack, errors = kernel(series)
+            assert list(errors) == sorted(errors)
+            for t, m in enumerate(series):
+                expected = _per_matrix(oracle, m)
+                if expected is None:
+                    with pytest.raises(type(errors[t])) as err:
+                        oracle(m)
+                    assert str(err.value) == str(errors[t])
+                    assert np.isnan(stack[t]).all()
+                else:
+                    assert t not in errors
+                    assert stack[t].tobytes() == expected.tobytes()
 
 
 class TestSpectralMaps:
@@ -395,3 +448,15 @@ class TestEnsurePd:
         assert np.array_equal(old.data, fixed.data)
         assert np.array_equal(old.eig.values, fixed.eig.values)
         assert np.array_equal(old.eig.vectors, fixed.eig.vectors)
+
+    def test_an_underflowing_floor_fails_only_its_log_and_cholesky_rows(self):
+        data = np.stack([np.eye(3), np.diag([1e-320, 0.0, 0.0]), np.zeros((3, 3))])
+        series = CovSeries(np.datetime64("2001-01-01") + np.arange(3), data)
+        logs, log_errors = _series_logs(series)
+        chols, chol_errors = _series_chols(series)
+        assert list(log_errors) == list(chol_errors) == [1]
+        assert str(log_errors[1]) == ("matrix logarithm requires strictly positive "
+                                      "eigenvalues (smallest is 0.000000e+00)")
+        assert str(chol_errors[1]) == "Cholesky failed: Matrix is not positive definite"
+        assert not np.isnan(logs[[0, 2]]).any() and not np.isnan(chols[[0, 2]]).any()
+        assert not _series_roots(series)[1]
