@@ -25,7 +25,7 @@ def main():
     lagged = build_lagged_inputs(series, lags=3)
     print(f"lagged inputs: {len(lagged.inputs)} samples, "
           f"input dim {lagged.inputs[0].dim}, target dim {lagged.targets[0].dim}")
-    print("first target date:", lagged.dates[0])
+    print("first target date:", lagged.targets.dates[0])
     # block 0 of the first input is yesterday's matrix for that target
     first = lagged.inputs[0].data
     yesterday = series[2].data
@@ -36,7 +36,7 @@ def main():
     har = build_geohar_inputs(series)
     print(f"memory-average inputs: {len(har.inputs)} samples "
           f"(needs a 22 day burn-in), input dim {har.inputs[0].dim}")
-    print("first target date:", har.dates[0])
+    print("first target date:", har.targets.dates[0])
     block_traces = [np.trace(har.inputs[0].data[i * 4:(i + 1) * 4, i * 4:(i + 1) * 4])
                     for i in range(3)]
     print("block traces (daily, weekly, monthly):",

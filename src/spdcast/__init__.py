@@ -27,7 +27,6 @@ from .data import (
     load_intraday_csv,
     load_series,
     log_returns,
-    realized_cov,
     realized_series,
     rolling_windows,
     save_series,
@@ -59,7 +58,6 @@ from .frechet import (
     METRIC_PROCRUSTES,
     FrechetConfig,
     GpaResult,
-    frechet_mean,
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
 )

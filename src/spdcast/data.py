@@ -29,20 +29,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError
-from .frechet import (
-    METRIC_LOG_EUCLIDEAN,
-    METRIC_PROCRUSTES,
-    FrechetConfig,
-    mean_from_logs,
-    mean_from_roots,
-)
+from .frechet import METRIC_LOG_EUCLIDEAN, FrechetConfig, mean_from_logs, mean_from_roots
 from .spd import (
     SpdMatrix,
     _check_records,
     _freeze,
+    _recompose,
     _symmetrize,
     ensure_pd_values,
     expm,
+    logm,
     logm_stack,
     sqrtm_stack,
     validate_stack,
@@ -54,12 +50,10 @@ __all__ = [
     "CovSeries",
     "ReturnPanel",
     "SupervisedSet",
-    "realized_cov",
     "log_returns",
     "blockdiag_spd",
     "build_lagged_inputs",
     "build_geohar_inputs",
-    "har_input",
     "rolling_windows",
     "simulate_market",
     "save_series",
@@ -72,6 +66,10 @@ FORMAT_MATBIN = "matbin"
 FORMAT_CSVLONG = "csvlong"
 
 _EPOCH = np.datetime64("1970-01-01", "D")
+
+# The HAR horizons: a GeoHAR input holds the means of the last week and month.
+HAR_WEEK = 5
+HAR_MONTH = 22
 
 log = logging.getLogger(__name__)
 
@@ -140,24 +138,28 @@ class CovSeries:
             return SpdMatrix._view(*arrays)
         return object.__new__(CovSeries)._set(self.dates[key], *arrays)
 
-    def stack(self, kernel: Callable[["CovSeries"], tuple], rows: slice = slice(None)) -> np.ndarray:
-        """Rows ``rows`` of ``kernel(self)``'s stack, built once per series and kept.
+    def stack(self, kernel: Callable[["CovSeries"], tuple], rows=slice(None),
+              failed: dict | None = None) -> np.ndarray:
+        """Rows ``rows`` (a slice or an index array) of ``kernel(self)``'s stack,
+        built once per series and kept.
 
         ``kernel`` returns the stack and, keyed by row in ascending order,
         the :class:`SpdcastError` of each row it could not build.  The call
         raises the first of those errors that ``rows`` holds: a failure is
-        attributed only to the windows that contain its matrix.
+        attributed only to the windows that contain its matrix.  Given a
+        dict ``failed``, it records them there instead, keyed by index in ``rows``.
         """
         if kernel not in self._stacks:
             self._stacks[kernel] = kernel(self)
-        values, errors = self._stacks[kernel]
-        wanted = range(len(self))[rows]
-        for position, exc in errors.items():
-            if position in wanted:
+        built, errors = self._stacks[kernel]
+        wanted = np.arange(len(built))[rows]
+        for k in np.flatnonzero(np.isin(wanted, list(errors))):
+            if failed is None:
                 # Without the traceback of its last raise, which each raise
                 # would otherwise extend.
-                raise exc.with_traceback(None)
-        return values[rows]
+                raise errors[wanted[k]].with_traceback(None)
+            failed[int(k)] = errors[wanted[k]]
+        return built[rows]
 
 
 @dataclass
@@ -182,19 +184,11 @@ class ReturnPanel:
 
 @dataclass
 class SupervisedSet:
-    """One-step supervised pairs: block-assembled input, next-day target."""
+    """One-step supervised pairs as two series dated by their targets: the
+    block-diagonal inputs and the matrices they forecast."""
 
-    inputs: list[SpdMatrix]
-    targets: list[SpdMatrix]
-    dates: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.dates = _as_dates(self.dates)
-        if not (len(self.inputs) == len(self.targets) == len(self.dates)):
-            raise SeriesFormatError("inputs, targets, and dates must be equal length")
-
-    def __len__(self) -> int:
-        return len(self.inputs)
+    inputs: CovSeries
+    targets: CovSeries
 
 
 def _cross_product(day_returns: np.ndarray) -> np.ndarray:
@@ -206,11 +200,6 @@ def _cross_product(day_returns: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(r)):
         raise ValueError("returns must be finite")
     return r.T @ r
-
-
-def realized_cov(day_returns: np.ndarray) -> SpdMatrix:
-    """Sum of return cross products over one day's observations."""
-    return SpdMatrix(_cross_product(day_returns))
 
 
 def log_returns(prices: np.ndarray) -> np.ndarray:
@@ -225,19 +214,35 @@ def log_returns(prices: np.ndarray) -> np.ndarray:
     return np.log(p[1:] / p[:-1])
 
 
+def _blockdiag_stack(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """Block diagonals from each block's ``(values, vectors)`` stacks, as matrix, eigenvalue
+    and eigenvector stacks: row b is ``SpdMatrix._from_eig`` of the blocks' rows b, bit for bit."""
+    values = np.concatenate([block_values for block_values, _ in blocks], axis=-1)
+    vectors = np.zeros(values.shape + values.shape[-1:])
+    ends = np.cumsum([block.shape[-1] for _, block in blocks])
+    for (_, block), start, end in zip(blocks, np.r_[0, ends[:-1]], ends):
+        vectors[:, start:end, start:end] = block
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
+    return _recompose(values, vectors), values, vectors
+
+
 def blockdiag_spd(blocks: Sequence[SpdMatrix]) -> SpdMatrix:
     """Block-diagonal composition; the spectrum is the union of block spectra."""
-    if len(blocks) == 0:
-        raise ValueError("need at least one block")
-    dims = [b.dim for b in blocks]
-    total = sum(dims)
-    values = np.concatenate([b.eig.values for b in blocks])
-    vectors = np.zeros((total, total))
-    offset = 0
-    for b, d in zip(blocks, dims):
-        vectors[offset : offset + d, offset : offset + d] = b.eig.vectors
-        offset += d
-    return SpdMatrix._from_eig(values, vectors)
+    arrays = _blockdiag_stack([(b.eig.values[None], b.eig.vectors[None]) for b in blocks])
+    return SpdMatrix._view(*(_freeze(a[0]) for a in arrays))
+
+
+def _supervised(series: CovSeries, rows: slice, inputs: tuple[np.ndarray, ...]) -> SupervisedSet:
+    return SupervisedSet(object.__new__(CovSeries)._set(series.dates[rows], *inputs), series[rows])
+
+
+def _lagged_stack(series: CovSeries, positions: np.ndarray, lags: int) -> tuple[np.ndarray, ...]:
+    """The lagged inputs at ``positions``: block diagonals of the ``lags`` matrices
+    before each position, the latest top-left."""
+    return _blockdiag_stack([(series.values[positions - j], series.vectors[positions - j])
+                             for j in range(1, lags + 1)])
 
 
 def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
@@ -250,11 +255,8 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
         raise ValueError(f"lags must be at least 1, got {lags}")
     if len(series) <= lags:
         raise ValueError(f"series of length {len(series)} too short for {lags} lags")
-    inputs, targets = [], []
-    for t in range(lags, len(series)):
-        inputs.append(blockdiag_spd([series[t - j] for j in range(1, lags + 1)]))
-        targets.append(series[t])
-    return SupervisedSet(inputs, targets, series.dates[lags:])
+    positions = np.arange(lags, len(series))
+    return _supervised(series, slice(lags, None), _lagged_stack(series, positions, lags))
 
 
 def _series_logs(series: CovSeries) -> tuple[np.ndarray, dict]:
@@ -267,78 +269,75 @@ def _series_roots(series: CovSeries) -> tuple[np.ndarray, dict]:
     return sqrtm_stack(series.values, series.vectors), {}
 
 
-def har_input(
-    series: CovSeries,
-    t: int,
-    cfg: FrechetConfig,
-    weekly_window: int = 5,
-    monthly_window: int = 22,
-) -> SpdMatrix:
-    """Heterogeneous input at position t: yesterday, weekly mean, monthly mean.
+@dataclass(frozen=True)
+class _HarMeans:
+    """The series kernel of the HAR means under ``cfg``; equal configurations share a stack.
 
-    Block-stacks ``series[t - 1]`` with the Fréchet means of the
-    ``weekly_window`` and ``monthly_window`` matrices before t.  The means
-    read the last rows of the series' stack of logarithms (log-Euclidean)
-    or square roots (Procrustes), built once per series, so a matrix
-    whose logarithm failed raises here only if it is one of the
-    ``monthly_window`` before t.  A Procrustes mean that exhausts
-    ``cfg.max_iters`` is used, and logged as a warning.
+    Row ``t - HAR_MONTH`` of its stack, for each position t from HAR_MONTH to
+    ``len(series)``, holds the eigenvalues ``(2, n)`` and eigenvectors
+    ``(2, n, n)`` of the means of the HAR_WEEK and of the HAR_MONTH matrices
+    before t.  A position fails with the first failed logarithm of its month.
+    A Procrustes mean that exhausts ``cfg.max_iters`` is used, and logged once per series.
     """
-    if not (1 <= weekly_window <= monthly_window):
-        raise ValueError("windows must satisfy 1 <= weekly <= monthly")
-    if not (monthly_window <= t <= len(series)):
-        raise IndexError(f"t must be in [{monthly_window}, {len(series)}], got {t}")
-    kernel = _series_logs if cfg.metric == METRIC_LOG_EUCLIDEAN else _series_roots
-    stack = series.stack(kernel, slice(t - monthly_window, t))
 
-    def mean(k: int) -> SpdMatrix:
-        if cfg.metric == METRIC_LOG_EUCLIDEAN:
-            return mean_from_logs(stack[-k:])
-        result = mean_from_roots(stack[-k:], cfg)
-        if not result.converged:
-            log.warning(
-                "Procrustes mean of the %d matrices before position %d did not "
-                "converge in %d iterations", k, t, result.n_iters,
-            )
-        return result.mean
+    cfg: FrechetConfig
 
-    return blockdiag_spd([series[t - 1], mean(weekly_window), mean(monthly_window)])
+    def __call__(self, series: CovSeries) -> tuple[np.ndarray, dict]:
+        positions = range(HAR_MONTH, len(series) + 1)
+        n = series.dim
+        means = np.zeros(len(positions), [("values", float, (2, n)), ("vectors", float, (2, n, n))])
+        failed, errors = {}, {}
+        le = self.cfg.metric == METRIC_LOG_EUCLIDEAN
+        samples = series.stack(_series_logs, failed=failed) if le else series.stack(_series_roots)
+        for i, t in enumerate(positions):
+            month = [row for row in failed if t - HAR_MONTH <= row < t]
+            if month:
+                errors[i] = failed[month[0]]
+                continue
+            for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
+                if le:
+                    mean = mean_from_logs(samples[t - k : t])
+                else:
+                    result = mean_from_roots(samples[t - k : t], self.cfg)
+                    if not result.converged:
+                        log.warning("Procrustes mean of the %d matrices before position %d did "
+                                    "not converge in %d iterations", k, t, result.n_iters)
+                    mean = result.mean
+                means["values"][i, j], means["vectors"][i, j] = mean.eig
+        return means, errors
+
+
+def _geohar_stack(series: CovSeries, positions: np.ndarray, cfg: FrechetConfig,
+                  failed: dict | None = None) -> tuple[np.ndarray, ...]:
+    """The HAR inputs at ``positions``: block diagonals of the matrix before each
+    and of its row of :class:`_HarMeans`.  A position that failed there raises,
+    or, given a dict ``failed``, is recorded in it (see :meth:`CovSeries.stack`)."""
+    if len(positions) and positions.min() < HAR_MONTH:
+        raise IndexError(f"positions must be at least {HAR_MONTH}, got {positions.min()}")
+    means = series.stack(_HarMeans(cfg), positions - HAR_MONTH, failed)
+    return _blockdiag_stack([(series.values[positions - 1], series.vectors[positions - 1])]
+                            + [(means["values"][:, j], means["vectors"][:, j]) for j in (0, 1)])
 
 
 def build_geohar_inputs(
-    series: CovSeries,
-    metric: str = METRIC_LOG_EUCLIDEAN,
-    cfg: FrechetConfig | None = None,
-    weekly_window: int = 5,
-    monthly_window: int = 22,
-    train: slice | None = None,
+    series: CovSeries, cfg: FrechetConfig | None = None, train: slice | None = None
 ) -> SupervisedSet:
-    """Supervised pairs of :func:`har_input` and the next matrix, within ``train``.
+    """Supervised pairs of HAR inputs and the next matrix, within ``train``.
 
-    The input at position t block-stacks the matrix at t-1, the Fréchet
-    mean of the ``weekly_window`` most recent matrices, and the mean of the
-    ``monthly_window`` most recent, under the chosen metric.  Only matrices
-    in ``train`` (default: the whole series) enter, so the first target is
-    ``monthly_window`` positions into it.  The means read rows of one stack
-    per series (see :func:`har_input`), so fits on overlapping windows take
-    each matrix's logarithm or root once.
+    The input at position t block-stacks the matrix at t-1 and the Fréchet
+    means, under ``cfg``'s metric (default log-Euclidean), of the HAR_WEEK and
+    of the HAR_MONTH matrices before t.  Only matrices in ``train`` (default:
+    the whole series) enter, so the first target is HAR_MONTH positions into
+    it.  The means are rows of one stack per series and configuration, so
+    fits on overlapping windows and the forecasts after them share them.
     """
-    if metric not in (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES):
-        raise ValueError(f"unknown metric {metric!r}")
-    if not (1 <= weekly_window <= monthly_window):
-        raise ValueError("windows must satisfy 1 <= weekly <= monthly")
     window = range(len(series))[train or slice(None)]
-    if window.step != 1 or len(window) <= monthly_window:
+    if window.step != 1 or len(window) <= HAR_MONTH:
         raise ValueError(f"training window of length {len(window)} too short for a "
-                         f"{monthly_window}-day window")
-    if cfg is None:
-        cfg = FrechetConfig(metric=metric)
-    elif cfg.metric != metric:
-        raise ValueError("cfg.metric disagrees with the metric argument")
-    positions = window[monthly_window:]
-    inputs = [har_input(series, t, cfg, weekly_window, monthly_window) for t in positions]
-    targets = [series[t] for t in positions]
-    return SupervisedSet(inputs, targets, series.dates[positions.start : positions.stop])
+                         f"{HAR_MONTH}-day window")
+    positions = np.arange(window.start + HAR_MONTH, window.stop)
+    inputs = _geohar_stack(series, positions, cfg or FrechetConfig())
+    return _supervised(series, slice(positions[0], window.stop), inputs)
 
 
 def rolling_windows(series: CovSeries, window: int) -> Iterator[tuple[slice, int]]:
@@ -399,9 +398,7 @@ def simulate_market(
     else:
         if base.dim != n:
             raise DimensionMismatchError(f"base dim {base.dim} != n {n}")
-        from .spd import logm as _logm
-
-        center = _logm(base)
+        center = logm(base)
 
     innovation = vol * np.sqrt(1.0 - persistence**2)
     state = center + _symmetric_noise(rng, n, vol)

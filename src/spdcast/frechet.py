@@ -34,7 +34,6 @@ __all__ = [
     "frechet_mean_log_euclidean",
     "mean_from_roots",
     "frechet_mean_procrustes",
-    "frechet_mean",
 ]
 
 METRIC_LOG_EUCLIDEAN = "log_euclidean"
@@ -148,9 +147,3 @@ def frechet_mean_procrustes(
     """Procrustes sample mean: :func:`mean_from_roots` of the sample's symmetric square roots."""
     return mean_from_roots(sqrtm_stack(*_eig_stacks(sample)), cfg)
 
-
-def frechet_mean(sample: Sequence[SpdMatrix], cfg: FrechetConfig) -> SpdMatrix:
-    """Metric-dispatching mean; the Procrustes branch discards diagnostics."""
-    if cfg.metric == METRIC_LOG_EUCLIDEAN:
-        return frechet_mean_log_euclidean(sample)
-    return frechet_mean_procrustes(sample, cfg).mean

@@ -24,8 +24,10 @@ from .exceptions import (
     NotPositiveDefiniteError,
     TrainingDivergedError,
 )
+from .data import CovSeries
 from .network import ForwardTrace, Network
-from .spd import SpdMatrix, _eigh_desc, _recompose, _symmetrize, ensure_pd, logm
+from .spd import (SpdMatrix, _eigh_desc, _recompose, _symmetrize, ensure_pd, ensure_pd_values,
+                  logm, logm_stack)
 from .stiefel import stiefel_project, stiefel_retract
 
 __all__ = [
@@ -229,29 +231,36 @@ def backward(
     return BackwardResult(grads, g, clamps, min_gap)
 
 
-def _prepare_targets(targets: Sequence[SpdMatrix], loss: str) -> tuple[np.ndarray, int]:
+def _stacks(samples: CovSeries | Sequence[SpdMatrix]) -> tuple[np.ndarray, ...]:
+    """The matrix, eigenvalue and eigenvector stacks of a series or of a sequence of matrices."""
+    if isinstance(samples, CovSeries):
+        return samples.data, samples.values, samples.vectors
+    return tuple(np.array(a) for a in zip(*((s.data, *s.eig) for s in samples)))
+
+
+def _prepare_targets(targets, loss: str) -> tuple[np.ndarray, int]:
     """The target stack; for the log-Euclidean loss, of target logarithms (floored if needed)."""
+    data, values, vectors = _stacks(targets)
     if loss == LOSS_MSE:
-        return np.stack([t.data for t in targets]), 0
-    logs = []
-    floored = 0
-    for t in targets:
-        pd = ensure_pd(t)
-        floored += pd is not t
-        logs.append(logm(pd))
+        return data, 0
+    floored_values = ensure_pd_values(values)
+    floored = int(np.count_nonzero(floored_values[:, -1] > values[:, -1]))
+    logs, errors = logm_stack(floored_values, vectors)
+    if errors:
+        raise next(iter(errors.values()))
     if floored:
         warnings.warn(
             f"{floored} training targets were rank deficient and floor-projected",
             RuntimeWarning,
             stacklevel=3,
         )
-    return np.stack(logs), floored
+    return logs, floored
 
 
 def train(
     net: Network,
-    inputs: Sequence[SpdMatrix],
-    targets: Sequence[SpdMatrix],
+    inputs: CovSeries | Sequence[SpdMatrix],
+    targets: CovSeries | Sequence[SpdMatrix],
     cfg: TrainConfig,
 ) -> TrainResult:
     """Minibatch Riemannian SGD.
@@ -267,7 +276,7 @@ def train(
     """
     if len(inputs) != len(targets) or len(inputs) == 0:
         raise DimensionMismatchError("inputs and targets must be equal-length and nonempty")
-    x_stack = np.stack([x.data for x in inputs])
+    x_stack = _stacks(inputs)[0]
     target_stack, floored = _prepare_targets(targets, cfg.loss)
 
     rng = np.random.default_rng(cfg.seed)

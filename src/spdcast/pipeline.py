@@ -32,12 +32,13 @@ from .baselines import favar_fit, favar_forecast
 from .data import (
     FORMAT_CSVLONG,
     FORMAT_MATBIN,
+    HAR_MONTH,
     CovSeries,
+    _geohar_stack,
+    _lagged_stack,
     _open_text,
-    blockdiag_spd,
     build_geohar_inputs,
     build_lagged_inputs,
-    har_input,
     load_intraday_csv,
     load_series,
     realized_series,
@@ -65,7 +66,6 @@ from .portfolio import (
     gmv_weights,
     naive_weights,
 )
-from .spd import SpdMatrix
 
 log = logging.getLogger(__name__)
 
@@ -520,9 +520,6 @@ class _Forecaster:
         self.name = name
         self.run_cfg = cfg
 
-    def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
-        pass
-
 
 class _RwForecaster(_Forecaster):
     min_history = 1
@@ -558,10 +555,9 @@ _PREDICT_CHUNK = 256
 
 
 class _NetForecaster(_Forecaster):
-    """A network on block diagonals of ``input_blocks`` n x n matrices: those of a
-    window's training pairs from ``_build_supervised``, of a date from ``_build_input``."""
-
-    input_blocks: int
+    """A network on block-diagonal inputs: those of a window's training pairs from
+    ``_build_supervised``, of the dates it forecasts from ``_inputs``; both read
+    one builder per kind, which also sets the network's input width."""
 
     def __init__(self, name: str, cfg: RunConfig, loss: str):
         super().__init__(name, cfg)
@@ -572,12 +568,12 @@ class _NetForecaster(_Forecaster):
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         cfg = self.run_cfg
         n = series.dim
-        input_dim = self.input_blocks * n
+        supervised = self._build_supervised(series, train_slice)
+        input_dim = supervised.inputs.dim
         if cfg.hidden is None:
             spec = NetworkSpec.default(input_dim, n, cfg.eps_rectify)
         else:
             spec = NetworkSpec(input_dim, (*cfg.hidden, n), cfg.eps_rectify)
-        supervised = self._build_supervised(series, train_slice)
         net = Network.init_random(spec, seed)
         tc = TrainConfig(
             learning_rate=cfg.learning_rate,
@@ -593,50 +589,45 @@ class _NetForecaster(_Forecaster):
         self.fit_count += 1
 
     def predict_many(self, series: CovSeries, positions: Sequence[int]):
-        """Build each input alone, then forward the built ones as stacks of
-        up to ``_PREDICT_CHUNK`` samples."""
+        """Build the inputs and forward those that did not fail, as stacks of up
+        to ``_PREDICT_CHUNK`` dates."""
         data = np.full((len(positions), series.dim, series.dim), np.nan)
         errors = {}
         for start in range(0, len(positions), _PREDICT_CHUNK):
-            built = {}
-            for k in range(start, min(start + _PREDICT_CHUNK, len(positions))):
-                try:
-                    built[k] = self._build_input(series, positions[k]).data
-                except SpdcastError as exc:
-                    errors[k] = exc
-            if built:
-                data[list(built)] = self.net.forward_trace(np.stack(list(built.values()))).output
+            failed = {}
+            chunk = np.asarray(positions[start : start + _PREDICT_CHUNK])
+            inputs = self._inputs(series, chunk, failed)[0]
+            kept = np.delete(np.arange(len(inputs)), list(failed))
+            if len(kept):
+                data[start + kept] = self.net.forward_trace(inputs[kept]).output
+            errors.update((start + k, exc) for k, exc in failed.items())
         return data, errors
 
 
 class _RespdnetForecaster(_NetForecaster):
     def __init__(self, name: str, cfg: RunConfig, lags: int, loss: str):
         super().__init__(name, cfg, loss)
-        self.lags = lags
-        self.input_blocks = lags
-        self.min_history = lags
+        self.lags = self.min_history = lags
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_lagged_inputs(series[train_slice], self.lags)
 
-    def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
-        return blockdiag_spd([series[t - j] for j in range(1, self.lags + 1)])
+    def _inputs(self, series: CovSeries, positions: np.ndarray, failed: dict):
+        return _lagged_stack(series, positions, self.lags)  # cannot fail
 
 
 class _GeoharForecaster(_NetForecaster):
-    input_blocks = 3  # the daily, weekly and monthly means
-    min_history = 22
+    min_history = HAR_MONTH
 
     def __init__(self, name: str, cfg: RunConfig, metric: str, loss: str):
         super().__init__(name, cfg, loss)
-        self.metric = metric
         self.frechet_cfg = FrechetConfig(metric=metric)
 
     def _build_supervised(self, series: CovSeries, train_slice: slice):
-        return build_geohar_inputs(series, self.metric, self.frechet_cfg, train=train_slice)
+        return build_geohar_inputs(series, self.frechet_cfg, train=train_slice)
 
-    def _build_input(self, series: CovSeries, t: int) -> SpdMatrix:
-        return har_input(series, t, self.frechet_cfg)
+    def _inputs(self, series: CovSeries, positions: np.ndarray, failed: dict):
+        return _geohar_stack(series, positions, self.frechet_cfg, failed)
 
 
 # kind: ({key: (parse, default, check)}, default name, forecaster class).

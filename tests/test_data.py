@@ -19,29 +19,25 @@ from spdcast import (
     DecompositionError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
+    ReturnPanel,
     SeriesFormatError,
     SpdMatrix,
     blockdiag_spd,
     build_geohar_inputs,
     build_lagged_inputs,
     frechet_mean_log_euclidean,
+    frechet_mean_procrustes,
     load_intraday_csv,
     load_series,
     log_returns,
-    realized_cov,
     realized_series,
     rolling_windows,
     save_series,
     simulate_market,
 )
 from spdcast import data
-from spdcast.data import _read_matrix_records, _write_matrix_records, har_input
-from spdcast.frechet import (
-    METRIC_LOG_EUCLIDEAN,
-    METRIC_PROCRUSTES,
-    FrechetConfig,
-    frechet_mean,
-)
+from spdcast.data import HAR_MONTH, _read_matrix_records, _write_matrix_records
+from spdcast.frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
 from spdcast.spd import ensure_pd, logm
 
 
@@ -137,16 +133,16 @@ class TestSeriesStacks:
         monkeypatch.setattr(data, "_series_roots",
                             lambda s: calls.append(len(s)) or original(s))
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-        for t in range(22, 31):
-            har_input(series, t, cfg)
-        build_geohar_inputs(series, METRIC_PROCRUSTES, cfg, train=slice(3, 28))
+        data._geohar_stack(series, np.arange(22, 31), cfg)
+        build_geohar_inputs(series, cfg, train=slice(3, 28))
         assert calls == [30]
 
 
 class TestReturnsAndCovariance:
     def test_realized_cov_double_loop(self, rng):
         r = rng.standard_normal((13, 4))
-        cov = realized_cov(r)
+        panel = ReturnPanel(np.array(["2001-01-01"], "datetime64[D]"), [r], list("abcd"))
+        cov = realized_series(panel)[0]
         expected = np.zeros((4, 4))
         for t in range(13):
             expected += np.outer(r[t], r[t])
@@ -182,13 +178,44 @@ class TestBlockdiag:
         want = np.sort(np.concatenate([a.eig.values, b.eig.values]))
         assert np.allclose(np.sort(out.eig.values), want, atol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sides=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        rows=st.integers(1, 3),
+        tied=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_are_from_eig_of_the_blocks_bitwise(self, sides, rows, tied, seed):
+        rng = np.random.default_rng(seed)
+        if tied:  # the lags of a constant series: equal spectra in every block
+            constant = random_spd(rng, sides[0])
+            sides = [sides[0]] * len(sides)
+            blocks = [[constant] * rows for _ in sides]
+        else:
+            blocks = [[random_spd(rng, side) for _ in range(rows)] for side in sides]
+        out, values, vectors = data._blockdiag_stack(
+            [(np.stack([m.eig.values for m in b]), np.stack([m.eig.vectors for m in b]))
+             for b in blocks]
+        )
+        for r in range(rows):
+            full = np.zeros((sum(sides), sum(sides)))
+            offset = 0
+            for b, side in zip(blocks, sides):
+                full[offset : offset + side, offset : offset + side] = b[r].eig.vectors
+                offset += side
+            want = SpdMatrix._from_eig(np.concatenate([b[r].eig.values for b in blocks]), full)
+            assert np.array_equal(out[r], want.data)
+            assert np.array_equal(values[r], want.eig.values)
+            assert np.array_equal(vectors[r], want.eig.vectors)
+
 
 class TestSupervisedBuilders:
     def test_lagged_counts_and_alignment(self, rng):
         series = make_series(rng, n=2, length=12)
         sup = build_lagged_inputs(series, 3)
         assert len(sup.inputs) == 9
-        assert np.array_equal(sup.dates, series.dates[3:])
+        assert np.array_equal(sup.targets.dates, series.dates[3:])
+        assert np.array_equal(sup.inputs.dates, series.dates[3:])
         # input block order at position t is t-1, t-2, t-3
         x0 = sup.inputs[0]
         assert np.allclose(x0.data[:2, :2], series[2].data, atol=1e-14)
@@ -206,7 +233,8 @@ class TestSupervisedBuilders:
         series = make_series(rng, n=2, length=30)
         sup = build_geohar_inputs(series)
         assert len(sup.inputs) == 8
-        assert np.array_equal(sup.dates, series.dates[22:])
+        assert np.array_equal(sup.targets.dates, series.dates[22:])
+        assert np.array_equal(sup.inputs.dates, series.dates[22:])
         x0 = sup.inputs[0]
         assert x0.dim == 6
         assert np.allclose(x0.data[:2, :2], series[21].data, atol=1e-12)
@@ -235,11 +263,19 @@ class TestHarInputs:
 
     @staticmethod
     def reference(matrices, t, cfg):
-        return blockdiag_spd([
-            matrices[t - 1],
-            frechet_mean(matrices[t - 5 : t], cfg),
-            frechet_mean(matrices[t - 22 : t], cfg),
-        ])
+        def mean(window):
+            if cfg.metric == METRIC_LOG_EUCLIDEAN:
+                return frechet_mean_log_euclidean(window)
+            return frechet_mean_procrustes(window, cfg).mean
+
+        return blockdiag_spd([matrices[t - 1], mean(matrices[t - 5 : t]),
+                              mean(matrices[t - 22 : t])])
+
+    @staticmethod
+    def at(series, t, cfg):
+        """The HAR input at position t, one row of the builder's stack."""
+        arrays = data._geohar_stack(series, np.array([t]), cfg)
+        return SpdMatrix._view(*(a[0] for a in arrays))
 
     @staticmethod
     def assert_same(a, b):
@@ -250,47 +286,53 @@ class TestHarInputs:
     def test_log_cached_inputs_equal_per_window_means_bitwise(self, rng):
         series = self.series_with_singular_day(rng)
         cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
-        sup = build_geohar_inputs(series, METRIC_LOG_EUCLIDEAN, cfg)
+        sup = build_geohar_inputs(series, cfg)
         for k, t in enumerate(range(22, len(series))):
             self.assert_same(sup.inputs[k], self.reference(series, t, cfg))
 
     def test_series_log_stack_matches_a_fit_on_a_slice(self, rng):
         series = self.series_with_singular_day(rng)
         cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
-        fit = build_geohar_inputs(series, METRIC_LOG_EUCLIDEAN, cfg, train=slice(5, 35))
+        fit = build_geohar_inputs(series, cfg, train=slice(5, 35))
         for k, t in enumerate(range(5 + 22, 35)):
-            self.assert_same(fit.inputs[k], har_input(series, t, cfg))
-        for t in range(22, len(series)):
-            self.assert_same(har_input(series, t, cfg),
-                             self.reference(series, t, cfg))
+            self.assert_same(fit.inputs[k], self.at(series, t, cfg))
+        for t in range(22, len(series) + 1):
+            self.assert_same(self.at(series, t, cfg), self.reference(series, t, cfg))
 
     def test_procrustes_route_unchanged(self, rng):
         series = make_series(rng, n=2, length=25)
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-        sup = build_geohar_inputs(series, METRIC_PROCRUSTES, cfg)
+        sup = build_geohar_inputs(series, cfg)
         for k, t in enumerate(range(22, len(series))):
             self.assert_same(sup.inputs[k], self.reference(series, t, cfg))
-
 
     def test_position_needs_a_full_monthly_window(self, rng):
         series = make_series(rng, length=30)
         cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
         for t in (21, 31):
             with pytest.raises(IndexError):
-                har_input(series, t, cfg)
+                self.at(series, t, cfg)
+        # The first unobserved day has an input, as it has a random-walk forecast.
+        self.assert_same(self.at(series, 30, cfg), self.reference(series, 30, cfg))
 
     def test_unconverged_procrustes_mean_logs_a_warning(self, rng, caplog):
         series = make_series(rng, n=3, length=30)
         capped = FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=1)
         caplog.set_level(logging.WARNING, logger="spdcast.data")
-        har_input(series, 25, capped)
+        self.at(series, 25, capped)
+        build_geohar_inputs(series, capped, train=slice(2, 30))
+        self.at(series, 30, capped)
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-        assert len(warnings) == 2
-        assert "the 5 matrices before position 25" in warnings[0]
-        assert "the 22 matrices before position 25" in warnings[1]
+        # Every mean is unconverged after one iteration; each is computed, and
+        # logged, once per series, naming its window and position.
+        assert warnings == [
+            f"Procrustes mean of the {k} matrices before position {t} did not converge "
+            "in 1 iterations"
+            for t in range(HAR_MONTH, len(series) + 1) for k in (5, 22)
+        ]
         caplog.clear()
         default = FrechetConfig(metric=METRIC_PROCRUSTES)
-        har_input(series, 25, default)
+        self.at(series, 25, default)
         assert not caplog.records
 
 

@@ -7,12 +7,10 @@ import pytest
 
 from conftest import random_spd, spd_from_spectrum
 from spdcast import (
-    METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
     FrechetConfig,
     SpdMatrix,
     dist_log_euclidean,
-    frechet_mean,
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
     logm,
@@ -178,20 +176,6 @@ class TestBatchedGpa:
 
 
 class TestDispatcher:
-    def test_log_euclidean_route(self, rng):
-        sample = [random_spd(rng, 3) for _ in range(3)]
-        cfg = FrechetConfig(metric=METRIC_LOG_EUCLIDEAN)
-        direct = frechet_mean_log_euclidean(sample)
-        routed = frechet_mean(sample, cfg)
-        assert np.array_equal(routed.data, direct.data)
-
-    def test_procrustes_route(self, rng):
-        sample = [random_spd(rng, 3) for _ in range(3)]
-        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-        direct = frechet_mean_procrustes(sample, cfg).mean
-        routed = frechet_mean(sample, cfg)
-        assert np.array_equal(routed.data, direct.data)
-
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             frechet_mean_log_euclidean([])

@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdcast import (
+    METRIC_PROCRUSTES,
     ConfigError,
     CovSeries,
-    DecompositionError,
+    FrechetConfig,
     SeriesFormatError,
     SpdcastError,
     SpdMatrix,
+    blockdiag_spd,
+    frechet_mean_procrustes,
     load_config,
     load_series,
     run_model,
@@ -369,21 +372,22 @@ class TestStackedPrediction:
 
     def test_input_failure_fails_only_its_date(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
-        clean = run_model(self.SPEC, cfg, series)
+        spec = ModelSpec("geohar", "geohar_le_le",
+                         {"metric": "log_euclidean", "loss": "log_euclidean"})
+        clean = run_model(spec, cfg, series)
         assert len(clean.dates) == 30 and clean.failures == []
-        original = pipeline._RespdnetForecaster._build_input
-
-        def failing(self, series, t):
-            if t == 50:
-                raise DecompositionError("input failed on the bad day")
-            return original(self, series, t)
-
-        monkeypatch.setattr(pipeline._RespdnetForecaster, "_build_input", failing)
+        matrices = series.data.copy()
+        matrices[60] = np.diag([1e-320, 0.0, 0.0])  # its floored spectrum holds a zero: no log
+        bad = CovSeries(series.dates, matrices)
+        with pytest.raises(SpdcastError) as alone:
+            spd.logm(spd.ensure_pd(bad[60]))
         sizes = self.record_batches(monkeypatch)
-        result = run_model(self.SPEC, cfg, series)
-        assert result.failures == [(str(series.dates[50]), "input failed on the bad day")]
-        assert sizes[-1] == 29 and sizes.count(29) == 1  # one stack for 29 dates
-        kept = [k for k, t in enumerate(range(40, 70)) if t != 50]
+        result = run_model(spec, cfg, bad)
+        # The 22-day months of the test dates 61..69 hold day 60; the fit's do not.
+        failing = range(61, 70)
+        assert result.failures == [(str(series.dates[t]), str(alone.value)) for t in failing]
+        assert sizes[-1] == 21 and sizes.count(21) == 1  # one stack for the 21 other dates
+        kept = [k for k, t in enumerate(range(40, 70)) if t not in failing]
         assert list(result.dates) == [clean.dates[k] for k in kept]
         for k, pred in zip(kept, result.predictions):
             assert np.array_equal(pred.data, clean.predictions[k].data)
@@ -431,19 +435,44 @@ class TestStackedPrediction:
         for k, pred in zip(kept, result.predictions):
             assert np.array_equal(pred.data, clean.predictions[k].data)
 
-    def test_each_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
+    @staticmethod
+    def input_alone(spec, series, t):
+        """The input at position t from the per-matrix API: its blocks and per-window means."""
+        if spec.kind == "respdnet":
+            blocks = [series[t - j] for j in range(1, spec.params["lags"] + 1)]
+        else:
+            cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+            blocks = [series[t - 1]] + [frechet_mean_procrustes(series[t - k : t], cfg).mean
+                                        for k in (5, 22)]
+        return blockdiag_spd(blocks)
+
+    def check_each_fit_predicts_the_dates_it_serves(self, spec, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
         cfg.refit_every = 10
         sizes = self.record_batches(monkeypatch)
-        result = run_model(self.SPEC, cfg, series)
+        result = run_model(spec, cfg, series)
         assert [k for k, _ in result.traces] == [0, 1, 2]
         assert sizes.count(10) == 3  # one stack per fit, besides training batches
-        forecaster = pipeline._make_forecaster(self.SPEC, cfg)
         for k, (date, pred) in enumerate(zip(result.dates, result.predictions)):
             net = result.traces[k // 10][1].network
-            alone = net.forward(forecaster._build_input(series, 40 + k))
+            alone = net.forward(self.input_alone(spec, series, 40 + k))
             assert date == series.dates[40 + k]
             assert np.array_equal(pred.data, alone.data)
+
+    def test_each_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
+        self.check_each_fit_predicts_the_dates_it_serves(self.SPEC, tmp_path, monkeypatch)
+
+    def test_each_procrustes_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
+        means = []
+        original = data.mean_from_roots
+        monkeypatch.setattr(data, "mean_from_roots",
+                            lambda roots, cfg: means.append(len(roots)) or original(roots, cfg))
+        spec = ModelSpec("geohar", "geohar_pro_le",
+                         {"metric": "procrustes", "loss": "log_euclidean"})
+        self.check_each_fit_predicts_the_dates_it_serves(spec, tmp_path, monkeypatch)
+        # Three fits and their forecasts share one stack of means: a week's and a
+        # month's for each position from 22 through the first unobserved day, 70.
+        assert means == [5, 22] * len(range(22, 71))
 
 
 class TestCommands:
