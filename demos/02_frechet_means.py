@@ -1,8 +1,8 @@
 """Averaging covariance matrices two ways.
 
 The arithmetic mean of SPD matrices inflates the determinant (swelling).
-Averaging in the log domain, or aligning Cholesky-like factors first,
-avoids that.  Run with:  python3 demos/02_frechet_means.py
+Averaging in the log domain, or averaging aligned square roots (the
+Procrustes mean, the Bures-Wasserstein barycenter), avoids that.  Run with:  python3 demos/02_frechet_means.py
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ def main():
     print("  log-domain mean det:          ", np.linalg.det(le_mean.data).round(5))
 
     print()
-    print("alignment-based mean (generalized Procrustes)")
+    print("Procrustes mean (Bures-Wasserstein fixed point)")
     result = frechet_mean_procrustes(sample, FrechetConfig(tol=1e-12, max_iters=200))
     print("  converged:", result.converged, "after", result.n_iters, "iterations")
     print("  objective trace head:", [round(v, 6) for v in result.objective_trace[:5]])

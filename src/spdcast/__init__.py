@@ -57,7 +57,7 @@ from .frechet import (
     METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
     FrechetConfig,
-    GpaResult,
+    BarycenterResult,
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
 )

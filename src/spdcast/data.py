@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError
-from .frechet import METRIC_LOG_EUCLIDEAN, FrechetConfig, mean_from_logs, mean_from_roots
+from .frechet import METRIC_LOG_EUCLIDEAN, FrechetConfig, mean_from_logs, rolling_procrustes_means
 from .spd import (
     SpdMatrix,
     _check_records,
@@ -276,8 +276,10 @@ class _HarMeans:
     Row ``t - HAR_MONTH`` of its stack, for each position t from HAR_MONTH to
     ``len(series)``, holds the eigenvalues ``(2, n)`` and eigenvectors
     ``(2, n, n)`` of the means of the HAR_WEEK and of the HAR_MONTH matrices
-    before t.  A position fails with the first failed logarithm of its month.
-    A Procrustes mean that exhausts ``cfg.max_iters`` is used, and logged once per series.
+    before t, and each Procrustes mean's fixed-point ``iters`` and whether it
+    ``converged``.  A position fails with the first failed logarithm of its
+    month.  The Procrustes means of each window length come from one
+    lockstep kernel call; one that exhausts ``cfg.max_iters`` is used, and logged.
     """
 
     cfg: FrechetConfig
@@ -285,26 +287,38 @@ class _HarMeans:
     def __call__(self, series: CovSeries) -> tuple[np.ndarray, dict]:
         positions = range(HAR_MONTH, len(series) + 1)
         n = series.dim
-        means = np.zeros(len(positions), [("values", float, (2, n)), ("vectors", float, (2, n, n))])
+        means = np.zeros(len(positions), [("values", float, (2, n)), ("vectors", float, (2, n, n)),
+                                          ("iters", int, 2), ("converged", bool, 2)])
+        if self.cfg.metric != METRIC_LOG_EUCLIDEAN:
+            roots = series.stack(_series_roots)
+            for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
+                columns = rolling_procrustes_means(roots[HAR_MONTH - k :], k, self.cfg)
+                for name, column in zip(("values", "vectors", "iters", "converged"), columns):
+                    means[name][:, j] = column
+            for i, j in zip(*np.nonzero(~means["converged"])):
+                log.warning("Procrustes mean of the %d matrices before position %d did not "
+                            "converge in %d iterations", (HAR_WEEK, HAR_MONTH)[j], positions[i],
+                            means["iters"][i, j])
+            return means, {}
         failed, errors = {}, {}
-        le = self.cfg.metric == METRIC_LOG_EUCLIDEAN
-        samples = series.stack(_series_logs, failed=failed) if le else series.stack(_series_roots)
+        logs = series.stack(_series_logs, failed=failed)
         for i, t in enumerate(positions):
             month = [row for row in failed if t - HAR_MONTH <= row < t]
             if month:
                 errors[i] = failed[month[0]]
                 continue
             for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
-                if le:
-                    mean = mean_from_logs(samples[t - k : t])
-                else:
-                    result = mean_from_roots(samples[t - k : t], self.cfg)
-                    if not result.converged:
-                        log.warning("Procrustes mean of the %d matrices before position %d did "
-                                    "not converge in %d iterations", k, t, result.n_iters)
-                    mean = result.mean
-                means["values"][i, j], means["vectors"][i, j] = mean.eig
+                means["values"][i, j], means["vectors"][i, j] = mean_from_logs(logs[t - k : t]).eig
         return means, errors
+
+
+def procrustes_mean_counts(series: CovSeries, cfg: FrechetConfig) -> dict[str, int]:
+    """The Procrustes means of the series' HAR stack under ``cfg``, their fixed-point
+    iterations, and how many exhausted ``cfg.max_iters``."""
+    means = series.stack(_HarMeans(cfg))
+    return {"procrustes_means": int(means["iters"].size),
+            "procrustes_iterations": int(means["iters"].sum()),
+            "procrustes_unconverged": int((~means["converged"]).sum())}
 
 
 def _geohar_stack(series: CovSeries, positions: np.ndarray, cfg: FrechetConfig,

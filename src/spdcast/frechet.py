@@ -1,8 +1,10 @@
 """Sample Fréchet means of SPD collections.
 
 Two metrics are supported: log-Euclidean (closed form, the exponential of
-the average logarithm) and Procrustes size-and-shape (iterative generalized
-Procrustes alignment of symmetric square roots).
+the average logarithm) and Procrustes size-and-shape.  The Procrustes mean
+is the Bures-Wasserstein barycenter, found by its fixed-point iteration
+(Alvarez-Esteban et al. 2016), which needs one symmetric eigendecomposition
+per matrix and step and runs over many windows in lockstep.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import numpy as np
 
 from .exceptions import DimensionMismatchError
 from .spd import (
-    SPD_FLOOR,
     SpdMatrix,
+    _eigh_desc,
+    _recompose,
     ensure_pd_values,
     expm,
     logm_stack,
-    procrustes_rotation,
-    project_to_spd,
     sqrtm_stack,
 )
 
@@ -29,10 +30,10 @@ __all__ = [
     "METRIC_LOG_EUCLIDEAN",
     "METRIC_PROCRUSTES",
     "FrechetConfig",
-    "GpaResult",
+    "BarycenterResult",
     "mean_from_logs",
     "frechet_mean_log_euclidean",
-    "mean_from_roots",
+    "rolling_procrustes_means",
     "frechet_mean_procrustes",
 ]
 
@@ -59,8 +60,8 @@ class FrechetConfig:
 
 
 @dataclass
-class GpaResult:
-    """Outcome of generalized Procrustes averaging."""
+class BarycenterResult:
+    """A Procrustes mean and how its fixed point ended."""
 
     mean: SpdMatrix
     converged: bool
@@ -105,45 +106,116 @@ def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
     return mean_from_logs(logs)
 
 
-def mean_from_roots(roots: np.ndarray, cfg: FrechetConfig | None = None) -> GpaResult:
-    """Procrustes mean of the matrices whose square roots ``roots`` stacks.
+# Windows per lockstep batch of :func:`rolling_procrustes_means`: at n = 50 a
+# batch of 22-day windows raises peak memory by about 60 MB, whatever the
+# series' length.
+_WINDOW_CHUNK = 16
+# Eigenvalues below n * _EPS times the largest are taken as zero, as
+# numpy.linalg.matrix_rank takes them.
+_EPS = np.finfo(float).eps
 
-    Generalized Procrustes averaging: the roots are alternately rotated onto
-    the running average (one batched SVD per iteration) and re-averaged; the
-    recorded objective ``sum_t ||L_t R_t - mean||_F^2`` is non-increasing
-    across iterations.  Convergence is a relative objective change below
-    ``cfg.tol``; exhausting ``cfg.max_iters`` is reported through the
-    ``converged`` flag, not an error.  The mean is assembled as
-    ``mean @ mean.T`` and always projected at ``SPD_FLOOR * lambda_max``.
+
+def _barycenters(roots: np.ndarray, cfg: FrechetConfig) -> tuple[np.ndarray, ...]:
+    """Bures-Wasserstein barycenters of the windows of a ``(W, k, n, n)`` stack of roots.
+
+    Every window iterates ``S <- S^-1/2 (mean_i (S^1/2 C_i S^1/2)^1/2)^2 S^-1/2``
+    from ``S = (mean_i L_i)^2``, where ``C_i = L_i L_i``, in lockstep with
+    the others: each round is one ``eigh`` of the active windows' S and one
+    of all their ``S^1/2 C_i S^1/2``, whose eigenvalues also give the
+    objective ``sum_i d_BW(C_i, S)^2``, that is
+    ``sum_i tr C_i + k tr S - 2 sum_i tr (S^1/2 C_i S^1/2)^1/2``.  A step
+    that does not lower it is undone.  A window leaves the batch
+    there, at a relative decrease of at most ``cfg.tol``, or after
+    ``cfg.max_iters`` steps.  Every operation acts on one window at a time,
+    so a window's result does not depend on its batch.  Returns each mean's
+    eigenvalues (floored as :func:`ensure_pd` floors them) and eigenvectors,
+    its steps, whether it converged, and the ``(rounds, W)`` objectives of
+    the iterates kept (NaN elsewhere).
     """
-    if cfg is None:
-        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-    center = roots[0].copy()
-
-    trace: list[float] = []
-    prev = math.inf
-    converged = False
-    n_iters = 0
-    for n_iters in range(1, cfg.max_iters + 1):
-        aligned = roots @ procrustes_rotation(center, roots)
-        center = _exact_mean(aligned)
-        objective = float(np.sum((aligned - center) ** 2))
-        trace.append(objective)
-        if math.isfinite(prev) and prev - objective <= cfg.tol * max(abs(prev), 1.0):
-            converged = True
+    count, k, n = roots.shape[:3]
+    # Each window's roots scaled by a power of two into [0.5, 1): exact, and no
+    # product below underflows or overflows, whatever the data's units.
+    exponent = np.frexp(np.abs(roots).reshape(count, -1).max(axis=1))[1]
+    roots = np.ldexp(roots, -exponent[:, None, None, None])
+    spread = (roots * roots).reshape(count, -1).sum(axis=1)
+    mean_root = roots[:, 0].copy()
+    for i in range(1, k):
+        mean_root += roots[:, i]
+    mean_root /= k
+    s = mean_root @ mean_root
+    values, vectors = np.empty((count, n)), np.empty((count, n, n))
+    n_iters, converged = np.zeros(count, dtype=int), np.zeros(count, dtype=bool)
+    best = np.full(count, np.inf)
+    history = []
+    active = np.arange(count)
+    for step in range(cfg.max_iters + 1):
+        lam, vec = _eigh_desc(s)
+        m = _recompose(np.sqrt(np.maximum(lam, 0.0)), vec)[:, None] @ roots
+        mu, u = _eigh_desc(m @ np.swapaxes(m, -1, -2))
+        # Eigenvalues within eigh's round-off of zero are zero: their square
+        # roots would be round-off magnified to about 1e-8 of the largest.
+        root_mu = np.sqrt(np.where(mu > n * _EPS * mu[..., :1], mu, 0.0))
+        objective = (spread + k * lam.sum(axis=1)
+                     - 2.0 * root_mu.reshape(len(active), -1).sum(axis=1))
+        prev = best[active]
+        lower = objective < prev
+        done = (~lower | (prev - objective <= cfg.tol * np.abs(prev))) & (step > 0)
+        kept = active[lower]
+        best[kept], values[kept], vectors[kept] = objective[lower], lam[lower], vec[lower]
+        history.append(np.full(count, np.nan))
+        history[-1][kept] = objective[lower]
+        converged[active[done]] = True
+        if step == cfg.max_iters:
+            done[:] = True
+        n_iters[active[done]] = step
+        go = ~done
+        if not go.any():
             break
-        prev = objective
+        active, roots, spread, lam, vec = active[go], roots[go], spread[go], lam[go], vec[go]
+        # sum_i (S^1/2 C_i S^1/2)^1/2 as one product per window: the columns of
+        # every u_i scaled by mu_i^1/4, side by side.
+        w = np.swapaxes(u[go] * np.sqrt(root_mu[go])[:, :, None, :], 1, 2)
+        w = w.reshape(len(active), n, k * n)
+        t = (w @ np.swapaxes(w, -1, -2)) / k
+        invertible = lam > n * _EPS * np.maximum(lam[:, :1], 0.0)
+        inv_root = np.where(invertible, 1.0 / np.sqrt(np.where(invertible, lam, 1.0)), 0.0)
+        b = _recompose(inv_root, vec) @ t
+        s = b @ np.swapaxes(b, -1, -2)
+    values = ensure_pd_values(np.ldexp(values, 2 * exponent[:, None]))
+    return values, vectors, n_iters, converged, np.ldexp(np.array(history), 2 * exponent)
 
-    gram = center @ center.T
-    lmax = float(np.linalg.eigvalsh(gram)[-1])
-    floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
-    mean = project_to_spd(gram, floor)
-    return GpaResult(mean, converged, n_iters, np.asarray(trace))
+
+def rolling_procrustes_means(
+    roots: np.ndarray, k: int, cfg: FrechetConfig | None = None
+) -> tuple[np.ndarray, ...]:
+    """Procrustes means of every ``k`` consecutive matrices of a stack of square roots.
+
+    Row s is :func:`frechet_mean_procrustes` of the matrices whose roots are
+    ``roots[s : s + k]``, bit for bit: its eigenvalues and eigenvectors, its
+    fixed-point steps and whether it converged.  The windows run in lockstep
+    batches of ``_WINDOW_CHUNK``, which bounds the memory.
+    """
+    cfg = cfg or FrechetConfig(metric=METRIC_PROCRUSTES)
+    count = len(roots) - k + 1
+    batches = [_barycenters(roots[np.arange(start, min(start + _WINDOW_CHUNK, count))[:, None]
+                                  + np.arange(k)], cfg)[:4]
+               for start in range(0, count, _WINDOW_CHUNK)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*batches))
 
 
 def frechet_mean_procrustes(
     sample: Sequence[SpdMatrix], cfg: FrechetConfig | None = None
-) -> GpaResult:
-    """Procrustes sample mean: :func:`mean_from_roots` of the sample's symmetric square roots."""
-    return mean_from_roots(sqrtm_stack(*_eig_stacks(sample)), cfg)
+) -> BarycenterResult:
+    """Procrustes size-and-shape mean: the Bures-Wasserstein barycenter of the sample.
 
+    The fixed point of :func:`_barycenters` on the sample's symmetric square
+    roots.  Its recorded objective is non-increasing; exhausting
+    ``cfg.max_iters`` is reported through the ``converged`` flag, not an
+    error.  The mean is always projected at ``SPD_FLOOR * lambda_max``.
+    """
+    roots = sqrtm_stack(*_eig_stacks(sample))
+    values, vectors, n_iters, converged, history = _barycenters(
+        roots[None], cfg or FrechetConfig(metric=METRIC_PROCRUSTES))
+    trace = history[:, 0]
+    return BarycenterResult(SpdMatrix._from_eig(values[0], vectors[0]), bool(converged[0]),
+                            int(n_iters[0]), trace[~np.isnan(trace)])

@@ -41,6 +41,7 @@ from .data import (
     build_lagged_inputs,
     load_intraday_csv,
     load_series,
+    procrustes_mean_counts,
     realized_series,
     rolling_windows,
     save_series,
@@ -507,7 +508,8 @@ class _Forecaster:
     they predict; ``refit_every_window`` ones are fitted again on every
     window, whatever the run's ``refit_every``.  ``fit_count`` numbers a
     fit's seed stream, and ``fits`` holds the ``(fit_index, TrainResult)``
-    of each trained fit.
+    of each trained fit.  ``mean_counts(series)`` counts the iterative means
+    the model's inputs read.
     """
 
     min_history: int
@@ -519,6 +521,9 @@ class _Forecaster:
     def __init__(self, name: str, cfg: RunConfig):
         self.name = name
         self.run_cfg = cfg
+
+    def mean_counts(self, series: CovSeries) -> dict[str, int]:
+        return {}
 
 
 class _RwForecaster(_Forecaster):
@@ -629,6 +634,11 @@ class _GeoharForecaster(_NetForecaster):
     def _inputs(self, series: CovSeries, positions: np.ndarray, failed: dict):
         return _geohar_stack(series, positions, self.frechet_cfg, failed)
 
+    def mean_counts(self, series: CovSeries) -> dict[str, int]:
+        if self.frechet_cfg.metric != METRIC_PROCRUSTES:
+            return {}
+        return procrustes_mean_counts(series, self.frechet_cfg)
+
 
 # kind: ({key: (parse, default, check)}, default name, forecaster class).
 # Parameters are parsed and checked like _KEYS values, an absent key taking the
@@ -658,6 +668,7 @@ class ModelRunResult:
     predictions: CovSeries | None  # None: no date was forecast
     failures: list[tuple[str, str]]
     traces: list[tuple[int, TrainResult]]
+    mean_counts: dict[str, int]
 
     @property
     def dates(self) -> np.ndarray:
@@ -730,7 +741,8 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     for k, exc in rejected.items():
         fail(predicted[k], exc)
     failures.sort(key=lambda failure: failure[0])  # in date order, as they happened
-    return ModelRunResult(spec.name, predictions, failures, list(forecaster.fits))
+    return ModelRunResult(spec.name, predictions, failures, list(forecaster.fits),
+                          forecaster.mean_counts(series))
 
 
 # ---------------------------------------------------------------------------
@@ -809,9 +821,11 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     Artifacts: ``data/realized.matbin`` (test-date truth), one
     ``forecasts/<model>.matbin`` per model, per-fit loss traces, a failure
     log, and the manifest, whose ``training`` record counts each network
-    model's fits, eigenvalue-gap clamps and floor-projected targets.  The
-    series is the data stage's ``data/series.matbin`` when that stage's
-    manifest key matches ``cfg``, and is rebuilt from the source otherwise.  Returns nonzero iff a
+    model's fits, eigenvalue-gap clamps and floor-projected targets, and a
+    Procrustes GeoHAR model's means, their fixed-point iterations and
+    unconverged means.  The series is the data stage's
+    ``data/series.matbin`` when that stage's manifest key matches ``cfg``,
+    and is rebuilt from the source otherwise.  Returns nonzero iff a
     requested model produced no forecasts at all.
     """
     series = _stage_series(cfg)
@@ -855,6 +869,8 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
                 "gap_clamps": sum(f.gap_clamp_count for f in fits),
                 "floored_targets": sum(f.floored_target_count for f in fits),
             }
+        if result.mean_counts:
+            training.setdefault(result.name, {}).update(result.mean_counts)
         if result.predictions is None:
             log.error("model %s produced no forecasts", result.name)
             continue

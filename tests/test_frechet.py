@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spd, spd_from_spectrum
 from spdcast import (
@@ -11,21 +13,32 @@ from spdcast import (
     FrechetConfig,
     SpdMatrix,
     dist_log_euclidean,
+    dist_procrustes,
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
     logm,
     project_to_spd,
     sqrtm_psd,
 )
-from spdcast.frechet import _exact_mean, mean_from_roots
-from spdcast.spd import SPD_FLOOR
+from spdcast.frechet import _WINDOW_CHUNK, _exact_mean, rolling_procrustes_means
+from spdcast.spd import SPD_FLOOR, sqrtm_stack
+
+# Agreement of the fixed point with the GPA when both run at tol 1e-14.  The
+# fixed point's objective comes from eigenvalues, to about 1e-15 of its value,
+# so it cannot tell apart iterates whose objectives differ by less; about its
+# minimum the objective is quadratic, which leaves the mean resolved to a few
+# 1e-8 (5.6e-8 was the largest gap seen on windows like these).
+TIGHT_AGREEMENT = 1e-7
 
 
 def per_matrix_gpa(sample, cfg):
     """Generalized Procrustes averaging one matrix at a time: the oracle.
 
-    The algorithm of the library's batched :func:`mean_from_roots`, written
-    with a single-matrix SVD per sample element and iteration.
+    Roots are alternately rotated onto their average, with a single-matrix
+    SVD per sample element and iteration, and re-averaged until the
+    objective ``sum_t ||L_t R_t - mean||_F^2`` changes by at most ``cfg.tol``
+    relative.  Its minimizer squared is the Procrustes mean, which the
+    library finds by another algorithm.
     """
 
     def rotation(l1, l2):
@@ -136,43 +149,121 @@ class TestProcrustesMean:
         result = frechet_mean_procrustes(sample)
         assert result.mean.eig.values[-1] > 0.0
 
+    def test_minimizes_sum_of_squared_distances(self, rng):
+        # the mean must beat every sample point, random probes and small moves
+        sample = [random_spd(rng, 3) for _ in range(5)]
+        mean = frechet_mean_procrustes(sample).mean
 
-class TestBatchedGpa:
-    """The batched GPA reproduces the per-matrix algorithm bit for bit."""
+        def objective(candidate):
+            return sum(dist_procrustes(candidate, s) ** 2 for s in sample)
+
+        best = objective(mean)
+        for probe in sample + [random_spd(rng, 3) for _ in range(20)]:
+            assert best <= objective(probe)
+        for _ in range(20):
+            step = rng.standard_normal((3, 3))
+            assert best <= objective(SpdMatrix(mean.data + 1e-3 * (step + step.T))) + 1e-12
+
+
+def window_roots(matrices):
+    return sqrtm_stack(np.array([m.eig.values for m in matrices]),
+                       np.array([m.eig.vectors for m in matrices]))
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a.data - b.data) / np.linalg.norm(b.data)
+
+
+class TestLockstepBarycenters:
+    """Each row of the lockstep kernel is its one-window call bit for bit, and the
+    mean is the one generalized Procrustes averaging finds."""
 
     @staticmethod
-    def assert_matches_oracle(result, sample, cfg):
-        mean, converged, n_iters, trace = per_matrix_gpa(sample, cfg)
-        assert np.array_equal(result.mean.data, mean.data)
-        assert np.array_equal(result.mean.eig.values, mean.eig.values)
-        assert np.array_equal(result.mean.eig.vectors, mean.eig.vectors)
-        assert (result.converged, result.n_iters) == (converged, n_iters)
-        assert np.array_equal(result.objective_trace, trace)
+    def assert_rows_are_one_window_calls(matrices, k, cfg):
+        roots = window_roots(matrices)
+        values, vectors, n_iters, converged = rolling_procrustes_means(roots, k, cfg)
+        assert len(values) == len(matrices) - k + 1
+        for s in range(len(values)):
+            alone = frechet_mean_procrustes(matrices[s : s + k], cfg)
+            assert alone.mean.eig.values.tobytes() == values[s].tobytes()
+            assert alone.mean.eig.vectors.tobytes() == vectors[s].tobytes()
+            assert (alone.n_iters, alone.converged) == (n_iters[s], converged[s])
 
-    @pytest.mark.parametrize("n", [5, 8])
-    def test_rolling_windows_match_per_matrix_gpa(self, rng, n):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k=st.integers(1, 22),
+        windows=st.integers(1, _WINDOW_CHUNK + 3),
+        day=st.sampled_from([None, "rank_one", "subnormal", "zero"]),
+    )
+    def test_each_row_is_its_one_window_call(self, seed, n, k, windows, day):
+        rng = np.random.default_rng(seed)
+        matrices = [random_spd(rng, n, lo=0.2, hi=4.0) for _ in range(k + windows - 1)]
+        if day is not None:
+            v = rng.standard_normal(n)
+            odd = {"rank_one": np.outer(v, v), "subnormal": np.diag([1e-320] + [0.0] * (n - 1)),
+                   "zero": np.zeros((n, n))}[day]
+            matrices[int(rng.integers(len(matrices)))] = SpdMatrix(odd)
+        self.assert_rows_are_one_window_calls(matrices, k, FrechetConfig(metric=METRIC_PROCRUSTES))
+
+    def test_rows_on_both_sides_of_chunk_boundaries(self, rng):
+        matrices = [random_spd(rng, 5, lo=0.2, hi=4.0) for _ in range(2 * _WINDOW_CHUNK + 6)]
+        v = rng.standard_normal(5)
+        matrices[_WINDOW_CHUNK + 2] = SpdMatrix(np.outer(v, v))
+        for cfg in (FrechetConfig(metric=METRIC_PROCRUSTES),
+                    FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=2, tol=1e-300)):
+            self.assert_rows_are_one_window_calls(matrices, 5, cfg)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_agrees_with_gpa(self, rng, n):
         series = [random_spd(rng, n, lo=0.2, hi=4.0) for _ in range(40)]
         v = rng.standard_normal(n)
         series[25] = SpdMatrix(np.outer(v, v))  # a rank-one day
-        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-        roots = np.stack([sqrtm_psd(m) for m in series])
+        default = FrechetConfig(metric=METRIC_PROCRUSTES)
+        tight = FrechetConfig(metric=METRIC_PROCRUSTES, tol=1e-14)
         for k in (5, 22):
-            for t in range(k, len(series) + 1):
+            for t in range(k, len(series) + 1, 3):
                 window = series[t - k : t]
-                self.assert_matches_oracle(frechet_mean_procrustes(window, cfg), window, cfg)
-                self.assert_matches_oracle(mean_from_roots(roots[t - k : t], cfg), window, cfg)
+                for cfg, bound in ((default, 1e-5), (tight, TIGHT_AGREEMENT)):
+                    mean = frechet_mean_procrustes(window, cfg).mean
+                    assert relative_gap(mean, per_matrix_gpa(window, cfg)[0]) <= bound
 
-    def test_one_matrix_sample(self, rng):
-        for m in (random_spd(rng, 5), SpdMatrix(np.outer(np.arange(1.0, 6.0), np.arange(1.0, 6.0)))):
-            cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
-            self.assert_matches_oracle(frechet_mean_procrustes([m], cfg), [m], cfg)
+    def test_one_matrix_and_zero_samples_give_the_gpa_floor_projection(self, rng):
+        v = np.arange(1.0, 6.0)
+        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+        zero = SpdMatrix(np.zeros((5, 5)))
+        for sample in ([random_spd(rng, 5)], [SpdMatrix(np.outer(v, v))], [zero] * 5):
+            result = frechet_mean_procrustes(sample, cfg)
+            gpa = per_matrix_gpa(sample, cfg)[0]
+            values, lmax = result.mean.eig.values, sample[0].eig.values[0]
+            floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
+            assert result.converged
+            assert values[-1] >= SPD_FLOOR * values[0]
+            assert np.allclose(values, gpa.eig.values, rtol=1e-12, atol=0.0)
+            for expected in (gpa, project_to_spd(sample[0], floor)):
+                gap = np.abs(result.mean.data - expected.data).max()
+                assert gap <= 1e-13 * values[0]
 
-    def test_iteration_cap_matches(self, rng):
+    def test_units_do_not_matter(self, rng):
+        roots = window_roots([random_spd(rng, 4) for _ in range(30)])
+        base = rolling_procrustes_means(roots, 5)
+        for j in (-500, -60, 60, 500):
+            values, *rest = rolling_procrustes_means(np.ldexp(roots, j), 5)
+            assert np.array_equal(values, np.ldexp(base[0], 2 * j))
+            assert all(np.array_equal(a, b) for a, b in zip(rest, base[1:]))
+
+    def test_iteration_cap(self, rng):
         sample = [random_spd(rng, 5) for _ in range(22)]
         cfg = FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=2, tol=1e-300)
         result = frechet_mean_procrustes(sample, cfg)
-        assert not result.converged
-        self.assert_matches_oracle(result, sample, cfg)
+        assert (result.converged, result.n_iters, len(result.objective_trace)) == (False, 2, 3)
+
+    def test_objective_is_the_sum_of_squared_procrustes_distances(self, rng):
+        sample = [random_spd(rng, 4) for _ in range(6)]
+        result = frechet_mean_procrustes(sample, FrechetConfig(metric=METRIC_PROCRUSTES))
+        total = sum(dist_procrustes(result.mean, s) ** 2 for s in sample)
+        assert np.isclose(result.objective_trace[-1], total, rtol=1e-9)
 
 
 class TestDispatcher:

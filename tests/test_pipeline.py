@@ -27,7 +27,10 @@ from spdcast import (
 )
 from spdcast import baselines, data, pipeline, spd
 from spdcast.cli import main
+from spdcast.data import HAR_MONTH
+from spdcast.frechet import rolling_procrustes_means
 from spdcast.pipeline import ModelSpec, _parse_roster
+from spdcast.spd import sqrtm_stack
 
 BASE_CONFIG = """\
 [run]
@@ -463,16 +466,22 @@ class TestStackedPrediction:
         self.check_each_fit_predicts_the_dates_it_serves(self.SPEC, tmp_path, monkeypatch)
 
     def test_each_procrustes_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
-        means = []
-        original = data.mean_from_roots
-        monkeypatch.setattr(data, "mean_from_roots",
-                            lambda roots, cfg: means.append(len(roots)) or original(roots, cfg))
+        calls = []
+        original = data.rolling_procrustes_means
+
+        def recording(roots, k, cfg):
+            means = original(roots, k, cfg)
+            calls.append((k, len(means[0])))
+            return means
+
+        monkeypatch.setattr(data, "rolling_procrustes_means", recording)
         spec = ModelSpec("geohar", "geohar_pro_le",
                          {"metric": "procrustes", "loss": "log_euclidean"})
         self.check_each_fit_predicts_the_dates_it_serves(spec, tmp_path, monkeypatch)
-        # Three fits and their forecasts share one stack of means: a week's and a
-        # month's for each position from 22 through the first unobserved day, 70.
-        assert means == [5, 22] * len(range(22, 71))
+        # Three fits and their forecasts share one stack of means, from one
+        # lockstep call per window length: a week's and a month's for each
+        # position from 22 through the first unobserved day, 70.
+        assert calls == [(5, len(range(22, 71))), (22, len(range(22, 71)))]
 
 
 class TestCommands:
@@ -522,6 +531,27 @@ class TestCommands:
         assert manifest["training"] == expected
         assert set(expected) == {"respdnet1_le", "geohar_le_le"}
         assert all(record["fits"] == 1 for record in expected.values())
+
+    def test_manifest_counts_procrustes_means_with_any_workers(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace(
+            "rw, favar:factors=2", "rw, geohar:metric=procrustes"))
+        assert self.run_cli("simulate", path) == 0
+        records = []
+        for workers in ("1", "2"):
+            assert self.run_cli("train-forecast", path, "--workers", workers) == 0
+            manifest = json.loads((tmp_path / "out" / "manifest_train_forecast.json").read_text())
+            records.append(manifest["training"])
+        series = load_series(tmp_path / "out" / "data" / "series.matbin")
+        roots = sqrtm_stack(series.values, series.vectors)
+        iters = [rolling_procrustes_means(roots[HAR_MONTH - k :], k)[2] for k in (5, HAR_MONTH)]
+        record = records[0]["geohar_pro_le"]
+        assert records[1] == records[0]
+        assert record["fits"] == 1
+        assert {key: record[key] for key in record if key.startswith("procrustes_")} == {
+            "procrustes_means": 2 * len(range(HAR_MONTH, len(series) + 1)),
+            "procrustes_iterations": int(sum(i.sum() for i in iters)),
+            "procrustes_unconverged": 0,
+        }
 
     def test_forecasts_reproducible_bytewise(self, tmp_path):
         path = write_config(tmp_path)

@@ -334,6 +334,50 @@ class TestDistances:
             dist_frobenius(random_spd(rng, 2), random_spd(rng, 3))
 
 
+class TestDistanceAxioms:
+    """Each distance is a metric on the matrices it is defined for; ``dist_frobenius``
+    is the square of one."""
+
+    METRICS = {
+        "frobenius": lambda a, b: np.sqrt(dist_frobenius(a, b)),
+        "euclidean": dist_euclidean,
+        "log_euclidean": dist_log_euclidean,
+        "procrustes": dist_procrustes,
+    }
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        decades=st.integers(0, 6),
+        singular=st.booleans(),
+    )
+    def test_symmetry_identity_and_triangle_inequality(self, seed, n, decades, singular):
+        rng = np.random.default_rng(seed)
+        spectra = 10.0 ** rng.uniform(-decades, 0.0, (3, n))
+        if singular:  # no logarithm: the other three metrics only
+            spectra[:, rng.integers(n)] = 0.0
+        a, b, c = (spd_from_spectrum(rng, values) for values in spectra)
+        scale = max(np.linalg.norm(m.data) for m in (a, b, c))
+        for name, dist in self.METRICS.items():
+            if singular and name == "log_euclidean":
+                continue
+            # Procrustes takes an SVD whose round-off depends on the order of
+            # its operands; the other three are exact in their operands.  A
+            # singular matrix's zero eigenvalue comes out of eigh as round-off
+            # of about 1e-17 * scale, and its square root, about 3e-9 * scale,
+            # enters the roots that Procrustes aligns.
+            slack = 0.0 if name != "procrustes" else 1e-7 * scale if singular else 1e-12 * scale
+            for x, y in ((a, b), (b, c), (a, c)):
+                assert dist(x, y) >= 0.0
+                assert abs(dist(x, y) - dist(y, x)) <= slack, name
+            for x in (a, b, c):
+                assert dist(x, x) <= slack, name
+            ab, bc, ac = dist(a, b), dist(b, c), dist(a, c)
+            assert ac <= (ab + bc) * (1.0 + 1e-12) + slack, name
+            assert ab <= (ac + bc) * (1.0 + 1e-12) + slack, name
+
+
 class TestProcrustesRotation:
     def test_returns_orthogonal(self, rng):
         a, b = random_spd(rng, 4), random_spd(rng, 4)
