@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError
-from .frechet import METRIC_LOG_EUCLIDEAN, FrechetConfig, mean_from_logs, rolling_procrustes_means
+from .frechet import METRIC_PROCRUSTES, FrechetConfig, rolling_means
 from .spd import (
     SpdMatrix,
     _check_records,
@@ -276,40 +276,38 @@ class _HarMeans:
     Row ``t - HAR_MONTH`` of its stack, for each position t from HAR_MONTH to
     ``len(series)``, holds the eigenvalues ``(2, n)`` and eigenvectors
     ``(2, n, n)`` of the means of the HAR_WEEK and of the HAR_MONTH matrices
-    before t, and each Procrustes mean's fixed-point ``iters`` and whether it
-    ``converged``.  A position fails with the first failed logarithm of its
-    month.  The Procrustes means of each window length come from one
-    lockstep kernel call; one that exhausts ``cfg.max_iters`` is used, and logged.
+    before t, and each mean's fixed-point ``iters`` and whether it
+    ``converged`` (0 and True for the closed-form log-Euclidean mean).  The
+    means of each window length come from one :func:`rolling_means` call on
+    the series' logarithms or roots; a Procrustes mean that exhausts
+    ``cfg.max_iters`` is used, and logged.  A position fails with the first
+    failed logarithm of its month.
     """
 
     cfg: FrechetConfig
 
     def __call__(self, series: CovSeries) -> tuple[np.ndarray, dict]:
-        positions = range(HAR_MONTH, len(series) + 1)
-        n = series.dim
-        means = np.zeros(len(positions), [("values", float, (2, n)), ("vectors", float, (2, n, n)),
-                                          ("iters", int, 2), ("converged", bool, 2)])
-        if self.cfg.metric != METRIC_LOG_EUCLIDEAN:
-            roots = series.stack(_series_roots)
-            for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
-                columns = rolling_procrustes_means(roots[HAR_MONTH - k :], k, self.cfg)
-                for name, column in zip(("values", "vectors", "iters", "converged"), columns):
-                    means[name][:, j] = column
-            for i, j in zip(*np.nonzero(~means["converged"])):
-                log.warning("Procrustes mean of the %d matrices before position %d did not "
-                            "converge in %d iterations", (HAR_WEEK, HAR_MONTH)[j], positions[i],
-                            means["iters"][i, j])
-            return means, {}
-        failed, errors = {}, {}
-        logs = series.stack(_series_logs, failed=failed)
-        for i, t in enumerate(positions):
-            month = [row for row in failed if t - HAR_MONTH <= row < t]
-            if month:
-                errors[i] = failed[month[0]]
-                continue
-            for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
-                means["values"][i, j], means["vectors"][i, j] = mean_from_logs(logs[t - k : t]).eig
-        return means, errors
+        count, n = max(len(series) - HAR_MONTH + 1, 0), series.dim
+        means = np.zeros(count, [("values", float, (2, n)), ("vectors", float, (2, n, n)),
+                                 ("iters", int, 2), ("converged", bool, 2)])
+        failed = {}
+        stack = series.stack(_series_roots if self.cfg.metric == METRIC_PROCRUSTES
+                             else _series_logs, failed=failed)
+        bad = np.array(list(failed), dtype=int)
+        if failed:  # finite stand-ins: every mean that reads a failed row fails below
+            stack = np.where(np.isin(np.arange(len(stack)), bad)[:, None, None], 0.0, stack)
+        for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
+            columns = rolling_means(stack[HAR_MONTH - k :], k, self.cfg)
+            for name, column in zip(means.dtype.names, columns):
+                means[name][:, j] = column
+        for i, j in zip(*np.nonzero(~means["converged"])):
+            log.warning("Procrustes mean of the %d matrices before position %d did not "
+                        "converge in %d iterations", (HAR_WEEK, HAR_MONTH)[j], HAR_MONTH + i,
+                        means["iters"][i, j])
+        # The first failed row at or after each position's first month row i.
+        first = np.append(bad, len(series))[np.searchsorted(bad, np.arange(count))]
+        return means, {int(i): failed[int(first[i])]
+                       for i in np.flatnonzero(first < np.arange(count) + HAR_MONTH)}
 
 
 def procrustes_mean_counts(series: CovSeries, cfg: FrechetConfig) -> dict[str, int]:

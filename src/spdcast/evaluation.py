@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import CovSeries
+from .data import CovSeries, _series_roots
 from .exceptions import DimensionMismatchError
 from .spd import (
     euclidean_losses,
@@ -26,7 +26,6 @@ from .spd import (
     log_euclidean_losses,
     logm_stack,
     procrustes_losses,
-    sqrtm_stack,
 )
 
 __all__ = [
@@ -49,7 +48,7 @@ def _logs(series: CovSeries) -> tuple[np.ndarray, dict]:
 _METRIC_KERNELS = {
     "frobenius": (lambda series: series.data, frobenius_losses),
     "euclidean": (lambda series: series.data, euclidean_losses),
-    "procrustes": (lambda series: sqrtm_stack(series.values, series.vectors), procrustes_losses),
+    "procrustes": (lambda series: series.stack(_series_roots), procrustes_losses),
     "log_euclidean": (lambda series: series.stack(_logs), log_euclidean_losses),
 }
 METRICS = tuple(_METRIC_KERNELS)

@@ -1,10 +1,10 @@
 """Sample Fréchet means of SPD collections.
 
 Two metrics are supported: log-Euclidean (closed form, the exponential of
-the average logarithm) and Procrustes size-and-shape.  The Procrustes mean
-is the Bures-Wasserstein barycenter, found by its fixed-point iteration
-(Alvarez-Esteban et al. 2016), which needs one symmetric eigendecomposition
-per matrix and step and runs over many windows in lockstep.
+the average logarithm) and Procrustes size-and-shape, the Bures-Wasserstein
+barycenter found by its fixed-point iteration (Alvarez-Esteban et al. 2016).
+Each metric has one batch kernel: :func:`rolling_means` runs it over every
+window of a series, and the one-sample means run it on one window.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from .exceptions import DimensionMismatchError
 from .spd import (
     SpdMatrix,
     _eigh_desc,
+    _psd_roots,
     _recompose,
+    _symmetrize,
     ensure_pd_values,
-    expm,
     logm_stack,
     sqrtm_stack,
 )
@@ -31,9 +32,8 @@ __all__ = [
     "METRIC_PROCRUSTES",
     "FrechetConfig",
     "BarycenterResult",
-    "mean_from_logs",
     "frechet_mean_log_euclidean",
-    "rolling_procrustes_means",
+    "rolling_means",
     "frechet_mean_procrustes",
 ]
 
@@ -44,7 +44,9 @@ _METRICS = (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
 
 @dataclass(frozen=True)
 class FrechetConfig:
-    """Options for Fréchet mean computation."""
+    """Options for Fréchet means.  ``max_iters`` and ``tol`` bound the Procrustes fixed
+    point; a ``tol`` below about 1e-13 stops where 1e-13 would, because its objective
+    comes from eigenvalues, which resolve decreases only to about 1e-15 of it."""
 
     metric: str = METRIC_LOG_EUCLIDEAN
     max_iters: int = 200
@@ -88,9 +90,12 @@ def _exact_mean(stack: np.ndarray) -> np.ndarray:
     return (sums / count).reshape(stack.shape[1:])
 
 
-def mean_from_logs(logs: np.ndarray) -> SpdMatrix:
-    """Log-Euclidean mean of the matrices whose logarithms ``logs`` stacks."""
-    return expm(_exact_mean(logs))
+def _log_euclidean_means(logs: np.ndarray, cfg: FrechetConfig | None = None) -> tuple[np.ndarray, ...]:
+    """Log-Euclidean means of the windows of a ``(W, k, n, n)`` stack of logarithms: each
+    window's exactly rounded average logarithm, exponentiated with one ``eigh`` of the
+    batch.  The columns of :func:`_barycenters`, with 0 steps and ``converged`` True."""
+    lam, vec = _eigh_desc(_symmetrize(_exact_mean(np.swapaxes(logs, 0, 1))))
+    return np.exp(lam), vec, np.zeros(len(logs), dtype=int), np.ones(len(logs), dtype=bool)
 
 
 def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -103,16 +108,14 @@ def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
     logs, errors = logm_stack(ensure_pd_values(values), vectors)
     if errors:
         raise next(iter(errors.values()))
-    return mean_from_logs(logs)
+    values, vectors = _log_euclidean_means(logs[None])[:2]
+    return SpdMatrix._from_eig(values[0], vectors[0])
 
 
-# Windows per lockstep batch of :func:`rolling_procrustes_means`: at n = 50 a
-# batch of 22-day windows raises peak memory by about 60 MB, whatever the
-# series' length.
+# Windows per batch of :func:`rolling_means`: at n = 50 a batch of 22-day
+# Procrustes windows raises peak memory by about 60 MB, whatever the series'
+# length.
 _WINDOW_CHUNK = 16
-# Eigenvalues below n * _EPS times the largest are taken as zero, as
-# numpy.linalg.matrix_rank takes them.
-_EPS = np.finfo(float).eps
 
 
 def _barycenters(roots: np.ndarray, cfg: FrechetConfig) -> tuple[np.ndarray, ...]:
@@ -150,11 +153,10 @@ def _barycenters(roots: np.ndarray, cfg: FrechetConfig) -> tuple[np.ndarray, ...
     active = np.arange(count)
     for step in range(cfg.max_iters + 1):
         lam, vec = _eigh_desc(s)
-        m = _recompose(np.sqrt(np.maximum(lam, 0.0)), vec)[:, None] @ roots
+        root = _psd_roots(lam)
+        m = _recompose(root, vec)[:, None] @ roots
         mu, u = _eigh_desc(m @ np.swapaxes(m, -1, -2))
-        # Eigenvalues within eigh's round-off of zero are zero: their square
-        # roots would be round-off magnified to about 1e-8 of the largest.
-        root_mu = np.sqrt(np.where(mu > n * _EPS * mu[..., :1], mu, 0.0))
+        root_mu = _psd_roots(mu)
         objective = (spread + k * lam.sum(axis=1)
                      - 2.0 * root_mu.reshape(len(active), -1).sum(axis=1))
         prev = best[active]
@@ -171,34 +173,31 @@ def _barycenters(roots: np.ndarray, cfg: FrechetConfig) -> tuple[np.ndarray, ...
         go = ~done
         if not go.any():
             break
-        active, roots, spread, lam, vec = active[go], roots[go], spread[go], lam[go], vec[go]
+        active, roots, spread, root, vec = active[go], roots[go], spread[go], root[go], vec[go]
         # sum_i (S^1/2 C_i S^1/2)^1/2 as one product per window: the columns of
         # every u_i scaled by mu_i^1/4, side by side.
         w = np.swapaxes(u[go] * np.sqrt(root_mu[go])[:, :, None, :], 1, 2)
         w = w.reshape(len(active), n, k * n)
         t = (w @ np.swapaxes(w, -1, -2)) / k
-        invertible = lam > n * _EPS * np.maximum(lam[:, :1], 0.0)
-        inv_root = np.where(invertible, 1.0 / np.sqrt(np.where(invertible, lam, 1.0)), 0.0)
+        inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
         b = _recompose(inv_root, vec) @ t
         s = b @ np.swapaxes(b, -1, -2)
     values = ensure_pd_values(np.ldexp(values, 2 * exponent[:, None]))
     return values, vectors, n_iters, converged, np.ldexp(np.array(history), 2 * exponent)
 
 
-def rolling_procrustes_means(
-    roots: np.ndarray, k: int, cfg: FrechetConfig | None = None
-) -> tuple[np.ndarray, ...]:
-    """Procrustes means of every ``k`` consecutive matrices of a stack of square roots.
+def rolling_means(stack: np.ndarray, k: int, cfg: FrechetConfig) -> tuple[np.ndarray, ...]:
+    """Fréchet means under ``cfg`` of every ``k`` consecutive matrices of a stack of their
+    logarithms (log-Euclidean) or symmetric square roots (Procrustes).
 
-    Row s is :func:`frechet_mean_procrustes` of the matrices whose roots are
-    ``roots[s : s + k]``, bit for bit: its eigenvalues and eigenvectors, its
-    fixed-point steps and whether it converged.  The windows run in lockstep
-    batches of ``_WINDOW_CHUNK``, which bounds the memory.
+    Row s is the one-sample mean of the matrices of ``stack[s : s + k]``, bit for bit:
+    its eigenvalues and eigenvectors, its fixed-point steps and whether it converged.
+    The windows run in batches of ``_WINDOW_CHUNK``, which bounds the memory.
     """
-    cfg = cfg or FrechetConfig(metric=METRIC_PROCRUSTES)
-    count = len(roots) - k + 1
-    batches = [_barycenters(roots[np.arange(start, min(start + _WINDOW_CHUNK, count))[:, None]
-                                  + np.arange(k)], cfg)[:4]
+    kernel = _barycenters if cfg.metric == METRIC_PROCRUSTES else _log_euclidean_means
+    count = len(stack) - k + 1
+    batches = [kernel(stack[np.arange(start, min(start + _WINDOW_CHUNK, count))[:, None]
+                            + np.arange(k)], cfg)[:4]
                for start in range(0, count, _WINDOW_CHUNK)]
     return tuple(np.concatenate(arrays) for arrays in zip(*batches))
 

@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -457,8 +458,8 @@ def _read_dated_csv(
     """Dates, values and column names of a ``date,<columns>`` file of ``what``.
 
     ``columns`` are the names the file must have; None takes any (a returns
-    file's tickers).  A malformed file raises :class:`SeriesFormatError`
-    naming ``path:line``.
+    file's tickers).  A malformed file, or one holding a non-finite value,
+    raises :class:`SeriesFormatError` naming ``path:line``.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
@@ -477,6 +478,9 @@ def _read_dated_csv(
                 if np.isnat(dates[-1]):
                     raise ValueError(f"bad date {rec[0]!r}")
                 rows.append([float(x) for x in rec[1:]])
+                for text, value in zip(rec[1:], rows[-1]):
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value {text!r}")
             except ValueError as exc:
                 raise SeriesFormatError(f"{what} file {path}:{lineno}: {exc}") from None
     return np.array(dates, dtype="datetime64[D]"), np.asarray(rows), header[1:]
@@ -1007,6 +1011,9 @@ def cmd_portfolio(cfg: RunConfig) -> int:
         log.info("portfolio disabled in config; nothing to do")
         return 0
     forecasts, realized = _load_forecasts(cfg)
+    if len(realized) < 2:
+        raise ConfigError(f"[forecast] window: the forecast files share {len(realized)} date; "
+                          "a portfolio needs at least two")
     returns = _portfolio_returns_matrix(cfg, realized.dates)
     port_dir = cfg.out_dir / "portfolio"
     port_dir.mkdir(parents=True, exist_ok=True)

@@ -55,6 +55,9 @@ _PSD_ATOL = sys.float_info.min
 # Relative floor of the SPD repairs: eigenvalues below SPD_FLOOR * lambda_max
 # are raised to it (see ensure_pd).
 SPD_FLOOR = 1e-8
+# Eigenvalues at or below n * _EPS times the largest are taken as zero, as
+# numpy.linalg.matrix_rank takes them.
+_EPS = np.finfo(float).eps
 
 
 class EigPair(NamedTuple):
@@ -222,16 +225,22 @@ def expm(s: np.ndarray) -> SpdMatrix:
     return SpdMatrix._from_eig(np.exp(values), vectors)
 
 
+def _psd_roots(values: np.ndarray) -> np.ndarray:
+    """Square roots of the descending eigenvalues of a matrix or a stack.  Those within eigh's
+    round-off of zero, at or below ``n * eps * max(lambda_max, 0)``, are zero: their roots
+    would be round-off magnified to about 1e-8 of the largest."""
+    lmax = np.maximum(values[..., :1], 0.0)
+    return np.sqrt(np.where(values > values.shape[-1] * _EPS * lmax, values, 0.0))
+
+
 def sqrtm_psd(a: SpdMatrix) -> np.ndarray:
-    """Symmetric PSD square root (round-off negatives clipped to zero)."""
-    values, vectors = a.eig
-    root = np.sqrt(np.maximum(values, 0.0))
-    return _recompose(root, vectors)
+    """Symmetric PSD square root (eigenvalues within round-off of zero taken as zero)."""
+    return _recompose(_psd_roots(a.eig.values), a.eig.vectors)
 
 
 def sqrtm_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """:func:`sqrtm_psd` of each decomposition of a stack, bit for bit."""
-    return _recompose(np.sqrt(np.maximum(values, 0.0)), vectors)
+    return _recompose(_psd_roots(values), vectors)
 
 
 def vech(a: SpdMatrix | np.ndarray) -> np.ndarray:

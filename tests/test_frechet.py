@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import random_spd, spd_from_spectrum
 from spdcast import (
+    METRIC_LOG_EUCLIDEAN,
     METRIC_PROCRUSTES,
     FrechetConfig,
+    NotPositiveDefiniteError,
     SpdMatrix,
     dist_log_euclidean,
     dist_procrustes,
@@ -20,8 +22,10 @@ from spdcast import (
     project_to_spd,
     sqrtm_psd,
 )
-from spdcast.frechet import _WINDOW_CHUNK, _exact_mean, rolling_procrustes_means
-from spdcast.spd import SPD_FLOOR, sqrtm_stack
+from spdcast.frechet import _WINDOW_CHUNK, _exact_mean, rolling_means
+from spdcast.spd import SPD_FLOOR, ensure_pd_values, logm_stack, sqrtm_stack
+
+PROCRUSTES = FrechetConfig(metric=METRIC_PROCRUSTES)
 
 # Agreement of the fixed point with the GPA when both run at tol 1e-14.  The
 # fixed point's objective comes from eigenvalues, to about 1e-15 of its value,
@@ -170,24 +174,48 @@ def window_roots(matrices):
                        np.array([m.eig.vectors for m in matrices]))
 
 
+def window_inputs(matrices, metric):
+    """The stack :func:`rolling_means` takes under ``metric``, failed logarithms zeroed
+    as the HAR means zero them, and the rows whose logarithm failed."""
+    if metric == METRIC_PROCRUSTES:
+        return window_roots(matrices), {}
+    logs, errors = logm_stack(ensure_pd_values(np.array([m.eig.values for m in matrices])),
+                              np.array([m.eig.vectors for m in matrices]))
+    logs[list(errors)] = 0.0
+    return logs, errors
+
+
+def one_window_mean(window, cfg):
+    """The mean of one window, its fixed-point steps and whether it converged."""
+    if cfg.metric == METRIC_PROCRUSTES:
+        result = frechet_mean_procrustes(window, cfg)
+        return result.mean, result.n_iters, result.converged
+    return frechet_mean_log_euclidean(window), 0, True
+
+
 def relative_gap(a, b):
     return np.linalg.norm(a.data - b.data) / np.linalg.norm(b.data)
 
 
 class TestLockstepBarycenters:
-    """Each row of the lockstep kernel is its one-window call bit for bit, and the
-    mean is the one generalized Procrustes averaging finds."""
+    """Each row of the rolling kernel is its one-window call bit for bit, under
+    either metric, and the Procrustes mean is the one generalized Procrustes
+    averaging finds."""
 
     @staticmethod
     def assert_rows_are_one_window_calls(matrices, k, cfg):
-        roots = window_roots(matrices)
-        values, vectors, n_iters, converged = rolling_procrustes_means(roots, k, cfg)
+        stack, failed = window_inputs(matrices, cfg.metric)
+        values, vectors, n_iters, converged = rolling_means(stack, k, cfg)
         assert len(values) == len(matrices) - k + 1
         for s in range(len(values)):
-            alone = frechet_mean_procrustes(matrices[s : s + k], cfg)
-            assert alone.mean.eig.values.tobytes() == values[s].tobytes()
-            assert alone.mean.eig.vectors.tobytes() == vectors[s].tobytes()
-            assert (alone.n_iters, alone.converged) == (n_iters[s], converged[s])
+            if any(s <= row < s + k for row in failed):
+                with pytest.raises(NotPositiveDefiniteError):
+                    frechet_mean_log_euclidean(matrices[s : s + k])
+                continue
+            mean, steps, done = one_window_mean(matrices[s : s + k], cfg)
+            assert mean.eig.values.tobytes() == values[s].tobytes()
+            assert mean.eig.vectors.tobytes() == vectors[s].tobytes()
+            assert (steps, done) == (n_iters[s], converged[s])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -205,13 +233,14 @@ class TestLockstepBarycenters:
             odd = {"rank_one": np.outer(v, v), "subnormal": np.diag([1e-320] + [0.0] * (n - 1)),
                    "zero": np.zeros((n, n))}[day]
             matrices[int(rng.integers(len(matrices)))] = SpdMatrix(odd)
-        self.assert_rows_are_one_window_calls(matrices, k, FrechetConfig(metric=METRIC_PROCRUSTES))
+        for metric in (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES):
+            self.assert_rows_are_one_window_calls(matrices, k, FrechetConfig(metric=metric))
 
     def test_rows_on_both_sides_of_chunk_boundaries(self, rng):
         matrices = [random_spd(rng, 5, lo=0.2, hi=4.0) for _ in range(2 * _WINDOW_CHUNK + 6)]
         v = rng.standard_normal(5)
         matrices[_WINDOW_CHUNK + 2] = SpdMatrix(np.outer(v, v))
-        for cfg in (FrechetConfig(metric=METRIC_PROCRUSTES),
+        for cfg in (FrechetConfig(), PROCRUSTES,
                     FrechetConfig(metric=METRIC_PROCRUSTES, max_iters=2, tol=1e-300)):
             self.assert_rows_are_one_window_calls(matrices, 5, cfg)
 
@@ -247,9 +276,9 @@ class TestLockstepBarycenters:
 
     def test_units_do_not_matter(self, rng):
         roots = window_roots([random_spd(rng, 4) for _ in range(30)])
-        base = rolling_procrustes_means(roots, 5)
+        base = rolling_means(roots, 5, PROCRUSTES)
         for j in (-500, -60, 60, 500):
-            values, *rest = rolling_procrustes_means(np.ldexp(roots, j), 5)
+            values, *rest = rolling_means(np.ldexp(roots, j), 5, PROCRUSTES)
             assert np.array_equal(values, np.ldexp(base[0], 2 * j))
             assert all(np.array_equal(a, b) for a, b in zip(rest, base[1:]))
 

@@ -18,6 +18,7 @@ from spdcast import (
     SpdcastError,
     SpdMatrix,
     blockdiag_spd,
+    frechet_mean_log_euclidean,
     frechet_mean_procrustes,
     load_config,
     load_series,
@@ -28,7 +29,7 @@ from spdcast import (
 from spdcast import baselines, data, pipeline, spd
 from spdcast.cli import main
 from spdcast.data import HAR_MONTH
-from spdcast.frechet import rolling_procrustes_means
+from spdcast.frechet import rolling_means
 from spdcast.pipeline import ModelSpec, _parse_roster
 from spdcast.spd import sqrtm_stack
 
@@ -374,26 +375,45 @@ class TestStackedPrediction:
         return sizes
 
     def test_input_failure_fails_only_its_date(self, tmp_path, monkeypatch):
-        cfg, series = self.config_and_series(tmp_path)
+        cfg = load_config(write_config(tmp_path))
+        series = simulate_market(3, 110, 0.8, 7, 5)[0]
         spec = ModelSpec("geohar", "geohar_le_le",
                          {"metric": "log_euclidean", "loss": "log_euclidean"})
         clean = run_model(spec, cfg, series)
-        assert len(clean.dates) == 30 and clean.failures == []
+        assert len(clean.dates) == 70 and clean.failures == []
+        # Days whose floored spectrum holds a zero, so no logarithm: one within
+        # 22 days of each end of the forecast span 40..109, and two in one month.
+        days = [42, 70, 80, 100]
+
+        def month_days(t):  # the bad days among the HAR_MONTH days before position t
+            return [d for d in days if t - HAR_MONTH <= d < t]
+
         matrices = series.data.copy()
-        matrices[60] = np.diag([1e-320, 0.0, 0.0])  # its floored spectrum holds a zero: no log
+        matrices[days] = np.diag([1e-320, 0.0, 0.0])
         bad = CovSeries(series.dates, matrices)
         with pytest.raises(SpdcastError) as alone:
-            spd.logm(spd.ensure_pd(bad[60]))
+            spd.logm(spd.ensure_pd(bad[42]))
         sizes = self.record_batches(monkeypatch)
         result = run_model(spec, cfg, bad)
-        # The 22-day months of the test dates 61..69 hold day 60; the fit's do not.
-        failing = range(61, 70)
+        # A test date fails when its month holds a bad day; the fit's months do not.
+        failing = [t for t in range(40, 110) if month_days(t)]
         assert result.failures == [(str(series.dates[t]), str(alone.value)) for t in failing]
-        assert sizes[-1] == 21 and sizes.count(21) == 1  # one stack for the 21 other dates
-        kept = [k for k, t in enumerate(range(40, 70)) if t not in failing]
+        kept = [k for k, t in enumerate(range(40, 110)) if t not in failing]
+        assert len(kept) == 9
+        assert sizes[-1] == 9 and sizes.count(9) == 1  # one stack for the other dates
         assert list(result.dates) == [clean.dates[k] for k in kept]
         for k, pred in zip(kept, result.predictions):
             assert np.array_equal(pred.data, clean.predictions[k].data)
+        # Each position of the means, through the first unobserved day 110, fails
+        # with the error of the first bad day of its month.
+        day_errors, position_errors = {}, {}
+        bad.stack(data._series_logs, failed=day_errors)
+        bad.stack(data._HarMeans(FrechetConfig()), failed=position_errors)
+        assert list(day_errors) == days
+        expected = {t - HAR_MONTH: day_errors[month_days(t)[0]]
+                    for t in range(HAR_MONTH, len(bad) + 1) if month_days(t)}
+        assert list(position_errors) == list(expected)
+        assert all(position_errors[i] is expected[i] for i in expected)
 
     def test_non_pd_output_fails_only_its_date(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
@@ -443,9 +463,12 @@ class TestStackedPrediction:
         """The input at position t from the per-matrix API: its blocks and per-window means."""
         if spec.kind == "respdnet":
             blocks = [series[t - j] for j in range(1, spec.params["lags"] + 1)]
-        else:
+        elif spec.params["metric"] == METRIC_PROCRUSTES:
             cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
             blocks = [series[t - 1]] + [frechet_mean_procrustes(series[t - k : t], cfg).mean
+                                        for k in (5, 22)]
+        else:
+            blocks = [series[t - 1]] + [frechet_mean_log_euclidean(series[t - k : t])
                                         for k in (5, 22)]
         return blockdiag_spd(blocks)
 
@@ -465,21 +488,21 @@ class TestStackedPrediction:
     def test_each_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
         self.check_each_fit_predicts_the_dates_it_serves(self.SPEC, tmp_path, monkeypatch)
 
-    def test_each_procrustes_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("metric", ["log_euclidean", "procrustes"])
+    def test_each_geohar_fit_predicts_the_dates_it_serves(self, tmp_path, monkeypatch, metric):
         calls = []
-        original = data.rolling_procrustes_means
+        original = data.rolling_means
 
-        def recording(roots, k, cfg):
-            means = original(roots, k, cfg)
+        def recording(stack, k, cfg):
+            means = original(stack, k, cfg)
             calls.append((k, len(means[0])))
             return means
 
-        monkeypatch.setattr(data, "rolling_procrustes_means", recording)
-        spec = ModelSpec("geohar", "geohar_pro_le",
-                         {"metric": "procrustes", "loss": "log_euclidean"})
+        monkeypatch.setattr(data, "rolling_means", recording)
+        spec = ModelSpec("geohar", "geohar", {"metric": metric, "loss": "log_euclidean"})
         self.check_each_fit_predicts_the_dates_it_serves(spec, tmp_path, monkeypatch)
         # Three fits and their forecasts share one stack of means, from one
-        # lockstep call per window length: a week's and a month's for each
+        # rolling call per window length: a week's and a month's for each
         # position from 22 through the first unobserved day, 70.
         assert calls == [(5, len(range(22, 71))), (22, len(range(22, 71)))]
 
@@ -543,7 +566,8 @@ class TestCommands:
             records.append(manifest["training"])
         series = load_series(tmp_path / "out" / "data" / "series.matbin")
         roots = sqrtm_stack(series.values, series.vectors)
-        iters = [rolling_procrustes_means(roots[HAR_MONTH - k :], k)[2] for k in (5, HAR_MONTH)]
+        cfg = FrechetConfig(metric=METRIC_PROCRUSTES)
+        iters = [rolling_means(roots[HAR_MONTH - k :], k, cfg)[2] for k in (5, HAR_MONTH)]
         record = records[0]["geohar_pro_le"]
         assert records[1] == records[0]
         assert record["fits"] == 1
@@ -688,6 +712,9 @@ class TestCommands:
         ("date,A00,A01,A02\n2000-01-03,0.1,0.2\n", 2, "wrong field count"),
         ("day,A00,A01,A02\n", 1, "expected header date,<tickers>"),
         ("date,A00,A01,A02\n,0.5,0,0\n2000-01-03,0.1,0,0\n", 2, "bad date ''"),
+        ("date,A00,A01,A02\n2000-01-03,0.1,nan,0.2\n", 2, "non-finite value 'nan'"),
+        ("date,A00,A01,A02\n2000-01-03,0.1,0,0\n2000-01-04,0,0,inf\n", 3,
+         "non-finite value 'inf'"),
     ]
 
     @pytest.mark.parametrize("text, line, reason", BAD_RETURNS)
@@ -981,6 +1008,17 @@ class TestMissingDates:
         assert capsys.readouterr().err == (
             "spdcast: config error: forecast files share no common dates\n")
 
+    def test_one_forecast_date_leaves_no_portfolio(self, tmp_path, capsys):
+        path = write_config(tmp_path, BASE_CONFIG.replace("days = 70", "days = 30").replace(
+            "window = 40", "window = 29"))
+        for command in ("simulate", "train-forecast", "evaluate"):
+            assert self.run_cli(command, path) == 0
+        capsys.readouterr()
+        assert self.run_cli("portfolio", path) == 2
+        assert capsys.readouterr().err == (
+            "spdcast: config error: [forecast] window: the forecast files share 1 date; "
+            "a portfolio needs at least two\n")
+
 
 class TestRosterValidation:
     """Each kind takes only its own parameters, and FAVAR's factor count is
@@ -1155,6 +1193,8 @@ class TestMarketVarianceFile:
         ("", 1, "expected header date,value"),
         ("date,value\n,0.5\n2000-01-03,0.1\n", 2, "bad date ''"),
         ("date,value\nNaT,0.5\n2000-01-03,0.1\n", 2, "bad date 'NaT'"),
+        ("date,value\n2000-01-03,nan\n", 2, "non-finite value 'nan'"),
+        ("date,value\n2000-01-03,1.0\n2000-01-04,-inf\n", 3, "non-finite value '-inf'"),
     ])
     def test_malformed_file_exits_1_naming_its_line(self, tmp_path, capsys, text, line, reason):
         path, _ = self.forecast(tmp_path)

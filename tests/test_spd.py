@@ -364,10 +364,9 @@ class TestDistanceAxioms:
                 continue
             # Procrustes takes an SVD whose round-off depends on the order of
             # its operands; the other three are exact in their operands.  A
-            # singular matrix's zero eigenvalue comes out of eigh as round-off
-            # of about 1e-17 * scale, and its square root, about 3e-9 * scale,
-            # enters the roots that Procrustes aligns.
-            slack = 0.0 if name != "procrustes" else 1e-7 * scale if singular else 1e-12 * scale
+            # singular matrix's zero eigenvalue comes out of eigh as round-off,
+            # which the square root takes as zero.
+            slack = 0.0 if name != "procrustes" else 1e-12 * scale
             for x, y in ((a, b), (b, c), (a, c)):
                 assert dist(x, y) >= 0.0
                 assert abs(dist(x, y) - dist(y, x)) <= slack, name
