@@ -21,7 +21,6 @@ from .spd import (
     _eigh_desc,
     _psd_roots,
     _recompose,
-    _symmetrize,
     ensure_pd_values,
     logm_stack,
     sqrtm_stack,
@@ -93,8 +92,14 @@ def _exact_mean(stack: np.ndarray) -> np.ndarray:
 def _log_euclidean_means(logs: np.ndarray, cfg: FrechetConfig | None = None) -> tuple[np.ndarray, ...]:
     """Log-Euclidean means of the windows of a ``(W, k, n, n)`` stack of logarithms: each
     window's exactly rounded average logarithm, exponentiated with one ``eigh`` of the
-    batch.  The columns of :func:`_barycenters`, with 0 steps and ``converged`` True."""
-    lam, vec = _eigh_desc(_symmetrize(_exact_mean(np.swapaxes(logs, 0, 1))))
+    batch.  The columns of :func:`_barycenters`, with 0 steps and ``converged`` True.
+    Logarithms are exactly symmetric (:func:`_recompose` symmetrizes), so only the upper
+    triangle is summed and mirrored."""
+    rows, cols = np.triu_indices(logs.shape[-1])
+    mean = np.empty((len(logs), *logs.shape[2:]))
+    mean[:, rows, cols] = mean[:, cols, rows] = _exact_mean(
+        np.swapaxes(logs[..., rows, cols], 0, 1))
+    lam, vec = _eigh_desc(mean)
     return np.exp(lam), vec, np.zeros(len(logs), dtype=int), np.ones(len(logs), dtype=bool)
 
 

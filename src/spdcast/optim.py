@@ -11,10 +11,8 @@ there.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -82,17 +80,6 @@ class TrainResult:
     min_eig_gaps: np.ndarray
     gap_clamp_count: int
     floored_target_count: int
-
-    def write_trace(self, path: str | Path) -> None:
-        """Loss trace as CSV: epoch, mean_loss, grad_norm, min_eig_gap."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mean_loss", "grad_norm", "min_eig_gap"])
-            for i in range(len(self.epoch_losses)):
-                writer.writerow(
-                    [i, f"{self.epoch_losses[i]:.17g}", f"{self.grad_norms[i]:.17g}",
-                     f"{self.min_eig_gaps[i]:.17g}"]
-                )
 
 
 @dataclass

@@ -506,40 +506,40 @@ def _rows_of(dates: np.ndarray, wanted: np.ndarray, missing=None) -> np.ndarray:
 class _Forecaster:
     """One model's fit/predict protocol over rolling windows.
 
+    ``fit(series, train_slice, seed)`` fits on one window; a fit serves the
+    windows up to the model's next scheduled refit, every ``refit_every``
+    windows (None: the run's ``[forecast] refit_every``; 0: never).
     ``predict_many(series, positions)`` returns the ``(len(positions), n, n)``
     forecasts of the current fit, and the error of each that failed (its row
-    is NaN), keyed by index.  ``trainable`` forecasters are fitted before
-    they predict; ``refit_every_window`` ones are fitted again on every
-    window, whatever the run's ``refit_every``.  ``fit_count`` numbers a
-    fit's seed stream, and ``fits`` holds the ``(fit_index, TrainResult)``
-    of each trained fit.  ``mean_counts(series)`` counts the iterative means
-    the model's inputs read.
+    is NaN), keyed by index.  ``fits`` holds the ``(fit_index, TrainResult)``
+    of each trained fit, and ``record(series)`` is the model's manifest
+    ``training`` record.
     """
 
     min_history: int
-    trainable = True
-    refit_every_window = False
-    fit_count = 0
+    refit_every: int | None = None
     fits: Sequence[tuple[int, TrainResult]] = ()
 
     def __init__(self, name: str, cfg: RunConfig):
         self.name = name
         self.run_cfg = cfg
 
-    def mean_counts(self, series: CovSeries) -> dict[str, int]:
+    def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
+        pass
+
+    def record(self, series: CovSeries) -> dict[str, int]:
         return {}
 
 
 class _RwForecaster(_Forecaster):
     min_history = 1
-    trainable = False
 
     def predict_many(self, series: CovSeries, positions: Sequence[int]):
         return series.data[np.asarray(positions) - 1], {}
 
 
 class _FavarForecaster(_Forecaster):
-    refit_every_window = True
+    refit_every = 1
 
     def __init__(self, name: str, cfg: RunConfig, factors: int | None = None):
         super().__init__(name, cfg)
@@ -593,9 +593,14 @@ class _NetForecaster(_Forecaster):
             eig_gap_floor=cfg.eig_gap_floor,
             lr_decay=cfg.lr_decay,
         )
-        self.fits.append((self.fit_count, train(net, supervised.inputs, supervised.targets, tc)))
+        self.fits.append((len(self.fits), train(net, supervised.inputs, supervised.targets, tc)))
         self.net = net
-        self.fit_count += 1
+
+    def record(self, series: CovSeries) -> dict[str, int]:
+        fits = [trained for _, trained in self.fits]
+        return {"fits": len(fits),
+                "gap_clamps": sum(f.gap_clamp_count for f in fits),
+                "floored_targets": sum(f.floored_target_count for f in fits)}
 
     def predict_many(self, series: CovSeries, positions: Sequence[int]):
         """Build the inputs and forward those that did not fail, as stacks of up
@@ -638,10 +643,11 @@ class _GeoharForecaster(_NetForecaster):
     def _inputs(self, series: CovSeries, positions: np.ndarray, failed: dict):
         return _geohar_stack(series, positions, self.frechet_cfg, failed)
 
-    def mean_counts(self, series: CovSeries) -> dict[str, int]:
-        if self.frechet_cfg.metric != METRIC_PROCRUSTES:
-            return {}
-        return procrustes_mean_counts(series, self.frechet_cfg)
+    def record(self, series: CovSeries) -> dict[str, int]:
+        record = super().record(series)
+        if self.frechet_cfg.metric == METRIC_PROCRUSTES:
+            record.update(procrustes_mean_counts(series, self.frechet_cfg))
+        return record
 
 
 # kind: ({key: (parse, default, check)}, default name, forecaster class).
@@ -672,7 +678,7 @@ class ModelRunResult:
     predictions: CovSeries | None  # None: no date was forecast
     failures: list[tuple[str, str]]
     traces: list[tuple[int, TrainResult]]
-    mean_counts: dict[str, int]
+    training: dict[str, int]  # the manifest's training record; empty: none
 
     @property
     def dates(self) -> np.ndarray:
@@ -682,14 +688,13 @@ class ModelRunResult:
 def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunResult:
     """All rolling one-step forecasts for one model.
 
-    Trainable models fit on the first window and re-fit every
-    ``cfg.refit_every`` windows (0 = never re-fit).  The dates one fit
-    serves are predicted together, just before the next fit or at the end,
-    so a network forwards them as stacks.  A model's forecasts are checked
-    as one stack.  A window where prediction
-    fails is dropped and recorded.  A failed fit is recorded and fails its
-    window, and the fit is retried on every later window until one
-    succeeds; the refit schedule then resumes.
+    A fit on window s serves windows s up to the model's next scheduled
+    refit, ``s - s % every + every`` (every ``cfg.refit_every`` windows, 0 =
+    never, unless the model sets its own ``refit_every``), and those dates
+    are predicted together, so a network forwards them as stacks.  A failed
+    fit fails its own window and is retried on the next.  A date whose
+    prediction fails, or whose forecast the one stacked check of all of
+    them rejects, is dropped; failures are recorded and logged in date order.
     """
     forecaster = _make_forecaster(spec, cfg)
     if cfg.window <= forecaster.min_history:
@@ -697,56 +702,35 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             f"[forecast] window: {cfg.window} leaves no training pairs for model "
             f"{spec.name!r} (needs more than {forecaster.min_history})"
         )
-    predicted: list[int] = []  # the positions forecast, and their forecasts by batch
-    batches = [np.zeros((0, series.dim, series.dim))]
-    failures: list[tuple[str, str]] = []
-    pending: list[int] = []
-
-    def fail(t: int, exc: SpdcastError) -> None:
-        log.warning("model %s failed at %s: %s", spec.name, series.dates[t], exc)
-        failures.append((str(series.dates[t]), str(exc)))
-
-    def predict_pending() -> None:
-        if not pending:
-            return
-        data, errors = forecaster.predict_many(series, pending)
-        for k, t in enumerate(pending):
-            if k in errors:
-                fail(t, errors[k])
-            else:
-                predicted.append(t)
-        batches.append(np.delete(data, list(errors), axis=0))
-        pending.clear()
-
-    fitted = False
-    for window_index, (train_slice, t) in enumerate(rolling_windows(series, cfg.window)):
-        refit_due = (
-            not fitted
-            or forecaster.refit_every_window
-            or (cfg.refit_every > 0 and window_index % cfg.refit_every == 0)
-        )
-        if forecaster.trainable and refit_due:
-            predict_pending()
-            try:
-                forecaster.fit(
-                    series, train_slice, _model_seed(cfg.seed, spec.name, forecaster.fit_count)
-                )
-                fitted = True
-            except SpdcastError as exc:
-                log.warning("model %s fit failed at window %d: %s", spec.name, window_index, exc)
-                failures.append((str(series.dates[t]), f"fit: {exc}"))
-                fitted = False
-                continue
-        pending.append(t)
-    predict_pending()
-    # One stacked check of every forecast, as SpdMatrix checks one matrix: a
+    every = cfg.refit_every if forecaster.refit_every is None else forecaster.refit_every
+    windows = list(rolling_windows(series, cfg.window))
+    dates = series.dates[cfg.window :]
+    forecasts = np.full((len(windows), series.dim, series.dim), np.nan)
+    errors: dict[int, str] = {}  # by row: why its fit or prediction failed
+    s = 0
+    while s < len(windows):
+        train_slice, _ = windows[s]
+        try:
+            forecaster.fit(series, train_slice,
+                           _model_seed(cfg.seed, spec.name, len(forecaster.fits)))
+        except SpdcastError as exc:
+            errors[s] = f"fit: {exc}"
+            s += 1
+            continue
+        stop = len(windows) if every == 0 else min(s - s % every + every, len(windows))
+        forecasts[s:stop], failed = forecaster.predict_many(
+            series, [t for _, t in windows[s:stop]])
+        errors.update((s + k, str(exc)) for k, exc in failed.items())
+        s = stop
+    # One stacked check of every row, as SpdMatrix checks one matrix: a
     # forecast that is not a finite PSD matrix fails its own date.
-    predictions, rejected = CovSeries.accepted(series.dates[predicted], np.concatenate(batches))
+    predictions, rejected = CovSeries.accepted(dates, forecasts)
+    failures = []
     for k, exc in rejected.items():
-        fail(predicted[k], exc)
-    failures.sort(key=lambda failure: failure[0])  # in date order, as they happened
+        failures.append((str(dates[k]), errors.get(k, str(exc))))
+        log.warning("model %s failed at %s: %s", spec.name, *failures[-1])
     return ModelRunResult(spec.name, predictions, failures, list(forecaster.fits),
-                          forecaster.mean_counts(series))
+                          forecaster.record(series))
 
 
 # ---------------------------------------------------------------------------
@@ -862,31 +846,25 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
 
     artifacts: dict[str, str] = {"realized": "data/realized.matbin"}
     failure_rows: list[tuple[str, str, str]] = []
-    training: dict[str, dict[str, int]] = {}
     for result in results:
         for date, reason in result.failures:
             failure_rows.append((result.name, date, reason))
-        if result.traces:
-            fits = [trained for _, trained in result.traces]
-            training[result.name] = {
-                "fits": len(fits),
-                "gap_clamps": sum(f.gap_clamp_count for f in fits),
-                "floored_targets": sum(f.floored_target_count for f in fits),
-            }
-        if result.mean_counts:
-            training.setdefault(result.name, {}).update(result.mean_counts)
         if result.predictions is None:
             log.error("model %s produced no forecasts", result.name)
             continue
         save_series(result.predictions, out / "forecasts" / f"{result.name}.matbin", FORMAT_MATBIN)
         artifacts[result.name] = f"forecasts/{result.name}.matbin"
         for fit_index, trained in result.traces:
-            trained.write_trace(out / "train" / f"{result.name}_fit{fit_index}.csv")
+            epochs = np.column_stack([trained.epoch_losses, trained.grad_norms,
+                                      trained.min_eig_gaps])
+            _write_csv(out / "train" / f"{result.name}_fit{fit_index}.csv",
+                       ["epoch", "mean_loss", "grad_norm", "min_eig_gap"],
+                       ([i, *(f"{x:.17g}" for x in row)] for i, row in enumerate(epochs)))
     if failure_rows:
         _write_csv(out / "train" / "failures.csv", ["model", "date", "reason"], failure_rows)
         log.warning("%d window failures recorded", len(failure_rows))
     _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from,
-                    training=training)
+                    training={r.name: r.training for r in results if r.training})
     return 1 if any(result.predictions is None for result in results) else 0
 
 

@@ -385,10 +385,9 @@ def ensure_pd(s: SpdMatrix) -> SpdMatrix:
     The floor is relative (``SPD_FLOOR`` alone when ``lambda_max <= 0``), so
     the repair is scale-invariant.  Callers tell a repair by ``result is not s``.
     """
-    lmax = float(s.eig.values[0])
-    floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
-    if s.eig.values[-1] < floor:
-        return project_to_spd(s, floor)
+    values = ensure_pd_values(s.eig.values[None])[0]
+    if values[-1] > s.eig.values[-1]:
+        return SpdMatrix._from_eig(values, s.eig.vectors)
     return s
 
 

@@ -23,7 +23,7 @@ from spdcast import (
     sqrtm_psd,
 )
 from spdcast.frechet import _WINDOW_CHUNK, _exact_mean, rolling_means
-from spdcast.spd import SPD_FLOOR, ensure_pd_values, logm_stack, sqrtm_stack
+from spdcast.spd import SPD_FLOOR, _eigh_desc, ensure_pd_values, logm_stack, sqrtm_stack
 
 PROCRUSTES = FrechetConfig(metric=METRIC_PROCRUSTES)
 
@@ -94,6 +94,14 @@ class TestLogEuclideanMean:
         forward = frechet_mean_log_euclidean(sample)
         shuffled = frechet_mean_log_euclidean(sample[::-1])
         assert np.array_equal(forward.data, shuffled.data)
+
+    def test_equals_the_exponential_of_the_entrywise_exact_mean(self, rng):
+        # The kernel sums only the upper triangle of the exactly symmetric logarithms.
+        for n in (1, 3, 8):
+            sample = [random_spd(rng, n, 1e-6, 1e3) for _ in range(22)]
+            lam, vec = _eigh_desc(_exact_mean(np.stack([logm(s) for s in sample])))
+            expected = SpdMatrix._from_eig(np.exp(lam), vec)
+            assert np.array_equal(frechet_mean_log_euclidean(sample).data, expected.data)
 
     def test_minimizes_sum_of_squared_distances(self, rng):
         # the mean must beat every sample point and random probes

@@ -235,19 +235,6 @@ class TestTrain:
         result = train(net, inputs, targets, cfg)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
 
-    def test_trace_csv(self, tmp_path, rng):
-        inputs, targets = self.make_problem(rng)
-        net = Network.init_random(NetworkSpec.default(6, 3), 6)
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=6)
-        result = train(net, inputs, targets, cfg)
-        path = tmp_path / "trace.csv"
-        result.write_trace(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,mean_loss,grad_norm,min_eig_gap"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert float(first[1]) == result.epoch_losses[0]
-
     def test_length_mismatch_rejected(self, rng):
         inputs, targets = self.make_problem(rng)
         net = Network.init_random(NetworkSpec.default(6, 3), 8)

@@ -1,8 +1,10 @@
 """Config parsing, rolling model runs, and the command line surface."""
 
 import configparser
+import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from spdcast import baselines, data, pipeline, spd
 from spdcast.cli import main
 from spdcast.data import HAR_MONTH
 from spdcast.frechet import rolling_means
-from spdcast.pipeline import ModelSpec, _parse_roster
+from spdcast.pipeline import ModelSpec, _model_seed, _parse_roster
 from spdcast.spd import sqrtm_stack
 
 BASE_CONFIG = """\
@@ -219,6 +221,20 @@ class TestLoadConfig:
         path.write_text(path.read_text().replace("seed = 5", "seed = 6"))
         b = load_config(path)
         assert a.config_hash != b.config_hash
+
+    def test_readme_config_block_holds_every_key_at_its_default(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser.read_string(block)
+        assert parser.sections() == list(dict.fromkeys(s for s, *_ in pipeline._KEYS))
+        assert {(s, k) for s in parser.sections() for k in parser[s]} == {
+            (s, k) for s, k, *_ in pipeline._KEYS}
+        documented, empty = tmp_path / "readme.ini", tmp_path / "empty.ini"
+        documented.write_text(block)
+        empty.write_text("")
+        assert (dataclasses.replace(load_config(documented), raw_text="")
+                == dataclasses.replace(load_config(empty), raw_text=""))
 
 
 class TestRosterParsing:
@@ -507,6 +523,59 @@ class TestStackedPrediction:
         assert calls == [(5, len(range(22, 71))), (22, len(range(22, 71)))]
 
 
+class TestFitSchedule:
+    """A network fits on the first window and refits every ``refit_every``
+    windows (0: never); a failed fit fails its own date and is retried on
+    the next window.  Each other date is forecast by the latest successful fit."""
+
+    SPEC = ModelSpec("respdnet", "respdnet1_le", {"lags": 1, "loss": "log_euclidean"})
+    SERIES = simulate_market(3, 52, 0.8, 7, 5)[0]  # 12 windows, at positions 40..51
+
+    @settings(max_examples=40, deadline=None)
+    @given(every=st.integers(0, 12), failing=st.sets(st.integers(0, 11)))
+    def test_each_date_is_forecast_by_the_latest_successful_fit(
+        self, tmp_path_factory, every, failing
+    ):
+        cfg = load_config(write_config(tmp_path_factory.mktemp("schedule")))
+        cfg.refit_every = every
+        series, window = self.SERIES, cfg.window
+        attempts = []  # (window index, seed) of each fit
+        original = pipeline._NetForecaster.fit
+
+        def fit(forecaster, series, train_slice, seed):
+            attempts.append((train_slice.stop - window, seed))
+            if attempts[-1][0] in failing:
+                raise SpdcastError(f"no fit on window {attempts[-1][0]}")
+            original(forecaster, series, train_slice, seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline._NetForecaster, "fit", fit)
+            result = run_model(self.SPEC, cfg, series)
+
+        # The reference schedule, one window at a time: a fit is due on the
+        # first window, after a failed fit, and on each multiple of every.
+        expected, failed, serving, fits = [], [], {}, 0
+        current = None  # the fit index serving the window, None after a failure
+        for w in range(len(series) - window):
+            if current is None or (every and w % every == 0):
+                expected.append((w, _model_seed(cfg.seed, self.SPEC.name, fits)))
+                if w in failing:
+                    failed.append(w)
+                    current = None
+                    continue
+                current, fits = fits, fits + 1
+            serving[w] = current
+        assert attempts == expected
+        assert [k for k, _ in result.traces] == list(range(fits))
+        assert result.failures == [(str(series.dates[window + w]), f"fit: no fit on window {w}")
+                                   for w in failed]
+        assert list(result.dates) == [series.dates[window + w] for w in serving]
+        for (w, k), pred in zip(serving.items(), result.predictions or ()):
+            net = result.traces[k][1].network
+            alone = net.forward(TestStackedPrediction.input_alone(self.SPEC, series, window + w))
+            assert np.array_equal(pred.data, alone.data)
+
+
 class TestCommands:
     def run_cli(self, command, config_path, *extra):
         return main([command, "--config", str(config_path), *extra])
@@ -554,6 +623,18 @@ class TestCommands:
         assert manifest["training"] == expected
         assert set(expected) == {"respdnet1_le", "geohar_le_le"}
         assert all(record["fits"] == 1 for record in expected.values())
+
+    def test_fit_trace_holds_each_epoch(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace("rw, favar:factors=2", "respdnet:lags=1"))
+        assert self.run_cli("train-forecast", path) == 0
+        cfg = load_config(path)
+        trained = run_model(cfg.roster[0], cfg, pipeline.resolve_series(cfg)[0]).traces[0][1]
+        lines = (tmp_path / "out" / "train" / "respdnet1_le_fit0.csv").read_text().splitlines()
+        assert lines[0] == "epoch,mean_loss,grad_norm,min_eig_gap"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(row[0]) for row in rows] == list(range(cfg.epochs))
+        assert np.array_equal(np.array([row[1:] for row in rows], dtype=float), np.column_stack(
+            [trained.epoch_losses, trained.grad_norms, trained.min_eig_gaps]))
 
     def test_manifest_counts_procrustes_means_with_any_workers(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.replace(
