@@ -75,6 +75,10 @@ def main(argv: list[str] | None = None) -> int:
     except SpdcastError as exc:
         print(f"spdcast: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output file that cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"spdcast: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

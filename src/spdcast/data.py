@@ -38,7 +38,6 @@ from .spd import (
     _symmetrize,
     ensure_pd_values,
     expm,
-    logm,
     logm_stack,
     sqrtm_stack,
     validate_stack,
@@ -383,17 +382,16 @@ def simulate_market(
     persistence: float,
     df: int,
     seed: int,
-    base: SpdMatrix | None = None,
     vol: float = 0.5,
 ) -> tuple[CovSeries, np.ndarray]:
     """Synthetic realized covariances plus consistent daily returns.
 
     The latent log-covariance follows a stationary matrix AR(1) with the
-    given persistence around ``logm(base)`` (base defaults to the identity);
-    each day ``df`` intraday return vectors are drawn with covariance
-    ``Sigma_t / df``, so the realized covariance is Wishart with ``df``
-    degrees of freedom and mean ``Sigma_t``, and the day's return is their
-    sum, distributed N(0, Sigma_t).
+    given persistence around zero (the identity covariance); each day ``df``
+    intraday return vectors are drawn with covariance ``Sigma_t / df``, so
+    the realized covariance is Wishart with ``df`` degrees of freedom and
+    mean ``Sigma_t``, and the day's return is their sum, distributed
+    N(0, Sigma_t).
     """
     if n < 1 or n_days < 1:
         raise ValueError("n and n_days must be positive")
@@ -405,23 +403,14 @@ def simulate_market(
     if not (vol > 0.0):
         raise ValueError("vol must be positive")
     rng = np.random.default_rng(seed)
-    if base is None:
-        center = np.zeros((n, n))
-    else:
-        if base.dim != n:
-            raise DimensionMismatchError(f"base dim {base.dim} != n {n}")
-        center = logm(base)
-
     innovation = vol * np.sqrt(1.0 - persistence**2)
-    state = center + _symmetric_noise(rng, n, vol)
+    state = _symmetric_noise(rng, n, vol)
     dates = np.datetime64("2000-01-03", "D") + np.arange(n_days)
     realized = np.zeros((n_days, n, n))
     daily_returns = np.zeros((n_days, n))
     for t in range(n_days):
         if t > 0:
-            state = center + persistence * (state - center) + _symmetric_noise(
-                rng, n, innovation
-            )
+            state = persistence * state + _symmetric_noise(rng, n, innovation)
         with np.errstate(over="ignore"):
             sigma = expm(state)
         try:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -243,6 +244,9 @@ def _parse_roster(raw: str) -> list[ModelSpec]:
             raise ConfigError(f"[models] roster: {exc}") from None
         if name is None:
             name = pattern.format(**{key: _SHORT.get(v, v) for key, v in params.items()})
+        if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", name):
+            raise ConfigError(f"[models] roster: model name {name!r} is not a file stem "
+                              "(a letter or digit, then letters, digits, '_', '.' or '-')")
         specs.append(ModelSpec(kind, name, params))
     if not specs:
         raise ConfigError("[models] roster: no models specified")
@@ -758,23 +762,16 @@ def _write_manifest(cfg: RunConfig, command: str, artifacts: dict[str, str], **e
     _manifest_path(cfg, command).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _forget_data_stages(cfg: RunConfig) -> None:
-    """Drop every data-stage manifest before a file in ``data/`` is replaced.
-
-    A manifest's key then vouches only for files its own stage wrote, and a
-    later train-forecast cannot reuse files another run overwrote.
-    """
-    for stage in _DATA_STAGES.values():
-        _manifest_path(cfg, stage).unlink(missing_ok=True)
-
-
 def _run_data_stage(cfg: RunConfig, command: str) -> tuple[CovSeries, list[str]]:
     """Write the series and returns, then a manifest keyed to their inputs.
 
-    The old manifests go first, so an interrupted stage never leaves a
-    matching key beside partly written files.
+    The only writer of ``data/series.matbin``, ``data/returns.csv`` and a
+    data-stage manifest.  Every data-stage manifest goes first, so a key
+    vouches only for files its own stage wrote, and an interrupted stage
+    never leaves a matching key beside partly written files.
     """
-    _forget_data_stages(cfg)
+    for stage in _DATA_STAGES.values():
+        _manifest_path(cfg, stage).unlink(missing_ok=True)
     key = _data_key(cfg)
     series, returns, tickers = resolve_series(cfg)
     (cfg.out_dir / "data").mkdir(parents=True, exist_ok=True)
@@ -812,16 +809,18 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     model's fits, eigenvalue-gap clamps and floor-projected targets, and a
     Procrustes GeoHAR model's means, their fixed-point iterations and
     unconverged means.  The series is the data stage's
-    ``data/series.matbin`` when that stage's manifest key matches ``cfg``,
-    and is rebuilt from the source otherwise.  Returns nonzero iff a
-    requested model produced no forecasts at all.
+    ``data/series.matbin`` when that stage's manifest key matches ``cfg``.
+    Otherwise a ``simulate`` or ``intraday`` source runs its data stage
+    first, and a ``matbin`` or ``csvlong`` one is read from its file.
+    Returns nonzero iff a requested model produced no forecasts at all.
     """
-    series = _stage_series(cfg)
-    if series is not None:
-        series_from, returns = _SERIES_FILE, None
-    else:
-        series, returns, tickers = resolve_series(cfg)
+    series, series_from = _stage_series(cfg), _SERIES_FILE
+    if series is None:
         series_from = cfg.source
+        if cfg.source in _DATA_STAGES:
+            series, _ = _run_data_stage(cfg, _DATA_STAGES[cfg.source])
+        else:
+            series = resolve_series(cfg)[0]
     log.info("series of %d days from %s", len(series), series_from)
     if cfg.window >= len(series):
         raise ConfigError(
@@ -834,9 +833,6 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
 
     realized = series[cfg.window :]
     save_series(realized, out / "data" / "realized.matbin", FORMAT_MATBIN)
-    if returns is not None:
-        _forget_data_stages(cfg)
-        _write_dated_csv(out / _RETURNS_FILE, tickers, series.dates, returns)
 
     if cfg.workers > 1 and len(cfg.roster) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -963,9 +959,12 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def _portfolio_returns_matrix(cfg: RunConfig, dates: np.ndarray) -> np.ndarray:
-    """Daily returns on ``dates``: the ``[data] returns`` file if set, else ``data/returns.csv``."""
-    path = cfg.returns_path or cfg.out_dir / _RETURNS_FILE
-    if cfg.returns_path is None and not path.exists():
+    """Daily returns on ``dates``: the ``[data] returns`` file if set, else the
+    data stage's ``data/returns.csv`` (sources ``simulate`` and ``intraday``)."""
+    path = cfg.returns_path
+    if path is None and cfg.source in _DATA_STAGES and (cfg.out_dir / _RETURNS_FILE).exists():
+        path = cfg.out_dir / _RETURNS_FILE
+    if path is None:
         raise ConfigError(
             "no daily returns available: set [data] returns or run a source that "
             "produces data/returns.csv"

@@ -2,8 +2,10 @@
 
 import configparser
 import dataclasses
+import errno
 import json
 import logging
+import os
 from pathlib import Path
 
 import numpy as np
@@ -755,6 +757,16 @@ class TestCommands:
         assert err == (f"spdcast: {tmp_path / 'series.matbin'}: date {series.dates[7]}: "
                        "matrix entries must be finite\n")
 
+    def test_unwritable_out_exits_1_naming_the_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path, "--out", str(blocker / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"spdcast: {blocker / 'out'}")
+        assert err.endswith(f": {os.strerror(errno.ENOTDIR)}\n")
+        assert "Traceback" not in err
+
     def test_missing_data_file_exits_1_naming_it(self, tmp_path, capsys):
         path = write_config(tmp_path)
         absent = tmp_path / "absent.matbin"
@@ -964,6 +976,42 @@ class TestSeriesReuse:
         assert self.series_from(tmp_path / "out") == "simulate"
         assert returns.read_bytes() == seed1_returns
 
+    def test_seed_override_rebuild_writes_that_seeds_data_stage(self, tmp_path):
+        config = self.simulate_config(tmp_path)
+        out = tmp_path / "out"
+        assert self.run_cli("simulate", config) == 0
+        assert self.run_cli("train-forecast", config, "--seed", "6") == 0
+        assert self.series_from(out) == "simulate"
+        cfg = load_config(config, seed_override=6)
+        expected, returns = simulate_market(cfg.sim_n, cfg.sim_days, cfg.sim_persistence,
+                                            cfg.sim_df, seed=6)
+        stored = load_series(out / "data" / "series.matbin")
+        assert stored.dates.tobytes() == expected.dates.tobytes()
+        assert stored.data.tobytes() == expected.data.tobytes()
+        dates, stored_returns, _ = pipeline._read_dated_csv(out / "data" / "returns.csv",
+                                                            "returns")
+        assert np.array_equal(dates, expected.dates)
+        assert stored_returns.tobytes() == returns.tobytes()
+        manifest = json.loads((out / "manifest_simulate.json").read_text())
+        assert (manifest["seed"], manifest["data_key"]) == (6, pipeline._data_key(cfg))
+        assert self.run_cli("train-forecast", config, "--seed", "6") == 0
+        assert self.series_from(out) == "data/series.matbin"
+
+    def test_matbin_run_does_not_read_a_simulated_stages_returns(self, tmp_path, capsys):
+        sim_config = self.simulate_config(tmp_path)
+        assert self.run_cli("simulate", sim_config) == 0
+        series, _ = simulate_market(3, 70, 0.8, 7, 9)  # the simulated stage's dates
+        save_series(series, tmp_path / "series.matbin")
+        config = tmp_path / "matbin.ini"
+        config.write_text(sim_config.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}"))
+        assert self.run_cli("train-forecast", config) == 0
+        capsys.readouterr()
+        assert self.run_cli("portfolio", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("spdcast: config error: no daily returns available")
+        assert not (tmp_path / "out" / "portfolio" / "report.csv").exists()
+
     def test_other_data_stage_in_same_directory_forces_rebuild(self, tmp_path):
         sim_config = self.simulate_config(tmp_path)
         ingest_config, _ = self.intraday_config(tmp_path)
@@ -1011,6 +1059,12 @@ class TestRosterMessages:
         (" , ", "no models specified"),
         ("rw, rw", "duplicate model names ['rw', 'rw']"),
         ("rw, favar:name=rw", "duplicate model names ['rw', 'rw']"),
+        ("rw:name=a/b", "model name 'a/b' is not a file stem "
+         "(a letter or digit, then letters, digits, '_', '.' or '-')"),
+        ("rw:name=", "model name '' is not a file stem "
+         "(a letter or digit, then letters, digits, '_', '.' or '-')"),
+        ("rw:name=.x", "model name '.x' is not a file stem "
+         "(a letter or digit, then letters, digits, '_', '.' or '-')"),
     ]
 
     @pytest.mark.parametrize("roster, message", REJECTIONS)
