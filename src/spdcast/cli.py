@@ -9,27 +9,23 @@ keys.  The ``SPDCAST_LOG`` environment variable sets the logging level.
 from __future__ import annotations
 
 import argparse
+import importlib
 import logging
 import os
 import sys
 
+from .config import cmd_report, load_config
 from .exceptions import ConfigError, SpdcastError
-from .pipeline import (
-    cmd_evaluate,
-    cmd_ingest,
-    cmd_portfolio,
-    cmd_report,
-    cmd_simulate,
-    cmd_train_forecast,
-    load_config,
-)
+
+
+def _pipeline_command(name: str):
+    """``pipeline.<name>``, imported when it runs: ``report`` needs no NumPy or models."""
+    return lambda cfg: getattr(importlib.import_module(".pipeline", __package__), name)(cfg)
+
 
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "ingest": cmd_ingest,
-    "train-forecast": cmd_train_forecast,
-    "evaluate": cmd_evaluate,
-    "portfolio": cmd_portfolio,
+    **{name: _pipeline_command(f"cmd_{name.replace('-', '_')}")
+       for name in ("simulate", "ingest", "train-forecast", "evaluate", "portfolio")},
     "report": cmd_report,
 }
 

@@ -21,13 +21,13 @@ import io
 import itertools
 import logging
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .config import _open_text
 from .exceptions import DecompositionError, DimensionMismatchError, SeriesFormatError
 from .frechet import METRIC_PROCRUSTES, FrechetConfig, rolling_means
 from .spd import (
@@ -486,16 +486,6 @@ def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -
                         writer.writerow([str(date), i, j, f"{mat[i, j]:.17g}"])
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-@contextmanager
-def _open_text(path: str | Path, newline: str | None = "", error=SeriesFormatError):
-    """``path`` opened as UTF-8 text; bytes that are not UTF-8 raise ``error`` naming it."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:

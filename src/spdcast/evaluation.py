@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import METRICS
 from .data import CovSeries, _series_roots
 from .exceptions import DimensionMismatchError
 from .spd import (
@@ -43,15 +44,14 @@ def _logs(series: CovSeries) -> tuple[np.ndarray, dict]:
     return logm_stack(series.values, series.vectors)
 
 
-# Per metric: the (B, n, n) stack a series is scored on, and the spd kernel
-# giving each pair of slices its spd.dist_<metric>, bit for bit.
+# Per metric of METRICS: the (B, n, n) stack a series is scored on, and the
+# spd kernel giving each pair of slices its spd.dist_<metric>, bit for bit.
 _METRIC_KERNELS = {
     "frobenius": (lambda series: series.data, frobenius_losses),
     "euclidean": (lambda series: series.data, euclidean_losses),
     "procrustes": (lambda series: series.stack(_series_roots), procrustes_losses),
     "log_euclidean": (lambda series: series.stack(_logs), log_euclidean_losses),
 }
-METRICS = tuple(_METRIC_KERNELS)
 
 # Below this, a bootstrap variance is treated as exactly degenerate.
 _DEGENERATE_VAR = 1e-300
@@ -172,12 +172,12 @@ def default_block_len(n_obs: int) -> int:
 
 
 def mcs(
-    panel: LossPanel,
+    panels: LossPanel | Sequence[LossPanel],
     alpha: float = 0.25,
     replicates: int = 10_000,
     block_len: int | None = None,
     seed: int = 0,
-) -> McsResult:
+) -> McsResult | list[McsResult]:
     """Model confidence set by iterated elimination under the range statistic.
 
     One set of centred circular block bootstrap means
@@ -187,25 +187,43 @@ def mcs(
     variance is zero has t = 0 if its mean difference is zero (identical
     columns) and a signed 1e12 otherwise (constant dominance).  Ties in the
     elimination rule break lexicographically on model names.
+
+    Several panels on one date set (the metrics of one regime) draw the same
+    block starts, so a sequence of them is drawn once over all their
+    columns, and the list of their results equals that of one call each.
     """
+    single = isinstance(panels, LossPanel)
+    panels = [panels] if single else list(panels)
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if replicates < 100:
         raise ValueError(f"need at least 100 bootstrap replicates, got {replicates}")
-    n_obs, n_models = panel.losses.shape
-    if n_models < 1:
+    if not panels or any(not panel.models for panel in panels):
         raise ValueError("empty panel")
+    dates = panels[0].dates
+    if any(not np.array_equal(panel.dates, dates) for panel in panels):
+        raise ValueError("the panels of one mcs call must share their dates")
+    n_obs = len(dates)
     if block_len is None:
         block_len = default_block_len(n_obs)
     if n_obs <= block_len:
         raise ValueError(f"panel length {n_obs} must exceed block length {block_len}")
 
-    if n_models == 1:
-        return McsResult(
-            {panel.models[0]}, {panel.models[0]: 1.0}, alpha, replicates, block_len, []
-        )
+    # A one-model panel takes no columns: it keeps its model at p = 1.
+    widths = [len(panel.models) if len(panel.models) > 1 else 0 for panel in panels]
+    drawn = [panel.losses for panel, width in zip(panels, widths) if width]
+    boot_means = (_centered_bootstrap_means(np.hstack(drawn), replicates, block_len, seed)
+                  if drawn else np.empty((replicates, 0)))
+    edges = np.cumsum([0, *widths])
+    results = [_eliminate(panel, boot_means[:, lo:hi], alpha, replicates, block_len)
+               for panel, lo, hi in zip(panels, edges, edges[1:])]
+    return results[0] if single else results
 
-    boot_means = _centered_bootstrap_means(panel.losses, replicates, block_len, seed)
+
+def _eliminate(panel: LossPanel, boot_means: np.ndarray, alpha: float, replicates: int,
+               block_len: int) -> McsResult:
+    """:func:`mcs` of one panel, given its columns of the bootstrap means."""
+    n_models = len(panel.models)
     col_means = panel.losses.mean(axis=0)
 
     # Each pair's t[a, b] = -t[b, a] and scaled deviations |centered| / se once;

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES
 from .exceptions import DimensionMismatchError
 from .spd import (
     SpdMatrix,
@@ -36,8 +37,6 @@ __all__ = [
     "frechet_mean_procrustes",
 ]
 
-METRIC_LOG_EUCLIDEAN = "log_euclidean"
-METRIC_PROCRUSTES = "procrustes"
 _METRICS = (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
 
 

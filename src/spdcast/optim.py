@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import LOSS_LOG_EUCLIDEAN, LOSS_MSE
 from .exceptions import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -40,8 +41,6 @@ __all__ = [
     "train",
 ]
 
-LOSS_MSE = "mse"
-LOSS_LOG_EUCLIDEAN = "log_euclidean"
 _LOSSES = (LOSS_MSE, LOSS_LOG_EUCLIDEAN)
 
 

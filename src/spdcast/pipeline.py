@@ -1,6 +1,6 @@
 """Config-driven forecasting runs: data resolution, model roster, artifacts.
 
-Every command takes a :class:`RunConfig` parsed from an INI-style file,
+Each command but ``report`` (in :mod:`spdcast.config`) takes a :class:`RunConfig`,
 writes its artifacts under the run's output directory, records a manifest
 (config hash, seed, timestamp), and reports which requested artifacts
 failed.  Forecast files are byte-reproducible given (config, seed) on a
@@ -10,19 +10,15 @@ per-model streams.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import functools
 import hashlib
 import json
 import logging
 import math
-import re
-import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -31,337 +27,21 @@ import numpy as np
 
 from . import __version__
 from .baselines import favar_fit, favar_forecast
-from .data import (
-    FORMAT_CSVLONG,
-    FORMAT_MATBIN,
-    HAR_MONTH,
-    CovSeries,
-    _geohar_stack,
-    _lagged_stack,
-    _open_text,
-    build_geohar_inputs,
-    build_lagged_inputs,
-    load_intraday_csv,
-    load_series,
-    procrustes_mean_counts,
-    realized_series,
-    rolling_windows,
-    save_series,
-    simulate_market,
-)
-from .evaluation import (
-    METRICS,
-    LossPanel,
-    McsResult,
-    default_block_len,
-    loss_panel,
-    mcs,
-    regime_split,
-)
+# _KEYS and _parse_roster stay readable through pipeline, beside the commands.
+from .config import (_KEYS, METRIC_PROCRUSTES, ModelSpec, RunConfig, _manifest_path,  # noqa: F401
+                     _open_text, _parse_roster, _write_csv, _write_manifest)
+from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _geohar_stack,
+                   _lagged_stack, build_geohar_inputs, build_lagged_inputs, load_intraday_csv,
+                   load_series, procrustes_mean_counts, realized_series, rolling_windows,
+                   save_series, simulate_market)
+from .evaluation import LossPanel, McsResult, default_block_len, loss_panel, mcs, regime_split
 from .exceptions import ConfigError, DataFileError, SeriesFormatError, SpdcastError
-from .frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
+from .frechet import FrechetConfig
 from .network import Network, NetworkSpec
-from .optim import LOSS_LOG_EUCLIDEAN, LOSS_MSE, TrainConfig, TrainResult, train
-from .portfolio import (
-    WeightPath,
-    evaluate_portfolio,
-    gmv_long_only,
-    gmv_weights,
-    naive_weights,
-)
+from .optim import TrainConfig, TrainResult, train
+from .portfolio import WeightPath, evaluate_portfolio, gmv_long_only, gmv_weights, naive_weights
 
 log = logging.getLogger(__name__)
-
-_SHORT = {"log_euclidean": "le", "mse": "mse", "procrustes": "pro"}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    name: str
-    params: dict
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    out_dir: Path
-    workers: int
-    source: str
-    data_path: Path | None
-    sim_n: int
-    sim_days: int
-    sim_persistence: float
-    sim_df: int
-    returns_path: Path | None
-    grid_seconds: int
-    roster: list[ModelSpec]
-    window: int
-    refit_every: int
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    lr_decay: float
-    eps_rectify: float
-    eig_gap_floor: float
-    hidden: tuple[int, ...] | None
-    metrics: list[str]
-    alpha: float
-    replicates: int
-    block_len: int | None
-    regime_quantile: float
-    market_variance: str
-    portfolio_enabled: bool
-    portfolio_long_only: bool
-    raw_text: str = field(repr=False, default="")
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()
-
-
-class _Invalid(ValueError):
-    """A bad config value; :func:`load_config` reports it as ``[section] key: <message>``."""
-
-
-def _parser(convert, problem: str):
-    """Parse with ``convert``; a value it rejects is ``problem``, formatted with the value."""
-
-    def parse(raw: str):
-        try:
-            return convert(raw)
-        except (KeyError, ValueError):
-            raise _Invalid(problem.format(raw)) from None
-
-    return parse
-
-
-_FLAGS = {"true": True, "yes": True, "1": True, "on": True,
-          "false": False, "no": False, "0": False, "off": False}
-_INT = _parser(int, "expected an integer, got {!r}")
-_REAL = _parser(float, "expected a number, got {!r}")
-_FLAG = _parser(lambda raw: _FLAGS[raw.strip().lower()], "expected a boolean, got {!r}")
-
-
-def _auto_or_int(raw: str) -> int | None:
-    return None if raw == "auto" else int(raw)
-
-
-_AUTO_OR_INT = _parser(_auto_or_int, "expected 'auto' or an integer, got {!r}")
-
-
-def _hidden(raw: str) -> tuple[int, ...] | None:
-    if raw == "auto":
-        return None
-    try:
-        dims = tuple(int(x) for x in raw.split(",") if x.strip())
-    except ValueError:
-        raise _Invalid(f"expected 'auto' or comma-separated integers, got {raw!r}") from None
-    if not dims or any(h < 1 for h in dims):
-        raise _Invalid(f"dims must be positive, got {raw!r}")
-    return dims
-
-
-def _metric_list(raw: str) -> list[str]:
-    names = [m.strip() for m in raw.split(",") if m.strip()]
-    for m in names:
-        if m not in METRICS:
-            raise _Invalid(f"unknown metric {m!r} (known: {METRICS})")
-    return names
-
-
-def _at_least(low):
-    return lambda v: None if v is None or v >= low else f"must be >= {low}, got {v}"
-
-
-def _positive(v: float) -> str | None:
-    return None if v > 0.0 else f"must be > 0, got {v}"
-
-
-def _in_open_unit(v: float) -> str | None:
-    return None if 0.0 < v < 1.0 else f"must be in (0, 1), got {v}"
-
-
-def _value(raw: str | None, parse, check):
-    """``raw`` parsed (None stays None) and checked; a problem raises :class:`_Invalid`."""
-    value = None if raw is None else parse(raw)
-    problem = check(value) if check else None
-    if problem:
-        raise _Invalid(problem)
-    return value
-
-
-def _source(v: str) -> str | None:
-    if v in ("simulate", "matbin", "csvlong", "intraday"):
-        return None
-    return f"expected simulate, matbin, csvlong, or intraday, got {v!r}"
-
-
-def _one_of(what: str, *options: str):
-    return _parser(lambda raw: options[options.index(raw)],
-                   f"unknown {what} {{!r}} ({', '.join(options)})")
-
-
-_LOSS = _one_of("loss", LOSS_MSE, LOSS_LOG_EUCLIDEAN)
-_METRIC = _one_of("metric", METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
-_FACTORS = _parser(_auto_or_int, "favar factors must be an integer or 'auto', got {!r}")
-_LAGS = _parser(int, "respdnet lags must be an integer")
-
-
-def _parse_roster(raw: str) -> list[ModelSpec]:
-    """``kind[:key=value]...`` entries, comma-separated; each kind's keys are in :data:`_KINDS`."""
-    specs: list[ModelSpec] = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        kind, *parts = chunk.split(":")
-        kind = kind.strip().lower()
-        given: dict[str, str] = {}
-        for part in parts:
-            if "=" not in part:
-                raise ConfigError(
-                    f"[models] roster: expected key=value in {chunk!r}, got {part!r}"
-                )
-            key, value = part.split("=", 1)
-            given[key.strip()] = value.strip()
-        if kind not in _KINDS:
-            raise ConfigError(
-                f"[models] roster: unknown model kind {kind!r} ({', '.join(_KINDS)})"
-            )
-        keys, pattern, _ = _KINDS[kind]
-        name = given.pop("name", None)
-        unknown = [key for key in given if key not in keys]
-        if unknown:
-            raise ConfigError(
-                f"[models] roster: unknown {kind} parameter {unknown[0]!r} "
-                f"(known: {', '.join([*keys, 'name'])})"
-            )
-        try:
-            params = {key: _value(given.get(key, default), parse, check)
-                      for key, (parse, default, check) in keys.items()}
-        except _Invalid as exc:
-            raise ConfigError(f"[models] roster: {exc}") from None
-        if name is None:
-            name = pattern.format(**{key: _SHORT.get(v, v) for key, v in params.items()})
-        if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_.-]*", name):
-            raise ConfigError(f"[models] roster: model name {name!r} is not a file stem "
-                              "(a letter or digit, then letters, digits, '_', '.' or '-')")
-        specs.append(ModelSpec(kind, name, params))
-    if not specs:
-        raise ConfigError("[models] roster: no models specified")
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError(f"[models] roster: duplicate model names {names}")
-    return specs
-
-
-# (section, key, RunConfig field, parse, default, check).  An absent or empty
-# key takes the default, a raw string parsed like a given value (None: no
-# value).  ``check`` returns what is wrong with the parsed value, or None.
-_KEYS = (
-    ("run", "seed", "seed", _INT, "0", None),
-    ("run", "out", "out_dir", Path, "runs/out", None),
-    ("run", "workers", "workers", _INT, "1", _at_least(1)),
-    ("data", "source", "source", str.lower, "simulate", _source),
-    ("data", "path", "data_path", Path, None, None),
-    ("data", "n", "sim_n", _INT, "5", None),
-    ("data", "days", "sim_days", _INT, "800", None),
-    ("data", "persistence", "sim_persistence", _REAL, "0.95", None),
-    ("data", "df", "sim_df", _INT, "12", None),
-    ("data", "returns", "returns_path", Path, None, None),
-    ("data", "grid_seconds", "grid_seconds", _INT, "300", _at_least(1)),
-    ("models", "roster", "roster", _parse_roster, "rw", None),
-    ("forecast", "window", "window", _INT, "500", _at_least(2)),
-    ("forecast", "refit_every", "refit_every", _INT, "0", _at_least(0)),
-    ("train", "epochs", "epochs", _INT, "30", _at_least(1)),
-    ("train", "batch_size", "batch_size", _INT, "32", _at_least(1)),
-    ("train", "learning_rate", "learning_rate", _REAL, "1e-2", _at_least(0)),
-    ("train", "lr_decay", "lr_decay", _REAL, "0.95",
-     lambda v: None if 0.0 < v <= 1.0 else f"must be in (0, 1], got {v}"),
-    ("train", "eps_rectify", "eps_rectify", _REAL, "1e-4", _positive),
-    ("train", "eig_gap_floor", "eig_gap_floor", _REAL, "1e-6", _positive),
-    ("train", "hidden", "hidden", _hidden, "auto", None),
-    ("evaluate", "metrics", "metrics", _metric_list, ", ".join(METRICS), None),
-    ("evaluate", "alpha", "alpha", _REAL, "0.25", _in_open_unit),
-    ("evaluate", "replicates", "replicates", _INT, "10000", _at_least(100)),
-    ("evaluate", "block_len", "block_len", _AUTO_OR_INT, "auto", _at_least(1)),
-    ("evaluate", "regime_quantile", "regime_quantile", _REAL, "0.90", _in_open_unit),
-    ("evaluate", "market_variance", "market_variance", str, "trace", None),
-    ("portfolio", "enabled", "portfolio_enabled", _FLAG, "true", None),
-    ("portfolio", "long_only", "portfolio_long_only", _FLAG, "true", None),
-)
-
-
-def load_config(
-    path: str | Path,
-    seed_override: int | None = None,
-    out_override: str | None = None,
-    workers_override: int | None = None,
-) -> RunConfig:
-    """Parse and validate a run configuration file."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    with _open_text(path, None, ConfigError) as fh:
-        raw_text = fh.read()
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(raw_text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigError(f"{exc}") from exc
-
-    if parser.defaults():
-        # configparser would copy these into every section read below.
-        raise ConfigError(
-            f"[DEFAULT] is not supported; move its keys into their sections: "
-            f"{sorted(parser.defaults())}"
-        )
-    known = {}
-    for section, key, *_ in _KEYS:
-        known.setdefault(section, set()).add(key)
-    extra = set(parser.sections()) - set(known)
-    if extra:
-        raise ConfigError(f"unknown config sections: {sorted(extra)}")
-    given = {s: dict(parser[s]) if parser.has_section(s) else {} for s in known}
-
-    if workers_override is not None and workers_override < 1:
-        raise ConfigError(f"--workers: must be >= 1, got {workers_override}")
-    values = {}
-    for section, key, name, parse, default, check in _KEYS:
-        try:
-            values[name] = _value(given[section].get(key) or default, parse, check)
-        except _Invalid as exc:
-            raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-    # Rules that tie several keys together.
-    source, n, df = values["source"], values["sim_n"], values["sim_df"]
-    if source != "simulate" and values["data_path"] is None:
-        raise ConfigError(f"[data] path: required for source={source}")
-    if source == "simulate":
-        if n < 1:
-            raise ConfigError(f"[data] n: must be >= 1, got {n}")
-        if values["sim_days"] < 2:
-            raise ConfigError(f"[data] days: must be >= 2, got {values['sim_days']}")
-        if not (0.0 <= values["sim_persistence"] < 1.0):
-            raise ConfigError(
-                f"[data] persistence: must be in [0, 1), got {values['sim_persistence']}"
-            )
-        if df < n:
-            raise ConfigError(f"[data] df: must be >= n = {n}, got {df}")
-    for section, keys in known.items():
-        bad = sorted(set(given[section]) - keys)
-        if bad:
-            raise ConfigError(f"[{section}] unknown keys: {bad}")
-
-    if seed_override is not None:
-        values["seed"] = seed_override
-    if out_override is not None:
-        values["out_dir"] = Path(out_override)
-    if workers_override is not None:
-        values["workers"] = workers_override
-    return RunConfig(**values, raw_text=raw_text)
-
 
 # ---------------------------------------------------------------------------
 # Data resolution
@@ -395,10 +75,9 @@ def resolve_series(cfg: RunConfig) -> tuple[CovSeries, np.ndarray | None, list[s
             series = load_series(cfg.data_path, cfg.source)
         returns, tickers = None, [f"A{i:02d}" for i in range(series.dim)]
         if cfg.returns_path is not None:
-            with _reading("[data] returns", cfg.returns_path):
-                dates, returns, tickers = _read_dated_csv(cfg.returns_path, "returns")
-            returns = returns[_rows_of(dates, series.dates, lambda count, first: ConfigError(
-                f"[data] returns: no return row for date {first}"))]
+            returns, tickers = _returns_on(
+                cfg.returns_path, series.dates, series.dim, lambda count, first: ConfigError(
+                    f"[data] returns: no return row for date {first}"))
         return series, returns, tickers
     with _reading("[data] path", cfg.data_path):
         panel = load_intraday_csv(cfg.data_path, cfg.grid_seconds)
@@ -428,32 +107,34 @@ def _data_key(cfg: RunConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _stage_series(cfg: RunConfig) -> CovSeries | None:
-    """The data stage's series if its manifest's key matches ``cfg``, else None."""
-    stage = _DATA_STAGES.get(cfg.source)
-    if stage is None:
-        return None
+def _recorded_key(cfg: RunConfig, command: str) -> str | None:
+    """The ``data_key`` in ``command``'s manifest; None if it records none."""
     try:
-        recorded = json.loads(_manifest_path(cfg, stage).read_text()).get("data_key")
+        return json.loads(_manifest_path(cfg, command).read_text()).get("data_key")
     except (OSError, ValueError, AttributeError):
         return None
+
+
+def _stage_series(cfg: RunConfig, key: str | None) -> CovSeries | None:
+    """The data stage's series if its manifest records ``key`` (not None), else None."""
     files = [cfg.out_dir / _SERIES_FILE, cfg.out_dir / _RETURNS_FILE]
-    if not all(f.exists() for f in files) or recorded != _data_key(cfg):
+    if key is None or not all(f.exists() for f in files) or (
+            _recorded_key(cfg, _DATA_STAGES[cfg.source]) != key):
         return None
     return load_series(files[0], FORMAT_MATBIN)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_dated_csv(path: Path, columns: list[str], dates: np.ndarray, values: np.ndarray,
+                     fmt: str = "%.17g") -> None:
+    """A ``date,<columns>`` file, each value formatted by ``fmt`` (17 significant digits).
+
+    The header goes through csv, which quotes a ticker holding a comma; each
+    row is one ``%`` template, ended like csv's rows with ``\r\n``.
+    """
+    row = "%s" + f",{fmt}" * len(columns) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_dated_csv(path: Path, columns: list[str], dates: np.ndarray, values: np.ndarray) -> None:
-    """A ``date,<columns>`` file, the values to 17 significant digits."""
-    _write_csv(path, ["date", *columns],
-               ([str(d)] + [f"{x:.17g}" for x in row] for d, row in zip(dates, values)))
+        csv.writer(fh).writerow(["date", *columns])
+        fh.writelines(row % (d, *r) for d, r in zip(dates.astype(str), values.tolist()))
 
 
 def _read_dated_csv(
@@ -488,6 +169,17 @@ def _read_dated_csv(
             except ValueError as exc:
                 raise SeriesFormatError(f"{what} file {path}:{lineno}: {exc}") from None
     return np.array(dates, dtype="datetime64[D]"), np.asarray(rows), header[1:]
+
+
+def _returns_on(path: Path, dates: np.ndarray, dim: int, missing) -> tuple[np.ndarray, list[str]]:
+    """The rows of the returns file ``path`` on ``dates`` (see :func:`_rows_of`
+    for ``missing``), and its tickers; the file must hold ``dim`` assets."""
+    with _reading("[data] returns", path):
+        rdates, returns, tickers = _read_dated_csv(path, "returns")
+    if len(tickers) != dim:
+        raise ConfigError(f"[data] returns: {path} has {len(tickers)} asset columns; "
+                          f"the series has {dim}")
+    return returns[_rows_of(rdates, dates, missing)], tickers
 
 
 def _rows_of(dates: np.ndarray, wanted: np.ndarray, missing=None) -> np.ndarray:
@@ -654,26 +346,13 @@ class _GeoharForecaster(_NetForecaster):
         return record
 
 
-# kind: ({key: (parse, default, check)}, default name, forecaster class).
-# Parameters are parsed and checked like _KEYS values, an absent key taking the
-# default; a problem's message follows "[models] roster: ".  The default name
-# formats the parsed values, shortened by _SHORT.  Every kind also takes name.
-_KINDS = {
-    "rw": ({}, "rw", _RwForecaster),
-    "favar": ({"factors": (_FACTORS, "auto", lambda v: None if v is None or v >= 1
-                           else f"favar factors must be >= 1, got {v}")},
-              "favar", _FavarForecaster),
-    "respdnet": ({"lags": (_LAGS, "3", lambda v: None if v >= 1 else "respdnet lags must be >= 1"),
-                  "loss": (_LOSS, LOSS_LOG_EUCLIDEAN, None)},
-                 "respdnet{lags}_{loss}", _RespdnetForecaster),
-    "geohar": ({"metric": (_METRIC, METRIC_LOG_EUCLIDEAN, None),
-                "loss": (_LOSS, LOSS_LOG_EUCLIDEAN, None)},
-               "geohar_{metric}_{loss}", _GeoharForecaster),
-}
+# The forecaster class of each kind of config._KINDS.
+_FORECASTERS = {"rw": _RwForecaster, "favar": _FavarForecaster,
+                "respdnet": _RespdnetForecaster, "geohar": _GeoharForecaster}
 
 
 def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
-    return _KINDS[spec.kind][2](spec.name, cfg, **spec.params)
+    return _FORECASTERS[spec.kind](spec.name, cfg, **spec.params)
 
 
 @dataclass
@@ -741,29 +420,8 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
 # Commands
 
 
-def _manifest_path(cfg: RunConfig, command: str) -> Path:
-    return cfg.out_dir / f"manifest_{command.replace('-', '_')}.json"
-
-
-def _write_manifest(cfg: RunConfig, command: str, artifacts: dict[str, str], **extra) -> None:
-    manifest = {
-        "command": command,
-        "config_sha256": cfg.config_hash,
-        "seed": cfg.seed,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "numpy_version": np.__version__,
-        "spdcast_version": __version__,
-        "source": cfg.source,
-        "persistence": cfg.sim_persistence if cfg.source == "simulate" else None,
-        "artifacts": artifacts,
-        **extra,
-    }
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    _manifest_path(cfg, command).write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _run_data_stage(cfg: RunConfig, command: str) -> tuple[CovSeries, list[str]]:
-    """Write the series and returns, then a manifest keyed to their inputs.
+def _run_data_stage(cfg: RunConfig, command: str, key: str) -> tuple[CovSeries, list[str]]:
+    """Write the series and returns, then a manifest with their inputs' ``key``.
 
     The only writer of ``data/series.matbin``, ``data/returns.csv`` and a
     data-stage manifest.  Every data-stage manifest goes first, so a key
@@ -772,7 +430,6 @@ def _run_data_stage(cfg: RunConfig, command: str) -> tuple[CovSeries, list[str]]
     """
     for stage in _DATA_STAGES.values():
         _manifest_path(cfg, stage).unlink(missing_ok=True)
-    key = _data_key(cfg)
     series, returns, tickers = resolve_series(cfg)
     (cfg.out_dir / "data").mkdir(parents=True, exist_ok=True)
     save_series(series, cfg.out_dir / _SERIES_FILE, FORMAT_MATBIN)
@@ -786,7 +443,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     """Materialize a synthetic covariance series and its daily returns."""
     if cfg.source != "simulate":
         raise ConfigError("[data] source: cmd_simulate requires source = simulate")
-    series, _ = _run_data_stage(cfg, "simulate")
+    series, _ = _run_data_stage(cfg, "simulate", _data_key(cfg))
     log.info("simulated %d days of %dx%d covariances", len(series), series.dim, series.dim)
     return 0
 
@@ -795,7 +452,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     """Intraday prices to realized covariances plus daily returns."""
     if cfg.source != "intraday":
         raise ConfigError("[data] source: cmd_ingest requires source = intraday")
-    series, tickers = _run_data_stage(cfg, "ingest")
+    series, tickers = _run_data_stage(cfg, "ingest", _data_key(cfg))
     log.info("ingested %d days over tickers %s", len(series), ",".join(tickers))
     return 0
 
@@ -811,14 +468,17 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     unconverged means.  The series is the data stage's
     ``data/series.matbin`` when that stage's manifest key matches ``cfg``.
     Otherwise a ``simulate`` or ``intraday`` source runs its data stage
-    first, and a ``matbin`` or ``csvlong`` one is read from its file.
+    first, and a ``matbin`` or ``csvlong`` one is read from its file.  The
+    manifest's ``data_key`` is that data stage's key (None for a file
+    source), which ``portfolio`` checks before reading the stage's returns.
     Returns nonzero iff a requested model produced no forecasts at all.
     """
-    series, series_from = _stage_series(cfg), _SERIES_FILE
+    key = _data_key(cfg) if cfg.source in _DATA_STAGES else None
+    series, series_from = _stage_series(cfg, key), _SERIES_FILE
     if series is None:
         series_from = cfg.source
-        if cfg.source in _DATA_STAGES:
-            series, _ = _run_data_stage(cfg, _DATA_STAGES[cfg.source])
+        if key is not None:
+            series, _ = _run_data_stage(cfg, _DATA_STAGES[cfg.source], key)
         else:
             series = resolve_series(cfg)[0]
     log.info("series of %d days from %s", len(series), series_from)
@@ -835,6 +495,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     save_series(realized, out / "data" / "realized.matbin", FORMAT_MATBIN)
 
     if cfg.workers > 1 and len(cfg.roster) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(run_model, cfg.roster, repeat(cfg), repeat(series)))
     else:
@@ -860,7 +521,8 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
         _write_csv(out / "train" / "failures.csv", ["model", "date", "reason"], failure_rows)
         log.warning("%d window failures recorded", len(failure_rows))
     _write_manifest(cfg, "train-forecast", artifacts, series_from=series_from,
-                    training={r.name: r.training for r in results if r.training})
+                    training={r.name: r.training for r in results if r.training},
+                    data_key=key)
     return 1 if any(result.predictions is None for result in results) else 0
 
 
@@ -891,15 +553,19 @@ def _load_forecasts(cfg: RunConfig) -> tuple[dict[str, CovSeries], CovSeries]:
     return forecasts, realized[_rows_of(realized.dates, common_dates)]
 
 
-def _write_loss_table(path: Path, panel: LossPanel, cfg: RunConfig) -> None:
-    """Average losses and the MCS; a panel within one bootstrap block keeps all, at p = 1."""
-    n_obs = len(panel.dates)
+def _confidence_sets(panels: list[LossPanel], cfg: RunConfig) -> list[McsResult]:
+    """The MCS of each panel of one date set, from one bootstrap draw; panels
+    within one bootstrap block keep every model, at p = 1."""
+    n_obs = len(panels[0].dates)
     block = cfg.block_len if cfg.block_len is not None else default_block_len(n_obs)
     if n_obs <= block:
-        result = McsResult(set(panel.models), {m: 1.0 for m in panel.models}, cfg.alpha,
-                           cfg.replicates, block, [])
-    else:
-        result = mcs(panel, cfg.alpha, cfg.replicates, cfg.block_len, cfg.seed)
+        return [McsResult(set(panel.models), {m: 1.0 for m in panel.models}, cfg.alpha,
+                          cfg.replicates, block, []) for panel in panels]
+    return mcs(panels, cfg.alpha, cfg.replicates, cfg.block_len, cfg.seed)
+
+
+def _write_loss_table(path: Path, panel: LossPanel, result: McsResult) -> None:
+    """Average losses and the MCS."""
     order = {name: i for i, name in enumerate(result.elimination_order)}
     means = panel.losses.mean(axis=0)
     _write_csv(
@@ -934,52 +600,48 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
     _, turbulent = regime_split(proxy, realized.dates, cfg.regime_quantile)
     turbulent_days = np.isin(realized.dates, turbulent)
-    _write_csv(
-        eval_dir / "regime_labels.csv",
-        ["date", "label"],
-        ([str(d), "turbulent" if t else "calm"] for d, t in zip(realized.dates, turbulent_days)),
-    )
+    _write_dated_csv(eval_dir / "regime_labels.csv", ["label"], realized.dates,
+                     np.where(turbulent_days, "turbulent", "calm")[:, None], "%s")
 
+    # All days, then each regime: one mcs call ranks every metric on its dates.
+    panels = [loss_panel(forecasts, realized, metric) for metric in cfg.metrics]
+    regimes = {}
+    for suffix, days in (("", np.ones_like(turbulent_days)), ("_calm", ~turbulent_days),
+                         ("_turbulent", turbulent_days)):
+        if not days.any():
+            log.info("regime %s is empty", suffix[1:])
+        elif panels:
+            subs = [LossPanel(list(p.models), p.dates[days], p.losses[days]) for p in panels]
+            regimes[suffix] = list(zip(subs, _confidence_sets(subs, cfg)))
     artifacts = {"regime_labels": "eval/regime_labels.csv"}
-    # The panel's dates are the realized ones: all days, then each regime.
-    subsets = (("", np.ones_like(turbulent_days)), ("_calm", ~turbulent_days),
-               ("_turbulent", turbulent_days))
-    for metric in cfg.metrics:
-        panel = loss_panel(forecasts, realized, metric)
-        for suffix, days in subsets:
-            if not days.any():
-                log.info("regime %s is empty under metric %s", suffix[1:], metric)
-                continue
-            sub = LossPanel(list(panel.models), panel.dates[days], panel.losses[days])
+    for i, metric in enumerate(cfg.metrics):
+        for suffix, scored in regimes.items():
             name = f"losses_{metric}{suffix}"
-            _write_loss_table(eval_dir / f"{name}.csv", sub, cfg)
+            _write_loss_table(eval_dir / f"{name}.csv", *scored[i])
             artifacts[name] = f"eval/{name}.csv"
     _write_manifest(cfg, "evaluate", artifacts)
     return 0
 
 
-def _portfolio_returns_matrix(cfg: RunConfig, dates: np.ndarray) -> np.ndarray:
-    """Daily returns on ``dates``: the ``[data] returns`` file if set, else the
-    data stage's ``data/returns.csv`` (sources ``simulate`` and ``intraday``)."""
+def _portfolio_returns_matrix(cfg: RunConfig, dates: np.ndarray, dim: int) -> np.ndarray:
+    """Daily returns of ``dim`` assets on ``dates``: the ``[data] returns`` file
+    if set, else the data stage's ``data/returns.csv`` (sources ``simulate`` and
+    ``intraday``), if that stage's ``data_key`` is the one the forecasts
+    were made from."""
     path = cfg.returns_path
     if path is None and cfg.source in _DATA_STAGES and (cfg.out_dir / _RETURNS_FILE).exists():
         path = cfg.out_dir / _RETURNS_FILE
+        key = _recorded_key(cfg, _DATA_STAGES[cfg.source])
+        if key is None or key != _recorded_key(cfg, "train-forecast"):
+            raise ConfigError(f"{path} is not from the data stage the forecasts were made "
+                              "from; rerun train-forecast")
     if path is None:
         raise ConfigError(
             "no daily returns available: set [data] returns or run a source that "
             "produces data/returns.csv"
         )
-    with _reading("[data] returns", path):
-        rdates, returns, _ = _read_dated_csv(path, "returns")
-    return returns[_rows_of(rdates, dates, lambda count, first: ConfigError(
-        f"returns file {path} is missing {count} forecast dates (first: {first})"))]
-
-
-def _long_only_weights(forecast: CovSeries) -> np.ndarray:
-    weights = np.empty((len(forecast), forecast.dim))
-    for t, s in enumerate(forecast):  # the active-set search runs one matrix at a time
-        weights[t] = gmv_long_only(s)
-    return weights
+    return _returns_on(path, dates, dim, lambda count, first: ConfigError(
+        f"returns file {path} is missing {count} forecast dates (first: {first})"))[0]
 
 
 def cmd_portfolio(cfg: RunConfig) -> int:
@@ -991,14 +653,14 @@ def cmd_portfolio(cfg: RunConfig) -> int:
     if len(realized) < 2:
         raise ConfigError(f"[forecast] window: the forecast files share {len(realized)} date; "
                           "a portfolio needs at least two")
-    returns = _portfolio_returns_matrix(cfg, realized.dates)
+    returns = _portfolio_returns_matrix(cfg, realized.dates, realized.dim)
     port_dir = cfg.out_dir / "portfolio"
     port_dir.mkdir(parents=True, exist_ok=True)
 
     # Per variant, the (dates, assets) weights of a forecast series.
     variants = [("gmv", gmv_weights)]
     if cfg.portfolio_long_only:
-        variants.append(("gmv_long", _long_only_weights))
+        variants.append(("gmv_long", gmv_long_only))
 
     rows = []
     artifacts = {}
@@ -1023,43 +685,4 @@ def cmd_portfolio(cfg: RunConfig) -> int:
     )
     artifacts["report"] = "portfolio/report.csv"
     _write_manifest(cfg, "portfolio", artifacts)
-    return 0
-
-
-def _markdown_table(path: Path) -> str:
-    """The CSV file at ``path`` as a markdown table."""
-    with _open_text(path) as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return "(empty)\n"
-    lines = ["| " + " | ".join(row) + " |" for row in rows]
-    return "\n".join([lines[0], "|" + "---|" * len(rows[0]), *lines[1:]]) + "\n"
-
-
-def cmd_report(cfg: RunConfig) -> int:
-    """Assemble eval and portfolio artifacts into one markdown summary."""
-    lines = [
-        "# Forecast evaluation report",
-        "",
-        f"- config: `{cfg.config_hash[:16]}`",
-        f"- seed: {cfg.seed}",
-        f"- models: {', '.join(s.name for s in cfg.roster)}",
-        "",
-    ]
-    tables = [(f"{metric} ({title})", cfg.out_dir / "eval" / f"losses_{metric}{suffix}.csv")
-              for metric in cfg.metrics
-              for suffix, title in (("", "all days"), ("_calm", "calm days"),
-                                    ("_turbulent", "turbulent days"))]
-    tables.append(("Portfolios", cfg.out_dir / "portfolio" / "report.csv"))
-    tables = [(title, path) for title, path in tables if path.exists()]
-    if not tables:
-        raise ConfigError(
-            f"nothing to report under {cfg.out_dir}; run evaluate or portfolio first"
-        )
-    for title, path in tables:
-        lines += [f"## {title}", "", _markdown_table(path)]
-    report_path = cfg.out_dir / "report.md"
-    report_path.write_text("\n".join(lines))
-    _write_manifest(cfg, "report", {"report": "report.md"})
-    print(report_path)
     return 0

@@ -78,39 +78,53 @@ def gmv_weights(s: SpdMatrix | CovSeries) -> np.ndarray:
     return weights[0] if single else weights
 
 
-def gmv_long_only(s: SpdMatrix, tol: float = 1e-10, max_iters: int | None = None) -> np.ndarray:
+def gmv_long_only(
+    s: SpdMatrix | CovSeries, tol: float = 1e-10, max_iters: int | None = None
+) -> np.ndarray:
     """Long-only minimum variance weights by active-set iteration.
 
     Solve the unconstrained problem on the free set, clamp negative weights
     to zero, and repeat; once the free solution is nonnegative, release any
     clamped asset whose multiplier ``2 (S w)_i - 2 w' S w`` falls below
-    ``-tol``.  Exceeding the iteration budget (default ``10 n``) raises.
+    ``-tol``.  A series of ``B`` matrices gives their ``(B, n)`` weights:
+    its dates iterate in lockstep, and each step solves the dates that share
+    a free set in one batched solve, so each row is bit for bit the weights
+    of its matrix.  A date that exceeds the iteration budget (default
+    ``10 n``) raises, naming its row.
     """
-    s = ensure_pd(s)
-    n = s.dim
+    single = isinstance(s, SpdMatrix)
+    stack = ensure_pd(s).data[None] if single else ensure_pd_stack(s.data, s.values, s.vectors)
+    n = stack.shape[-1]
     if max_iters is None:
         max_iters = 10 * n
-    free = np.ones(n, dtype=bool)
+    weights = np.zeros(stack.shape[:-1])
+    free = np.ones(weights.shape, dtype=bool)
+    todo = np.arange(len(stack))  # the rows whose active set has not settled
     for _ in range(max_iters):
-        sub = s.data[np.ix_(free, free)]
-        raw = np.linalg.solve(sub, np.ones(int(free.sum())))
-        w_free = raw / raw.sum()
-        if np.min(w_free) < -tol:
-            full = np.zeros(n)
-            full[free] = w_free
-            free &= full > -tol  # clamp every negative weight at once
-            continue
-        w = np.zeros(n)
-        w[free] = np.maximum(w_free, 0.0)
-        w /= w.sum()
-        marginal = 2.0 * (s.data @ w)
-        lam = float(w @ marginal)
-        multipliers = marginal[~free] - lam
-        if multipliers.size == 0 or np.min(multipliers) >= -tol:
-            return w
-        release = np.flatnonzero(~free)[int(np.argmin(multipliers))]
-        free[release] = True
-    raise ConvergenceError(f"active set did not settle within {max_iters} iterations")
+        if not len(todo):
+            break
+        w = np.zeros((len(todo), n))
+        sets, group = np.unique(free[todo], axis=0, return_inverse=True)
+        for g, kept in enumerate(sets):
+            rows, assets = np.flatnonzero(group.ravel() == g), np.flatnonzero(kept)
+            sub = stack[np.ix_(todo[rows], assets, assets)]
+            raw = np.linalg.solve(sub, np.ones((len(rows), len(assets), 1)))[..., 0]
+            w[np.ix_(rows, assets)] = raw / raw.sum(axis=-1, keepdims=True)
+        clamp = ((w < -tol) & free[todo]).any(axis=1)
+        free[todo[clamp]] &= w[clamp] > -tol  # clamp every negative weight at once
+        rows, w = todo[~clamp], np.maximum(w[~clamp], 0.0)
+        w /= w.sum(axis=1, keepdims=True)
+        marginal = 2.0 * (stack[rows] @ w[:, :, None])[..., 0]
+        lam = (w[:, None, :] @ marginal[:, :, None])[:, 0]
+        multipliers = np.where(free[rows], np.inf, marginal - lam)
+        settled = multipliers.min(axis=1) >= -tol
+        weights[rows[settled]] = w[settled]
+        free[rows[~settled], np.argmin(multipliers[~settled], axis=1)] = True  # release one
+        todo = np.sort(np.concatenate([todo[clamp], rows[~settled]]))
+    if len(todo):
+        row = "" if single else f" of row {todo[0]} ({s.dates[todo[0]]})"
+        raise ConvergenceError(f"active set{row} did not settle within {max_iters} iterations")
+    return weights[0] if single else weights
 
 
 def naive_weights(n: int) -> np.ndarray:

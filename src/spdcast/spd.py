@@ -9,6 +9,7 @@ square roots.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable, NamedTuple, Sequence
 
@@ -265,9 +266,11 @@ def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    # One np.linalg.norm per row, as the dist_* functions take it: a stacked
-    # reduction sums in another order and can differ in the last bit.
-    return np.array([np.linalg.norm(row) for row in rows])
+    # The norm of each row as np.linalg.norm takes it in the dist_* functions:
+    # that is sqrt(x . x) by BLAS ddot, and a (B, 1, k) @ (B, k, 1) matmul runs
+    # the same ddot per row.  A sum of squares would add in another order.
+    flat = np.ascontiguousarray(rows).reshape(len(rows), 1, math.prod(rows.shape[1:]))
+    return np.sqrt((flat @ flat.transpose(0, 2, 1)).reshape(len(rows)))
 
 
 def dist_frobenius(a: SpdMatrix, b: SpdMatrix) -> float:

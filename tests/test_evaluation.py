@@ -381,3 +381,57 @@ class TestRegimeSplit:
             regime_split(np.ones(3), dates, 1.0)
         with pytest.raises(ValueError):
             regime_split(np.array([1.0, np.nan, 2.0]), dates)
+
+
+class TestMcsOfSeveralPanels:
+    """Panels on one date set share one bootstrap draw and keep their results."""
+
+    @staticmethod
+    def panels(rng, n_obs, model_counts):
+        dates = np.datetime64("2003-01-01") + np.arange(n_obs)
+        panels = []
+        for k, count in enumerate(model_counts):
+            losses = rng.uniform(0.5, 2.0, size=(n_obs, count))
+            losses[:, : count // 2] += rng.uniform(0.0, 0.4)  # some models dominated
+            if count > 2 and k % 2:
+                losses[:, -1] = losses[:, -2]  # identical columns: a degenerate pair
+            panels.append(LossPanel([f"m{k}_{j}" for j in range(count)], dates, losses))
+        return panels
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        model_counts=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+        n_obs=st.integers(4, 60),
+        block_len=st.one_of(st.none(), st.integers(1, 3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_one_call_per_panel(self, model_counts, n_obs, block_len, seed):
+        rng = np.random.default_rng(seed)
+        panels = self.panels(rng, n_obs, model_counts)
+        together = mcs(panels, 0.25, 150, block_len, seed)
+        assert len(together) == len(panels)
+        for panel, result in zip(panels, together):
+            alone = mcs(panel, 0.25, 150, block_len, seed)
+            assert result.p_values == alone.p_values
+            assert result.surviving == alone.surviving
+            assert result.elimination_order == alone.elimination_order
+            assert (result.alpha, result.replicates, result.block_len) == (
+                alone.alpha, alone.replicates, alone.block_len)
+
+    @pytest.mark.parametrize("model_counts", [(1, 3, 1), (1,), (2, 4)])
+    def test_panels_just_longer_than_the_block(self, rng, model_counts):
+        block = default_block_len(9)  # 3
+        for n_obs in (block + 1, block + 2):
+            panels = self.panels(rng, n_obs, model_counts)
+            for panel, result in zip(panels, mcs(panels, 0.25, 200, None, 4)):
+                alone = mcs(panel, 0.25, 200, None, 4)
+                assert (result.p_values, result.elimination_order) == (
+                    alone.p_values, alone.elimination_order)
+        with pytest.raises(ValueError, match="must exceed block length"):
+            mcs(self.panels(rng, 3, model_counts), 0.25, 200, 3, 4)
+
+    def test_rejects_panels_on_other_dates(self, rng):
+        first, second = self.panels(rng, 20, (2, 2))
+        shifted = LossPanel(second.models, second.dates + 1, second.losses)
+        with pytest.raises(ValueError, match="share their dates"):
+            mcs([first, shifted], replicates=100)

@@ -1365,3 +1365,114 @@ class TestRowsOf:
             assert err.value.args[0] == (len(absent), absent[0])
         else:
             assert list(pipeline._rows_of(dates, wanted)) == [last[d] for d in wanted]
+
+
+class TestPortfolioDataStage:
+    """portfolio reads a data stage's returns only if train-forecast used that stage."""
+
+    def run_cli(self, command, config_path, *extra):
+        return main([command, "--config", str(config_path), *extra])
+
+    def test_another_seeds_data_stage_is_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        report = out / "portfolio" / "report.csv"
+        for command in ("simulate", "train-forecast", "portfolio"):
+            assert self.run_cli(command, config) == 0
+        first = report.read_bytes()
+        manifest = json.loads((out / "manifest_train_forecast.json").read_text())
+        assert manifest["data_key"] == pipeline._data_key(load_config(config))
+        assert self.run_cli("simulate", config, "--seed", "6") == 0
+        report.unlink()
+        capsys.readouterr()
+        assert self.run_cli("portfolio", config) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"spdcast: config error: {out / 'data' / 'returns.csv'} is not "
+                              "from the data stage the forecasts were made from")
+        assert "rerun train-forecast" in err
+        assert not report.exists()
+        assert self.run_cli("train-forecast", config) == 0
+        assert self.run_cli("portfolio", config) == 0
+        assert report.read_bytes() == first
+
+    def test_a_manifest_without_a_key_is_rejected(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        for command in ("simulate", "train-forecast"):
+            assert self.run_cli(command, config) == 0
+        path = out / "manifest_train_forecast.json"
+        manifest = json.loads(path.read_text())
+        del manifest["data_key"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert self.run_cli("portfolio", config) == 2
+        assert "rerun train-forecast" in capsys.readouterr().err
+
+    def test_file_source_records_no_key(self, tmp_path):
+        series, _ = simulate_market(3, 70, 0.8, 7, 1)
+        save_series(series, tmp_path / "series.matbin")
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}"))
+        assert self.run_cli("train-forecast", config) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_train_forecast.json").read_text())
+        assert manifest["data_key"] is None
+
+
+class TestReturnsWidth:
+    """A returns file must hold one column per asset of the series."""
+
+    def test_both_commands_name_the_file_and_the_setting(self, tmp_path, capsys):
+        series, returns = simulate_market(3, 70, 0.8, 7, 1)
+        save_series(series, tmp_path / "series.matbin")
+        path = tmp_path / "returns.csv"
+        pipeline._write_dated_csv(path, ["a", "b", "c"], series.dates, returns)
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}\n"
+            f"returns = {path}"))
+        message = (f"spdcast: config error: [data] returns: {path} has 2 asset columns; "
+                   "the series has 3\n")
+        assert main(["train-forecast", "--config", str(config)]) == 0
+        pipeline._write_dated_csv(path, ["a", "b"], series.dates, returns[:, :2])
+        capsys.readouterr()
+        assert main(["portfolio", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["train-forecast", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == message
+
+
+class TestStartup:
+    def test_every_exported_name_resolves(self):
+        import spdcast
+
+        for name in spdcast.__all__:
+            assert getattr(spdcast, name) is not None, name
+        with pytest.raises(AttributeError):
+            spdcast.no_such_name
+
+    def test_report_runs_without_numpy(self, tmp_path):
+        """``spdcast report`` run as the console script runs it never imports numpy."""
+        import subprocess
+        import sys
+
+        import spdcast
+
+        config = write_config(tmp_path)
+        (tmp_path / "out" / "eval").mkdir(parents=True)
+        (tmp_path / "out" / "eval" / "losses_frobenius.csv").write_text("model,avg_loss\nrw,1\n")
+        check = ("import runpy, sys\n"
+                 "try:\n"
+                 "    runpy.run_module('spdcast.cli', run_name='__main__', alter_sys=True)\n"
+                 "finally:\n"
+                 "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(spdcast.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", check, "report", "--config", str(config)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.strip().endswith("numpy loaded: False")
+        assert "| rw | 1 |" in (tmp_path / "out" / "report.md").read_text()
+        manifest = json.loads((tmp_path / "out" / "manifest_report.json").read_text())
+        assert manifest["numpy_version"] == np.__version__

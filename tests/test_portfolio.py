@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spd, spd_from_spectrum
 from spdcast import (
+    ConvergenceError,
     CovSeries,
     SpdMatrix,
     WeightPath,
@@ -227,3 +228,72 @@ class TestPathStatistics:
             rtol=1e-12,
         )
         assert np.isclose(report.avg_turnover, avg_turnover(path, returns), rtol=1e-12)
+
+
+def active_set_steps(s, tol=1e-10):
+    """The active-set iteration on one matrix, as a plain loop: its weights
+    and how many clamp and release steps it took."""
+    n = len(s)
+    free = np.ones(n, dtype=bool)
+    clamps = releases = 0
+    for _ in range(10 * n):
+        raw = np.linalg.solve(s[np.ix_(free, free)], np.ones(int(free.sum())))
+        w_free = raw / raw.sum()
+        if np.min(w_free) < -tol:
+            full = np.zeros(n)
+            full[free] = w_free
+            free &= full > -tol
+            clamps += 1
+            continue
+        w = np.zeros(n)
+        w[free] = np.maximum(w_free, 0.0)
+        w /= w.sum()
+        marginal = 2.0 * (s @ w)
+        multipliers = marginal[~free] - float(w @ marginal)
+        if multipliers.size == 0 or np.min(multipliers) >= -tol:
+            return w, clamps, releases
+        free[np.flatnonzero(~free)[int(np.argmin(multipliers))]] = True
+        releases += 1
+    raise AssertionError("did not settle")
+
+
+def wishart_mats(rng, n, count):
+    """Few degrees of freedom and uneven volatilities: many clamps, and at
+    larger n releases after a clamp that went too far."""
+    g = rng.standard_normal((count, n, n + 1))
+    vol = np.exp(rng.normal(0.0, 1.0, size=(count, n)))
+    return [SpdMatrix((a @ a.T) * np.outer(v, v)) for a, v in zip(g, vol)]
+
+
+class TestStackedLongOnly:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_per_matrix_iteration(self, n, count, seed):
+        mats = wishart_mats(np.random.default_rng(seed), n, count)
+        weights = gmv_long_only(series_of(mats))
+        assert weights.shape == (count, n)
+        for m, row in zip(mats, weights):
+            assert np.array_equal(row, gmv_long_only(m))
+            assert np.array_equal(row, active_set_steps(ensure_pd(m).data)[0])
+            assert np.all(row >= 0.0)
+            assert abs(row.sum() - 1.0) <= 1e-12
+            marginal = 2.0 * (m.data @ row)
+            assert np.all(marginal[row == 0.0] - row @ marginal >= -1e-10)
+
+    def test_draws_clamp_and_release(self):
+        rng = np.random.default_rng(11)
+        mats = wishart_mats(rng, 10, 60)
+        steps = [active_set_steps(ensure_pd(m).data) for m in mats]
+        assert sum(c > 0 for _, c, _ in steps) > 30
+        assert sum(r > 0 for _, _, r in steps) > 5
+        assert np.array_equal(gmv_long_only(series_of(mats)), np.array([w for w, _, _ in steps]))
+
+    def test_unsettled_row_is_named(self):
+        interior = SpdMatrix(np.diag([1.0, 2.0]))
+        binding = SpdMatrix(np.array([[1.0, 0.9], [0.9, 1.0]]) * np.outer([1.0, 3.0], [1.0, 3.0]))
+        series = series_of([interior, binding])
+        assert gmv_long_only(series, max_iters=2).shape == (2, 2)
+        with pytest.raises(ConvergenceError, match=r"row 1 \(2001-01-02\) did not settle within 1"):
+            gmv_long_only(series, max_iters=1)
+        with pytest.raises(ConvergenceError, match="^active set did not settle within 1"):
+            gmv_long_only(binding, max_iters=1)

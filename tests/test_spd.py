@@ -31,7 +31,7 @@ from spdcast import (
 )
 from spdcast.baselines import _series_chols, chol_vectorize
 from spdcast.data import CovSeries, _series_logs, _series_roots
-from spdcast.spd import SPD_FLOOR, ensure_pd, validate_stack
+from spdcast.spd import SPD_FLOOR, _row_norms, ensure_pd, validate_stack
 
 
 class TestSpdMatrix:
@@ -503,3 +503,14 @@ class TestEnsurePd:
         assert str(chol_errors[1]) == "Cholesky failed: Matrix is not positive definite"
         assert not np.isnan(logs[[0, 2]]).any() and not np.isnan(chols[[0, 2]]).any()
         assert not _series_roots(series)[1]
+
+
+@pytest.mark.parametrize("k", [1, 3, 6, 21, 64, 300, 2500])
+def test_row_norms_equal_one_norm_per_row(k):
+    rng = np.random.default_rng(k)
+    for _ in range(5):
+        rows = rng.standard_normal((4, k)) * 10.0 ** rng.uniform(-8, 8)
+        assert np.array_equal(_row_norms(rows), [np.linalg.norm(row) for row in rows])
+    mats = rng.standard_normal((3, 5, 5))
+    assert np.array_equal(_row_norms(mats), [np.linalg.norm(m) for m in mats])
+    assert _row_norms(np.zeros((0, 5, 5))).shape == (0,)
