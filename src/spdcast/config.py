@@ -11,10 +11,10 @@ import csv
 import hashlib
 import json
 import re
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from importlib.metadata import version
 from pathlib import Path
 
 from . import __version__
@@ -359,13 +359,23 @@ def _manifest_path(cfg: RunConfig, command: str) -> Path:
     return cfg.out_dir / f"manifest_{command.replace('-', '_')}.json"
 
 
+def _numpy_version() -> str:
+    """The version of the NumPy a computing stage has loaded; ``report``, which loads
+    none, reads the installed one's metadata."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"].__version__
+    from importlib.metadata import version
+
+    return version("numpy")
+
+
 def _write_manifest(cfg: RunConfig, command: str, artifacts: dict[str, str], **extra) -> None:
     manifest = {
         "command": command,
         "config_sha256": cfg.config_hash,
         "seed": cfg.seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "numpy_version": version("numpy"),
+        "numpy_version": _numpy_version(),
         "spdcast_version": __version__,
         "source": cfg.source,
         "persistence": cfg.sim_persistence if cfg.source == "simulate" else None,

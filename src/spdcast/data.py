@@ -548,16 +548,20 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
 
 _TICK_HEADER = ["date", "time", "ticker", "price"]
 _SEPARATORS = np.frombuffer(b",,,\n", np.uint8)  # those of one row of 4 fields
-# Rows are split a block at a time because the tokens of a whole file take
-# several times its size in string objects.
+# Rows are read a block at a time, so that a block that falls back to csv
+# holds its fields as strings only while it is parsed.
 _BLOCK_CHARS = 1 << 17
+_NO_TICKS = (np.zeros(0, "S1"),) * 3 + (np.zeros(0),)  # the columns of no rows
 
 
 def _seconds(time_s: str) -> int:
     parts = time_s.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"bad time {time_s!r}")
-    return int(parts[0]) * 3600 + int(parts[1]) * 60 + (int(parts[2]) if len(parts) == 3 else 0)
+    seconds = int(parts[0]) * 3600 + int(parts[1]) * 60 + (int(parts[2]) if len(parts) == 3 else 0)
+    if not -(2**63) <= seconds < 2**63:  # seconds are held as int64
+        raise ValueError(f"bad time {time_s!r}")
+    return seconds
 
 
 def _day(date: str) -> np.datetime64:
@@ -596,13 +600,76 @@ def _check_tick(path: str | Path, row: int) -> None:
         raise SeriesFormatError(f"{path}:{row + 2}: {exc}") from None
 
 
-def _tick_blocks(path: str | Path) -> Iterator[tuple[list[list[str]], int | None]]:
-    """The four columns of each block of rows, and the first row without 4 fields.
+def _escaped(values: Sequence[str]) -> np.ndarray:
+    """``values`` as a bytes column: UTF-8, with \\0 and \\1 written \\1\\1 and \\1\\2, so no
+    value ends in the NUL that NumPy's bytes type drops and byte order is code-point order."""
+    return np.array([v.encode().replace(b"\1", b"\1\2").replace(b"\0", b"\1\1")
+                     for v in values], "S")
+
+
+def _text(value: bytes) -> str:
+    """The string that :func:`_escaped` wrote as ``value``."""
+    return value.replace(b"\1\1", b"\0").replace(b"\1\2", b"\1").decode()
+
+
+def _c_block(text: str) -> tuple[tuple[np.ndarray, ...], int | None] | None:
+    """The columns of a block of rows from NumPy's C reader, and its first row without
+    4 fields; None if the block holds a non-ASCII character, a ``"``, a control
+    character other than the line break, or a price the reader rejects.  No field
+    becomes a Python string."""
+    if not text.isascii() or '"' in text:
+        return None
+    text += "" if text.endswith("\n") else "\n"
+    codes = np.frombuffer(text.encode(), np.uint8)
+    ends = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    seps = codes[ends]
+    if np.count_nonzero(codes < ord(" ")) != np.count_nonzero(seps == ord("\n")):
+        return None
+    rows = len(seps) // 4
+    wrong = (seps[: 4 * rows].reshape(rows, 4) != _SEPARATORS).any(axis=1)
+    short = int(np.argmax(wrong)) if wrong.any() else rows if len(seps) % 4 else None
+    good = rows if short is None else short
+    if good == 0:
+        return _NO_TICKS, short
+    # Each column as wide as its widest field, so nothing is cut.
+    widths = (np.diff(ends[: 4 * good], prepend=-1) - 1).reshape(good, 4).max(axis=0)
+    fields = [(name, f"S{max(w, 1)}") for name, w in zip(_TICK_HEADER[:3], widths.tolist())]
+    try:
+        table = np.loadtxt(io.StringIO(text[: ends[4 * good - 1] + 1]),
+                           dtype=fields + [("price", float)], delimiter=",", comments=None,
+                           quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    return tuple(table[name] for name in _TICK_HEADER), short
+
+
+def _csv_block(text: str, fh) -> tuple[tuple[np.ndarray, ...], int | None]:
+    """The columns of a block read by :mod:`csv`, field by field, and its first row
+    without 4 fields.  A quoted field may run past the block: csv reads on from ``fh``
+    to the end of its row.  A price that ``float`` rejects is NaN."""
+    lines = text.count("\n") + (not text.endswith("\n"))
+    reader = csv.reader(itertools.chain(io.StringIO(text), fh))
+    records = []
+    for rec in reader:
+        records.append(rec)
+        if reader.line_num >= lines:
+            break
+    short = next((i for i, rec in enumerate(records) if len(rec) != 4), None)
+    kept = records[:short]
+    dates, times, names, prices = zip(*kept) if kept else ((),) * 4
+    return (_escaped(dates), _escaped(times), _escaped(names),
+            np.array([_or_none(float, v) for v in prices], dtype=float)), short
+
+
+def _tick_blocks(path: str | Path) -> Iterator[tuple[tuple[np.ndarray, ...], int | None]]:
+    """The date, time and ticker columns (bytes, as :func:`_escaped` writes them) and
+    the prices of each block of rows, and the first row without 4 fields.
 
     A block ends before that row (None while there is none).  Fields are
-    counted with byte masks and a block is split in one pass, except that
-    from the first block with a ``"`` on, :mod:`csv` reads the rest of the
-    file, so quoted fields parse.
+    counted with byte masks.  A block of ASCII text without a ``"`` goes
+    through NumPy's C reader (:func:`_c_block`); any other block, and one
+    that reader rejects, through :mod:`csv` (:func:`_csv_block`), so quoted
+    fields parse and a price reads as ``float`` reads it.
     """
     with _open_text(path, None) as fh:
         first = fh.readline()
@@ -611,90 +678,91 @@ def _tick_blocks(path: str | Path) -> Iterator[tuple[list[list[str]], int | None
             raise SeriesFormatError(f"{path}: bad header {header}")
         rows = 0
         while text := fh.read(_BLOCK_CHARS) + fh.readline():
-            if '"' in text:
-                records = list(csv.reader(io.StringIO(text + fh.read())))
-                short = next((i for i, rec in enumerate(records) if len(rec) != 4), None)
-                tokens = [field for rec in records[:short] for field in rec]
-            else:
-                text += "" if text.endswith("\n") else "\n"
-                codes = np.frombuffer(text.encode(), np.uint8)
-                seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
-                wrong = np.flatnonzero(seps != np.resize(_SEPARATORS, len(seps)))
-                short = int(wrong[0]) // 4 if len(wrong) else None
-                tokens = text.replace("\n", ",").split(",")[: -1 if short is None else 4 * short]
-            yield [tokens[k::4] for k in range(4)], None if short is None else rows + short
-            rows += len(tokens) // 4
+            columns, short = _c_block(text) or _csv_block(text, fh)
+            yield columns, None if short is None else rows + short
+            rows += len(columns[3])
 
 
-def _codes(levels: dict[str, int], column: list[str]) -> np.ndarray:
-    """Each value's number in ``levels``, where new values are numbered as first seen."""
-    for value in set(column).difference(levels):
-        levels[value] = len(levels)
-    return np.fromiter(map(levels.__getitem__, column), np.intp, len(column))
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a bytes column in byte order, and each row's index among them.
+
+    One ``np.unique`` runs over the first row of each run of equal rows, as
+    big-endian integers where a value fits in 8 bytes.
+    """
+    keys = column.astype("S8").view(">u8") if column.itemsize <= 8 else column
+    heads = np.flatnonzero(np.r_[len(keys) > 0, keys[1:] != keys[:-1]])
+    values, inverse = np.unique(keys[heads], return_inverse=True)
+    return values.view(f"S{keys.itemsize}"), np.repeat(inverse, np.diff(np.r_[heads, len(keys)]))
 
 
-def _in_order(levels: dict[str, int], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The sorted values, and ``codes`` renumbered to match."""
-    values = sorted(levels)
-    rank = np.empty(len(values), dtype=np.intp)
-    rank[[levels[v] for v in values]] = np.arange(len(values))
-    return values, rank[codes]
+def _clock_seconds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds after midnight of each distinct time, and which are malformed: one
+    vectorized pass reads ``HH:MM:SS``, and :func:`_seconds` any other form."""
+    chars = values.view(np.uint8).reshape(len(values), values.itemsize).astype(np.int64)
+    digits = chars[:, [0, 1, 3, 4, 6, 7]] - ord("0")
+    clock = (((digits >= 0) & (digits <= 9)).all(axis=1)
+             & (chars[:, [2, 5]] == ord(":")).all(axis=1) & (chars[:, 8:] == 0).all(axis=1))
+    seconds = digits @ np.array([36000, 3600, 600, 60, 10, 1])
+    others = np.flatnonzero(~clock)
+    parsed = [_or_none(_seconds, _text(v)) for v in values[others]]
+    seconds[others] = [0 if s is None else s for s in parsed]
+    bad = np.zeros(len(values), dtype=bool)
+    bad[others] = [s is None for s in parsed]
+    return seconds, bad
 
 
 def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
     """Load ``date,time,ticker,price`` rows into a gridded return panel.
 
-    Tickers are ordered alphabetically.  Each day is resampled on a
-    ``grid_seconds``-spaced grid spanning the interval where every ticker has
-    traded, carrying the last observation forward; of several ticks of one
-    ticker in the same second the highest price counts.  Log returns are
-    taken between consecutive grid points.  The first malformed row raises
-    :class:`SeriesFormatError` naming its line.
+    Tickers are ordered alphabetically, and days by the text of their dates.
+    Each day is resampled on a ``grid_seconds``-spaced grid spanning the
+    interval where every ticker has traded, carrying the last observation
+    forward; of several ticks of one ticker in the same second the highest
+    price counts.  Log returns are taken between consecutive grid points.
+    The first malformed row raises :class:`SeriesFormatError` naming its
+    line.  Blocks of rows are parsed by :func:`_tick_blocks`; each column's
+    distinct values are then numbered by one ``np.unique``, and only those
+    are decoded and parsed.
     """
     if grid_seconds < 1:
         raise ValueError("grid_seconds must be positive")
-    dates, times, names = {}, {}, {}  # each value's number, as first seen
-    parts: list[tuple[np.ndarray, ...]] = [(np.zeros(0, np.intp),) * 3 + (np.zeros(0),)]
+    parts: list[tuple[np.ndarray, ...]] = [_NO_TICKS]
     short = None
-    for (date_col, time_col, name_col, price_col), short in _tick_blocks(path):
-        try:
-            prices = np.array(price_col, dtype=float)
-        except ValueError:  # unparseable prices become NaN, which the row check names
-            prices = np.array([_or_none(float, v) for v in price_col], dtype=float)
-        codes = (_codes(dates, date_col), _codes(times, time_col), _codes(names, name_col))
-        parts.append((*codes, prices))
+    for columns, short in _tick_blocks(path):
+        parts.append(columns)
         if short is not None:
             break
-    day_code, time_code, ticker_code, prices = (np.concatenate(c) for c in zip(*parts))
+    date_col, time_col, name_col, prices = (np.concatenate(c) for c in zip(*parts))
     del parts
+    date_values, day_code = _distinct(date_col)
+    time_values, time_code = _distinct(time_col)
+    name_values, ticker_code = _distinct(name_col)
+    del date_col, time_col, name_col
+    dates = [_text(d) for d in date_values]
     days = [_or_none(_day, d) for d in dates]
-    seconds = [_or_none(_seconds, t) for t in times]
+    seconds, bad_time = _clock_seconds(time_values)
     bad = ~((prices > 0.0) & (prices < np.inf))
     bad |= np.array([d is None for d in days], dtype=bool)[day_code]
-    bad |= np.array([s is None for s in seconds], dtype=bool)[time_code]
+    bad |= bad_time[time_code]
     if bad.any() or short is not None:
         _check_tick(path, int(np.argmax(bad)) if bad.any() else short)
     if len(prices) == 0:
         raise SeriesFormatError(f"{path}: no records")
-    date_levels, day_code = _in_order(dates, day_code)
-    tickers, ticker_code = _in_order(names, ticker_code)
+    tickers = [_text(t) for t in name_values]
     n = len(tickers)
 
     # One key per (day, ticker, rank of seconds): rows sorted with one
     # argsort, and the ticks of one key collapsed to the highest price.
-    ranks = np.array(sorted(set(seconds)), dtype=np.int64)
-
-    def key(group: np.ndarray, secs: np.ndarray) -> np.ndarray:
-        return group * (len(ranks) + 1) + np.searchsorted(ranks, secs, side="right")
-
-    keys = key(day_code * n + ticker_code, np.array(seconds, dtype=np.int64)[time_code])
+    ranks = np.unique(seconds)
+    span = len(ranks) + 1  # keys per (day, ticker)
+    keys = (day_code * n + ticker_code) * span + np.searchsorted(ranks, seconds, "right")[time_code]
     del day_code, time_code, ticker_code  # row arrays go as soon as they are used: peak RSS
     order = np.argsort(keys)
     keys, prices = keys[order], prices[order]
     del order
     firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     keys, prices = keys[firsts], np.maximum.reduceat(prices, firsts)
-    group, rank = np.divmod(keys, len(ranks) + 1)
+    group, rank = np.divmod(keys, span)
     secs = ranks[rank - 1]
     bounds = np.searchsorted(group, np.arange(len(dates) * n + 1))  # of each (day, ticker)
     present = (bounds[1:] > bounds[:-1]).reshape(-1, n)
@@ -706,9 +774,9 @@ def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
         d = int(np.argmax(failed))
         missing = [t for t, here in zip(tickers, present[d]) if not here]
         if missing:
-            raise SeriesFormatError(f"{path}: date {date_levels[d]} missing tickers {missing}")
+            raise SeriesFormatError(f"{path}: date {dates[d]} missing tickers {missing}")
         raise SeriesFormatError(
-            f"{path}: date {date_levels[d]} has fewer than two grid points at "
+            f"{path}: date {dates[d]} has fewer than two grid points at "
             f"{grid_seconds}s spacing"
         )
 
@@ -719,10 +787,11 @@ def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
         np.arange(len(point_day)) - np.repeat(np.cumsum(points) - points, points)
     )
     point_groups = point_day[:, None] * n + np.arange(n)
-    carried = np.searchsorted(keys, key(point_groups, grid[:, None]), side="right")
+    grid_keys = point_groups * span + np.searchsorted(ranks, grid, "right")[:, None]
+    carried = np.searchsorted(keys, grid_keys, side="right")
     returns = log_returns(prices[carried - 1])[point_day[1:] == point_day[:-1]]
     return ReturnPanel(
-        np.array([days[dates[d]] for d in date_levels], dtype="datetime64[D]"),
+        np.array(days, dtype="datetime64[D]"),
         np.split(returns, np.cumsum(points - 1)[:-1]),
         tickers,
     )

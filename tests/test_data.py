@@ -5,6 +5,7 @@ import itertools
 import logging
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -503,6 +504,7 @@ class TestCsvLong:
         assert ":2" in str(err.value)
 
 
+@pytest.mark.filterwarnings("error")
 class TestIntraday:
     def write_csv(self, path, rows):
         path.write_text("date,time,ticker,price\n" + "\n".join(rows) + "\n")
@@ -641,9 +643,33 @@ INTRADAY_NEW_MESSAGES = [
     (TICK_HEADER + "2001-01-02,9:30,aaa,nan\n2001-01-02,9:3x,aaa,1.0\n", ":2: non-finite price 'nan'"),
     (TICK_HEADER + "2001-01-02,9:30,aaa,-1\n2001-99-02,9:30,aaa,1.0\n", ":2: nonpositive price"),
     (TICK_HEADER + "2001-99-02,9:30,aaa,1.0\n2001-01-02,9:30\n", ":2: bad date '2001-99-02'"),
+    # a bad value first seen in a later block of rows (blocks are 2**17 characters)
+    (TICK_HEADER + TWO_TICKERS * 1400 + "2001-13-45,9:30,aaa,1.0\n",
+     f":{4 * 1400 + 2}: bad date '2001-13-45'"),
+    (TICK_HEADER + TWO_TICKERS * 1400 + "2001-01-02,9:3x,aaa,1.0\n",
+     f":{4 * 1400 + 2}: invalid literal for int() with base 10: '3x'"),
+    (TICK_HEADER + "2001-01-02 ,9:30,aaa,1.0\n", ":2: bad date '2001-01-02 '"),
+    # tickers and prices that NumPy's C reader does not read as the loader must: the
+    # message shows the rows before it were accepted, and their tickers read back
+    (TICK_HEADER + TWO_TICKERS.replace("bbb", "bé") + "2001-01-03,09:30,aaa,100.0\n"
+     "2001-01-03,09:40,aaa,101.0\n",
+     ": date 2001-01-03 missing tickers ['bé']"),
+    (TICK_HEADER + TWO_TICKERS.replace("bbb", "b\0") + "2001-01-03,09:30,aaa,100.0\n"
+     "2001-01-03,09:40,aaa,101.0\n",
+     ": date 2001-01-03 missing tickers ['b\\x00']"),
+    (TICK_HEADER + TWO_TICKERS.replace("101.0", "1_01.0") + "2001-01-02,9:50,aaa,0\n",
+     ":6: nonpositive price"),
+    (TICK_HEADER + TWO_TICKERS.replace("101.0", "\u0661\u0660\u0661") + "2001-01-02,9:50,aaa,0\n",
+     ":6: nonpositive price"),
+    (TICK_HEADER + "2001-01-02,9:30,aaa,\x1c1.0\n",
+     ":2: could not convert string to float: '\\x1c1.0'"),
+    # hours beyond what seconds are held in: once a raw OverflowError
+    (TICK_HEADER + "2001-01-02,99999999999999999999:00,aaa,1.0\n",
+     ":2: bad time '99999999999999999999:00'"),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 class TestIntradayMessages:
     """Exact loader messages: each names the file, and a row error its line."""
 
@@ -734,7 +760,7 @@ class TestSeriesMessages:
 def _reference_panel(path, grid_seconds):
     """The row-at-a-time loader this package used before its columnar one."""
     by_day = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
         for date, time_s, ticker, price_s in reader:
@@ -775,6 +801,33 @@ def _tick_rows(rng, short_times):
     return rows
 
 
+def _mixed_tick_file(rng, tickers, crlf):
+    """Ticks of ``tickers`` over 1 to 2 days, each row in its own form: ``H:MM`` or
+    ``HH:MM:SS`` times, prices written as ``repr``, with an underscore or in spaces,
+    some rows quoted (and every field with a comma or a line break), and same-second
+    repeats."""
+    lines = ["date,time,ticker,price"]
+    for day in range(int(rng.integers(1, 3))):
+        date = str(np.datetime64("2003-03-03") + day)
+        for ticker in tickers:
+            seconds = 9 * 3600 + rng.integers(0, 120, size=int(rng.integers(2, 8))) * 60
+            seconds = np.r_[seconds, 9 * 3600 + rng.integers(0, 7200, size=3), 9 * 3600, 11 * 3600]
+            seconds = np.r_[seconds, rng.choice(seconds, size=2)]
+            for s, price in zip(seconds.tolist(), rng.uniform(10.0, 20.0, size=len(seconds))):
+                clock = (f"{s // 3600}:{s // 60 % 60:02d}" if s % 60 == 0 and rng.random() < 0.5
+                         else f"{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}")
+                text = repr(float(price))
+                text = [text, text[0] + "_" + text[1:], f" {text} "][int(rng.integers(0, 3))]
+                row = [date, clock, ticker, text]
+                quote = rng.random() < 0.1
+                lines.append(",".join(f'"{v}"' if quote or set(v) & {",", "\n"} else v
+                                      for v in row))
+    order = [0, *(1 + rng.permutation(len(lines) - 1))]
+    end = "\r\n" if crlf else "\n"
+    return "".join(lines[i] + end for i in order).encode()
+
+
+@pytest.mark.filterwarnings("error")
 class TestIntradayColumnar:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -826,6 +879,49 @@ class TestIntradayColumnar:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SeriesFormatError, match=r":41: expected 4 fields$"):
             load_intraday_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tickers=st.lists(st.text(st.sampled_from("Tb9_ ,\n\u00e9\u6f22"), min_size=1, max_size=12),
+                         min_size=2, max_size=3, unique=True),
+        block=st.one_of(st.integers(1, 400), st.just(1 << 17)),
+        crlf=st.booleans(),
+    )
+    def test_any_mix_of_blocks_gives_the_reference_panel_bitwise(
+        self, tmp_path_factory, seed, tickers, block, crlf
+    ):
+        # Tickers wider than 8 bytes and non-ASCII ones, prices only ``float`` reads and
+        # quoted rows send some blocks through csv and the rest through NumPy's C reader.
+        path = tmp_path_factory.mktemp("ticks") / "ticks.csv"
+        path.write_bytes(_mixed_tick_file(np.random.default_rng(seed), tickers, crlf))
+        with mock.patch.object(data, "_BLOCK_CHARS", block):
+            panel = load_intraday_csv(path, grid_seconds=300)
+        dates, blocks, expected = _reference_panel(path, 300)
+        assert list(panel.tickers) == expected
+        assert np.array_equal(panel.dates, np.array(dates, dtype="datetime64[D]"))
+        assert [r.tobytes() for r in panel.returns] == [b.tobytes() for b in blocks]
+
+    def test_only_blocks_the_c_reader_cannot_read_take_csv(self, tmp_path, monkeypatch):
+        # Well-formed ASCII rows never reach csv; a price with an underscore sends
+        # its block, and only that one, there.
+        rows = _tick_rows(np.random.default_rng(7), short_times=False)
+        lines = [",".join(r) + "\n" for r in rows]
+        path = tmp_path / "ticks.csv"
+        path.write_text(TICK_HEADER + "".join(lines))
+        read = []
+        csv_block = data._csv_block
+        monkeypatch.setattr(data, "_csv_block",
+                            lambda text, fh: read.append(text) or csv_block(text, fh))
+        monkeypatch.setattr(data, "_BLOCK_CHARS", 1)  # a block per row
+        whole = load_intraday_csv(path)
+        assert read == []
+        date, time_s, ticker, price = lines[20].rstrip("\n").split(",")
+        lines[20] = f"{date},{time_s},{ticker},{price[0]}_{price[1:]}\n"
+        path.write_text(TICK_HEADER + "".join(lines))
+        cut = load_intraday_csv(path)
+        assert [r.tobytes() for r in cut.returns] == [r.tobytes() for r in whole.returns]
+        assert read == [lines[20]]
 
 
 def _reference_write(path, keys, records):

@@ -1451,28 +1451,45 @@ class TestStartup:
         with pytest.raises(AttributeError):
             spdcast.no_such_name
 
-    def test_report_runs_without_numpy(self, tmp_path):
-        """``spdcast report`` run as the console script runs it never imports numpy."""
+    @staticmethod
+    def run_console(*args: str) -> tuple[object, set[str]]:
+        """Run ``spdcast *args`` as the console script runs it, in a fresh process, and
+        which of ``numpy`` and ``importlib.metadata`` that process imported."""
         import subprocess
         import sys
 
         import spdcast
 
-        config = write_config(tmp_path)
-        (tmp_path / "out" / "eval").mkdir(parents=True)
-        (tmp_path / "out" / "eval" / "losses_frobenius.csv").write_text("model,avg_loss\nrw,1\n")
         check = ("import runpy, sys\n"
                  "try:\n"
                  "    runpy.run_module('spdcast.cli', run_name='__main__', alter_sys=True)\n"
                  "finally:\n"
-                 "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n")
+                 "    loaded = {'numpy', 'importlib.metadata'} & set(sys.modules)\n"
+                 "    print('loaded:', *sorted(loaded), file=sys.stderr)\n")
         src = str(Path(spdcast.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-c", check, "report", "--config", str(config)],
+        done = subprocess.run([sys.executable, "-c", check, *args],
                               env=env, capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stderr.strip().endswith("numpy loaded: False")
+        last = done.stderr.strip().splitlines()[-1].split()
+        assert last[0] == "loaded:", done.stderr
+        return done, set(last[1:])
+
+    def test_report_runs_without_numpy(self, tmp_path):
+        """``spdcast report`` run as the console script runs it never imports numpy."""
+        config = write_config(tmp_path)
+        (tmp_path / "out" / "eval").mkdir(parents=True)
+        (tmp_path / "out" / "eval" / "losses_frobenius.csv").write_text("model,avg_loss\nrw,1\n")
+        _, loaded = self.run_console("report", "--config", str(config))
+        assert "numpy" not in loaded
         assert "| rw | 1 |" in (tmp_path / "out" / "report.md").read_text()
         manifest = json.loads((tmp_path / "out" / "manifest_report.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+
+    def test_a_computing_stage_stamps_the_numpy_it_loaded(self, tmp_path):
+        """The manifest takes ``numpy.__version__``; the stage never imports package metadata."""
+        _, loaded = self.run_console("simulate", "--config", str(write_config(tmp_path)))
+        assert loaded == {"numpy"}
+        manifest = json.loads((tmp_path / "out" / "manifest_simulate.json").read_text())
         assert manifest["numpy_version"] == np.__version__
