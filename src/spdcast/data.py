@@ -210,7 +210,8 @@ def log_returns(prices: np.ndarray) -> np.ndarray:
         )
     if not np.all(p > 0.0):
         raise ValueError("prices must be strictly positive")
-    return np.log(p[1:] / p[:-1])
+    ratios = p[1:] / p[:-1]
+    return np.log(ratios, out=ratios)
 
 
 def _blockdiag_stack(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
@@ -565,11 +566,13 @@ def _seconds(time_s: str) -> int:
 
 
 def _day(date: str) -> np.datetime64:
-    try:
-        day = np.datetime64(date, "D")
+    """The day whose ISO text ``date`` is: days are grouped by their text, so one
+    NumPy also reads another way (`` 2001-01-02``, ``2001-01``) is not a day."""
+    try:  # only digits and "-" reach NumPy, which warns on a time zone
+        day = np.datetime64("NaT" if date.strip("0123456789-") else date, "D")
     except ValueError:
         day = np.datetime64("NaT")
-    if np.isnat(day):
+    if np.isnat(day) or str(day) != date:
         raise ValueError(f"bad date {date!r}")
     return day
 
@@ -584,7 +587,10 @@ def _or_none(parse: Callable[[str], object], text: str):
 def _check_tick(path: str | Path, row: int) -> None:
     """Raise the error of the row-th tick row, read as :mod:`csv` reads it, field by field."""
     with _open_text(path) as fh:
-        rec = next(itertools.islice(csv.reader(fh), row + 1, None))
+        try:
+            rec = next(itertools.islice(csv.reader(fh), row + 1, None))
+        except csv.Error as exc:  # a field longer than csv reads
+            raise SeriesFormatError(f"{path}:{row + 2}: {exc}") from None
     try:
         if len(rec) != 4:
             raise ValueError("expected 4 fields")
@@ -615,8 +621,8 @@ def _text(value: bytes) -> str:
 def _c_block(text: str) -> tuple[tuple[np.ndarray, ...], int | None] | None:
     """The columns of a block of rows from NumPy's C reader, and its first row without
     4 fields; None if the block holds a non-ASCII character, a ``"``, a control
-    character other than the line break, or a price the reader rejects.  No field
-    becomes a Python string."""
+    character other than the line break, a field longer than :mod:`csv` reads, or a
+    price the reader rejects.  No field becomes a Python string."""
     if not text.isascii() or '"' in text:
         return None
     text += "" if text.endswith("\n") else "\n"
@@ -633,6 +639,8 @@ def _c_block(text: str) -> tuple[tuple[np.ndarray, ...], int | None] | None:
         return _NO_TICKS, short
     # Each column as wide as its widest field, so nothing is cut.
     widths = (np.diff(ends[: 4 * good], prepend=-1) - 1).reshape(good, 4).max(axis=0)
+    if widths.max() > csv.field_size_limit():  # a row error on both paths
+        return None
     fields = [(name, f"S{max(w, 1)}") for name, w in zip(_TICK_HEADER[:3], widths.tolist())]
     try:
         table = np.loadtxt(io.StringIO(text[: ends[4 * good - 1] + 1]),
@@ -645,15 +653,19 @@ def _c_block(text: str) -> tuple[tuple[np.ndarray, ...], int | None] | None:
 
 def _csv_block(text: str, fh) -> tuple[tuple[np.ndarray, ...], int | None]:
     """The columns of a block read by :mod:`csv`, field by field, and its first row
-    without 4 fields.  A quoted field may run past the block: csv reads on from ``fh``
-    to the end of its row.  A price that ``float`` rejects is NaN."""
+    without 4 fields, or that csv cannot read (a field over its size limit).  A
+    quoted field may run past the block: csv reads on from ``fh`` to the end of
+    its row.  A price that ``float`` rejects is NaN."""
     lines = text.count("\n") + (not text.endswith("\n"))
     reader = csv.reader(itertools.chain(io.StringIO(text), fh))
     records = []
-    for rec in reader:
-        records.append(rec)
-        if reader.line_num >= lines:
-            break
+    try:
+        for rec in reader:
+            records.append(rec)
+            if reader.line_num >= lines:
+                break
+    except csv.Error:
+        records.append([])  # :func:`_check_tick` raises its error
     short = next((i for i, rec in enumerate(records) if len(rec) != 4), None)
     kept = records[:short]
     dates, times, names, prices = zip(*kept) if kept else ((),) * 4
@@ -673,7 +685,10 @@ def _tick_blocks(path: str | Path) -> Iterator[tuple[tuple[np.ndarray, ...], int
     """
     with _open_text(path, None) as fh:
         first = fh.readline()
-        header = next(csv.reader([first])) if first else None
+        try:
+            header = next(csv.reader([first])) if first else None
+        except csv.Error as exc:
+            raise SeriesFormatError(f"{path}:1: {exc}") from None
         if header != _TICK_HEADER:
             raise SeriesFormatError(f"{path}: bad header {header}")
         rows = 0
@@ -684,7 +699,8 @@ def _tick_blocks(path: str | Path) -> Iterator[tuple[tuple[np.ndarray, ...], int
 
 
 def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a bytes column in byte order, and each row's index among them.
+    """The distinct values of a bytes column in byte order, and each row's index among
+    them (int32).
 
     One ``np.unique`` runs over the first row of each run of equal rows, as
     big-endian integers where a value fits in 8 bytes.
@@ -692,15 +708,25 @@ def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = column.astype("S8").view(">u8") if column.itemsize <= 8 else column
     heads = np.flatnonzero(np.r_[len(keys) > 0, keys[1:] != keys[:-1]])
     values, inverse = np.unique(keys[heads], return_inverse=True)
-    return values.view(f"S{keys.itemsize}"), np.repeat(inverse, np.diff(np.r_[heads, len(keys)]))
+    return (values.view(f"S{keys.itemsize}"),
+            np.repeat(inverse.astype(np.int32), np.diff(np.r_[heads, len(keys)])))
+
+
+def _numbering(parts: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The distinct values of a column, given those of each of its blocks, and each
+    block's values' indices among them."""
+    wide = max(part.itemsize for part in parts) > 8
+    keys = parts if wide else [part.astype("S8").view(">u8") for part in parts]  # as in _distinct
+    values = np.unique(np.concatenate(keys, dtype=None if wide else ">u8"))
+    return values.view(f"S{values.itemsize}"), [np.searchsorted(values, k) for k in keys]
 
 
 def _clock_seconds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Seconds after midnight of each distinct time, and which are malformed: one
     vectorized pass reads ``HH:MM:SS``, and :func:`_seconds` any other form."""
-    chars = values.view(np.uint8).reshape(len(values), values.itemsize).astype(np.int64)
-    digits = chars[:, [0, 1, 3, 4, 6, 7]] - ord("0")
-    clock = (((digits >= 0) & (digits <= 9)).all(axis=1)
+    chars = values.view(np.uint8).reshape(len(values), values.itemsize)
+    digits = chars[:, [0, 1, 3, 4, 6, 7]] - np.uint8(ord("0"))  # a byte below "0" wraps past 9
+    clock = ((digits <= 9).all(axis=1)
              & (chars[:, [2, 5]] == ord(":")).all(axis=1) & (chars[:, 8:] == 0).all(axis=1))
     seconds = digits @ np.array([36000, 3600, 600, 60, 10, 1])
     others = np.flatnonzero(~clock)
@@ -720,54 +746,72 @@ def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
     forward; of several ticks of one ticker in the same second the highest
     price counts.  Log returns are taken between consecutive grid points.
     The first malformed row raises :class:`SeriesFormatError` naming its
-    line.  Blocks of rows are parsed by :func:`_tick_blocks`; each column's
-    distinct values are then numbered by one ``np.unique``, and only those
-    are decoded and parsed.
+    line.  Blocks of rows are parsed by :func:`_tick_blocks`, and each
+    block keeps only its prices and, per column, its distinct values and
+    each row's index among them; only the distinct values of the whole file
+    are decoded and parsed.  Row arrays are dropped as soon as they are
+    used, which bounds peak memory at a few machine words per row.
     """
     if grid_seconds < 1:
         raise ValueError("grid_seconds must be positive")
-    parts: list[tuple[np.ndarray, ...]] = [_NO_TICKS]
+    # Each block's rows go into arrays grown in place (realloc), with each text
+    # column's index among that block's distinct values, which go in ``values``.
+    codes, prices, offsets, values = np.zeros((0, 3), np.int32), np.zeros(0), [0], []
     short = None
-    for columns, short in _tick_blocks(path):
-        parts.append(columns)
+    for (*texts, block_prices), short in _tick_blocks(path):
+        lo, hi = offsets[-1], offsets[-1] + len(block_prices)
+        if hi > len(prices):  # resize zero-fills, so what is reserved is resident
+            prices.resize(hi + hi // 4, refcheck=False)
+            codes.resize((hi + hi // 4, 3), refcheck=False)
+        prices[lo:hi] = block_prices
+        numbered = [_distinct(c) for c in texts]
+        codes[lo:hi] = np.column_stack([c for _, c in numbered])
+        values.append([v for v, _ in numbered])
+        offsets.append(hi)
         if short is not None:
             break
-    date_col, time_col, name_col, prices = (np.concatenate(c) for c in zip(*parts))
-    del parts
-    date_values, day_code = _distinct(date_col)
-    time_values, time_code = _distinct(time_col)
-    name_values, ticker_code = _distinct(name_col)
-    del date_col, time_col, name_col
+    if not values:
+        raise SeriesFormatError(f"{path}: no records")
+    (date_values, date_at), (time_values, time_at), (name_values, name_at) = (
+        _numbering([v[k] for v in values]) for k in range(3))
     dates = [_text(d) for d in date_values]
     days = [_or_none(_day, d) for d in dates]
+    bad_day = np.array([d is None for d in days], dtype=bool)
     seconds, bad_time = _clock_seconds(time_values)
-    bad = ~((prices > 0.0) & (prices < np.inf))
-    bad |= np.array([d is None for d in days], dtype=bool)[day_code]
-    bad |= bad_time[time_code]
-    if bad.any() or short is not None:
-        _check_tick(path, int(np.argmax(bad)) if bad.any() else short)
-    if len(prices) == 0:
-        raise SeriesFormatError(f"{path}: no records")
     tickers = [_text(t) for t in name_values]
     n = len(tickers)
 
-    # One key per (day, ticker, rank of seconds): rows sorted with one
-    # argsort, and the ticks of one key collapsed to the highest price.
+    # One key per (day, ticker, rank of seconds), formed block by block: rows
+    # sorted with one argsort, and the ticks of one key collapsed to the
+    # highest price.
     ranks = np.unique(seconds)
     span = len(ranks) + 1  # keys per (day, ticker)
-    keys = (day_code * n + ticker_code) * span + np.searchsorted(ranks, seconds, "right")[time_code]
-    del day_code, time_code, ticker_code  # row arrays go as soon as they are used: peak RSS
+    rank_at = np.searchsorted(ranks, seconds, "right")
+    keys = np.empty(offsets[-1], np.int64)
+    for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        day, time, name = (at[i][codes[lo:hi, k]]
+                           for k, at in enumerate((date_at, time_at, name_at)))
+        bad = ~((prices[lo:hi] > 0.0) & (prices[lo:hi] < np.inf)) | bad_day[day] | bad_time[time]
+        if bad.any():
+            _check_tick(path, lo + int(np.argmax(bad)))
+        keys[lo:hi] = (day * n + name) * span + rank_at[time]
+    if short is not None:
+        _check_tick(path, short)
+    del codes, values, date_at, time_at, name_at
+    prices.resize(len(keys), refcheck=False)
     order = np.argsort(keys)
-    keys, prices = keys[order], prices[order]
+    keys = keys[order]
+    prices = prices[order]
     del order
     firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    keys, prices = keys[firsts], np.maximum.reduceat(prices, firsts)
-    group, rank = np.divmod(keys, span)
-    secs = ranks[rank - 1]
-    bounds = np.searchsorted(group, np.arange(len(dates) * n + 1))  # of each (day, ticker)
+    prices = np.maximum.reduceat(prices, firsts)
+    keys = keys[firsts]
+    del firsts
+    bounds = np.searchsorted(keys, np.arange(len(dates) * n + 1) * span)  # of each (day, ticker)
     present = (bounds[1:] > bounds[:-1]).reshape(-1, n)
-    start = secs[np.minimum(bounds[:-1], len(secs) - 1)].reshape(-1, n).max(axis=1)
-    stop = secs[bounds[1:] - 1].reshape(-1, n).min(axis=1)
+    first, last = np.minimum(bounds[:-1], len(keys) - 1), bounds[1:] - 1
+    start = ranks[keys[first] % span - 1].reshape(-1, n).max(axis=1)
+    stop = ranks[keys[last] % span - 1].reshape(-1, n).min(axis=1)
     points = np.where(stop >= start, (stop - start) // grid_seconds + 1, 0)
     failed = ~present.all(axis=1) | (points < 2)
     if failed.any():
@@ -786,13 +830,17 @@ def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
     grid = start[point_day] + grid_seconds * (
         np.arange(len(point_day)) - np.repeat(np.cumsum(points) - points, points)
     )
-    point_groups = point_day[:, None] * n + np.arange(n)
-    grid_keys = point_groups * span + np.searchsorted(ranks, grid, "right")[:, None]
-    carried = np.searchsorted(keys, grid_keys, side="right")
-    returns = log_returns(prices[carried - 1])[point_day[1:] == point_day[:-1]]
+    grid_keys = ((point_day[:, None] * n + np.arange(n)) * span
+                 + np.searchsorted(ranks, grid, "right")[:, None])
+    carried = np.searchsorted(keys, grid_keys, side="right") - 1
+    del keys, grid_keys
+    quotes = prices[carried]
+    del prices, carried
+    returns = log_returns(quotes)
+    ends = np.cumsum(points)  # each day's returns end before the one into the next day
     return ReturnPanel(
         np.array(days, dtype="datetime64[D]"),
-        np.split(returns, np.cumsum(points - 1)[:-1]),
+        [returns[end - count : end - 1] for end, count in zip(ends.tolist(), points.tolist())],
         tickers,
     )
 

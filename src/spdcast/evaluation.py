@@ -133,7 +133,7 @@ def block_bootstrap_indices(
 
 # Block sums gathered per chunk of replicates: at most this many elements
 # per gathered array, so memory does not grow with replicates x observations.
-_CHUNK_ELEMENTS = 1 << 18
+_CHUNK_ELEMENTS = 1 << 16
 
 
 def _centered_bootstrap_means(

@@ -256,7 +256,7 @@ class _FavarForecaster(_Forecaster):
 
 
 # Test dates per stacked forward pass: bounds the trace's memory on long panels.
-_PREDICT_CHUNK = 256
+_PREDICT_CHUNK = 64
 
 
 class _NetForecaster(_Forecaster):

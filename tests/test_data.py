@@ -4,6 +4,7 @@ import csv
 import itertools
 import logging
 import struct
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -666,6 +667,20 @@ INTRADAY_NEW_MESSAGES = [
     # hours beyond what seconds are held in: once a raw OverflowError
     (TICK_HEADER + "2001-01-02,99999999999999999999:00,aaa,1.0\n",
      ":2: bad time '99999999999999999999:00'"),
+    # dates NumPy reads but whose text is not their ISO day, on both block paths:
+    # once a second panel day beside 2001-01-02, in a message naming no line
+    (TICK_HEADER + TWO_TICKERS + " 2001-01-02,09:50,aaa,1.0\n", ":6: bad date ' 2001-01-02'"),
+    (TICK_HEADER + TWO_TICKERS.replace("bbb", "bé") + " 2001-01-02,09:50,aaa,1.0\n",
+     ":6: bad date ' 2001-01-02'"),
+    (TICK_HEADER + TWO_TICKERS + "2001-01,09:50,aaa,1.0\n", ":6: bad date '2001-01'"),
+    (TICK_HEADER + TWO_TICKERS + "2001-01-02T00Z,09:50,aaa,1.0\n", ":6: bad date '2001-01-02T00Z'"),
+    # a field longer than csv reads, quoted or not: once a raw csv traceback
+    (TICK_HEADER + TWO_TICKERS + '2001-01-02,09:50,"' + "x" * 140_000 + '",1.0\n',
+     ":6: field larger than field limit (131072)"),
+    (TICK_HEADER + TWO_TICKERS + "2001-01-02,09:50," + "x" * 140_000 + ",1.0\n",
+     ":6: field larger than field limit (131072)"),
+    ('"' + "x" * 140_000 + '",time,ticker,price\n' + TWO_TICKERS,
+     ":1: field larger than field limit (131072)"),
 ]
 
 
@@ -922,6 +937,30 @@ class TestIntradayColumnar:
         cut = load_intraday_csv(path)
         assert [r.tobytes() for r in cut.returns] == [r.tobytes() for r in whole.returns]
         assert read == [lines[20]]
+
+    def test_memory_per_row_is_bounded(self, tmp_path):
+        # 100,000 rows: 4 tickers x 100 ticks a day at random seconds over 250 days.
+        rng = np.random.default_rng(0)
+        seconds = 9 * 3600 + np.sort(rng.integers(0, 6 * 3600, size=(250, 100)), axis=1)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 1e-3, size=(250, 100, 4)), axis=1))
+        rows = [TICK_HEADER]
+        for d, day in enumerate(np.datetime64("2003-01-01") + np.arange(250)):
+            for s, quotes in zip(seconds[d].tolist(), prices[d].tolist()):
+                clock = f"{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}"
+                rows += [f"{day},{clock},{t},{p!r}\n" for t, p in zip(("aa", "bb", "cc", "dd"), quotes)]
+        path = tmp_path / "ticks.csv"
+        path.write_text("".join(rows))
+        load_intraday_csv(path)  # first-call allocations are not the loader's
+        tracemalloc.start()
+        try:
+            load_intraday_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few words per row: the prices, three int32 row numbers, a sort key
+        # and its argsort, about 43 traced bytes a row. Whole-file text columns
+        # and their temporaries take over 100.
+        assert peak < 64 * 100_000
 
 
 def _reference_write(path, keys, records):

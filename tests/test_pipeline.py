@@ -433,6 +433,26 @@ class TestStackedPrediction:
         assert list(position_errors) == list(expected)
         assert all(position_errors[i] is expected[i] for i in expected)
 
+    @pytest.mark.parametrize("spec", [
+        SPEC,
+        ModelSpec("geohar", "geohar_le_le", {"metric": "log_euclidean", "loss": "log_euclidean"}),
+        ModelSpec("geohar", "geohar_pro_le", {"metric": "procrustes", "loss": "log_euclidean"}),
+    ], ids=lambda spec: spec.name)
+    def test_forecasts_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, spec):
+        cfg = load_config(write_config(tmp_path))
+        series = simulate_market(3, cfg.window + pipeline._PREDICT_CHUNK + 9, 0.8, 7, 5)[0]
+        whole = run_model(spec, cfg, series)
+        assert len(whole.dates) > pipeline._PREDICT_CHUNK and whole.failures == []
+        for chunk in (1, 7):
+            monkeypatch.setattr(pipeline, "_PREDICT_CHUNK", chunk)
+            sizes = self.record_batches(monkeypatch)
+            result = run_model(spec, cfg, series)
+            stacks = [min(chunk, len(whole.dates) - s) for s in range(0, len(whole.dates), chunk)]
+            assert sizes[-len(stacks):] == stacks and result.failures == []  # after the fit's
+            assert np.array_equal(result.dates, whole.dates)
+            assert result.predictions.data.tobytes() == whole.predictions.data.tobytes()
+            monkeypatch.undo()
+
     def test_non_pd_output_fails_only_its_date(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
         clean = run_model(self.SPEC, cfg, series)
