@@ -22,25 +22,27 @@ def main():
     print(f"trace range: {traces.min():.3f} .. {traces.max():.3f}")
 
     print()
+    # inputs is a (samples, d, d) stack of block diagonals; the target
+    # series dates each sample
     lagged = build_lagged_inputs(series, lags=3)
-    print(f"lagged inputs: {len(lagged.inputs)} samples, "
-          f"input dim {lagged.inputs[0].dim}, target dim {lagged.targets[0].dim}")
+    print(f"lagged inputs: stack of shape {lagged.inputs.shape}, "
+          f"target dim {lagged.targets.dim}")
     print("first target date:", lagged.targets.dates[0])
     # block 0 of the first input is yesterday's matrix for that target
-    first = lagged.inputs[0].data
+    first = lagged.inputs[0]
     yesterday = series[2].data
-    print("top-left block equals most recent lag:",
-          bool(np.allclose(first[:4, :4], yesterday)))
+    print("top-left block is the most recent lag:",
+          bool(np.array_equal(first[:4, :4], yesterday)))
 
     print()
     har = build_geohar_inputs(series)
-    print(f"memory-average inputs: {len(har.inputs)} samples "
-          f"(needs a 22 day burn-in), input dim {har.inputs[0].dim}")
+    print(f"memory-average inputs: stack of shape {har.inputs.shape} "
+          f"(needs a 22 day burn-in)")
     print("first target date:", har.targets.dates[0])
-    block_traces = [np.trace(har.inputs[0].data[i * 4:(i + 1) * 4, i * 4:(i + 1) * 4])
+    block_traces = [np.trace(har.inputs[0][i * 4:(i + 1) * 4, i * 4:(i + 1) * 4])
                     for i in range(3)]
     print("block traces (daily, weekly, monthly):",
-          [round(t, 4) for t in block_traces])
+          [round(float(t), 4) for t in block_traces])
 
 
 if __name__ == "__main__":

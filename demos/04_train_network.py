@@ -22,9 +22,10 @@ from spdcast import (
 
 def main():
     series, _ = simulate_market(n=4, n_days=200, persistence=0.92, df=9, seed=11)
-    supervised = build_lagged_inputs(series, lags=2)
+    supervised = build_lagged_inputs(series, lags=2)  # inputs: a (samples, 8, 8) stack
+    print("training inputs:", supervised.inputs.shape)
 
-    spec = NetworkSpec.default(input_dim=8, output_dim=4)
+    spec = NetworkSpec.default(input_dim=supervised.inputs.shape[-1], output_dim=4)
     print("layer dims:", spec.input_dim, "->", spec.layer_dims)
     net = Network.init_random(spec, seed=0)
     print("weight shapes:", [p.shape for p in net.weights])
@@ -47,7 +48,7 @@ def main():
           max(stiefel_error(p.value) for p in result.network.weights))
     print("  eigenvalue gap clamps hit:", result.gap_clamp_count)
 
-    y = result.network.forward(supervised.inputs[0])
+    y = result.network.forward(supervised.inputs[0])  # one (8, 8) input
     print("  sample output eigenvalues:",
           np.round(np.linalg.eigvalsh(y.data), 5))
 

@@ -80,6 +80,19 @@ def _as_dates(dates: Sequence) -> np.ndarray:
     return arr
 
 
+def _day(date: str) -> np.datetime64:
+    """The day whose ISO text ``date`` is, the date rule of every file reader: a
+    text NumPy also reads another way (`` 2001-01-02``, ``2001-01``, ``20010103``,
+    ``2001-01-02T10``) is not a day, so the tick reader may group days by text."""
+    try:  # only digits and "-" reach NumPy, which warns on a time zone
+        day = np.datetime64("NaT" if date.strip("0123456789-") else date, "D")
+    except ValueError:
+        day = np.datetime64("NaT")
+    if np.isnat(day) or str(day) != date:
+        raise ValueError(f"bad date {date!r}")
+    return day
+
+
 class CovSeries:
     """Dated sequence of same-dimension PSD matrices, strictly increasing dates.
 
@@ -183,10 +196,10 @@ class ReturnPanel:
 
 @dataclass
 class SupervisedSet:
-    """One-step supervised pairs as two series dated by their targets: the
-    block-diagonal inputs and the matrices they forecast."""
+    """One-step supervised pairs: the ``(B, d, d)`` stack of block-diagonal
+    inputs and the series of the matrices they forecast, which dates both."""
 
-    inputs: CovSeries
+    inputs: np.ndarray
     targets: CovSeries
 
 
@@ -214,35 +227,25 @@ def log_returns(prices: np.ndarray) -> np.ndarray:
     return np.log(ratios, out=ratios)
 
 
-def _blockdiag_stack(blocks: Sequence[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
-    """Block diagonals from each block's ``(values, vectors)`` stacks, as matrix, eigenvalue
-    and eigenvector stacks: row b is ``SpdMatrix._from_eig`` of the blocks' rows b, bit for bit."""
-    values = np.concatenate([block_values for block_values, _ in blocks], axis=-1)
-    vectors = np.zeros(values.shape + values.shape[-1:])
-    ends = np.cumsum([block.shape[-1] for _, block in blocks])
-    for (_, block), start, end in zip(blocks, np.r_[0, ends[:-1]], ends):
-        vectors[:, start:end, start:end] = block
-    order = np.argsort(-values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[:, None, :], axis=-1)
-    return _recompose(values, vectors), values, vectors
+def _blockdiag_stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The block diagonals of ``(B, n_k, n_k)`` stacks: row b holds each stack's row b,
+    copied in order down the diagonal, and zeros elsewhere."""
+    ends = np.cumsum([block.shape[-1] for block in blocks])
+    out = np.zeros((len(blocks[0]), ends[-1], ends[-1]))
+    for block, start, end in zip(blocks, np.r_[0, ends[:-1]], ends):
+        out[:, start:end, start:end] = block
+    return out
 
 
 def blockdiag_spd(blocks: Sequence[SpdMatrix]) -> SpdMatrix:
     """Block-diagonal composition; the spectrum is the union of block spectra."""
-    arrays = _blockdiag_stack([(b.eig.values[None], b.eig.vectors[None]) for b in blocks])
-    return SpdMatrix._view(*(_freeze(a[0]) for a in arrays))
+    return SpdMatrix(_blockdiag_stack([b.data[None] for b in blocks])[0])
 
 
-def _supervised(series: CovSeries, rows: slice, inputs: tuple[np.ndarray, ...]) -> SupervisedSet:
-    return SupervisedSet(object.__new__(CovSeries)._set(series.dates[rows], *inputs), series[rows])
-
-
-def _lagged_stack(series: CovSeries, positions: np.ndarray, lags: int) -> tuple[np.ndarray, ...]:
+def _lagged_stack(series: CovSeries, positions: np.ndarray, lags: int) -> np.ndarray:
     """The lagged inputs at ``positions``: block diagonals of the ``lags`` matrices
     before each position, the latest top-left."""
-    return _blockdiag_stack([(series.values[positions - j], series.vectors[positions - j])
-                             for j in range(1, lags + 1)])
+    return _blockdiag_stack([series.data[positions - j] for j in range(1, lags + 1)])
 
 
 def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
@@ -255,8 +258,7 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
         raise ValueError(f"lags must be at least 1, got {lags}")
     if len(series) <= lags:
         raise ValueError(f"series of length {len(series)} too short for {lags} lags")
-    positions = np.arange(lags, len(series))
-    return _supervised(series, slice(lags, None), _lagged_stack(series, positions, lags))
+    return SupervisedSet(_lagged_stack(series, np.arange(lags, len(series)), lags), series[lags:])
 
 
 def _series_logs(series: CovSeries) -> tuple[np.ndarray, dict]:
@@ -274,22 +276,22 @@ class _HarMeans:
     """The series kernel of the HAR means under ``cfg``; equal configurations share a stack.
 
     Row ``t - HAR_MONTH`` of its stack, for each position t from HAR_MONTH to
-    ``len(series)``, holds the eigenvalues ``(2, n)`` and eigenvectors
-    ``(2, n, n)`` of the means of the HAR_WEEK and of the HAR_MONTH matrices
-    before t, and each mean's fixed-point ``iters`` and whether it
-    ``converged`` (0 and True for the closed-form log-Euclidean mean).  The
-    means of each window length come from one :func:`rolling_means` call on
-    the series' logarithms or roots; a Procrustes mean that exhausts
-    ``cfg.max_iters`` is used, and logged.  A position fails with the first
-    failed logarithm of its month.
+    ``len(series)``, holds the ``(2, n, n)`` means of the HAR_WEEK and of the
+    HAR_MONTH matrices before t, each recomposed once from its eigenpairs,
+    and each mean's fixed-point ``iters`` and whether it ``converged`` (0 and
+    True for the closed-form log-Euclidean mean).  The means of each window
+    length come from one :func:`rolling_means` call on the series'
+    logarithms or roots; a Procrustes mean that exhausts ``cfg.max_iters``
+    is used, and logged.  A position fails with the first failed logarithm
+    of its month.
     """
 
     cfg: FrechetConfig
 
     def __call__(self, series: CovSeries) -> tuple[np.ndarray, dict]:
         count, n = max(len(series) - HAR_MONTH + 1, 0), series.dim
-        means = np.zeros(count, [("values", float, (2, n)), ("vectors", float, (2, n, n)),
-                                 ("iters", int, 2), ("converged", bool, 2)])
+        means = np.zeros(count, [("mean", float, (2, n, n)), ("iters", int, 2),
+                                 ("converged", bool, 2)])
         failed = {}
         stack = series.stack(_series_roots if self.cfg.metric == METRIC_PROCRUSTES
                              else _series_logs, failed=failed)
@@ -297,9 +299,9 @@ class _HarMeans:
         if failed:  # finite stand-ins: every mean that reads a failed row fails below
             stack = np.where(np.isin(np.arange(len(stack)), bad)[:, None, None], 0.0, stack)
         for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
-            columns = rolling_means(stack[HAR_MONTH - k :], k, self.cfg)
-            for name, column in zip(means.dtype.names, columns):
-                means[name][:, j] = column
+            values, vectors, iters, converged = rolling_means(stack[HAR_MONTH - k :], k, self.cfg)
+            means["mean"][:, j] = _recompose(values, vectors)
+            means["iters"][:, j], means["converged"][:, j] = iters, converged
         for i, j in zip(*np.nonzero(~means["converged"])):
             log.warning("Procrustes mean of the %d matrices before position %d did not "
                         "converge in %d iterations", (HAR_WEEK, HAR_MONTH)[j], HAR_MONTH + i,
@@ -320,15 +322,14 @@ def procrustes_mean_counts(series: CovSeries, cfg: FrechetConfig) -> dict[str, i
 
 
 def _geohar_stack(series: CovSeries, positions: np.ndarray, cfg: FrechetConfig,
-                  failed: dict | None = None) -> tuple[np.ndarray, ...]:
+                  failed: dict | None = None) -> np.ndarray:
     """The HAR inputs at ``positions``: block diagonals of the matrix before each
-    and of its row of :class:`_HarMeans`.  A position that failed there raises,
+    and of its means in :class:`_HarMeans`.  A position that failed there raises,
     or, given a dict ``failed``, is recorded in it (see :meth:`CovSeries.stack`)."""
     if len(positions) and positions.min() < HAR_MONTH:
         raise IndexError(f"positions must be at least {HAR_MONTH}, got {positions.min()}")
-    means = series.stack(_HarMeans(cfg), positions - HAR_MONTH, failed)
-    return _blockdiag_stack([(series.values[positions - 1], series.vectors[positions - 1])]
-                            + [(means["values"][:, j], means["vectors"][:, j]) for j in (0, 1)])
+    means = series.stack(_HarMeans(cfg), positions - HAR_MONTH, failed)["mean"]
+    return _blockdiag_stack([series.data[positions - 1], means[:, 0], means[:, 1]])
 
 
 def build_geohar_inputs(
@@ -348,8 +349,8 @@ def build_geohar_inputs(
         raise ValueError(f"training window of length {len(window)} too short for a "
                          f"{HAR_MONTH}-day window")
     positions = np.arange(window.start + HAR_MONTH, window.stop)
-    inputs = _geohar_stack(series, positions, cfg or FrechetConfig())
-    return _supervised(series, slice(positions[0], window.stop), inputs)
+    return SupervisedSet(_geohar_stack(series, positions, cfg or FrechetConfig()),
+                         series[positions[0] : window.stop])
 
 
 def rolling_windows(series: CovSeries, window: int) -> Iterator[tuple[slice, int]]:
@@ -492,8 +493,10 @@ def save_series(series: CovSeries, path: str | Path, fmt: str = FORMAT_MATBIN) -
 def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
     """Read a series written by :func:`save_series`; validates as it builds.
 
-    A record that is not a finite PSD matrix raises :class:`SeriesFormatError`
-    naming the file and the record's date.
+    A ``csvlong`` date that is not exactly its ISO day raises
+    :class:`SeriesFormatError` naming ``path:line``; a date that is not after
+    the one before it, or a record that is not a finite PSD matrix, one
+    naming the file and the date.
     """
     if fmt == FORMAT_MATBIN:
         keys, records = _read_matrix_records(path)
@@ -510,9 +513,14 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
                     raise SeriesFormatError(f"{path}:{lineno}: expected 4 fields")
                 date, row, col, value = rec
                 try:
+                    if date not in per_date:
+                        _day(date)
                     i, j, v = int(row), int(col), float(value)
                 except ValueError as exc:
                     raise SeriesFormatError(f"{path}:{lineno}: {exc}") from None
+                last = next(reversed(per_date), date)
+                if date != last and date in per_date:  # its rows resume after another date's
+                    raise SeriesFormatError(f"{path}: date {date} is not after {last}")
                 if i > j or i < 0:
                     raise SeriesFormatError(
                         f"{path}:{lineno}: need 0 <= row <= col, got ({i}, {j})"
@@ -539,6 +547,10 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
         dates = np.array(list(per_date), dtype="datetime64[D]")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    later = dates[1:] > dates[:-1]
+    if not later.all():
+        k = int(np.argmin(later)) + 1
+        raise SeriesFormatError(f"{path}: date {dates[k]} is not after {dates[k - 1]}")
     return CovSeries(dates, records,
                      lambda i, exc: SeriesFormatError(f"{path}: date {dates[i]}: {exc}"))
 
@@ -563,18 +575,6 @@ def _seconds(time_s: str) -> int:
     if not -(2**63) <= seconds < 2**63:  # seconds are held as int64
         raise ValueError(f"bad time {time_s!r}")
     return seconds
-
-
-def _day(date: str) -> np.datetime64:
-    """The day whose ISO text ``date`` is: days are grouped by their text, so one
-    NumPy also reads another way (`` 2001-01-02``, ``2001-01``) is not a day."""
-    try:  # only digits and "-" reach NumPy, which warns on a time zone
-        day = np.datetime64("NaT" if date.strip("0123456789-") else date, "D")
-    except ValueError:
-        day = np.datetime64("NaT")
-    if np.isnat(day) or str(day) != date:
-        raise ValueError(f"bad date {date!r}")
-    return day
 
 
 def _or_none(parse: Callable[[str], object], text: str):

@@ -146,6 +146,6 @@ class Network:
                 a = y
         return ForwardTrace(layer_inputs, pre_dims, rectify_eigs, a)
 
-    def forward(self, x: SpdMatrix) -> SpdMatrix:
-        """Map an SPD input to the SPD forecast, as a stack of one."""
-        return SpdMatrix(self.forward_trace(x.data[None]).output[0])
+    def forward(self, x: SpdMatrix | np.ndarray) -> SpdMatrix:
+        """Map an SPD matrix or ``(d, d)`` array to the SPD forecast, as a stack of one."""
+        return SpdMatrix(self.forward_trace(np.asarray(x)[None]).output[0])

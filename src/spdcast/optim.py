@@ -245,7 +245,7 @@ def _prepare_targets(targets, loss: str) -> tuple[np.ndarray, int]:
 
 def train(
     net: Network,
-    inputs: CovSeries | Sequence[SpdMatrix],
+    inputs: np.ndarray | Sequence[SpdMatrix],
     targets: CovSeries | Sequence[SpdMatrix],
     cfg: TrainConfig,
 ) -> TrainResult:
@@ -262,7 +262,7 @@ def train(
     """
     if len(inputs) != len(targets) or len(inputs) == 0:
         raise DimensionMismatchError("inputs and targets must be equal-length and nonempty")
-    x_stack = _stacks(inputs)[0]
+    x_stack = np.asarray(inputs, dtype=float)
     target_stack, floored = _prepare_targets(targets, cfg.loss)
 
     rng = np.random.default_rng(cfg.seed)

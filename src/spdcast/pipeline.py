@@ -30,7 +30,7 @@ from .baselines import favar_fit, favar_forecast
 # _KEYS and _parse_roster stay readable through pipeline, beside the commands.
 from .config import (_KEYS, METRIC_PROCRUSTES, ModelSpec, RunConfig, _manifest_path,  # noqa: F401
                      _open_text, _parse_roster, _write_csv, _write_manifest)
-from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _geohar_stack,
+from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _day, _geohar_stack,
                    _lagged_stack, build_geohar_inputs, build_lagged_inputs, load_intraday_csv,
                    load_series, procrustes_mean_counts, realized_series, rolling_windows,
                    save_series, simulate_market)
@@ -143,8 +143,9 @@ def _read_dated_csv(
     """Dates, values and column names of a ``date,<columns>`` file of ``what``.
 
     ``columns`` are the names the file must have; None takes any (a returns
-    file's tickers).  A malformed file, or one holding a non-finite value,
-    raises :class:`SeriesFormatError` naming ``path:line``.
+    file's tickers).  A malformed file, one holding a date that is not exactly
+    its ISO day (:func:`~spdcast.data._day`), or a non-finite value, raises
+    :class:`SeriesFormatError` naming ``path:line``.
     """
     with _open_text(path) as fh:
         reader = csv.reader(fh)
@@ -159,9 +160,7 @@ def _read_dated_csv(
             if len(rec) != len(header):
                 raise SeriesFormatError(f"{what} file {path}:{lineno}: wrong field count")
             try:
-                dates.append(np.datetime64(rec[0], "D"))
-                if np.isnat(dates[-1]):
-                    raise ValueError(f"bad date {rec[0]!r}")
+                dates.append(_day(rec[0]))
                 rows.append([float(x) for x in rec[1:]])
                 for text, value in zip(rec[1:], rows[-1]):
                     if not math.isfinite(value):
@@ -274,7 +273,7 @@ class _NetForecaster(_Forecaster):
         cfg = self.run_cfg
         n = series.dim
         supervised = self._build_supervised(series, train_slice)
-        input_dim = supervised.inputs.dim
+        input_dim = supervised.inputs.shape[-1]
         if cfg.hidden is None:
             spec = NetworkSpec.default(input_dim, n, cfg.eps_rectify)
         else:
@@ -306,7 +305,7 @@ class _NetForecaster(_Forecaster):
         for start in range(0, len(positions), _PREDICT_CHUNK):
             failed = {}
             chunk = np.asarray(positions[start : start + _PREDICT_CHUNK])
-            inputs = self._inputs(series, chunk, failed)[0]
+            inputs = self._inputs(series, chunk, failed)
             kept = np.delete(np.arange(len(inputs)), list(failed))
             if len(kept):
                 data[start + kept] = self.net.forward_trace(inputs[kept]).output

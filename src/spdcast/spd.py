@@ -164,7 +164,7 @@ class SpdMatrix:
     @classmethod
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
         # Fast path for operations that already hold a valid decomposition
-        # (spectral maps, block assembly).  Caller guarantees orthonormal
+        # (spectral maps, Fréchet means).  Caller guarantees orthonormal
         # vectors and PSD-admissible values.
         values = np.asarray(values, dtype=float)
         vectors = np.asarray(vectors, dtype=float)
@@ -313,9 +313,7 @@ def log_euclidean_losses(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
 def procrustes_rotation(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """Orthogonal matrix R minimizing ``||l1 - l2 @ R||_F``.
 
-    Computed from the SVD of ``l2.T @ l1``; may include reflections.  Singular
-    vector signs are fixed (largest-magnitude entry of each left vector made
-    positive) so the factorization backing R is deterministic.  Either
+    Computed from the SVD of ``l2.T @ l1``; may include reflections.  Either
     argument may be a ``(k, n, n)`` stack (both stacks of one length), giving
     the ``k`` rotations in one SVD call; each equals the rotation of its
     slices alone.
@@ -337,9 +335,7 @@ def procrustes_rotation(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
         u, _, vt = np.linalg.svd(np.swapaxes(l2, -1, -2) @ l1)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed: {exc}") from exc
-    pivots = np.take_along_axis(u, np.argmax(np.abs(u), axis=-2)[..., None, :], axis=-2)
-    flip = np.where(pivots < 0, -1.0, 1.0)
-    return (u * flip) @ (vt * np.swapaxes(flip, -1, -2))
+    return u @ vt
 
 
 def dist_procrustes(a: SpdMatrix, b: SpdMatrix) -> float:

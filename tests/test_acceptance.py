@@ -79,7 +79,7 @@ def test_criterion_1_structural_shapes_and_task_count():
     series = CovSeries(dates, mats)
     lagged = build_lagged_inputs(series, k)
     geohar = build_geohar_inputs(series)
-    ok = lagged.inputs[0].dim == 3 * n and geohar.inputs[0].dim == 3 * n
+    ok = lagged.inputs.shape[1:] == (3 * n, 3 * n) and geohar.inputs.shape[1:] == (3 * n, 3 * n)
     ok = ok and lagged.targets[0].dim == n and geohar.targets[0].dim == n
 
     long_dates = np.datetime64("2000-01-03") + np.arange(3409)

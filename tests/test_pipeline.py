@@ -828,6 +828,9 @@ class TestCommands:
         ("date,A00,A01,A02\n2000-01-03,0.1,nan,0.2\n", 2, "non-finite value 'nan'"),
         ("date,A00,A01,A02\n2000-01-03,0.1,0,0\n2000-01-04,0,0,inf\n", 3,
          "non-finite value 'inf'"),
+        ("date,A00,A01,A02\n2000-01,0.1,0,0\n", 2, "bad date '2000-01'"),
+        ("date,A00,A01,A02\n2000-01-03,0.1,0,0\n20000104,0,0,0\n", 3, "bad date '20000104'"),
+        ("date,A00,A01,A02\n2000-01-03T10,0.1,0,0\n", 2, "bad date '2000-01-03T10'"),
     ]
 
     @pytest.mark.parametrize("text, line, reason", BAD_RETURNS)
@@ -1228,6 +1231,28 @@ class TestRosterValidation:
             baselines.favar_fit(series, factors, slice(0, need))
 
 
+class TestSeriesFileDates:
+    """A series file date that is not its ISO day, or not after the one before
+    it, is an error naming the file, not a traceback."""
+
+    def run_cli(self, command, config_path):
+        return main([command, "--config", str(config_path)])
+
+    @pytest.mark.parametrize("text, message", [
+        ("date,row,col,value\nabc,0,0,1.0\n", ":2: bad date 'abc'"),
+        ("date,row,col,value\n2001-01-02,0,0,1.0\n2001-01-01,0,0,1.0\n",
+         ": date 2001-01-01 is not after 2001-01-02"),
+    ])
+    def test_csvlong_series_dates(self, tmp_path, capsys, text, message):
+        series = tmp_path / "series.csv"
+        series.write_text(text)
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "source = simulate", f"source = csvlong\npath = {series}"))
+        assert self.run_cli("train-forecast", path) == 1
+        assert capsys.readouterr().err == f"spdcast: {series}{message}\n"
+
+
 class TestUtf8Inputs:
     """An input file that is not UTF-8 is a typed error naming it."""
 
@@ -1350,6 +1375,9 @@ class TestMarketVarianceFile:
         ("date,value\nNaT,0.5\n2000-01-03,0.1\n", 2, "bad date 'NaT'"),
         ("date,value\n2000-01-03,nan\n", 2, "non-finite value 'nan'"),
         ("date,value\n2000-01-03,1.0\n2000-01-04,-inf\n", 3, "non-finite value '-inf'"),
+        ("date,value\n2000-01,0.5\n", 2, "bad date '2000-01'"),
+        ("date,value\n2000-01-03,1.0\n20000104,0.5\n", 3, "bad date '20000104'"),
+        ("date,value\n2000-01-03T10,0.5\n", 2, "bad date '2000-01-03T10'"),
     ])
     def test_malformed_file_exits_1_naming_its_line(self, tmp_path, capsys, text, line, reason):
         path, _ = self.forecast(tmp_path)
