@@ -151,26 +151,28 @@ class CovSeries:
         return object.__new__(CovSeries)._set(self.dates[key], *arrays)
 
     def stack(self, kernel: Callable[["CovSeries"], tuple], rows=slice(None),
-              failed: dict | None = None) -> np.ndarray:
+              error: Callable[[int, Exception], Exception] | None = None) -> np.ndarray:
         """Rows ``rows`` (a slice or an index array) of ``kernel(self)``'s stack,
         built once per series and kept.
 
         ``kernel`` returns the stack and, keyed by row in ascending order,
         the :class:`SpdcastError` of each row it could not build.  The call
-        raises the first of those errors that ``rows`` holds: a failure is
-        attributed only to the windows that contain its matrix.  Given a
-        dict ``failed``, it records them there instead, keyed by index in ``rows``.
+        raises the first of those errors that ``rows`` holds (given ``error``,
+        ``error(t, exc)`` for row t, raised from ``exc``): a failure is
+        attributed only to the windows that contain its matrix.
         """
         if kernel not in self._stacks:
             self._stacks[kernel] = kernel(self)
         built, errors = self._stacks[kernel]
         wanted = np.arange(len(built))[rows]
-        for k in np.flatnonzero(np.isin(wanted, list(errors))):
-            if failed is None:
-                # Without the traceback of its last raise, which each raise
-                # would otherwise extend.
-                raise errors[wanted[k]].with_traceback(None)
-            failed[int(k)] = errors[wanted[k]]
+        failed = wanted[np.isin(wanted, list(errors))]
+        if len(failed):
+            t = int(failed[0])
+            # Without the traceback of its last raise, which each raise would otherwise extend.
+            exc = errors[t].with_traceback(None)
+            if error is None:
+                raise exc
+            raise error(t, exc) from exc
         return built[rows]
 
 
@@ -227,13 +229,13 @@ def log_returns(prices: np.ndarray) -> np.ndarray:
     return np.log(ratios, out=ratios)
 
 
-def _blockdiag_stack(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """The block diagonals of ``(B, n_k, n_k)`` stacks: row b holds each stack's row b,
-    copied in order down the diagonal, and zeros elsewhere."""
+def _blockdiag_stack(blocks: Sequence[np.ndarray], rows=slice(None)) -> np.ndarray:
+    """Row b: the b-th of rows ``rows`` (a slice or an index array) of each ``(T, n_k, n_k)`` stack,
+    gathered as it is placed, in order down the diagonal, and zeros elsewhere."""
     ends = np.cumsum([block.shape[-1] for block in blocks])
-    out = np.zeros((len(blocks[0]), ends[-1], ends[-1]))
+    out = np.zeros((len(np.arange(len(blocks[0]))[rows]), ends[-1], ends[-1]))
     for block, start, end in zip(blocks, np.r_[0, ends[:-1]], ends):
-        out[:, start:end, start:end] = block
+        out[:, start:end, start:end] = block[rows]
     return out
 
 
@@ -244,8 +246,8 @@ def blockdiag_spd(blocks: Sequence[SpdMatrix]) -> SpdMatrix:
 
 def _lagged_stack(series: CovSeries, positions: np.ndarray, lags: int) -> np.ndarray:
     """The lagged inputs at ``positions``: block diagonals of the ``lags`` matrices
-    before each position, the latest top-left."""
-    return _blockdiag_stack([series.data[positions - j] for j in range(1, lags + 1)])
+    before each position (at least ``lags``), the latest top-left."""
+    return _blockdiag_stack([series.data[lags - j :] for j in range(1, lags + 1)], positions - lags)
 
 
 def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
@@ -262,7 +264,7 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
 
 
 def _series_logs(series: CovSeries) -> tuple[np.ndarray, dict]:
-    """``logm(ensure_pd(m))`` of each matrix, the inputs of log-Euclidean means."""
+    """``logm(ensure_pd(m))`` of each matrix, the inputs of log-Euclidean means; none fails."""
     return logm_stack(ensure_pd_values(series.values), series.vectors)
 
 
@@ -282,8 +284,7 @@ class _HarMeans:
     True for the closed-form log-Euclidean mean).  The means of each window
     length come from one :func:`rolling_means` call on the series'
     logarithms or roots; a Procrustes mean that exhausts ``cfg.max_iters``
-    is used, and logged.  A position fails with the first failed logarithm
-    of its month.
+    is used, and logged.  No position fails.
     """
 
     cfg: FrechetConfig
@@ -292,12 +293,8 @@ class _HarMeans:
         count, n = max(len(series) - HAR_MONTH + 1, 0), series.dim
         means = np.zeros(count, [("mean", float, (2, n, n)), ("iters", int, 2),
                                  ("converged", bool, 2)])
-        failed = {}
         stack = series.stack(_series_roots if self.cfg.metric == METRIC_PROCRUSTES
-                             else _series_logs, failed=failed)
-        bad = np.array(list(failed), dtype=int)
-        if failed:  # finite stand-ins: every mean that reads a failed row fails below
-            stack = np.where(np.isin(np.arange(len(stack)), bad)[:, None, None], 0.0, stack)
+                             else _series_logs)
         for j, k in enumerate((HAR_WEEK, HAR_MONTH)):
             values, vectors, iters, converged = rolling_means(stack[HAR_MONTH - k :], k, self.cfg)
             means["mean"][:, j] = _recompose(values, vectors)
@@ -306,10 +303,7 @@ class _HarMeans:
             log.warning("Procrustes mean of the %d matrices before position %d did not "
                         "converge in %d iterations", (HAR_WEEK, HAR_MONTH)[j], HAR_MONTH + i,
                         means["iters"][i, j])
-        # The first failed row at or after each position's first month row i.
-        first = np.append(bad, len(series))[np.searchsorted(bad, np.arange(count))]
-        return means, {int(i): failed[int(first[i])]
-                       for i in np.flatnonzero(first < np.arange(count) + HAR_MONTH)}
+        return means, {}
 
 
 def procrustes_mean_counts(series: CovSeries, cfg: FrechetConfig) -> dict[str, int]:
@@ -321,15 +315,13 @@ def procrustes_mean_counts(series: CovSeries, cfg: FrechetConfig) -> dict[str, i
             "procrustes_unconverged": int((~means["converged"]).sum())}
 
 
-def _geohar_stack(series: CovSeries, positions: np.ndarray, cfg: FrechetConfig,
-                  failed: dict | None = None) -> np.ndarray:
+def _geohar_stack(series: CovSeries, positions: np.ndarray, cfg: FrechetConfig) -> np.ndarray:
     """The HAR inputs at ``positions``: block diagonals of the matrix before each
-    and of its means in :class:`_HarMeans`.  A position that failed there raises,
-    or, given a dict ``failed``, is recorded in it (see :meth:`CovSeries.stack`)."""
+    and of its means in :class:`_HarMeans`."""
     if len(positions) and positions.min() < HAR_MONTH:
         raise IndexError(f"positions must be at least {HAR_MONTH}, got {positions.min()}")
-    means = series.stack(_HarMeans(cfg), positions - HAR_MONTH, failed)["mean"]
-    return _blockdiag_stack([series.data[positions - 1], means[:, 0], means[:, 1]])
+    means = series.stack(_HarMeans(cfg))["mean"].swapaxes(0, 1)
+    return _blockdiag_stack([series.data[HAR_MONTH - 1 :], *means], positions - HAR_MONTH)
 
 
 def build_geohar_inputs(

@@ -44,13 +44,13 @@ def _logs(series: CovSeries) -> tuple[np.ndarray, dict]:
     return logm_stack(series.values, series.vectors)
 
 
-# Per metric of METRICS: the (B, n, n) stack a series is scored on, and the
-# spd kernel giving each pair of slices its spd.dist_<metric>, bit for bit.
+# Per metric of METRICS: the series kernel of the (B, n, n) stack a series is scored on
+# (None: its matrices), and the spd kernel giving each pair of slices its spd.dist_<metric>.
 _METRIC_KERNELS = {
-    "frobenius": (lambda series: series.data, frobenius_losses),
-    "euclidean": (lambda series: series.data, euclidean_losses),
-    "procrustes": (lambda series: series.stack(_series_roots), procrustes_losses),
-    "log_euclidean": (lambda series: series.stack(_logs), log_euclidean_losses),
+    "frobenius": (None, frobenius_losses),
+    "euclidean": (None, euclidean_losses),
+    "procrustes": (_series_roots, procrustes_losses),
+    "log_euclidean": (_logs, log_euclidean_losses),
 }
 
 # Below this, a bootstrap variance is treated as exactly degenerate.
@@ -96,18 +96,23 @@ def loss_panel(forecasts: Mapping[str, CovSeries], realized: CovSeries, metric: 
 
     Works on the series' stacks: the realized stack is built once and
     shared by every model.  Each loss equals
-    ``spd.dist_<metric>(forecasts[model][t], realized[t])`` bit for bit.
+    ``spd.dist_<metric>(forecasts[model][t], realized[t])`` bit for bit.  The error of a
+    matrix the metric cannot score names the metric, the series and the date.
     """
     if metric not in _METRIC_KERNELS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     for model, forecast in forecasts.items():
         if not np.array_equal(forecast.dates, realized.dates):
             raise ValueError(f"forecasts of {model!r} are misaligned with the realized dates")
-    stack, losses_of = _METRIC_KERNELS[metric]
-    real = stack(realized)
+    kernel, losses_of = _METRIC_KERNELS[metric]
+
+    def stack(name: str, series: CovSeries) -> np.ndarray:
+        return series.data if kernel is None else series.stack(kernel, error=lambda t, exc: (
+            type(exc)(f"{metric} loss of {name} on {series.dates[t]}: {exc}")))
+    real = stack("realized", realized)
     losses = np.zeros((len(realized), len(forecasts)))
-    for j, forecast in enumerate(forecasts.values()):
-        losses[:, j] = losses_of(stack(forecast), real)
+    for j, (model, forecast) in enumerate(forecasts.items()):
+        losses[:, j] = losses_of(stack(model, forecast), real)
     return LossPanel(list(forecasts), realized.dates, losses)
 
 

@@ -103,15 +103,9 @@ def _log_euclidean_means(logs: np.ndarray, cfg: FrechetConfig | None = None) -> 
 
 
 def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
-    """Closed-form log-Euclidean mean: ``expm(mean(logm(S_t)))``.
-
-    Rank-deficient elements are floor-projected as :func:`ensure_pd` does
-    first; the first whose floored spectrum still holds a zero raises.
-    """
+    """Closed-form log-Euclidean mean: ``expm(mean(logm(ensure_pd(S_t))))``."""
     values, vectors = _eig_stacks(sample)
-    logs, errors = logm_stack(ensure_pd_values(values), vectors)
-    if errors:
-        raise next(iter(errors.values()))
+    logs = logm_stack(ensure_pd_values(values), vectors)[0]
     values, vectors = _log_euclidean_means(logs[None])[:2]
     return SpdMatrix._from_eig(values[0], vectors[0])
 

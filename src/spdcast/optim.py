@@ -87,7 +87,6 @@ class BackwardResult:
     forward pass: each field has the traced stack's leading axis ``B``."""
 
     weight_grads: list[np.ndarray]
-    input_grad: np.ndarray
     gap_clamps: np.ndarray
     min_gap: np.ndarray
 
@@ -190,9 +189,9 @@ def backward(
 ) -> BackwardResult:
     """Pull a stack of loss gradients at the output back to per-sample weight gradients.
 
-    Bilinear layers contribute ``dW = 2 sym(g) W X`` and propagate
-    ``W^T sym(g) W``; expansion layers truncate to the original block;
-    rectification layers apply the spectral kernel with
+    Bilinear layers contribute ``dW = 2 sym(g) W X`` and, above layer 0,
+    propagate ``W^T sym(g) W``; expansion layers truncate to the original
+    block; rectification layers apply the spectral kernel with
     ``f = max(eps, .)`` and subgradient 0 at the clip boundary.
     """
     eps = net.spec.eps_rectify
@@ -200,21 +199,20 @@ def backward(
     grads: list[np.ndarray] = [np.empty(0)] * len(net.weights)
     clamps = np.zeros(g.shape[:-2], dtype=int)
     min_gap = np.full(g.shape[:-2], np.inf)
-    for i in reversed(range(len(net.weights))):
+    for i in reversed(range(1, len(net.weights))):
         w = net.weights[i].value
         grads[i] = 2.0 * g @ w @ trace.layer_inputs[i]
         g = w.T @ g @ w
         pre = trace.pre_dims[i]
         if pre < g.shape[-1]:
             g = _symmetrize(g[..., :pre, :pre])
-        if i > 0:
-            values, vectors = trace.rectify_eigs[i - 1]
-            fvalues = np.maximum(values, eps)
-            fprime = (values > eps).astype(float)
-            g, c, gap = _spectral_backward(g, values, vectors, fvalues, fprime, gap_floor)
-            clamps = clamps + c
-            min_gap = np.minimum(min_gap, gap)
-    return BackwardResult(grads, g, clamps, min_gap)
+        values, vectors = trace.rectify_eigs[i - 1]
+        g, c, gap = _spectral_backward(g, values, vectors, np.maximum(values, eps),
+                                       (values > eps).astype(float), gap_floor)
+        clamps = clamps + c
+        min_gap = np.minimum(min_gap, gap)
+    grads[0] = 2.0 * g @ net.weights[0].value @ trace.layer_inputs[0]
+    return BackwardResult(grads, clamps, min_gap)
 
 
 def _stacks(samples: CovSeries | Sequence[SpdMatrix]) -> tuple[np.ndarray, ...]:
@@ -231,9 +229,7 @@ def _prepare_targets(targets, loss: str) -> tuple[np.ndarray, int]:
         return data, 0
     floored_values = ensure_pd_values(values)
     floored = int(np.count_nonzero(floored_values[:, -1] > values[:, -1]))
-    logs, errors = logm_stack(floored_values, vectors)
-    if errors:
-        raise next(iter(errors.values()))
+    logs = logm_stack(floored_values, vectors)[0]
     if floored:
         warnings.warn(
             f"{floored} training targets were rank deficient and floor-projected",

@@ -298,19 +298,13 @@ class _NetForecaster(_Forecaster):
                 "floored_targets": sum(f.floored_target_count for f in fits)}
 
     def predict_many(self, series: CovSeries, positions: Sequence[int]):
-        """Build the inputs and forward those that did not fail, as stacks of up
-        to ``_PREDICT_CHUNK`` dates."""
-        data = np.full((len(positions), series.dim, series.dim), np.nan)
-        errors = {}
+        """Build the inputs and forward them as stacks of up to ``_PREDICT_CHUNK`` dates."""
+        data = np.empty((len(positions), series.dim, series.dim))
         for start in range(0, len(positions), _PREDICT_CHUNK):
-            failed = {}
             chunk = np.asarray(positions[start : start + _PREDICT_CHUNK])
-            inputs = self._inputs(series, chunk, failed)
-            kept = np.delete(np.arange(len(inputs)), list(failed))
-            if len(kept):
-                data[start + kept] = self.net.forward_trace(inputs[kept]).output
-            errors.update((start + k, exc) for k, exc in failed.items())
-        return data, errors
+            data[start : start + len(chunk)] = self.net.forward_trace(
+                self._inputs(series, chunk)).output
+        return data, {}
 
 
 class _RespdnetForecaster(_NetForecaster):
@@ -321,8 +315,8 @@ class _RespdnetForecaster(_NetForecaster):
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_lagged_inputs(series[train_slice], self.lags)
 
-    def _inputs(self, series: CovSeries, positions: np.ndarray, failed: dict):
-        return _lagged_stack(series, positions, self.lags)  # cannot fail
+    def _inputs(self, series: CovSeries, positions: np.ndarray):
+        return _lagged_stack(series, positions, self.lags)
 
 
 class _GeoharForecaster(_NetForecaster):
@@ -335,8 +329,8 @@ class _GeoharForecaster(_NetForecaster):
     def _build_supervised(self, series: CovSeries, train_slice: slice):
         return build_geohar_inputs(series, self.frechet_cfg, train=train_slice)
 
-    def _inputs(self, series: CovSeries, positions: np.ndarray, failed: dict):
-        return _geohar_stack(series, positions, self.frechet_cfg, failed)
+    def _inputs(self, series: CovSeries, positions: np.ndarray):
+        return _geohar_stack(series, positions, self.frechet_cfg)
 
     def record(self, series: CovSeries) -> dict[str, int]:
         record = super().record(series)

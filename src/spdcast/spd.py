@@ -54,7 +54,7 @@ __all__ = [
 PSD_RTOL = 1e-10
 _PSD_ATOL = sys.float_info.min
 # Relative floor of the SPD repairs: eigenvalues below SPD_FLOOR * lambda_max
-# are raised to it (see ensure_pd).
+# are raised to it, but never to less than _PSD_ATOL (see ensure_pd).
 SPD_FLOOR = 1e-8
 # Eigenvalues at or below n * _EPS times the largest are taken as zero, as
 # numpy.linalg.matrix_rank takes them.
@@ -360,9 +360,7 @@ def project_to_spd(a: SpdMatrix | np.ndarray, floor: float) -> SpdMatrix:
 
     Accepts any symmetric matrix (arrays are symmetrized first).  Idempotent
     for matrices already at or above the floor, and the cached decomposition
-    of the result has ``lambda_min >= floor`` exactly.  A zero floor, which
-    the relative floor of :func:`ensure_pd` underflows to when ``lambda_max``
-    is below about 2e-300, gives the nearest PSD matrix.
+    of the result has ``lambda_min >= floor`` exactly.
     """
     if not (floor >= 0.0):
         raise ValueError(f"floor must be nonnegative, got {floor}")
@@ -381,8 +379,8 @@ def project_to_spd(a: SpdMatrix | np.ndarray, floor: float) -> SpdMatrix:
 def ensure_pd(s: SpdMatrix) -> SpdMatrix:
     """``s`` itself if ``lambda_min >= SPD_FLOOR * lambda_max``, else its projection there.
 
-    The floor is relative (``SPD_FLOOR`` alone when ``lambda_max <= 0``), so
-    the repair is scale-invariant.  Callers tell a repair by ``result is not s``.
+    The floor is relative (``SPD_FLOOR`` alone when ``lambda_max <= 0``) but at least the
+    smallest normal double, so ``logm`` of the result cannot fail.  A repair is ``result is not s``.
     """
     values = ensure_pd_values(s.eig.values[None])[0]
     if values[-1] > s.eig.values[-1]:
@@ -393,7 +391,7 @@ def ensure_pd(s: SpdMatrix) -> SpdMatrix:
 def ensure_pd_values(values: np.ndarray) -> np.ndarray:
     """The eigenvalues of :func:`ensure_pd` of each decomposition of a stack."""
     lmax = values[:, :1]
-    return np.maximum(values, SPD_FLOOR * np.where(lmax > 0.0, lmax, 1.0))
+    return np.maximum(values, np.maximum(SPD_FLOOR * np.where(lmax > 0.0, lmax, 1.0), _PSD_ATOL))
 
 
 def ensure_pd_stack(data: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> np.ndarray:

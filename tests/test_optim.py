@@ -149,22 +149,6 @@ class TestGradients:
             rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
             assert rel <= 1e-5
 
-    def test_input_gradient(self, rng):
-        # directional finite difference along a symmetric direction
-        spec = NetworkSpec(4, (3, 3), eps_rectify=1e-4)
-        net = Network.init_random(spec, 2)
-        x = spread_input(rng, 4)
-        target = random_spd(rng, 3)
-        result = analytic_weight_grads(net, x, target, LOSS_MSE)
-        direction = rng.standard_normal((4, 4))
-        direction = 0.5 * (direction + direction.T)
-        h = 1e-6
-        up = network_loss(net, SpdMatrix(x.data + h * direction), target, LOSS_MSE)
-        down = network_loss(net, SpdMatrix(x.data - h * direction), target, LOSS_MSE)
-        fd = (up - down) / (2.0 * h)
-        analytic = float(np.sum(result.input_grad * direction))
-        assert np.isclose(analytic, fd, rtol=1e-4, atol=1e-9)
-
     def test_gap_clamp_diagnostics_fire_on_degenerate_padding(self, rng):
         # expanding by two repeats the padded unit eigenvalue exactly
         spec = NetworkSpec(2, (4, 2), eps_rectify=1e-4)

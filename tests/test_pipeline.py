@@ -17,6 +17,7 @@ from spdcast import (
     METRIC_PROCRUSTES,
     ConfigError,
     CovSeries,
+    DecompositionError,
     FrechetConfig,
     SeriesFormatError,
     SpdcastError,
@@ -30,7 +31,7 @@ from spdcast import (
     save_series,
     simulate_market,
 )
-from spdcast import baselines, data, pipeline, spd
+from spdcast import baselines, data, pipeline
 from spdcast.cli import main
 from spdcast.data import HAR_MONTH
 from spdcast.frechet import rolling_means
@@ -291,26 +292,14 @@ class TestRunModel:
 
 
 class TestStackFailures:
-    """A matrix whose logarithm or Cholesky factor fails fails only the fits
-    and predictions whose windows hold it; every other window keeps its
-    forecast."""
-
-    # Its relative floor underflows to 0, so logm(ensure_pd(m)) and
-    # chol_vectorize(m) both raise.
-    BAD_DAY = np.diag([1e-320, 0.0, 0.0])
+    """A matrix whose Cholesky factor fails fails only the FAVAR fits whose
+    windows hold it; every other window keeps its forecast.  A floored
+    logarithm cannot fail, so a GeoHAR model forecasts every date."""
 
     @staticmethod
     def run(spec, cfg, series):
         # A fresh series, so that no stack built by an earlier run is reused.
         return run_model(spec, cfg, CovSeries(series.dates, series.data))
-
-    def with_bad_day(self, series, day, oracle):
-        data = series.data.copy()
-        data[day] = self.BAD_DAY
-        bad = CovSeries(series.dates, data)
-        with pytest.raises(SpdcastError) as err:
-            oracle(bad[day])
-        return bad, str(err.value)
 
     @staticmethod
     def check(result, clean, series, failing, reason):
@@ -327,33 +316,46 @@ class TestStackFailures:
         series, _ = simulate_market(3, 70, 0.8, 7, 5)
         return cfg, series
 
-    def test_favar(self, tmp_path):
+    def test_favar(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
         spec = ModelSpec("favar", "favar", {"factors": 2})
         clean = self.run(spec, cfg, series)
         clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
-        bad, reason = self.with_bad_day(series, 50, baselines.chol_vectorize)
+        reason = "Cholesky failed: Matrix is not positive definite"
+        original = baselines._series_chols
+
+        def failing_day_50(s):  # as the kernel reports a matrix with no factor
+            vectors, errors = original(s)
+            vectors[50] = np.nan
+            return vectors, {**errors, 50: DecompositionError(reason)}
+
+        monkeypatch.setattr(baselines, "_series_chols", failing_day_50)
         # FAVAR refits on every window [t - 40, t); it holds day 50 for t = 51..69.
-        self.check(self.run(spec, cfg, bad), clean, series, range(51, 70), f"fit: {reason}")
+        self.check(self.run(spec, cfg, series), clean, series, range(51, 70), f"fit: {reason}")
 
-    @pytest.mark.parametrize("metric, kernel", [("log_euclidean", "logm")])
-    def test_geohar(self, tmp_path, metric, kernel):
-        cfg, series = self.config_and_series(tmp_path)
-        spec = ModelSpec("geohar", "geohar", {"metric": metric, "loss": "log_euclidean"})
-        clean = self.run(spec, cfg, series)
-        clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
-
-        def oracle(m):  # the per-matrix input of a log-Euclidean mean
-            return getattr(spd, kernel)(spd.ensure_pd(m))
-
-        # Day 50 lies after the first fit's window [0, 40); the 22-day means
-        # of the predictions for t = 51..69 hold it.
-        bad, reason = self.with_bad_day(series, 50, oracle)
-        self.check(self.run(spec, cfg, bad), clean, series, range(51, 70), reason)
-        # Day 10 is an input of the fits on [t - 40, t) for t = 40..50, which
-        # fail until the window passes it; no prediction's means hold it.
-        bad, reason = self.with_bad_day(series, 10, oracle)
-        self.check(self.run(spec, cfg, bad), None, series, range(40, 51), f"fit: {reason}")
+    def test_geohar_forecasts_every_date_around_underflowing_days(self, tmp_path):
+        cfg = load_config(write_config(tmp_path))
+        series = simulate_market(3, 110, 0.8, 7, 5)[0]
+        spec = ModelSpec("geohar", "geohar_le_le",
+                         {"metric": "log_euclidean", "loss": "log_euclidean"})
+        clean = run_model(spec, cfg, series)
+        assert len(clean.dates) == 70 and clean.failures == []
+        # Days whose relative floor SPD_FLOOR * 1e-320 underflows to 0: one within
+        # 22 days of each end of the forecast span 40..109, and two in one month.
+        days = [42, 70, 80, 100]
+        matrices = series.data.copy()
+        matrices[days] = np.diag([1e-320, 0.0, 0.0])
+        result = run_model(spec, cfg, CovSeries(series.dates, matrices))
+        # Every forecast passed the stacked finite PSD check of run_model.
+        assert result.failures == [] and np.array_equal(result.dates, clean.dates)
+        assert np.isfinite(result.predictions.data).all()
+        # One fit on [0, 40), which holds no bad day: a date whose month (the
+        # HAR_MONTH days before it) holds none keeps the clean forecast's bytes.
+        kept = [k for k, t in enumerate(range(40, 110))
+                if not any(t - HAR_MONTH <= d < t for d in days)]
+        assert len(kept) == 9
+        for k in kept:
+            assert result.predictions.data[k].tobytes() == clean.predictions.data[k].tobytes()
 
     def test_geohar_roots_each_matrix_once(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
@@ -371,7 +373,7 @@ class TestStackFailures:
 
 class TestStackedPrediction:
     """A network predicts the dates one fit serves as one stack; a date
-    whose input or output fails still fails alone."""
+    whose output fails still fails alone."""
 
     SPEC = ModelSpec("respdnet", "respdnet2_le", {"lags": 2, "loss": "log_euclidean"})
 
@@ -391,47 +393,6 @@ class TestStackedPrediction:
 
         monkeypatch.setattr(pipeline.Network, "forward_trace", recording)
         return sizes
-
-    def test_input_failure_fails_only_its_date(self, tmp_path, monkeypatch):
-        cfg = load_config(write_config(tmp_path))
-        series = simulate_market(3, 110, 0.8, 7, 5)[0]
-        spec = ModelSpec("geohar", "geohar_le_le",
-                         {"metric": "log_euclidean", "loss": "log_euclidean"})
-        clean = run_model(spec, cfg, series)
-        assert len(clean.dates) == 70 and clean.failures == []
-        # Days whose floored spectrum holds a zero, so no logarithm: one within
-        # 22 days of each end of the forecast span 40..109, and two in one month.
-        days = [42, 70, 80, 100]
-
-        def month_days(t):  # the bad days among the HAR_MONTH days before position t
-            return [d for d in days if t - HAR_MONTH <= d < t]
-
-        matrices = series.data.copy()
-        matrices[days] = np.diag([1e-320, 0.0, 0.0])
-        bad = CovSeries(series.dates, matrices)
-        with pytest.raises(SpdcastError) as alone:
-            spd.logm(spd.ensure_pd(bad[42]))
-        sizes = self.record_batches(monkeypatch)
-        result = run_model(spec, cfg, bad)
-        # A test date fails when its month holds a bad day; the fit's months do not.
-        failing = [t for t in range(40, 110) if month_days(t)]
-        assert result.failures == [(str(series.dates[t]), str(alone.value)) for t in failing]
-        kept = [k for k, t in enumerate(range(40, 110)) if t not in failing]
-        assert len(kept) == 9
-        assert sizes[-1] == 9 and sizes.count(9) == 1  # one stack for the other dates
-        assert list(result.dates) == [clean.dates[k] for k in kept]
-        for k, pred in zip(kept, result.predictions):
-            assert np.array_equal(pred.data, clean.predictions[k].data)
-        # Each position of the means, through the first unobserved day 110, fails
-        # with the error of the first bad day of its month.
-        day_errors, position_errors = {}, {}
-        bad.stack(data._series_logs, failed=day_errors)
-        bad.stack(data._HarMeans(FrechetConfig()), failed=position_errors)
-        assert list(day_errors) == days
-        expected = {t - HAR_MONTH: day_errors[month_days(t)[0]]
-                    for t in range(HAR_MONTH, len(bad) + 1) if month_days(t)}
-        assert list(position_errors) == list(expected)
-        assert all(position_errors[i] is expected[i] for i in expected)
 
     @pytest.mark.parametrize("spec", [
         SPEC,
@@ -776,6 +737,25 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err == (f"spdcast: {tmp_path / 'series.matbin'}: date {series.dates[7]}: "
                        "matrix entries must be finite\n")
+
+    def test_matrix_without_a_logarithm_exits_1_naming_metric_series_and_date(
+            self, tmp_path, capsys):
+        matrices = simulate_market(3, 60, 0.8, 7, 1)[0].data.copy()
+        matrices[50, 2, :] = matrices[50, :, 2] = 0.0  # singular, on 2001-02-20
+        dates = np.datetime64("2001-01-01") + np.arange(60)
+        save_series(CovSeries(dates, matrices), tmp_path / "series.matbin")
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(
+            "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}").replace(
+            "rw, favar:factors=2", "rw, respdnet:lags=1").replace(
+            "metrics = frobenius", "metrics = frobenius, log_euclidean"))
+        assert self.run_cli("train-forecast", path) == 0
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spdcast: log_euclidean loss of realized on 2001-02-20: matrix "
+                              "logarithm requires strictly positive eigenvalues (smallest is ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unwritable_out_exits_1_naming_the_file(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

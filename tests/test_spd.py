@@ -6,6 +6,7 @@ from the construction.
 """
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from spdcast import (
 )
 from spdcast.baselines import _series_chols, chol_vectorize
 from spdcast.data import CovSeries, _series_logs, _series_roots
-from spdcast.spd import SPD_FLOOR, _row_norms, ensure_pd, validate_stack
+from spdcast.spd import (SPD_FLOOR, _row_norms, ensure_pd, ensure_pd_values, logm_stack,
+                         validate_stack)
 
 
 class TestSpdMatrix:
@@ -89,6 +91,8 @@ def _stack_case(seed: int, count: int, n: int, kind: str) -> np.ndarray:
             spectrum[rng.integers(0, n, size=max(1, n // 2))] = 0.0
         elif kind == "subnormal":
             spectrum *= 1e-320
+        elif kind == "floor_threshold":  # SPD_FLOOR * lambda_max around the smallest normal
+            spectrum *= 1e-300
         a = q @ np.diag(spectrum) @ q.T
         if kind == "asymmetric":
             a += 1e-12 * rng.standard_normal((n, n))
@@ -162,28 +166,33 @@ def _per_matrix(fn, m):
         return None
 
 
+# Spectrum kinds of the series kernels' and the floor's properties.
+SERIES_KINDS = st.lists(st.sampled_from(["full_rank", "rank_deficient", "subnormal", "zero",
+                                         "underflowing_floor"]), min_size=1, max_size=3)
+
+
+def _mixed_stack(seed: int, count: int, n: int, kinds: list[str]) -> np.ndarray:
+    """The matrices of each kind (one for ``zero`` and ``underflowing_floor``), shuffled."""
+    rng = np.random.default_rng(seed)
+    parts = [_stack_case(int(rng.integers(2**32)), count, n, kind) for kind in kinds
+             if kind not in ("zero", "underflowing_floor")]
+    if "zero" in kinds:
+        parts.append(np.zeros((1, n, n)))
+    if "underflowing_floor" in kinds:  # lambda_max * SPD_FLOOR underflows to 0
+        parts.append(np.diag([1e-320] + [0.0] * (n - 1))[None])
+    data = np.concatenate(parts)
+    return data[rng.permutation(len(data))]
+
+
 class TestSeriesKernels:
     """The batched log, root and Cholesky stacks of a series are the
     per-matrix functions, bit for bit, and fail on the same matrices."""
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        count=st.integers(1, 10),
-        n=st.integers(1, 6),
-        kinds=st.lists(st.sampled_from(["full_rank", "rank_deficient", "subnormal",
-                                        "zero", "underflowing_floor"]), min_size=1, max_size=3),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 10), n=st.integers(1, 6),
+           kinds=SERIES_KINDS)
     def test_equal_the_per_matrix_functions(self, seed, count, n, kinds):
-        rng = np.random.default_rng(seed)
-        parts = [_stack_case(int(rng.integers(2**32)), count, n, kind) for kind in kinds
-                 if kind in ("full_rank", "rank_deficient", "subnormal")]
-        if "zero" in kinds:
-            parts.append(np.zeros((1, n, n)))
-        if "underflowing_floor" in kinds:  # lambda_max * SPD_FLOOR underflows to 0
-            parts.append(np.diag([1e-320] + [0.0] * (n - 1))[None])
-        data = np.concatenate(parts)
-        data = data[rng.permutation(len(data))]
+        data = _mixed_stack(seed, count, n, kinds)
         try:
             series = CovSeries(np.datetime64("2001-01-01") + np.arange(len(data)), data)
         except NotPositiveDefiniteError:  # round-off below the PSD tolerance
@@ -458,9 +467,10 @@ class TestEnsurePd:
 
     @staticmethod
     def inline_rule(s):
-        # The floor as each caller wrote it before it had one owner.
+        # The floor as each caller wrote it before it had one owner, raised to
+        # the smallest normal double where SPD_FLOOR * lambda_max is below it.
         lmax = float(s.eig.values[0])
-        floor = 1e-8 * (lmax if lmax > 0.0 else 1.0)
+        floor = max(1e-8 * (lmax if lmax > 0.0 else 1.0), sys.float_info.min)
         if s.eig.values[-1] < floor:
             return project_to_spd(s, floor)
         return s
@@ -481,7 +491,7 @@ class TestEnsurePd:
     def test_floor_properties(self, relative, scale, seed):
         s = spd_from_spectrum(np.random.default_rng(seed), scale * np.asarray(relative))
         lmax = float(s.eig.values[0])
-        floor = SPD_FLOOR * (lmax if lmax > 0.0 else 1.0)
+        floor = max(SPD_FLOOR * (lmax if lmax > 0.0 else 1.0), sys.float_info.min)
         fixed = ensure_pd(s)
         assert (fixed is s) == (s.eig.values[-1] >= floor)
         assert fixed.eig.values[-1] >= floor
@@ -492,17 +502,36 @@ class TestEnsurePd:
         assert np.array_equal(old.eig.values, fixed.eig.values)
         assert np.array_equal(old.eig.vectors, fixed.eig.vectors)
 
-    def test_an_underflowing_floor_fails_only_its_log_and_cholesky_rows(self):
+    def test_an_underflowing_floor_is_the_smallest_normal_double(self):
+        # SPD_FLOOR * 1e-320 underflows to 0; the floor is sys.float_info.min instead.
         data = np.stack([np.eye(3), np.diag([1e-320, 0.0, 0.0]), np.zeros((3, 3))])
         series = CovSeries(np.datetime64("2001-01-01") + np.arange(3), data)
+        floored = ensure_pd_values(series.values)
+        assert floored[1].tolist() == [sys.float_info.min] * 3
+        assert floored[2].tolist() == [SPD_FLOOR] * 3
         logs, log_errors = _series_logs(series)
         chols, chol_errors = _series_chols(series)
-        assert list(log_errors) == list(chol_errors) == [1]
-        assert str(log_errors[1]) == ("matrix logarithm requires strictly positive "
-                                      "eigenvalues (smallest is 0.000000e+00)")
-        assert str(chol_errors[1]) == "Cholesky failed: Matrix is not positive definite"
-        assert not np.isnan(logs[[0, 2]]).any() and not np.isnan(chols[[0, 2]]).any()
-        assert not _series_roots(series)[1]
+        assert not log_errors and not chol_errors and not _series_roots(series)[1]
+        assert np.isfinite(logs).all() and np.isfinite(chols).all()
+        assert np.allclose(logs[1], np.log(sys.float_info.min) * np.eye(3), rtol=1e-15, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 10), n=st.integers(1, 6),
+           kinds=SERIES_KINDS, threshold=st.booleans())
+    def test_floor_is_relative_and_never_below_the_smallest_normal(self, seed, count, n, kinds,
+                                                                   threshold):
+        data = _mixed_stack(seed, count, n, kinds + ["floor_threshold"] * threshold)
+        values, vectors = np.linalg.eigh(0.5 * (data + np.swapaxes(data, 1, 2)))
+        values, vectors = values[:, ::-1].copy(), vectors[:, :, ::-1].copy()
+        lmax = values[:, :1]
+        relative = SPD_FLOOR * np.where(lmax > 0.0, lmax, 1.0)
+        floored = ensure_pd_values(values)
+        assert (floored >= sys.float_info.min).all()
+        normal = relative[:, 0] >= sys.float_info.min
+        assert floored[normal].tobytes() == np.maximum(values, relative)[normal].tobytes()
+        assert (floored[~normal] == np.maximum(values, sys.float_info.min)[~normal]).all()
+        logs, errors = logm_stack(floored, vectors)
+        assert errors == {} and np.isfinite(logs).all()
 
 
 @pytest.mark.parametrize("k", [1, 3, 6, 21, 64, 300, 2500])
