@@ -45,22 +45,15 @@ def chol_vectorize(s: SpdMatrix) -> np.ndarray:
     return factor[np.tril_indices(s.dim)]
 
 
-def _series_chols(series: CovSeries) -> tuple[np.ndarray, dict[int, DecompositionError]]:
-    """:func:`chol_vectorize` of each matrix of a series, bit for bit, from one batched
-    Cholesky; if some matrix has no factor, the rows are factored one at a time to find it."""
-    repaired = ensure_pd_stack(series.data, series.values, series.vectors)
-    factors, errors = np.full_like(repaired, np.nan), {}
+def _series_chols(series: CovSeries) -> np.ndarray:
+    """:func:`chol_vectorize` of each matrix of a series, bit for bit, from one batched Cholesky."""
     try:
-        factors = np.linalg.cholesky(repaired)
-    except np.linalg.LinAlgError:
-        for i, m in enumerate(repaired):
-            try:
-                factors[i] = np.linalg.cholesky(m)
-            except np.linalg.LinAlgError as exc:
-                errors[i] = DecompositionError(f"Cholesky failed: {exc}")
+        factors = np.linalg.cholesky(ensure_pd_stack(series.data, series.values, series.vectors))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"Cholesky failed: {exc}") from exc
     rows, cols = np.tril_indices(series.dim)
     # C order, as the per-matrix vectors stacked: favar_fit's means sum in it.
-    return np.ascontiguousarray(factors[:, rows, cols]), errors
+    return np.ascontiguousarray(factors[:, rows, cols])
 
 
 def _tri_side(p: int) -> int:
@@ -138,7 +131,7 @@ def favar_fit(
         raise ValueError(
             f"training length {t_train} must exceed n_factors + 1 = {n_factors + 1}"
         )
-    vectors = series.stack(_series_chols, train)
+    vectors = series.stack(_series_chols)[train]
     mean_vector = vectors.mean(axis=0)
     centered = vectors - mean_vector
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -170,7 +163,7 @@ def favar_forecast(model: FavarModel, series: CovSeries, t: int) -> SpdMatrix:
     """
     if not (1 <= t <= len(series)):
         raise IndexError(f"t must be in [1, {len(series)}], got {t}")
-    current = series.stack(_series_chols, slice(t - 1, t))[0]
+    current = series.stack(_series_chols)[t - 1]
     if current.shape != model.mean_vector.shape:
         raise DimensionMismatchError("series dimension does not match the fitted model")
     score = model.loadings.T @ (current - model.mean_vector)

@@ -150,30 +150,11 @@ class CovSeries:
             return SpdMatrix._view(*arrays)
         return object.__new__(CovSeries)._set(self.dates[key], *arrays)
 
-    def stack(self, kernel: Callable[["CovSeries"], tuple], rows=slice(None),
-              error: Callable[[int, Exception], Exception] | None = None) -> np.ndarray:
-        """Rows ``rows`` (a slice or an index array) of ``kernel(self)``'s stack,
-        built once per series and kept.
-
-        ``kernel`` returns the stack and, keyed by row in ascending order,
-        the :class:`SpdcastError` of each row it could not build.  The call
-        raises the first of those errors that ``rows`` holds (given ``error``,
-        ``error(t, exc)`` for row t, raised from ``exc``): a failure is
-        attributed only to the windows that contain its matrix.
-        """
+    def stack(self, kernel: Callable[["CovSeries"], np.ndarray]) -> np.ndarray:
+        """``kernel(self)``, built once per series and kept."""
         if kernel not in self._stacks:
             self._stacks[kernel] = kernel(self)
-        built, errors = self._stacks[kernel]
-        wanted = np.arange(len(built))[rows]
-        failed = wanted[np.isin(wanted, list(errors))]
-        if len(failed):
-            t = int(failed[0])
-            # Without the traceback of its last raise, which each raise would otherwise extend.
-            exc = errors[t].with_traceback(None)
-            if error is None:
-                raise exc
-            raise error(t, exc) from exc
-        return built[rows]
+        return self._stacks[kernel]
 
 
 @dataclass
@@ -263,14 +244,14 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
     return SupervisedSet(_lagged_stack(series, np.arange(lags, len(series)), lags), series[lags:])
 
 
-def _series_logs(series: CovSeries) -> tuple[np.ndarray, dict]:
-    """``logm(ensure_pd(m))`` of each matrix, the inputs of log-Euclidean means; none fails."""
+def _series_logs(series: CovSeries) -> np.ndarray:
+    """``logm(ensure_pd(m))`` of each matrix, the inputs of log-Euclidean means."""
     return logm_stack(ensure_pd_values(series.values), series.vectors)
 
 
-def _series_roots(series: CovSeries) -> tuple[np.ndarray, dict]:
-    """``sqrtm_psd(m)`` of each matrix, the inputs of Procrustes means; none fails."""
-    return sqrtm_stack(series.values, series.vectors), {}
+def _series_roots(series: CovSeries) -> np.ndarray:
+    """``sqrtm_psd(m)`` of each matrix, the inputs of Procrustes means."""
+    return sqrtm_stack(series.values, series.vectors)
 
 
 @dataclass(frozen=True)
@@ -289,7 +270,7 @@ class _HarMeans:
 
     cfg: FrechetConfig
 
-    def __call__(self, series: CovSeries) -> tuple[np.ndarray, dict]:
+    def __call__(self, series: CovSeries) -> np.ndarray:
         count, n = max(len(series) - HAR_MONTH + 1, 0), series.dim
         means = np.zeros(count, [("mean", float, (2, n, n)), ("iters", int, 2),
                                  ("converged", bool, 2)])
@@ -303,7 +284,7 @@ class _HarMeans:
             log.warning("Procrustes mean of the %d matrices before position %d did not "
                         "converge in %d iterations", (HAR_WEEK, HAR_MONTH)[j], HAR_MONTH + i,
                         means["iters"][i, j])
-        return means, {}
+        return means
 
 
 def procrustes_mean_counts(series: CovSeries, cfg: FrechetConfig) -> dict[str, int]:

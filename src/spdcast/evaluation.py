@@ -20,8 +20,9 @@ import numpy as np
 
 from .config import METRICS
 from .data import CovSeries, _series_roots
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, NotPositiveDefiniteError
 from .spd import (
+    _log_domain_error,
     euclidean_losses,
     frobenius_losses,
     log_euclidean_losses,
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 
-def _logs(series: CovSeries) -> tuple[np.ndarray, dict]:
+def _logs(series: CovSeries) -> np.ndarray:
     return logm_stack(series.values, series.vectors)
 
 
@@ -107,8 +108,13 @@ def loss_panel(forecasts: Mapping[str, CovSeries], realized: CovSeries, metric: 
     kernel, losses_of = _METRIC_KERNELS[metric]
 
     def stack(name: str, series: CovSeries) -> np.ndarray:
-        return series.data if kernel is None else series.stack(kernel, error=lambda t, exc: (
-            type(exc)(f"{metric} loss of {name} on {series.dates[t]}: {exc}")))
+        built = series.data if kernel is None else series.stack(kernel)
+        failed = np.flatnonzero(np.isnan(built).any(axis=(1, 2)))  # logarithms of singular days
+        if len(failed):
+            t = failed[0]
+            raise NotPositiveDefiniteError(f"{metric} loss of {name} on {series.dates[t]}: "
+                                           f"{_log_domain_error(series.values[t, -1])}")
+        return built
     real = stack("realized", realized)
     losses = np.zeros((len(realized), len(forecasts)))
     for j, (model, forecast) in enumerate(forecasts.items()):

@@ -105,7 +105,7 @@ def _log_euclidean_means(logs: np.ndarray, cfg: FrechetConfig | None = None) -> 
 def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
     """Closed-form log-Euclidean mean: ``expm(mean(logm(ensure_pd(S_t))))``."""
     values, vectors = _eig_stacks(sample)
-    logs = logm_stack(ensure_pd_values(values), vectors)[0]
+    logs = logm_stack(ensure_pd_values(values), vectors)
     values, vectors = _log_euclidean_means(logs[None])[:2]
     return SpdMatrix._from_eig(values[0], vectors[0])
 

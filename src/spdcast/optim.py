@@ -11,6 +11,7 @@ there.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 _LOSSES = (LOSS_MSE, LOSS_LOG_EUCLIDEAN)
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -229,14 +232,9 @@ def _prepare_targets(targets, loss: str) -> tuple[np.ndarray, int]:
         return data, 0
     floored_values = ensure_pd_values(values)
     floored = int(np.count_nonzero(floored_values[:, -1] > values[:, -1]))
-    logs = logm_stack(floored_values, vectors)[0]
     if floored:
-        warnings.warn(
-            f"{floored} training targets were rank deficient and floor-projected",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return logs, floored
+        log.warning("%d training targets were rank deficient and floor-projected", floored)
+    return logm_stack(floored_values, vectors), floored
 
 
 def train(

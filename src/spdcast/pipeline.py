@@ -35,7 +35,8 @@ from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _day, _g
                    load_series, procrustes_mean_counts, realized_series, rolling_windows,
                    save_series, simulate_market)
 from .evaluation import LossPanel, McsResult, default_block_len, loss_panel, mcs, regime_split
-from .exceptions import ConfigError, DataFileError, SeriesFormatError, SpdcastError
+from .exceptions import (ConfigError, DataFileError, NotPositiveDefiniteError, SeriesFormatError,
+                         SpdcastError)
 from .frechet import FrechetConfig
 from .network import Network, NetworkSpec
 from .optim import TrainConfig, TrainResult, train
@@ -205,8 +206,7 @@ class _Forecaster:
     windows up to the model's next scheduled refit, every ``refit_every``
     windows (None: the run's ``[forecast] refit_every``; 0: never).
     ``predict_many(series, positions)`` returns the ``(len(positions), n, n)``
-    forecasts of the current fit, and the error of each that failed (its row
-    is NaN), keyed by index.  ``fits`` holds the ``(fit_index, TrainResult)``
+    forecasts of the current fit.  ``fits`` holds the ``(fit_index, TrainResult)``
     of each trained fit, and ``record(series)`` is the model's manifest
     ``training`` record.
     """
@@ -230,7 +230,7 @@ class _RwForecaster(_Forecaster):
     min_history = 1
 
     def predict_many(self, series: CovSeries, positions: Sequence[int]):
-        return series.data[np.asarray(positions) - 1], {}
+        return series.data[np.asarray(positions) - 1]
 
 
 class _FavarForecaster(_Forecaster):
@@ -248,10 +248,7 @@ class _FavarForecaster(_Forecaster):
 
     def predict_many(self, series: CovSeries, positions: Sequence[int]):
         (t,) = positions  # FAVAR refits on every window
-        try:
-            return favar_forecast(self.model, series, t).data[None], {}
-        except SpdcastError as exc:
-            return np.full((1, series.dim, series.dim), np.nan), {0: exc}
+        return favar_forecast(self.model, series, t).data[None]
 
 
 # Test dates per stacked forward pass: bounds the trace's memory on long panels.
@@ -304,7 +301,7 @@ class _NetForecaster(_Forecaster):
             chunk = np.asarray(positions[start : start + _PREDICT_CHUNK])
             data[start : start + len(chunk)] = self.net.forward_trace(
                 self._inputs(series, chunk)).output
-        return data, {}
+        return data
 
 
 class _RespdnetForecaster(_NetForecaster):
@@ -369,8 +366,8 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     never, unless the model sets its own ``refit_every``), and those dates
     are predicted together, so a network forwards them as stacks.  A failed
     fit fails its own window and is retried on the next.  A date whose
-    prediction fails, or whose forecast the one stacked check of all of
-    them rejects, is dropped; failures are recorded and logged in date order.
+    forecast the one stacked check of all of them rejects is dropped;
+    failures are recorded and logged in date order.
     """
     forecaster = _make_forecaster(spec, cfg)
     if cfg.window <= forecaster.min_history:
@@ -382,7 +379,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     windows = list(rolling_windows(series, cfg.window))
     dates = series.dates[cfg.window :]
     forecasts = np.full((len(windows), series.dim, series.dim), np.nan)
-    errors: dict[int, str] = {}  # by row: why its fit or prediction failed
+    errors: dict[int, str] = {}  # by row: why its fit failed
     s = 0
     while s < len(windows):
         train_slice, _ = windows[s]
@@ -394,9 +391,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             s += 1
             continue
         stop = len(windows) if every == 0 else min(s - s % every + every, len(windows))
-        forecasts[s:stop], failed = forecaster.predict_many(
-            series, [t for _, t in windows[s:stop]])
-        errors.update((s + k, str(exc)) for k, exc in failed.items())
+        forecasts[s:stop] = forecaster.predict_many(series, [t for _, t in windows[s:stop]])
         s = stop
     # One stacked check of every row, as SpdMatrix checks one matrix: a
     # forecast that is not a finite PSD matrix fails its own date.
@@ -596,23 +591,32 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     _write_dated_csv(eval_dir / "regime_labels.csv", ["label"], realized.dates,
                      np.where(turbulent_days, "turbulent", "calm")[:, None], "%s")
 
+    # A metric with a day it cannot score (no logarithm) fails once the others are written.
+    panels, unscored = {}, []
+    for metric in cfg.metrics:
+        try:
+            panels[metric] = loss_panel(forecasts, realized, metric)
+        except NotPositiveDefiniteError as exc:
+            unscored.append(exc)
     # All days, then each regime: one mcs call ranks every metric on its dates.
-    panels = [loss_panel(forecasts, realized, metric) for metric in cfg.metrics]
     regimes = {}
     for suffix, days in (("", np.ones_like(turbulent_days)), ("_calm", ~turbulent_days),
                          ("_turbulent", turbulent_days)):
         if not days.any():
             log.info("regime %s is empty", suffix[1:])
         elif panels:
-            subs = [LossPanel(list(p.models), p.dates[days], p.losses[days]) for p in panels]
+            subs = [LossPanel(list(p.models), p.dates[days], p.losses[days])
+                    for p in panels.values()]
             regimes[suffix] = list(zip(subs, _confidence_sets(subs, cfg)))
     artifacts = {"regime_labels": "eval/regime_labels.csv"}
-    for i, metric in enumerate(cfg.metrics):
+    for i, metric in enumerate(panels):
         for suffix, scored in regimes.items():
             name = f"losses_{metric}{suffix}"
             _write_loss_table(eval_dir / f"{name}.csv", *scored[i])
             artifacts[name] = f"eval/{name}.csv"
     _write_manifest(cfg, "evaluate", artifacts)
+    if unscored:
+        raise unscored[0]
     return 0
 
 

@@ -165,12 +165,9 @@ class SpdMatrix:
     def _from_eig(cls, values: np.ndarray, vectors: np.ndarray) -> "SpdMatrix":
         # Fast path for operations that already hold a valid decomposition
         # (spectral maps, Fréchet means).  Caller guarantees orthonormal
-        # vectors and PSD-admissible values.
+        # vectors and PSD-admissible values, descending.
         values = np.asarray(values, dtype=float)
         vectors = np.asarray(vectors, dtype=float)
-        order = np.argsort(-values, kind="stable")
-        values = np.ascontiguousarray(values[order])
-        vectors = np.ascontiguousarray(vectors[:, order])
         return cls._view(*(_freeze(a) for a in (_recompose(values, vectors), values, vectors)))
 
     @property
@@ -207,12 +204,10 @@ def logm(a: SpdMatrix) -> np.ndarray:
     return _recompose(np.log(values), vectors)
 
 
-def logm_stack(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, dict[int, Exception]]:
-    """:func:`logm` of each decomposition of a stack, bit for bit (NaN where it
-    fails), and the error of each failed row, keyed by row in ascending order."""
-    failed = values[:, -1] <= 0.0
-    logs = _recompose(np.log(np.where(failed[:, None], np.nan, values)), vectors)
-    return logs, {int(i): _log_domain_error(values[i, -1]) for i in np.flatnonzero(failed)}
+def logm_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """:func:`logm` of each decomposition of a stack, bit for bit, NaN where it fails."""
+    failed = values[:, -1:] <= 0.0
+    return _recompose(np.log(np.where(failed, np.nan, values)), vectors)
 
 
 def expm(s: np.ndarray) -> SpdMatrix:

@@ -144,7 +144,7 @@ class TestFavarSeriesStack:
             train = slice(t - window, t)
             vectors = np.stack([chol_vectorize(m) for m in series[train]])
             alone = series[train]  # its own, per-window stack
-            assert np.array_equal(series.stack(baselines._series_chols, train), vectors)
+            assert np.array_equal(series.stack(baselines._series_chols)[train], vectors)
             model = favar_fit(series, 4, train)
             self.assert_same_model(model, favar_fit(alone, 4))
             assert np.array_equal(model.mean_vector, vectors.mean(axis=0))

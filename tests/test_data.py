@@ -20,7 +20,6 @@ from spdcast import (
     CovSeries,
     DecompositionError,
     DimensionMismatchError,
-    NotPositiveDefiniteError,
     ReturnPanel,
     SeriesFormatError,
     SpdMatrix,
@@ -37,10 +36,9 @@ from spdcast import (
     save_series,
     simulate_market,
 )
-from spdcast import data, evaluation
+from spdcast import data
 from spdcast.data import HAR_MONTH, _read_matrix_records, _write_matrix_records
 from spdcast.frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
-from spdcast.spd import ensure_pd, logm
 
 
 def make_series(rng, n=3, length=30):
@@ -95,48 +93,6 @@ class TestCovSeries:
 
 
 class TestSeriesStacks:
-    BAD_DAY = np.diag([1.0, 1.0, 0.0])  # singular: no unfloored logarithm
-
-    def series_with_bad_days(self, rng, length, bad):
-        data = make_series(rng, length=length).data.copy()
-        data[bad] = self.BAD_DAY
-        return CovSeries(np.datetime64("2001-01-01") + np.arange(length), data)
-
-    def test_a_failure_is_raised_only_for_rows_that_include_it(self, rng):
-        # Evaluation's logarithms are not floored, so a singular day has none.
-        series = self.series_with_bad_days(rng, 30, [12])
-        sub = series[10:30]
-        match = "matrix logarithm requires strictly positive eigenvalues"
-        with pytest.raises(NotPositiveDefiniteError, match=match):
-            series.stack(evaluation._logs, slice(5, 13))
-        with pytest.raises(NotPositiveDefiniteError, match=match):
-            sub.stack(evaluation._logs, slice(0, 5))
-        with pytest.raises(NotPositiveDefiniteError, match=match):
-            series.stack(evaluation._logs)
-        logs = [logm(m) if t != 12 else None for t, m in enumerate(series)]
-        assert np.array_equal(series.stack(evaluation._logs, slice(0, 12)), np.stack(logs[:12]))
-        assert np.array_equal(series.stack(evaluation._logs, slice(13, 30)), np.stack(logs[13:]))
-        assert np.array_equal(sub.stack(evaluation._logs, slice(3, 20)), np.stack(logs[13:]))
-
-    def test_error_names_the_failed_row_of_the_series(self, rng):
-        sub = self.series_with_bad_days(rng, 30, [12, 14])[10:30]
-        with pytest.raises(KeyError) as err:
-            sub.stack(evaluation._logs, np.array([5, 4, 1, 2]), lambda t, exc: KeyError(t, str(exc)))
-        assert err.value.args[0] == 4  # a row of the series, the first bad one asked for
-        assert isinstance(err.value.__cause__, NotPositiveDefiniteError)
-        assert err.value.args[1] == str(err.value.__cause__)
-
-    def test_a_repeated_failure_keeps_a_short_traceback(self, rng):
-        series = self.series_with_bad_days(rng, 10, slice(None))
-
-        def depth():
-            with pytest.raises(NotPositiveDefiniteError) as info:
-                series.stack(evaluation._logs, slice(0, 1))
-            return len(info.traceback)
-
-        first = depth()
-        assert [depth() for _ in range(3)] == [first] * 3
-
     def test_each_kernel_runs_once_per_series(self, rng, monkeypatch):
         series = make_series(rng, length=30)
         calls = []

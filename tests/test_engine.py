@@ -7,6 +7,8 @@ minibatch as one ``(B, d, d)`` stack and adds the per-sample losses and
 weight gradients in sample order, so both must agree bit for bit.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -225,13 +227,14 @@ class TestStackedTrainMatchesReference:
         assert_bitwise_equal(net, inputs, targets, cfg)
 
 
-def test_floored_targets_counted_as_before(rng):
+def test_floored_targets_counted_as_before(rng, caplog):
     # A rank-deficient target is floor-projected before its logarithm.
     inputs = [random_spd(rng, 4, lo=0.3, hi=3.0) for _ in range(8)]
     targets = [random_spd(rng, 2, lo=0.5, hi=2.0) for _ in range(7)]
     targets.append(SpdMatrix(np.array([[1.0, 1.0], [1.0, 1.0]])))
     net = Network.init_random(NetworkSpec.default(4, 2), 6)
     cfg = TrainConfig(epochs=2, batch_size=3, loss=LOSS_LOG_EUCLIDEAN, seed=6)
-    with pytest.warns(RuntimeWarning, match="floor-projected"):
+    with caplog.at_level(logging.WARNING, logger="spdcast.optim"):
         result = assert_bitwise_equal(net, inputs, targets, cfg)
+    assert any("floor-projected" in r.getMessage() for r in caplog.records)
     assert result.floored_target_count == 1

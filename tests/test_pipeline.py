@@ -17,7 +17,6 @@ from spdcast import (
     METRIC_PROCRUSTES,
     ConfigError,
     CovSeries,
-    DecompositionError,
     FrechetConfig,
     SeriesFormatError,
     SpdcastError,
@@ -292,46 +291,13 @@ class TestRunModel:
 
 
 class TestStackFailures:
-    """A matrix whose Cholesky factor fails fails only the FAVAR fits whose
-    windows hold it; every other window keeps its forecast.  A floored
-    logarithm cannot fail, so a GeoHAR model forecasts every date."""
-
-    @staticmethod
-    def run(spec, cfg, series):
-        # A fresh series, so that no stack built by an earlier run is reused.
-        return run_model(spec, cfg, CovSeries(series.dates, series.data))
-
-    @staticmethod
-    def check(result, clean, series, failing, reason):
-        assert [d for d, _ in result.failures] == [str(series.dates[t]) for t in failing]
-        assert all(why == reason for _, why in result.failures)
-        kept = [t for t in range(40, len(series)) if t not in failing]
-        assert list(result.dates) == [series.dates[t] for t in kept]
-        if clean is not None:
-            for date, pred in zip(result.dates, result.predictions):
-                assert np.array_equal(pred.data, clean[date])
+    """A floored logarithm cannot fail, so a GeoHAR model forecasts every
+    date; a series' roots are taken once."""
 
     def config_and_series(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         series, _ = simulate_market(3, 70, 0.8, 7, 5)
         return cfg, series
-
-    def test_favar(self, tmp_path, monkeypatch):
-        cfg, series = self.config_and_series(tmp_path)
-        spec = ModelSpec("favar", "favar", {"factors": 2})
-        clean = self.run(spec, cfg, series)
-        clean = dict(zip(clean.dates, (p.data for p in clean.predictions)))
-        reason = "Cholesky failed: Matrix is not positive definite"
-        original = baselines._series_chols
-
-        def failing_day_50(s):  # as the kernel reports a matrix with no factor
-            vectors, errors = original(s)
-            vectors[50] = np.nan
-            return vectors, {**errors, 50: DecompositionError(reason)}
-
-        monkeypatch.setattr(baselines, "_series_chols", failing_day_50)
-        # FAVAR refits on every window [t - 40, t); it holds day 50 for t = 51..69.
-        self.check(self.run(spec, cfg, series), clean, series, range(51, 70), f"fit: {reason}")
 
     def test_geohar_forecasts_every_date_around_underflowing_days(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -744,18 +710,31 @@ class TestCommands:
         matrices[50, 2, :] = matrices[50, :, 2] = 0.0  # singular, on 2001-02-20
         dates = np.datetime64("2001-01-01") + np.arange(60)
         save_series(CovSeries(dates, matrices), tmp_path / "series.matbin")
-        path = write_config(tmp_path)
-        path.write_text(path.read_text().replace(
+        text = write_config(tmp_path).read_text().replace(
             "source = simulate", f"source = matbin\npath = {tmp_path / 'series.matbin'}").replace(
-            "rw, favar:factors=2", "rw, respdnet:lags=1").replace(
-            "metrics = frobenius", "metrics = frobenius, log_euclidean"))
-        assert self.run_cli("train-forecast", path) == 0
+            "rw, favar:factors=2", "rw, favar:factors=2, respdnet:lags=1")
+        alone = tmp_path / "alone.ini"  # the same run, scored on Frobenius losses only
+        alone.write_text(text.replace(str(tmp_path / "out"), str(tmp_path / "alone")))
+        path = tmp_path / "run.ini"
+        path.write_text(text.replace("metrics = frobenius", "metrics = frobenius, log_euclidean"))
+        for config in (path, alone):
+            assert self.run_cli("train-forecast", config) == 0
+        # A floored matrix has a Cholesky factor: FAVAR forecasts every date.
+        assert not (tmp_path / "out" / "train" / "failures.csv").exists()
         capsys.readouterr()
         assert self.run_cli("evaluate", path) == 1
         err = capsys.readouterr().err
         assert err.startswith("spdcast: log_euclidean loss of realized on 2001-02-20: matrix "
                               "logarithm requires strictly positive eigenvalues (smallest is ")
         assert err.count("\n") == 1 and "Traceback" not in err
+        # The metric that can score every day is written as if it were scored alone.
+        assert self.run_cli("evaluate", alone) == 0
+        tables = [sorted(p.name for p in (tmp_path / out / "eval").glob("losses_*.csv"))
+                  for out in ("out", "alone")]
+        assert tables[0] == tables[1] and "losses_frobenius.csv" in tables[0]
+        for name in tables[0]:
+            assert ((tmp_path / "out" / "eval" / name).read_bytes()
+                    == (tmp_path / "alone" / "eval" / name).read_bytes())
 
     def test_unwritable_out_exits_1_naming_the_file(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
