@@ -7,6 +7,7 @@ from conftest import random_spd
 from spdcast import baselines
 from spdcast import (
     CovSeries,
+    DecompositionError,
     DimensionMismatchError,
     SpdMatrix,
     chol_reconstruct,
@@ -154,6 +155,18 @@ class TestFavarSeriesStack:
             )
             reference = chol_reconstruct(model.mean_vector + model.loadings @ advanced)
             assert np.array_equal(favar_forecast(model, series, t).data, reference.data)
+
+    def test_a_rejected_cholesky_raises_a_decomposition_error(self, rng, monkeypatch):
+        series = series_from([random_spd(rng, 2) for _ in range(5)])
+
+        def rejected(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", rejected)
+        with pytest.raises(DecompositionError,
+                           match="^Cholesky failed: Matrix is not positive definite$") as err:
+            baselines._series_chols(series)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
 
     def test_each_matrix_vectorized_once(self, rng, monkeypatch):
         calls = []

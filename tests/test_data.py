@@ -105,6 +105,14 @@ class TestSeriesStacks:
         assert calls == [30]
 
 
+    def test_a_stack_is_kept_and_indexes_as_the_sub_series_own(self, rng):
+        series = make_series(rng, length=30)
+        stack = series.stack(data._series_logs)
+        assert series.stack(data._series_logs) is stack
+        sub = series[10:25]
+        assert sub.stack(data._series_logs).tobytes() == stack[10:25].tobytes()
+
+
 class TestReturnsAndCovariance:
     def test_realized_cov_double_loop(self, rng):
         r = rng.standard_normal((13, 4))

@@ -167,6 +167,24 @@ class TestStackedLossPanel:
         with pytest.raises(NotPositiveDefiniteError, match="smallest is 0.000000e"):
             loss_panel(forecasts, realized, "log_euclidean")
 
+    def test_a_log_error_names_the_metric_the_series_and_its_first_failed_date(self, rng):
+        forecasts, realized = make_runs(rng, n_models=2, length=6)
+        singular = forecasts["m1"].data.copy()
+        singular[[2, 4]] = np.diag([1.0, 0.0])
+        forecasts["m1"] = series_of(singular)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            loss_panel(forecasts, realized, "log_euclidean")
+        assert str(err.value).startswith("log_euclidean loss of m1 on 2002-01-03: matrix "
+                                         "logarithm requires strictly positive eigenvalues")
+        real = realized.data.copy()
+        real[5] = np.diag([0.0, 0.0])
+        with pytest.raises(NotPositiveDefiniteError, match="^log_euclidean loss of realized on "
+                                                          "2002-01-06: "):
+            loss_panel(forecasts, series_of(real), "log_euclidean")
+        # The metrics that need no logarithm score the same days.
+        for metric in ("frobenius", "euclidean", "procrustes"):
+            assert np.isfinite(loss_panel(forecasts, series_of(real), metric).losses).all()
+
     def test_rejects_forecasts_of_another_dimension(self, rng):
         forecasts, realized = make_runs(rng, n_models=1, length=3)
         forecasts["m1"] = series_of([random_spd(rng, 3) for _ in range(3)])

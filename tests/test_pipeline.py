@@ -323,6 +323,21 @@ class TestStackFailures:
         for k in kept:
             assert result.predictions.data[k].tobytes() == clean.predictions.data[k].tobytes()
 
+    def test_favar_forecasts_every_date_around_a_singular_day(self, tmp_path):
+        cfg, series = self.config_and_series(tmp_path)
+        spec = ModelSpec("favar", "favar", {"factors": 2})
+        clean = run_model(spec, cfg, series)
+        assert len(clean.dates) == 30 and clean.failures == []
+        matrices = series.data.copy()
+        matrices[50] = np.diag([1e-320, 0.0, 0.0])  # floored, it has a Cholesky factor
+        result = run_model(spec, cfg, CovSeries(series.dates, matrices))
+        assert result.failures == [] and np.array_equal(result.dates, clean.dates)
+        assert np.isfinite(result.predictions.data).all()
+        # FAVAR refits on every window [t - 40, t); it holds day 50 for t = 51..69.
+        for k, t in enumerate(range(40, 51)):
+            assert result.predictions.data[k].tobytes() == clean.predictions.data[k].tobytes()
+        assert not np.array_equal(result.predictions.data[11:], clean.predictions.data[11:])
+
     def test_geohar_roots_each_matrix_once(self, tmp_path, monkeypatch):
         cfg, series = self.config_and_series(tmp_path)
         cfg.refit_every = 10

@@ -502,6 +502,18 @@ class TestEnsurePd:
         assert np.isfinite(logs).all() and np.isfinite(chols).all()
         assert np.allclose(logs[1], np.log(sys.float_info.min) * np.eye(3), rtol=1e-15, atol=0)
 
+    def test_logm_stack_is_nan_exactly_on_rows_without_a_logarithm(self, rng):
+        # Unfloored spectra: a zero eigenvalue leaves its whole row without a logarithm.
+        data = np.stack([random_spd(rng, 3).data, np.diag([1.0, 1.0, 0.0]), np.eye(3),
+                         np.zeros((3, 3)), random_spd(rng, 3).data])
+        series = CovSeries(np.datetime64("2001-01-01") + np.arange(len(data)), data)
+        logs = logm_stack(series.values, series.vectors)
+        failed = np.isnan(logs).any(axis=(1, 2))
+        assert failed.tolist() == [False, True, False, True, False]
+        assert np.isnan(logs[failed]).all()
+        for t in np.flatnonzero(~failed):
+            assert logs[t].tobytes() == logm(series[t]).tobytes()
+
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 10), n=st.integers(1, 6),
            kinds=SERIES_KINDS, threshold=st.booleans())
