@@ -14,7 +14,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
@@ -34,44 +34,6 @@ class ModelSpec:
     kind: str
     name: str
     params: dict
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    out_dir: Path
-    workers: int
-    source: str
-    data_path: Path | None
-    sim_n: int
-    sim_days: int
-    sim_persistence: float
-    sim_df: int
-    returns_path: Path | None
-    grid_seconds: int
-    roster: list[ModelSpec]
-    window: int
-    refit_every: int
-    epochs: int
-    batch_size: int
-    learning_rate: float
-    lr_decay: float
-    eps_rectify: float
-    eig_gap_floor: float
-    hidden: tuple[int, ...] | None
-    metrics: list[str]
-    alpha: float
-    replicates: int
-    block_len: int | None
-    regime_quantile: float
-    market_variance: str
-    portfolio_enabled: bool
-    portfolio_long_only: bool
-    raw_text: str = field(repr=False, default="")
-
-    @property
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.raw_text.encode()).hexdigest()
 
 
 class _Invalid(ValueError):
@@ -136,6 +98,10 @@ def _in_open_unit(v: float) -> str | None:
     return None if 0.0 < v < 1.0 else f"must be in (0, 1), got {v}"
 
 
+def _in_left_open_unit(v: float) -> str | None:
+    return None if 0.0 < v <= 1.0 else f"must be in (0, 1], got {v}"
+
+
 def _value(raw: str | None, parse, check):
     """``raw`` parsed (None stays None) and checked; a problem raises :class:`_Invalid`."""
     value = None if raw is None else parse(raw)
@@ -162,7 +128,7 @@ _FACTORS = _parser(_auto_or_int, "favar factors must be an integer or 'auto', go
 _LAGS = _parser(int, "respdnet lags must be an integer")
 
 # kind: ({key: (parse, default, check)}, default name); pipeline._FORECASTERS
-# holds its class.  Parameters parse and check like _KEYS values, an absent key
+# holds its class.  Parameters parse and check like RunConfig's keys, an absent key
 # taking the default, a problem following "[models] roster: ".  The default name
 # formats the parsed values, shortened by _SHORT; every kind also takes name.
 _KINDS = {
@@ -227,41 +193,55 @@ def _parse_roster(raw: str) -> list[ModelSpec]:
     return specs
 
 
-# (section, key, RunConfig field, parse, default, check).  An absent or empty
-# key takes the default, a raw string parsed like a given value (None: no
-# value).  ``check`` returns what is wrong with the parsed value, or None.
-_KEYS = (
-    ("run", "seed", "seed", _INT, "0", None),
-    ("run", "out", "out_dir", Path, "runs/out", None),
-    ("run", "workers", "workers", _INT, "1", _at_least(1)),
-    ("data", "source", "source", str.lower, "simulate", _source),
-    ("data", "path", "data_path", Path, None, None),
-    ("data", "n", "sim_n", _INT, "5", None),
-    ("data", "days", "sim_days", _INT, "800", None),
-    ("data", "persistence", "sim_persistence", _REAL, "0.95", None),
-    ("data", "df", "sim_df", _INT, "12", None),
-    ("data", "returns", "returns_path", Path, None, None),
-    ("data", "grid_seconds", "grid_seconds", _INT, "300", _at_least(1)),
-    ("models", "roster", "roster", _parse_roster, "rw", None),
-    ("forecast", "window", "window", _INT, "500", _at_least(2)),
-    ("forecast", "refit_every", "refit_every", _INT, "0", _at_least(0)),
-    ("train", "epochs", "epochs", _INT, "30", _at_least(1)),
-    ("train", "batch_size", "batch_size", _INT, "32", _at_least(1)),
-    ("train", "learning_rate", "learning_rate", _REAL, "1e-2", _at_least(0)),
-    ("train", "lr_decay", "lr_decay", _REAL, "0.95",
-     lambda v: None if 0.0 < v <= 1.0 else f"must be in (0, 1], got {v}"),
-    ("train", "eps_rectify", "eps_rectify", _REAL, "1e-4", _positive),
-    ("train", "eig_gap_floor", "eig_gap_floor", _REAL, "1e-6", _positive),
-    ("train", "hidden", "hidden", _hidden, "auto", None),
-    ("evaluate", "metrics", "metrics", _metric_list, ", ".join(METRICS), None),
-    ("evaluate", "alpha", "alpha", _REAL, "0.25", _in_open_unit),
-    ("evaluate", "replicates", "replicates", _INT, "10000", _at_least(100)),
-    ("evaluate", "block_len", "block_len", _AUTO_OR_INT, "auto", _at_least(1)),
-    ("evaluate", "regime_quantile", "regime_quantile", _REAL, "0.90", _in_open_unit),
-    ("evaluate", "market_variance", "market_variance", str, "trace", None),
-    ("portfolio", "enabled", "portfolio_enabled", _FLAG, "true", None),
-    ("portfolio", "long_only", "portfolio_long_only", _FLAG, "true", None),
-)
+def _key(section: str, key: str, parse, default: str | None, check=None):
+    """A :class:`RunConfig` field read from ``[section] key``.  An absent or empty
+    key takes ``default``, a raw string parsed like a given value (None: no
+    value).  ``check`` returns what is wrong with the parsed value, or None."""
+    return field(metadata={"ini": (section, key, parse, default, check)})
+
+
+@dataclass
+class RunConfig:
+    """A run's settings, one field per config key, in file order."""
+
+    seed: int = _key("run", "seed", _INT, "0")
+    out_dir: Path = _key("run", "out", Path, "runs/out")
+    workers: int = _key("run", "workers", _INT, "1", _at_least(1))
+    source: str = _key("data", "source", str.lower, "simulate", _source)
+    data_path: Path | None = _key("data", "path", Path, None)
+    sim_n: int = _key("data", "n", _INT, "5")
+    sim_days: int = _key("data", "days", _INT, "800")
+    sim_persistence: float = _key("data", "persistence", _REAL, "0.95")
+    sim_df: int = _key("data", "df", _INT, "12")
+    returns_path: Path | None = _key("data", "returns", Path, None)
+    grid_seconds: int = _key("data", "grid_seconds", _INT, "300", _at_least(1))
+    roster: list[ModelSpec] = _key("models", "roster", _parse_roster, "rw")
+    window: int = _key("forecast", "window", _INT, "500", _at_least(2))
+    refit_every: int = _key("forecast", "refit_every", _INT, "0", _at_least(0))
+    epochs: int = _key("train", "epochs", _INT, "30", _at_least(1))
+    batch_size: int = _key("train", "batch_size", _INT, "32", _at_least(1))
+    learning_rate: float = _key("train", "learning_rate", _REAL, "1e-2", _at_least(0))
+    lr_decay: float = _key("train", "lr_decay", _REAL, "0.95", _in_left_open_unit)
+    eps_rectify: float = _key("train", "eps_rectify", _REAL, "1e-4", _positive)
+    eig_gap_floor: float = _key("train", "eig_gap_floor", _REAL, "1e-6", _positive)
+    hidden: tuple[int, ...] | None = _key("train", "hidden", _hidden, "auto")
+    metrics: list[str] = _key("evaluate", "metrics", _metric_list, ", ".join(METRICS))
+    alpha: float = _key("evaluate", "alpha", _REAL, "0.25", _in_open_unit)
+    replicates: int = _key("evaluate", "replicates", _INT, "10000", _at_least(100))
+    block_len: int | None = _key("evaluate", "block_len", _AUTO_OR_INT, "auto", _at_least(1))
+    regime_quantile: float = _key("evaluate", "regime_quantile", _REAL, "0.90", _in_open_unit)
+    market_variance: str = _key("evaluate", "market_variance", str, "trace")
+    portfolio_enabled: bool = _key("portfolio", "enabled", _FLAG, "true")
+    portfolio_long_only: bool = _key("portfolio", "long_only", _FLAG, "true")
+    raw_text: str = field(repr=False, default="")
+
+    @property
+    def config_hash(self) -> str:
+        return hashlib.sha256(self.raw_text.encode()).hexdigest()
+
+
+# (section, key, parse, default, check, RunConfig field) of every key, in file order.
+_KEYS = tuple((*f.metadata["ini"], f.name) for f in fields(RunConfig) if f.metadata)
 
 
 def load_config(
@@ -299,7 +279,7 @@ def load_config(
     if workers_override is not None and workers_override < 1:
         raise ConfigError(f"--workers: must be >= 1, got {workers_override}")
     values = {}
-    for section, key, name, parse, default, check in _KEYS:
+    for section, key, parse, default, check, name in _KEYS:
         try:
             values[name] = _value(given[section].get(key) or default, parse, check)
         except _Invalid as exc:

@@ -41,10 +41,6 @@ class NetworkSpec:
         if not (self.eps_rectify > 0.0):
             raise ValueError(f"eps_rectify must be positive, got {self.eps_rectify}")
 
-    @property
-    def output_dim(self) -> int:
-        return self.layer_dims[-1]
-
     def weight_shapes(self) -> list[tuple[int, int]]:
         """(rows, cols) per bilinear layer; expansion pads cols up to rows."""
         shapes = []

@@ -4,9 +4,10 @@ Gradients flow through the eigendecomposition-based layers via the
 divided-difference (Loewner) kernel: for a spectral map ``Y = U f(L) U^T``
 the pullback of an upstream gradient ``dY`` is ``U (G * (U^T sym(dY) U)) U^T``
 where ``G_ij = (f(l_i) - f(l_j)) / (l_i - l_j)`` off the diagonal and
-``G_ii = f'(l_i)``.  Near-degenerate eigenvalue gaps are clamped at a
-configurable floor and counted, since the quotient is numerically unstable
-there.
+``G_ii = f'(l_i)``.  The quotient is numerically unstable where two
+eigenvalues nearly coincide, as where an expansion layer repeats its padded
+unit eigenvalue, so a gap below a configurable floor takes the quotient's
+limit ``(f'(l_i) + f'(l_j)) / 2`` instead, and is counted as a clamp.
 """
 
 from __future__ import annotations
@@ -97,16 +98,16 @@ class BackwardResult:
 def _loewner_kernel(
     values: np.ndarray, fvalues: np.ndarray, fprime: np.ndarray, gap_floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Divided-difference multipliers of each spectrum in a stack, near-zero
-    gaps clamped to sign/gap_floor; per spectrum also the clamped gap count
-    and the smallest off-diagonal gap (inf for a 1x1 matrix)."""
+    """Divided-difference multipliers of each spectrum in a stack.  A gap below
+    gap_floor takes the quotient's limit, the mean derivative
+    ``(f'(l_i) + f'(l_j)) / 2``, which is ``f'(l_i)`` on the diagonal.  Per
+    spectrum also the clamped gap count and the smallest off-diagonal gap
+    (inf for a 1x1 matrix)."""
     gaps = values[..., :, None] - values[..., None, :]
     small = np.abs(gaps) < gap_floor
-    safe = np.where(small, np.where(gaps >= 0.0, gap_floor, -gap_floor), gaps)
-    kernel = (fvalues[..., :, None] - fvalues[..., None, :]) / safe
+    quotient = (fvalues[..., :, None] - fvalues[..., None, :]) / np.where(small, 1.0, gaps)
+    kernel = np.where(small, 0.5 * (fprime[..., :, None] + fprime[..., None, :]), quotient)
     n = values.shape[-1]
-    diag = np.arange(n)
-    kernel[..., diag, diag] = fprime
     clamped = small.sum(axis=(-2, -1)) - n  # the diagonal is always "small"
     min_gap = np.where(np.eye(n, dtype=bool), np.inf, np.abs(gaps)).min(axis=(-2, -1))
     return kernel, clamped, min_gap

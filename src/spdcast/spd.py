@@ -97,16 +97,20 @@ def _check_records(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, d
     """A ``(B, n, n)`` stack of square matrices symmetrized, its descending
     eigenpairs, and the error of each record :class:`SpdMatrix` rejects, in order."""
     finite = np.isfinite(a).all(axis=(1, 2))
-    a = _symmetrize(np.where(finite[:, None, None], a, 0.0))  # decomposable; rejected below
+    with np.errstate(over="ignore"):
+        a = _symmetrize(np.where(finite[:, None, None], a, 0.0))
+    overflow = ~np.isfinite(a).all(axis=(1, 2))
+    a[overflow] = 0.0  # decomposable; rejected below, as are the records that are not finite
     values, vectors = _eigh_desc(a)
     lmax = values[:, 0]
     tolerance = np.where(lmax > 0.0, np.maximum(PSD_RTOL * lmax, _PSD_ATOL), 0.0)
     rejected = {
         int(i): NotPositiveDefiniteError(
             "matrix entries must be finite" if not finite[i] else
+            "matrix entries overflow when symmetrized" if overflow[i] else
             f"smallest eigenvalue {values[i, -1]:.6e} is below the PSD tolerance {-tolerance[i]:.6e}"
         )
-        for i in np.flatnonzero(~finite | (values[:, -1] < -tolerance))
+        for i in np.flatnonzero(~finite | overflow | (values[:, -1] < -tolerance))
     }
     return _freeze(a), _freeze(values), _freeze(vectors), rejected
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -33,7 +32,7 @@ class StiefelParam:
     """A row-orthonormal weight with its Euclidean gradient accumulator."""
 
     value: np.ndarray
-    grad_euclidean: np.ndarray = field(default=None)  # type: ignore[assignment]
+    grad_euclidean: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.value = np.array(self.value, dtype=float)
@@ -43,20 +42,11 @@ class StiefelParam:
             )
         if stiefel_error(self.value) > STIEFEL_TOL:
             raise ValueError("weight rows are not orthonormal")
-        if self.grad_euclidean is None:
-            self.grad_euclidean = np.zeros_like(self.value)
-        else:
-            self.grad_euclidean = np.asarray(self.grad_euclidean, dtype=float)
-            if self.grad_euclidean.shape != self.value.shape:
-                raise DimensionMismatchError("gradient shape differs from weight shape")
+        self.grad_euclidean = np.zeros_like(self.value)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
-
-
-def _as_matrix(w: Any) -> np.ndarray:
-    return np.asarray(getattr(w, "value", w), dtype=float)
 
 
 def random_stiefel(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
@@ -70,14 +60,14 @@ def random_stiefel(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return (q * signs).T
 
 
-def stiefel_project(w: Any, grad: np.ndarray) -> np.ndarray:
+def stiefel_project(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at ``w``.
 
     For row-orthonormal ``w`` the projection is
     ``G - sym(G @ w.T) @ w`` with ``sym(M) = (M + M.T) / 2``; the result ``V``
     satisfies ``sym(V @ w.T) = 0``.
     """
-    w = _as_matrix(w)
+    w = np.asarray(w, dtype=float)
     grad = np.asarray(grad, dtype=float)
     if grad.shape != w.shape:
         raise DimensionMismatchError(
@@ -87,7 +77,7 @@ def stiefel_project(w: Any, grad: np.ndarray) -> np.ndarray:
     return grad - 0.5 * (gw + gw.T) @ w
 
 
-def stiefel_retract(w: Any, step: np.ndarray) -> np.ndarray:
+def stiefel_retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     """First-order QR retraction of ``w + step`` back onto the manifold.
 
     Computed from the thin QR of ``(w + step).T`` with the R-diagonal sign
@@ -95,7 +85,7 @@ def stiefel_retract(w: Any, step: np.ndarray) -> np.ndarray:
     result is deterministic.  Falls back to the SVD polar factor when the
     QR diagonal signals rank deficiency.
     """
-    w = _as_matrix(w)
+    w = np.asarray(w, dtype=float)
     step = np.asarray(step, dtype=float)
     if step.shape != w.shape:
         raise DimensionMismatchError(

@@ -100,6 +100,18 @@ class TestFavar:
         pred = favar_forecast(model, series, len(series))
         assert np.allclose(pred.data, m.data, atol=1e-10)
 
+    def test_identity_series_fits_one_zero_factor(self):
+        # The identity's Cholesky vectors average exactly, so the centered
+        # sample is zero; a constant whose mean rounds takes the rank
+        # reduction below instead.
+        series = series_from([np.eye(2)] * 12)
+        with pytest.warns(RuntimeWarning, match="one zero factor"):
+            model = favar_fit(series, n_factors=2)
+        assert model.n_factors == 1
+        assert not model.var_coef.any() and not model.var_intercept.any()
+        for t in range(1, len(series) + 1):
+            assert np.array_equal(favar_forecast(model, series, t).data, np.eye(2))
+
     def test_rank_reduction_warns(self):
         series, *_ = self.make_factor_series()
         with pytest.warns(RuntimeWarning):

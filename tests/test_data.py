@@ -20,6 +20,7 @@ from spdcast import (
     CovSeries,
     DecompositionError,
     DimensionMismatchError,
+    NotPositiveDefiniteError,
     ReturnPanel,
     SeriesFormatError,
     SpdMatrix,
@@ -66,6 +67,18 @@ class TestCovSeries:
         dates = np.datetime64("2001-01-01") + np.arange(2)
         with pytest.raises(DimensionMismatchError):
             CovSeries(dates, [random_spd(rng, 2), random_spd(rng, 3)])
+
+    def test_rejects_entries_whose_symmetrization_overflows(self, rng):
+        data = simulate_market(4, 120, 0.8, 7, 3)[0].data
+        matrices = data * (1.5e308 / np.abs(data).max())  # finite; its largest doubled is not
+        dates = np.datetime64("2001-01-01") + np.arange(120)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="^matrix entries overflow when symmetrized$"):
+            CovSeries(dates, matrices)
+        # Symmetric entries up to the largest double whose double is finite stay accepted.
+        top = np.nextafter(np.finfo(float).max / 2.0, 0.0)
+        kept = CovSeries(dates[:2], [[[top, 0.0], [0.0, top]], np.eye(2)])
+        assert kept.data[0, 0, 0] == top
 
     def test_subseries(self, rng):
         series = make_series(rng, length=10)
@@ -696,6 +709,8 @@ MATBIN_MESSAGES = [
     (_matbin_bytes(2, [], []), None),
     (_matbin_bytes(2, KEYS[::-1], [EYE, EYE]), ": date 2001-01-01 is not after 2001-01-02"),
     (_matbin_bytes(2, KEYS[:1] * 2, [EYE, EYE]), ": date 2001-01-01 is not after 2001-01-01"),
+    (_matbin_bytes(2, KEYS, [EYE, [[1e308, 1e308], [1e308, 1e308]]]),
+     ": date 2001-01-02: matrix entries overflow when symmetrized"),
 ]
 
 CSV_HEADER = "date,row,col,value\n"

@@ -58,9 +58,8 @@ def ref_forward(weights, eps, x):
 def ref_spectral_backward(upstream, values, vectors, fvalues, fprime, floor):
     gaps = values[:, None] - values[None, :]
     small = np.abs(gaps) < floor
-    safe = np.where(small, np.where(gaps >= 0.0, floor, -floor), gaps)
-    kernel = (fvalues[:, None] - fvalues[None, :]) / safe
-    np.fill_diagonal(kernel, fprime)
+    quotient = (fvalues[:, None] - fvalues[None, :]) / np.where(small, 1.0, gaps)
+    kernel = np.where(small, 0.5 * (fprime[:, None] + fprime[None, :]), quotient)
     n = len(values)
     min_gap = float(np.abs(gaps)[~np.eye(n, dtype=bool)].min()) if n > 1 else np.inf
     inner = vectors.T @ sym(upstream) @ vectors

@@ -106,6 +106,12 @@ class TestStiefel:
         w = random_stiefel((3, 5), rng)
         assert np.allclose(stiefel_retract(w, np.zeros_like(w)), w, atol=1e-12)
 
+    def test_retract_to_a_rank_deficient_point_takes_the_polar_factor(self, rng):
+        w = random_stiefel((3, 6), rng)
+        moved = stiefel_retract(w, -w)  # w + step is zero: QR's diagonal is zero
+        assert moved.shape == (3, 6)
+        assert stiefel_error(moved) <= 1e-12
+
     def test_retract_first_order(self, rng):
         # R(W, tV) = W + tV + O(t^2) along tangent directions
         w = random_stiefel((3, 6), rng)

@@ -1,10 +1,10 @@
 """Losses, spectral backpropagation, and Riemannian SGD.
 
 Gradient checks compare the analytic backward pass against central finite
-differences of the full forward-plus-loss map.  Fixtures keep eigenvalue
-gaps well above the divided-difference clamp so the analytic gradient is
-exact; degenerate-gap behavior is covered separately through the clamp
-diagnostics.
+differences of the full forward-plus-loss map.  Most fixtures keep
+eigenvalue gaps well above the divided-difference clamp; networks that pad
+a layer by two or more repeat eigenvalue 1, where the clamped gaps take the
+quotient's derivative limit, and the clamp counts are checked separately.
 """
 
 import numpy as np
@@ -92,6 +92,7 @@ class TestLoewnerKernel:
         kernel, clamps, min_gap = _loewner_kernel(values, values, np.ones(3), 1e-6)
         assert clamps > 0
         assert min_gap <= 1.1e-9
+        assert kernel[0, 1] == kernel[1, 0] == 1.0  # the derivative, not 1e-9 / 1e-6
 
     def test_min_gap_reported(self):
         values = np.array([3.0, 1.0, 0.5])
@@ -144,6 +145,25 @@ class TestGradients:
         x = spd_from_spectrum(rng, [1.7, 2.3, 3.1])
         target = random_spd(rng, 3, lo=0.5, hi=2.0)
         result = analytic_weight_grads(net, x, target, loss)
+        fd = fd_weight_grads(net, x, target, loss)
+        for got, want in zip(result.weight_grads, fd):
+            rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
+            assert rel <= 1e-5
+
+    @pytest.mark.parametrize("loss", [LOSS_MSE, LOSS_LOG_EUCLIDEAN])
+    @pytest.mark.parametrize("input_dim, layer_dims", [(3, (2, 4, 3)), (4, (3, 5, 2)),
+                                                       (3, (2, 5, 4, 3))])
+    def test_padding_above_the_first_layer_repeats_the_unit_eigenvalue(
+        self, rng, input_dim, layer_dims, loss
+    ):
+        # A hidden layer wider than the one below pads by two or more, so its
+        # rectification sees eigenvalue 1 repeated above eps_rectify; the
+        # gradient there takes the divided difference's limit, f' = 1.
+        net = Network.init_random(NetworkSpec(input_dim, layer_dims), 11)
+        x = spread_input(rng, input_dim)
+        target = random_spd(rng, layer_dims[-1], lo=0.5, hi=2.0)
+        result = analytic_weight_grads(net, x, target, loss)
+        assert result.gap_clamps.sum() > 0
         fd = fd_weight_grads(net, x, target, loss)
         for got, want in zip(result.weight_grads, fd):
             rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)

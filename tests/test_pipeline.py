@@ -21,6 +21,7 @@ from spdcast import (
     SeriesFormatError,
     SpdcastError,
     SpdMatrix,
+    TrainingDivergedError,
     blockdiag_spd,
     frechet_mean_log_euclidean,
     frechet_mean_procrustes,
@@ -587,6 +588,44 @@ class TestCommands:
         assert manifest["training"] == expected
         assert set(expected) == {"respdnet1_le", "geohar_le_le"}
         assert all(record["fits"] == 1 for record in expected.values())
+
+    def test_explicit_hidden_dims_precede_the_output_layer(self, tmp_path, monkeypatch):
+        # A hidden layer of 6 over one of 2 pads by 4, repeating eigenvalue 1.
+        path = write_config(tmp_path, BASE_CONFIG.replace(
+            "rw, favar:factors=2", "respdnet:lags=2, geohar").replace(
+            "batch_size = 8", "batch_size = 8\nhidden = 2,6"))
+        assert load_config(path).hidden == (2, 6)
+        specs, original = [], pipeline.train
+        monkeypatch.setattr(pipeline, "train",
+                            lambda net, *args: specs.append(net.spec) or original(net, *args))
+        assert self.run_cli("train-forecast", path) == 0
+        assert [(s.input_dim, s.layer_dims) for s in specs] == [(6, (2, 6, 3)), (9, (2, 6, 3))]
+        realized = load_series(tmp_path / "out" / "data" / "realized.matbin")
+        for name in ("respdnet2_le", "geohar_le_le"):
+            forecasts = load_series(tmp_path / "out" / "forecasts" / f"{name}.matbin")
+            assert np.array_equal(forecasts.dates, realized.dates)
+
+    def test_a_model_whose_every_fit_fails_exits_1_after_writing_the_others(
+            self, tmp_path, monkeypatch, caplog):
+        path = write_config(tmp_path, BASE_CONFIG.replace("favar:factors=2", "respdnet:lags=1"))
+
+        def diverge(net, inputs, targets, cfg):
+            raise TrainingDivergedError("non-finite loss at epoch 0")
+
+        monkeypatch.setattr(pipeline, "train", diverge)
+        with caplog.at_level(logging.ERROR, logger="spdcast.pipeline"):
+            assert self.run_cli("train-forecast", path) == 1
+        assert "model respdnet1_le produced no forecasts" in caplog.text
+        out = tmp_path / "out"
+        realized = load_series(out / "data" / "realized.matbin")
+        rows = (out / "train" / "failures.csv").read_text().splitlines()
+        assert rows == ["model,date,reason", *(
+            f"respdnet1_le,{date},fit: non-finite loss at epoch 0" for date in realized.dates)]
+        manifest = json.loads((out / "manifest_train_forecast.json").read_text())
+        assert manifest["artifacts"] == {"realized": "data/realized.matbin",
+                                         "rw": "forecasts/rw.matbin"}
+        assert not (out / "forecasts" / "respdnet1_le.matbin").exists()
+        assert np.array_equal(load_series(out / "forecasts" / "rw.matbin").dates, realized.dates)
 
     def test_fit_trace_holds_each_epoch(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.replace("rw, favar:factors=2", "respdnet:lags=1"))
