@@ -80,9 +80,13 @@ def _hidden(raw: str) -> tuple[int, ...] | None:
 
 def _metric_list(raw: str) -> list[str]:
     names = [m.strip() for m in raw.split(",") if m.strip()]
-    for m in names:
+    if not names:
+        raise _Invalid("no metrics specified")
+    for i, m in enumerate(names):
         if m not in METRICS:
             raise _Invalid(f"unknown metric {m!r} (known: {METRICS})")
+        if m in names[:i]:
+            raise _Invalid(f"duplicate metric {m!r}")
     return names
 
 

@@ -225,12 +225,6 @@ def blockdiag_spd(blocks: Sequence[SpdMatrix]) -> SpdMatrix:
     return SpdMatrix(_blockdiag_stack([b.data[None] for b in blocks])[0])
 
 
-def _lagged_stack(series: CovSeries, positions: np.ndarray, lags: int) -> np.ndarray:
-    """The lagged inputs at ``positions``: block diagonals of the ``lags`` matrices
-    before each position (at least ``lags``), the latest top-left."""
-    return _blockdiag_stack([series.data[lags - j :] for j in range(1, lags + 1)], positions - lags)
-
-
 def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
     """Inputs stack the ``lags`` most recent matrices block-diagonally.
 
@@ -241,7 +235,8 @@ def build_lagged_inputs(series: CovSeries, lags: int) -> SupervisedSet:
         raise ValueError(f"lags must be at least 1, got {lags}")
     if len(series) <= lags:
         raise ValueError(f"series of length {len(series)} too short for {lags} lags")
-    return SupervisedSet(_lagged_stack(series, np.arange(lags, len(series)), lags), series[lags:])
+    blocks = [series.data[lags - j : len(series) - j] for j in range(1, lags + 1)]
+    return SupervisedSet(_blockdiag_stack(blocks), series[lags:])
 
 
 def _series_logs(series: CovSeries) -> np.ndarray:
@@ -473,6 +468,8 @@ def load_series(path: str | Path, fmt: str = FORMAT_MATBIN) -> CovSeries:
     """
     if fmt == FORMAT_MATBIN:
         keys, records = _read_matrix_records(path)
+        if not len(keys):
+            raise SeriesFormatError(f"{path}: no records")
         dates = _EPOCH + keys
     elif fmt == FORMAT_CSVLONG:
         per_date: dict[str, dict[tuple[int, int], float]] = {}  # in file order

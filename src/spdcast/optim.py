@@ -282,9 +282,6 @@ def train(
                     trace.output, target_stack[batch], cfg.eig_gap_floor
                 )
                 total_clamps += int(c.sum())
-            back = backward(net, trace, out_grad, cfg.eig_gap_floor)
-            total_clamps += int(back.gap_clamps.sum())
-            min_gaps[epoch] = min(min_gaps[epoch], float(back.min_gap.min()))
             running = 0.0
             for loss in losses.tolist():
                 running += loss
@@ -294,6 +291,9 @@ def train(
                     f"non-finite loss at epoch {epoch}, batch starting {start} "
                     f"(learning_rate={lr:.3e})"
                 )
+            back = backward(net, trace, out_grad, cfg.eig_gap_floor)
+            total_clamps += int(back.gap_clamps.sum())
+            min_gaps[epoch] = min(min_gaps[epoch], float(back.min_gap.min()))
             batch_losses.append(mean_loss)
             sq_norm = 0.0
             for param, sample_grads in zip(net.weights, back.weight_grads):

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -30,10 +29,9 @@ from .baselines import favar_fit, favar_forecast
 # _KEYS and _parse_roster stay readable through pipeline, beside the commands.
 from .config import (_KEYS, METRIC_PROCRUSTES, ModelSpec, RunConfig, _manifest_path,  # noqa: F401
                      _open_text, _parse_roster, _write_csv, _write_manifest)
-from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _day, _geohar_stack,
-                   _lagged_stack, build_geohar_inputs, build_lagged_inputs, load_intraday_csv,
-                   load_series, procrustes_mean_counts, realized_series, rolling_windows,
-                   save_series, simulate_market)
+from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _day, build_geohar_inputs,
+                   build_lagged_inputs, load_intraday_csv, load_series, procrustes_mean_counts,
+                   realized_series, rolling_windows, save_series, simulate_market)
 from .evaluation import LossPanel, McsResult, default_block_len, loss_panel, mcs, regime_split
 from .exceptions import (ConfigError, DataFileError, NotPositiveDefiniteError, SeriesFormatError,
                          SpdcastError)
@@ -205,19 +203,18 @@ class _Forecaster:
     ``fit(series, train_slice, seed)`` fits on one window; a fit serves the
     windows up to the model's next scheduled refit, every ``refit_every``
     windows (None: the run's ``[forecast] refit_every``; 0: never).
-    ``predict_many(series, positions)`` returns the ``(len(positions), n, n)``
-    forecasts of the current fit.  ``fits`` holds the ``(fit_index, TrainResult)``
-    of each trained fit, and ``record(series)`` is the model's manifest
-    ``training`` record.
+    ``predict_many(series, start, stop)`` returns the ``(stop - start, n, n)``
+    forecasts of the current fit for the positions ``[start, stop)``.  ``fits``
+    holds the :class:`TrainResult` of each trained fit, in fit order, and
+    ``record(series)`` is the model's manifest ``training`` record.
     """
 
     min_history: int
     refit_every: int | None = None
-    fits: Sequence[tuple[int, TrainResult]] = ()
 
-    def __init__(self, name: str, cfg: RunConfig):
-        self.name = name
+    def __init__(self, cfg: RunConfig):
         self.run_cfg = cfg
+        self.fits: list[TrainResult] = []
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         pass
@@ -229,15 +226,15 @@ class _Forecaster:
 class _RwForecaster(_Forecaster):
     min_history = 1
 
-    def predict_many(self, series: CovSeries, positions: Sequence[int]):
-        return series.data[np.asarray(positions) - 1]
+    def predict_many(self, series: CovSeries, start: int, stop: int):
+        return series.data[start - 1 : stop - 1]
 
 
 class _FavarForecaster(_Forecaster):
-    refit_every = 1
+    refit_every = 1  # so a span to predict is the one date ``start``
 
-    def __init__(self, name: str, cfg: RunConfig, factors: int | None = None):
-        super().__init__(name, cfg)
+    def __init__(self, cfg: RunConfig, factors: int | None = None):
+        super().__init__(cfg)
         self.factors = factors  # None: favar_fit's default count, at least 1
         # A fit needs more than factors + 1 training days.
         self.min_history = (factors or 1) + 1
@@ -246,9 +243,8 @@ class _FavarForecaster(_Forecaster):
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         self.model = favar_fit(series, self.factors, train_slice)
 
-    def predict_many(self, series: CovSeries, positions: Sequence[int]):
-        (t,) = positions  # FAVAR refits on every window
-        return favar_forecast(self.model, series, t).data[None]
+    def predict_many(self, series: CovSeries, start: int, stop: int):
+        return favar_forecast(self.model, series, start).data[None]
 
 
 # Test dates per stacked forward pass: bounds the trace's memory on long panels.
@@ -256,15 +252,13 @@ _PREDICT_CHUNK = 64
 
 
 class _NetForecaster(_Forecaster):
-    """A network on block-diagonal inputs: those of a window's training pairs from
-    ``_build_supervised``, of the dates it forecasts from ``_inputs``; both read
-    one builder per kind, which also sets the network's input width."""
+    """A network on block-diagonal inputs from one public builder per kind,
+    ``_build_supervised(series, span)``, whose pairs target the positions
+    ``[span.start + min_history, span.stop)``: a window's training pairs, or a forecast chunk."""
 
-    def __init__(self, name: str, cfg: RunConfig, loss: str):
-        super().__init__(name, cfg)
+    def __init__(self, cfg: RunConfig, loss: str):
+        super().__init__(cfg)
         self.loss = loss
-        self.net: Network | None = None
-        self.fits: list[tuple[int, TrainResult]] = []
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         cfg = self.run_cfg
@@ -285,49 +279,41 @@ class _NetForecaster(_Forecaster):
             eig_gap_floor=cfg.eig_gap_floor,
             lr_decay=cfg.lr_decay,
         )
-        self.fits.append((len(self.fits), train(net, supervised.inputs, supervised.targets, tc)))
-        self.net = net
+        self.fits.append(train(net, supervised.inputs, supervised.targets, tc))
 
     def record(self, series: CovSeries) -> dict[str, int]:
-        fits = [trained for _, trained in self.fits]
-        return {"fits": len(fits),
-                "gap_clamps": sum(f.gap_clamp_count for f in fits),
-                "floored_targets": sum(f.floored_target_count for f in fits)}
+        return {"fits": len(self.fits),
+                "gap_clamps": sum(f.gap_clamp_count for f in self.fits),
+                "floored_targets": sum(f.floored_target_count for f in self.fits)}
 
-    def predict_many(self, series: CovSeries, positions: Sequence[int]):
+    def predict_many(self, series: CovSeries, start: int, stop: int):
         """Build the inputs and forward them as stacks of up to ``_PREDICT_CHUNK`` dates."""
-        data = np.empty((len(positions), series.dim, series.dim))
-        for start in range(0, len(positions), _PREDICT_CHUNK):
-            chunk = np.asarray(positions[start : start + _PREDICT_CHUNK])
-            data[start : start + len(chunk)] = self.net.forward_trace(
-                self._inputs(series, chunk)).output
+        data = np.empty((stop - start, series.dim, series.dim))
+        for lo in range(start, stop, _PREDICT_CHUNK):
+            hi = min(lo + _PREDICT_CHUNK, stop)
+            inputs = self._build_supervised(series, slice(lo - self.min_history, hi)).inputs
+            data[lo - start : hi - start] = self.fits[-1].network.forward_trace(inputs).output
         return data
 
 
 class _RespdnetForecaster(_NetForecaster):
-    def __init__(self, name: str, cfg: RunConfig, lags: int, loss: str):
-        super().__init__(name, cfg, loss)
+    def __init__(self, cfg: RunConfig, lags: int, loss: str):
+        super().__init__(cfg, loss)
         self.lags = self.min_history = lags
 
-    def _build_supervised(self, series: CovSeries, train_slice: slice):
-        return build_lagged_inputs(series[train_slice], self.lags)
-
-    def _inputs(self, series: CovSeries, positions: np.ndarray):
-        return _lagged_stack(series, positions, self.lags)
+    def _build_supervised(self, series: CovSeries, span: slice):
+        return build_lagged_inputs(series[span], self.lags)
 
 
 class _GeoharForecaster(_NetForecaster):
     min_history = HAR_MONTH
 
-    def __init__(self, name: str, cfg: RunConfig, metric: str, loss: str):
-        super().__init__(name, cfg, loss)
+    def __init__(self, cfg: RunConfig, metric: str, loss: str):
+        super().__init__(cfg, loss)
         self.frechet_cfg = FrechetConfig(metric=metric)
 
-    def _build_supervised(self, series: CovSeries, train_slice: slice):
-        return build_geohar_inputs(series, self.frechet_cfg, train=train_slice)
-
-    def _inputs(self, series: CovSeries, positions: np.ndarray):
-        return _geohar_stack(series, positions, self.frechet_cfg)
+    def _build_supervised(self, series: CovSeries, span: slice):
+        return build_geohar_inputs(series, self.frechet_cfg, train=span)
 
     def record(self, series: CovSeries) -> dict[str, int]:
         record = super().record(series)
@@ -342,7 +328,7 @@ _FORECASTERS = {"rw": _RwForecaster, "favar": _FavarForecaster,
 
 
 def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
-    return _FORECASTERS[spec.kind](spec.name, cfg, **spec.params)
+    return _FORECASTERS[spec.kind](cfg, **spec.params)
 
 
 @dataclass
@@ -350,7 +336,7 @@ class ModelRunResult:
     name: str
     predictions: CovSeries | None  # None: no date was forecast
     failures: list[tuple[str, str]]
-    traces: list[tuple[int, TrainResult]]
+    traces: list[TrainResult]
     training: dict[str, int]  # the manifest's training record; empty: none
 
     @property
@@ -382,7 +368,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     errors: dict[int, str] = {}  # by row: why its fit failed
     s = 0
     while s < len(windows):
-        train_slice, _ = windows[s]
+        train_slice, t = windows[s]
         try:
             forecaster.fit(series, train_slice,
                            _model_seed(cfg.seed, spec.name, len(forecaster.fits)))
@@ -391,7 +377,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
             s += 1
             continue
         stop = len(windows) if every == 0 else min(s - s % every + every, len(windows))
-        forecasts[s:stop] = forecaster.predict_many(series, [t for _, t in windows[s:stop]])
+        forecasts[s:stop] = forecaster.predict_many(series, t, t + stop - s)
         s = stop
     # One stacked check of every row, as SpdMatrix checks one matrix: a
     # forecast that is not a finite PSD matrix fails its own date.
@@ -400,7 +386,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     for k, exc in rejected.items():
         failures.append((str(dates[k]), errors.get(k, str(exc))))
         log.warning("model %s failed at %s: %s", spec.name, *failures[-1])
-    return ModelRunResult(spec.name, predictions, failures, list(forecaster.fits),
+    return ModelRunResult(spec.name, predictions, failures, forecaster.fits,
                           forecaster.record(series))
 
 
@@ -499,7 +485,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
             continue
         save_series(result.predictions, out / "forecasts" / f"{result.name}.matbin", FORMAT_MATBIN)
         artifacts[result.name] = f"forecasts/{result.name}.matbin"
-        for fit_index, trained in result.traces:
+        for fit_index, trained in enumerate(result.traces):
             epochs = np.column_stack([trained.epoch_losses, trained.grad_norms,
                                       trained.min_eig_gaps])
             _write_csv(out / "train" / f"{result.name}_fit{fit_index}.csv",

@@ -706,7 +706,7 @@ MATBIN_MESSAGES = [
      ": date 2001-01-01: matrix entries must be finite"),
     (_matbin_bytes(0, KEYS, [np.zeros((0, 0))] * 2),
      ": date 2001-01-01: expected a nonempty square matrix, got shape (0, 0)"),
-    (_matbin_bytes(2, [], []), None),
+    (_matbin_bytes(2, [], []), ": no records"),
     (_matbin_bytes(2, KEYS[::-1], [EYE, EYE]), ": date 2001-01-01 is not after 2001-01-02"),
     (_matbin_bytes(2, KEYS[:1] * 2, [EYE, EYE]), ": date 2001-01-01 is not after 2001-01-01"),
     (_matbin_bytes(2, KEYS, [EYE, [[1e308, 1e308], [1e308, 1e308]]]),
@@ -753,7 +753,7 @@ class TestSeriesMessages:
         path.write_bytes(blob)
         with pytest.raises(SeriesFormatError) as err:
             load_series(path, FORMAT_MATBIN)
-        assert str(err.value) == (f"{path}{suffix}" if suffix else "empty series")
+        assert str(err.value) == f"{path}{suffix}"
 
     @pytest.mark.parametrize("text, suffix", CSVLONG_MESSAGES, ids=range(len(CSVLONG_MESSAGES)))
     def test_csvlong(self, tmp_path, text, suffix):

@@ -26,6 +26,8 @@ from spdcast import (
     stiefel_project,
     train,
 )
+from spdcast import optim
+from spdcast.exceptions import TrainingDivergedError
 from spdcast.optim import _grad_log_euclidean, _grad_mse, _loewner_kernel
 
 
@@ -122,6 +124,14 @@ class TestLosses:
         b = SpdMatrix(q @ np.diag(p_vals) @ q.T)
         expected = np.sum((np.log(q_vals) - np.log(p_vals)) ** 2)
         assert np.isclose(loss_log_euclidean(a, b), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("label", ["prediction", "target"])
+    def test_log_euclidean_warns_on_a_rank_deficient_operand(self, label):
+        singular, eye = SpdMatrix(np.diag([2.0, 0.0])), SpdMatrix(np.eye(2))
+        pair = (singular, eye) if label == "prediction" else (eye, singular)
+        with pytest.warns(RuntimeWarning, match=f"^{label} is rank deficient; floor-projected at "):
+            loss = loss_log_euclidean(*pair)
+        assert np.isfinite(loss) and loss > 0.0
 
 
 class TestGradients:
@@ -238,6 +248,18 @@ class TestTrain:
         cfg = TrainConfig(epochs=6, batch_size=8, loss=LOSS_MSE, learning_rate=5e-2, seed=5)
         result = train(net, inputs, targets, cfg)
         assert result.epoch_losses[-1] < result.epoch_losses[0]
+
+    def test_non_finite_loss_stops_before_backward(self, monkeypatch):
+        calls = []
+        original = optim.backward
+        monkeypatch.setattr(optim, "backward", lambda *args: calls.append(1) or original(*args))
+        net = Network.init_random(NetworkSpec.default(2, 2), 0)
+        with pytest.raises(TrainingDivergedError) as err, np.errstate(over="ignore"):
+            train(net, [SpdMatrix(1e200 * np.eye(2))], [SpdMatrix(np.eye(2))],
+                  TrainConfig(loss=LOSS_MSE))
+        assert str(err.value) == ("non-finite loss at epoch 0, batch starting 0 "
+                                  "(learning_rate=1.000e-02)")
+        assert calls == []
 
     def test_length_mismatch_rejected(self, rng):
         inputs, targets = self.make_problem(rng)

@@ -168,6 +168,9 @@ class TestLoadConfig:
         ("metrics = frobenius", "metrics = frobenius, cosine",
          "[evaluate] metrics: unknown metric 'cosine' (known: "
          "('frobenius', 'euclidean', 'procrustes', 'log_euclidean'))"),
+        ("metrics = frobenius", "metrics = ,", "[evaluate] metrics: no metrics specified"),
+        ("metrics = frobenius", "metrics = frobenius, frobenius",
+         "[evaluate] metrics: duplicate metric 'frobenius'"),
         ("replicates = 120", "replicates = 120\nalpha = 1",
          "[evaluate] alpha: must be in (0, 1), got 1.0"),
         ("replicates = 120", "replicates = many",
@@ -458,10 +461,10 @@ class TestStackedPrediction:
         cfg.refit_every = 10
         sizes = self.record_batches(monkeypatch)
         result = run_model(spec, cfg, series)
-        assert [k for k, _ in result.traces] == [0, 1, 2]
+        assert len(result.traces) == 3
         assert sizes.count(10) == 3  # one stack per fit, besides training batches
         for k, (date, pred) in enumerate(zip(result.dates, result.predictions)):
-            net = result.traces[k // 10][1].network
+            net = result.traces[k // 10].network
             alone = net.forward(self.input_alone(spec, series, 40 + k))
             assert date == series.dates[40 + k]
             assert np.array_equal(pred.data, alone.data)
@@ -531,12 +534,12 @@ class TestFitSchedule:
                 current, fits = fits, fits + 1
             serving[w] = current
         assert attempts == expected
-        assert [k for k, _ in result.traces] == list(range(fits))
+        assert len(result.traces) == fits
         assert result.failures == [(str(series.dates[window + w]), f"fit: no fit on window {w}")
                                    for w in failed]
         assert list(result.dates) == [series.dates[window + w] for w in serving]
         for (w, k), pred in zip(serving.items(), result.predictions or ()):
-            net = result.traces[k][1].network
+            net = result.traces[k].network
             alone = net.forward(TestStackedPrediction.input_alone(self.SPEC, series, window + w))
             assert np.array_equal(pred.data, alone.data)
 
@@ -579,7 +582,7 @@ class TestCommands:
         series = load_series(tmp_path / "out" / "data" / "series.matbin")
         expected = {}
         for spec in cfg.roster[1:]:
-            fits = [trained for _, trained in run_model(spec, cfg, series).traces]
+            fits = run_model(spec, cfg, series).traces
             expected[spec.name] = {
                 "fits": len(fits),
                 "gap_clamps": sum(f.gap_clamp_count for f in fits),
@@ -631,7 +634,7 @@ class TestCommands:
         path = write_config(tmp_path, BASE_CONFIG.replace("rw, favar:factors=2", "respdnet:lags=1"))
         assert self.run_cli("train-forecast", path) == 0
         cfg = load_config(path)
-        trained = run_model(cfg.roster[0], cfg, pipeline.resolve_series(cfg)[0]).traces[0][1]
+        trained = run_model(cfg.roster[0], cfg, pipeline.resolve_series(cfg)[0]).traces[0]
         lines = (tmp_path / "out" / "train" / "respdnet1_le_fit0.csv").read_text().splitlines()
         assert lines[0] == "epoch,mean_loss,grad_norm,min_eig_gap"
         rows = [line.split(",") for line in lines[1:]]
@@ -724,6 +727,11 @@ class TestCommands:
          "[evaluate] replicates: must be >= 100, got 50"),
         ("evaluate", "replicates = 120", "replicates = 120\nblock_len = 0",
          "[evaluate] block_len: must be >= 1, got 0"),
+        # Rejected when the command runs; the base config's source is simulate.
+        ("train-forecast", "window = 40", "window = 70",
+         "[forecast] window: 70 must be below the series length 70"),
+        ("ingest", "source = simulate", "source = simulate",
+         "[data] source: cmd_ingest requires source = intraday"),
     ]
 
     @pytest.mark.parametrize("command, old, new, message", RANGES)
@@ -732,6 +740,37 @@ class TestCommands:
         path.write_text(path.read_text().replace(old, new, 1))
         assert self.run_cli(command, path) == 2
         assert capsys.readouterr().err == f"spdcast: config error: {message}\n"
+
+    def test_evaluate_drops_a_model_without_forecasts(self, tmp_path, capsys, caplog):
+        path = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert self.run_cli("train-forecast", path) == 0
+        (out / "forecasts" / "favar.matbin").unlink()
+        with caplog.at_level(logging.WARNING, logger="spdcast.pipeline"):
+            assert self.run_cli("evaluate", path) == 0
+        assert caplog.messages == [f"no forecasts for model favar at "
+                                   f"{out / 'forecasts' / 'favar.matbin'}; dropping it"]
+        table = (out / "eval" / "losses_frobenius.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in table[1:]] == ["rw"]
+        (out / "forecasts" / "rw.matbin").unlink()
+        capsys.readouterr()
+        assert self.run_cli("evaluate", path) == 2
+        assert capsys.readouterr().err == (
+            "spdcast: config error: no forecast files found; run train-forecast first\n")
+
+    def test_disabled_portfolio_writes_nothing(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace("enabled = true", "enabled = false"))
+        assert self.run_cli("portfolio", path) == 0
+        assert not (tmp_path / "out" / "portfolio").exists()
+        assert not (tmp_path / "out" / "manifest_portfolio.json").exists()
+
+    def test_unknown_log_level_is_named_and_ignored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SPDCAST_LOG", "chatty")
+        path = write_config(tmp_path)
+        assert self.run_cli("simulate", path) == 0
+        assert capsys.readouterr().err == "spdcast: ignoring unknown SPDCAST_LOG level 'CHATTY'\n"
+        assert (tmp_path / "out" / "data" / "series.matbin").exists()
 
     def test_range_boundaries_accepted(self, tmp_path):
         path = write_config(tmp_path)
