@@ -23,8 +23,10 @@ from .exceptions import ConfigError, SeriesFormatError
 # The names config values are checked against: loss panels' metrics (for
 # evaluation), training losses (optim) and Fréchet-mean metrics (frechet).
 METRICS = ("frobenius", "euclidean", "procrustes", "log_euclidean")
-LOSS_MSE, LOSS_LOG_EUCLIDEAN = "mse", "log_euclidean"
-METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES = "log_euclidean", "procrustes"
+LOSS_MSE, LOSS_LOG_EUCLIDEAN = LOSSES = ("mse", "log_euclidean")
+METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES = FRECHET_METRICS = ("log_euclidean", "procrustes")
+# The regimes evaluate scores: each loss table's file suffix and report title.
+REGIMES = (("", "all days"), ("_calm", "calm days"), ("_turbulent", "turbulent days"))
 
 _SHORT = {"log_euclidean": "le", "mse": "mse", "procrustes": "pro"}
 
@@ -79,14 +81,15 @@ def _hidden(raw: str) -> tuple[int, ...] | None:
 
 
 def _metric_list(raw: str) -> list[str]:
-    names = [m.strip() for m in raw.split(",") if m.strip()]
-    if not names:
+    given = [m.strip() for m in raw.split(",") if m.strip()]
+    if not given:
         raise _Invalid("no metrics specified")
+    names = [m.lower() for m in given]
     for i, m in enumerate(names):
         if m not in METRICS:
-            raise _Invalid(f"unknown metric {m!r} (known: {METRICS})")
+            raise _Invalid(f"unknown metric {given[i]!r} (known: {METRICS})")
         if m in names[:i]:
-            raise _Invalid(f"duplicate metric {m!r}")
+            raise _Invalid(f"duplicate metric {given[i]!r}")
     return names
 
 
@@ -106,6 +109,10 @@ def _in_left_open_unit(v: float) -> str | None:
     return None if 0.0 < v <= 1.0 else f"must be in (0, 1], got {v}"
 
 
+def _in_right_open_unit(v: float) -> str | None:
+    return None if 0.0 <= v < 1.0 else f"must be in [0, 1), got {v}"
+
+
 def _value(raw: str | None, parse, check):
     """``raw`` parsed (None stays None) and checked; a problem raises :class:`_Invalid`."""
     value = None if raw is None else parse(raw)
@@ -115,19 +122,14 @@ def _value(raw: str | None, parse, check):
     return value
 
 
-def _source(v: str) -> str | None:
-    if v in ("simulate", "matbin", "csvlong", "intraday"):
-        return None
-    return f"expected simulate, matbin, csvlong, or intraday, got {v!r}"
-
-
 def _one_of(what: str, *options: str):
-    return _parser(lambda raw: options[options.index(raw)],
+    """Parse one of ``options``, matched case-insensitively; a problem quotes the value as written."""
+    return _parser(lambda raw: options[options.index(raw.lower())],
                    f"unknown {what} {{!r}} ({', '.join(options)})")
 
 
-_LOSS = _one_of("loss", LOSS_MSE, LOSS_LOG_EUCLIDEAN)
-_METRIC = _one_of("metric", METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
+_LOSS = _one_of("loss", *LOSSES)
+_METRIC = _one_of("metric", *FRECHET_METRICS)
 _FACTORS = _parser(_auto_or_int, "favar factors must be an integer or 'auto', got {!r}")
 _LAGS = _parser(int, "respdnet lags must be an integer")
 
@@ -157,7 +159,6 @@ def _parse_roster(raw: str) -> list[ModelSpec]:
         if not chunk:
             continue
         kind, *parts = chunk.split(":")
-        kind = kind.strip().lower()
         given: dict[str, str] = {}
         for part in parts:
             if "=" not in part:
@@ -166,19 +167,14 @@ def _parse_roster(raw: str) -> list[ModelSpec]:
                 )
             key, value = part.split("=", 1)
             given[key.strip()] = value.strip()
-        if kind not in _KINDS:
-            raise ConfigError(
-                f"[models] roster: unknown model kind {kind!r} ({', '.join(_KINDS)})"
-            )
-        keys, pattern = _KINDS[kind]
         name = given.pop("name", None)
-        unknown = [key for key in given if key not in keys]
-        if unknown:
-            raise ConfigError(
-                f"[models] roster: unknown {kind} parameter {unknown[0]!r} "
-                f"(known: {', '.join([*keys, 'name'])})"
-            )
         try:
+            kind = _one_of("model kind", *_KINDS)(kind.strip())
+            keys, pattern = _KINDS[kind]
+            unknown = [key for key in given if key not in keys]
+            if unknown:
+                raise _Invalid(f"unknown {kind} parameter {unknown[0]!r} "
+                               f"(known: {', '.join([*keys, 'name'])})")
             params = {key: _value(given.get(key, default), parse, check)
                       for key, (parse, default, check) in keys.items()}
         except _Invalid as exc:
@@ -211,11 +207,12 @@ class RunConfig:
     seed: int = _key("run", "seed", _INT, "0")
     out_dir: Path = _key("run", "out", Path, "runs/out")
     workers: int = _key("run", "workers", _INT, "1", _at_least(1))
-    source: str = _key("data", "source", str.lower, "simulate", _source)
+    source: str = _key("data", "source", _one_of("source", "simulate", "matbin", "csvlong",
+                                                  "intraday"), "simulate")
     data_path: Path | None = _key("data", "path", Path, None)
-    sim_n: int = _key("data", "n", _INT, "5")
-    sim_days: int = _key("data", "days", _INT, "800")
-    sim_persistence: float = _key("data", "persistence", _REAL, "0.95")
+    sim_n: int = _key("data", "n", _INT, "5", _at_least(1))
+    sim_days: int = _key("data", "days", _INT, "800", _at_least(2))
+    sim_persistence: float = _key("data", "persistence", _REAL, "0.95", _in_right_open_unit)
     sim_df: int = _key("data", "df", _INT, "12")
     returns_path: Path | None = _key("data", "returns", Path, None)
     grid_seconds: int = _key("data", "grid_seconds", _INT, "300", _at_least(1))
@@ -293,17 +290,8 @@ def load_config(
     source, n, df = values["source"], values["sim_n"], values["sim_df"]
     if source != "simulate" and values["data_path"] is None:
         raise ConfigError(f"[data] path: required for source={source}")
-    if source == "simulate":
-        if n < 1:
-            raise ConfigError(f"[data] n: must be >= 1, got {n}")
-        if values["sim_days"] < 2:
-            raise ConfigError(f"[data] days: must be >= 2, got {values['sim_days']}")
-        if not (0.0 <= values["sim_persistence"] < 1.0):
-            raise ConfigError(
-                f"[data] persistence: must be in [0, 1), got {values['sim_persistence']}"
-            )
-        if df < n:
-            raise ConfigError(f"[data] df: must be >= n = {n}, got {df}")
+    if source == "simulate" and df < n:
+        raise ConfigError(f"[data] df: must be >= n = {n}, got {df}")
     for section, keys in known.items():
         bad = sorted(set(given[section]) - keys)
         if bad:
@@ -395,9 +383,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "",
     ]
     tables = [(f"{metric} ({title})", cfg.out_dir / "eval" / f"losses_{metric}{suffix}.csv")
-              for metric in cfg.metrics
-              for suffix, title in (("", "all days"), ("_calm", "calm days"),
-                                    ("_turbulent", "turbulent days"))]
+              for metric in cfg.metrics for suffix, title in REGIMES]
     tables.append(("Portfolios", cfg.out_dir / "portfolio" / "report.csv"))
     tables = [(title, path) for title, path in tables if path.exists()]
     if not tables:

@@ -170,11 +170,18 @@ class ReturnPanel:
         if len(self.dates) != len(self.returns):
             raise SeriesFormatError("dates and returns length mismatch")
         n = len(self.tickers)
+        self.returns = [np.asarray(r, dtype=float) for r in self.returns]
         for r in self.returns:
             if r.ndim != 2 or r.shape[1] != n:
                 raise DimensionMismatchError(
                     f"return block of shape {r.shape} does not match {n} tickers"
                 )
+            if r.shape[0] < 1:
+                raise DimensionMismatchError(
+                    f"expected an (observations, assets) block, got shape {r.shape}"
+                )
+            if not np.all(np.isfinite(r)):
+                raise ValueError("returns must be finite")
 
 
 @dataclass
@@ -184,17 +191,6 @@ class SupervisedSet:
 
     inputs: np.ndarray
     targets: CovSeries
-
-
-def _cross_product(day_returns: np.ndarray) -> np.ndarray:
-    r = np.asarray(day_returns, dtype=float)
-    if r.ndim != 2 or r.shape[0] < 1:
-        raise DimensionMismatchError(
-            f"expected an (observations, assets) block, got shape {r.shape}"
-        )
-    if not np.all(np.isfinite(r)):
-        raise ValueError("returns must be finite")
-    return r.T @ r
 
 
 def log_returns(prices: np.ndarray) -> np.ndarray:
@@ -817,4 +813,4 @@ def load_intraday_csv(path: str | Path, grid_seconds: int = 300) -> ReturnPanel:
 
 def realized_series(panel: ReturnPanel) -> CovSeries:
     """Daily realized covariances from a gridded return panel, from one stacked ``eigh``."""
-    return CovSeries(panel.dates, [_cross_product(r) for r in panel.returns])
+    return CovSeries(panel.dates, [r.T @ r for r in panel.returns])

@@ -15,13 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES
-from .exceptions import DimensionMismatchError
+from .config import FRECHET_METRICS, METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES
 from .spd import (
     SpdMatrix,
     _eigh_desc,
     _psd_roots,
     _recompose,
+    _sample_stacks,
     ensure_pd_values,
     logm_stack,
     sqrtm_stack,
@@ -37,8 +37,6 @@ __all__ = [
     "frechet_mean_procrustes",
 ]
 
-_METRICS = (METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES)
-
 
 @dataclass(frozen=True)
 class FrechetConfig:
@@ -51,8 +49,8 @@ class FrechetConfig:
     tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.metric not in _METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}, expected one of {_METRICS}")
+        if self.metric not in FRECHET_METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}, expected one of {FRECHET_METRICS}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.tol > 0.0):
@@ -67,17 +65,6 @@ class BarycenterResult:
     converged: bool
     n_iters: int
     objective_trace: np.ndarray
-
-
-def _eig_stacks(sample: Sequence[SpdMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked eigenvalues and eigenvectors of a dimension-uniform sample."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    dim = sample[0].dim
-    for s in sample:
-        if s.dim != dim:
-            raise DimensionMismatchError(f"sample is not dimension-uniform: {s.dim} vs {dim}")
-    return np.array([s.eig.values for s in sample]), np.array([s.eig.vectors for s in sample])
 
 
 def _exact_mean(stack: np.ndarray) -> np.ndarray:
@@ -104,7 +91,7 @@ def _log_euclidean_means(logs: np.ndarray, cfg: FrechetConfig | None = None) -> 
 
 def frechet_mean_log_euclidean(sample: Sequence[SpdMatrix]) -> SpdMatrix:
     """Closed-form log-Euclidean mean: ``expm(mean(logm(ensure_pd(S_t))))``."""
-    values, vectors = _eig_stacks(sample)
+    _, values, vectors = _sample_stacks(sample)
     logs = logm_stack(ensure_pd_values(values), vectors)
     values, vectors = _log_euclidean_means(logs[None])[:2]
     return SpdMatrix._from_eig(values[0], vectors[0])
@@ -210,7 +197,7 @@ def frechet_mean_procrustes(
     ``cfg.max_iters`` is reported through the ``converged`` flag, not an
     error.  The mean is always projected at ``SPD_FLOOR * lambda_max``.
     """
-    roots = sqrtm_stack(*_eig_stacks(sample))
+    roots = sqrtm_stack(*_sample_stacks(sample)[1:])
     values, vectors, n_iters, converged, history = _barycenters(
         roots[None], cfg or FrechetConfig(metric=METRIC_PROCRUSTES))
     trace = history[:, 0]

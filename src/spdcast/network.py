@@ -64,14 +64,12 @@ class ForwardTrace:
     """Activations recorded by a forward pass over a stack, for backpropagation.
 
     ``layer_inputs`` holds each bilinear layer's effective (post-expansion)
-    input stack; ``pre_dims`` the side length before expansion;
-    ``rectify_eigs`` the stacked eigendecomposition of each rectified
-    pre-activation (one entry per rectification layer, i.e. all but the
-    last bilinear layer); ``output`` the stack of outputs.
+    input stack; ``rectify_eigs`` the stacked eigendecomposition of each
+    rectified pre-activation (one entry per rectification layer, i.e. all
+    but the last bilinear layer); ``output`` the stack of outputs.
     """
 
     layer_inputs: list[np.ndarray]
-    pre_dims: list[int]
     rectify_eigs: list[EigPair]
     output: np.ndarray
 
@@ -123,11 +121,9 @@ class Network:
                 f"input shape {a.shape} does not match input_dim {d}"
             )
         layer_inputs: list[np.ndarray] = []
-        pre_dims: list[int] = []
         rectify_eigs: list[EigPair] = []
         n_layers = len(self.weights)
         for i, param in enumerate(self.weights):
-            pre_dims.append(a.shape[-1])
             eff = param.shape[1]
             if a.shape[-1] < eff:
                 a = _expand(a, eff)
@@ -140,7 +136,7 @@ class Network:
                 a = _recompose(clipped, vectors)
             else:
                 a = y
-        return ForwardTrace(layer_inputs, pre_dims, rectify_eigs, a)
+        return ForwardTrace(layer_inputs, rectify_eigs, a)
 
     def forward(self, x: SpdMatrix | np.ndarray) -> SpdMatrix:
         """Map an SPD matrix or ``(d, d)`` array to the SPD forecast, as a stack of one."""

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import LOSS_LOG_EUCLIDEAN, LOSS_MSE
+from .config import LOSS_LOG_EUCLIDEAN, LOSS_MSE, LOSSES
 from .exceptions import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -27,8 +27,8 @@ from .exceptions import (
 )
 from .data import CovSeries
 from .network import ForwardTrace, Network
-from .spd import (SpdMatrix, _eigh_desc, _recompose, _symmetrize, ensure_pd, ensure_pd_values,
-                  logm, logm_stack)
+from .spd import (SpdMatrix, _check_pair, _eigh_desc, _recompose, _sample_stacks, _symmetrize,
+                  ensure_pd, ensure_pd_values, logm, logm_stack)
 from .stiefel import stiefel_project, stiefel_retract
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "backward",
     "train",
 ]
-
-_LOSSES = (LOSS_MSE, LOSS_LOG_EUCLIDEAN)
 
 log = logging.getLogger(__name__)
 
@@ -65,8 +63,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.loss not in _LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}, expected one of {_LOSSES}")
+        if self.loss not in LOSSES:
+            raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
         if not (self.eig_gap_floor > 0.0):
             raise ValueError("eig_gap_floor must be positive")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -134,8 +132,7 @@ def _sum_squares(a: np.ndarray) -> np.ndarray:
 
 def loss_mse(pred: SpdMatrix, target: SpdMatrix) -> float:
     """Mean squared entry error: ``||pred - target||_F^2 / n^2``."""
-    if pred.dim != target.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {pred.dim} vs {target.dim}")
+    _check_pair(pred, target)
     n = pred.dim
     return float(np.sum((pred.data - target.data) ** 2)) / (n * n)
 
@@ -146,8 +143,7 @@ def loss_log_euclidean(pred: SpdMatrix, target: SpdMatrix) -> float:
     Rank-deficient operands are floor-projected by :func:`ensure_pd` with a
     warning.
     """
-    if pred.dim != target.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {pred.dim} vs {target.dim}")
+    _check_pair(pred, target)
     logs = []
     for label, s in (("prediction", pred), ("target", target)):
         floored = ensure_pd(s)
@@ -165,7 +161,8 @@ def _grad_mse(pred: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Per-sample mean squared entry error and its gradient."""
     n = pred.shape[-1]
     diff = pred - target
-    return _sum_squares(diff) / (n * n), (2.0 / (n * n)) * diff
+    with np.errstate(over="ignore"):  # an infinite loss is train's TrainingDivergedError
+        return _sum_squares(diff) / (n * n), (2.0 / (n * n)) * diff
 
 
 def _grad_log_euclidean(
@@ -207,7 +204,7 @@ def backward(
         w = net.weights[i].value
         grads[i] = 2.0 * g @ w @ trace.layer_inputs[i]
         g = w.T @ g @ w
-        pre = trace.pre_dims[i]
+        pre = net.spec.layer_dims[i - 1]
         if pre < g.shape[-1]:
             g = _symmetrize(g[..., :pre, :pre])
         values, vectors = trace.rectify_eigs[i - 1]
@@ -219,16 +216,10 @@ def backward(
     return BackwardResult(grads, clamps, min_gap)
 
 
-def _stacks(samples: CovSeries | Sequence[SpdMatrix]) -> tuple[np.ndarray, ...]:
-    """The matrix, eigenvalue and eigenvector stacks of a series or of a sequence of matrices."""
-    if isinstance(samples, CovSeries):
-        return samples.data, samples.values, samples.vectors
-    return tuple(np.array(a) for a in zip(*((s.data, *s.eig) for s in samples)))
-
-
 def _prepare_targets(targets, loss: str) -> tuple[np.ndarray, int]:
     """The target stack; for the log-Euclidean loss, of target logarithms (floored if needed)."""
-    data, values, vectors = _stacks(targets)
+    data, values, vectors = ((targets.data, targets.values, targets.vectors)
+                             if isinstance(targets, CovSeries) else _sample_stacks(targets))
     if loss == LOSS_MSE:
         return data, 0
     floored_values = ensure_pd_values(values)

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import __version__
 from .baselines import favar_fit, favar_forecast
-# _KEYS and _parse_roster stay readable through pipeline, beside the commands.
-from .config import (_KEYS, METRIC_PROCRUSTES, ModelSpec, RunConfig, _manifest_path,  # noqa: F401
-                     _open_text, _parse_roster, _write_csv, _write_manifest)
+from .config import (METRIC_PROCRUSTES, REGIMES, ModelSpec, RunConfig, _manifest_path, _open_text,
+                     _write_csv, _write_manifest)
 from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _day, build_geohar_inputs,
                    build_lagged_inputs, load_intraday_csv, load_series, procrustes_mean_counts,
                    realized_series, rolling_windows, save_series, simulate_market)
@@ -327,10 +326,6 @@ _FORECASTERS = {"rw": _RwForecaster, "favar": _FavarForecaster,
                 "respdnet": _RespdnetForecaster, "geohar": _GeoharForecaster}
 
 
-def _make_forecaster(spec: ModelSpec, cfg: RunConfig) -> _Forecaster:
-    return _FORECASTERS[spec.kind](cfg, **spec.params)
-
-
 @dataclass
 class ModelRunResult:
     name: str
@@ -355,7 +350,7 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     forecast the one stacked check of all of them rejects is dropped;
     failures are recorded and logged in date order.
     """
-    forecaster = _make_forecaster(spec, cfg)
+    forecaster = _FORECASTERS[spec.kind](cfg, **spec.params)
     if cfg.window <= forecaster.min_history:
         raise ConfigError(
             f"[forecast] window: {cfg.window} leaves no training pairs for model "
@@ -586,8 +581,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             unscored.append(exc)
     # All days, then each regime: one mcs call ranks every metric on its dates.
     regimes = {}
-    for suffix, days in (("", np.ones_like(turbulent_days)), ("_calm", ~turbulent_days),
-                         ("_turbulent", turbulent_days)):
+    for (suffix, _), days in zip(REGIMES, (np.ones_like(turbulent_days), ~turbulent_days,
+                                           turbulent_days)):
         if not days.any():
             log.info("regime %s is empty", suffix[1:])
         elif panels:

@@ -134,19 +134,20 @@ def naive_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _coerce_weights(weights: WeightPath | np.ndarray) -> np.ndarray:
+def _aligned(weights: WeightPath | np.ndarray, returns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The ``(days, assets)`` weights and the returns, which must have their shape."""
     w = weights.weights if isinstance(weights, WeightPath) else np.asarray(weights, float)
     if w.ndim != 2:
         raise DimensionMismatchError(f"expected (days, assets) weights, got {w.shape}")
-    return w
+    r = np.asarray(returns, dtype=float)
+    if r.shape != w.shape:
+        raise DimensionMismatchError(f"returns shape {r.shape} != weights shape {w.shape}")
+    return w, r
 
 
 def portfolio_returns(weights: WeightPath | np.ndarray, returns: np.ndarray) -> np.ndarray:
     """Daily portfolio returns ``w_t' r_t`` for aligned weight/return rows."""
-    w = _coerce_weights(weights)
-    r = np.asarray(returns, dtype=float)
-    if r.shape != w.shape:
-        raise DimensionMismatchError(f"returns shape {r.shape} != weights shape {w.shape}")
+    w, r = _aligned(weights, returns)
     return np.sum(w * r, axis=1)
 
 
@@ -165,10 +166,7 @@ def avg_turnover(weights: WeightPath | np.ndarray, returns: np.ndarray) -> float
     ``w_t (1 + r_t) / (1 + w_t' r_t)``; the day's turnover is the l1
     distance from the drifted weights to the new target.
     """
-    w = _coerce_weights(weights)
-    r = np.asarray(returns, dtype=float)
-    if r.shape != w.shape:
-        raise DimensionMismatchError(f"returns shape {r.shape} != weights shape {w.shape}")
+    w, r = _aligned(weights, returns)
     if w.shape[0] < 2:
         raise ValueError("need at least two days of weights")
     growth = 1.0 + np.sum(w[:-1] * r[:-1], axis=1)

@@ -252,9 +252,20 @@ def vech(a: SpdMatrix | np.ndarray) -> np.ndarray:
 
 def _check_pair(a: SpdMatrix, b: SpdMatrix) -> None:
     if not isinstance(a, SpdMatrix) or not isinstance(b, SpdMatrix):
-        raise TypeError("distances are defined on SpdMatrix operands")
+        raise TypeError("expected two SpdMatrix operands")
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+
+
+def _sample_stacks(sample: Sequence[SpdMatrix]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix, eigenvalue and eigenvector stacks of a nonempty, dimension-uniform sample."""
+    if len(sample) == 0:
+        raise ValueError("empty sample")
+    dim = sample[0].dim
+    for s in sample:
+        if s.dim != dim:
+            raise DimensionMismatchError(f"sample is not dimension-uniform: {s.dim} vs {dim}")
+    return tuple(np.array(a) for a in zip(*((s.data, *s.eig) for s in sample)))
 
 
 def _check_stacks(a: np.ndarray, b: np.ndarray) -> None:

@@ -60,6 +60,14 @@ def random_stiefel(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarr
     return (q * signs).T
 
 
+def _like_weight(w: np.ndarray, other: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``w`` and ``other`` as float arrays; ``other``, called ``name``, must have ``w``'s shape."""
+    w, other = np.asarray(w, dtype=float), np.asarray(other, dtype=float)
+    if other.shape != w.shape:
+        raise DimensionMismatchError(f"{name} shape {other.shape} differs from weight shape {w.shape}")
+    return w, other
+
+
 def stiefel_project(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Project a Euclidean gradient onto the tangent space at ``w``.
 
@@ -67,12 +75,7 @@ def stiefel_project(w: np.ndarray, grad: np.ndarray) -> np.ndarray:
     ``G - sym(G @ w.T) @ w`` with ``sym(M) = (M + M.T) / 2``; the result ``V``
     satisfies ``sym(V @ w.T) = 0``.
     """
-    w = np.asarray(w, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != w.shape:
-        raise DimensionMismatchError(
-            f"gradient shape {grad.shape} differs from weight shape {w.shape}"
-        )
+    w, grad = _like_weight(w, grad, "gradient")
     gw = grad @ w.T
     return grad - 0.5 * (gw + gw.T) @ w
 
@@ -85,12 +88,7 @@ def stiefel_retract(w: np.ndarray, step: np.ndarray) -> np.ndarray:
     result is deterministic.  Falls back to the SVD polar factor when the
     QR diagonal signals rank deficiency.
     """
-    w = np.asarray(w, dtype=float)
-    step = np.asarray(step, dtype=float)
-    if step.shape != w.shape:
-        raise DimensionMismatchError(
-            f"step shape {step.shape} differs from weight shape {w.shape}"
-        )
+    w, step = _like_weight(w, step, "step")
     moved = w + step
     q, r = np.linalg.qr(moved.T)
     diag = np.diag(r)

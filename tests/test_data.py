@@ -136,6 +136,17 @@ class TestReturnsAndCovariance:
             expected += np.outer(r[t], r[t])
         assert np.allclose(cov.data, expected, atol=1e-12)
 
+    def test_panel_reads_a_nested_list_block_as_its_array(self):
+        dates, block = np.array(["2001-01-01"], "datetime64[D]"), [[0.01, -0.02], [0.03, 0.01]]
+        from_list = realized_series(ReturnPanel(dates, [block], ["a", "b"]))
+        from_array = realized_series(ReturnPanel(dates, [np.array(block)], ["a", "b"]))
+        assert from_list.data.tobytes() == from_array.data.tobytes()
+
+    def test_panel_rejects_a_non_finite_block_when_built(self):
+        r = np.array([[0.01, np.nan], [0.02, -0.01]])
+        with pytest.raises(ValueError, match="^returns must be finite$"):
+            ReturnPanel(np.array(["2001-01-01"], "datetime64[D]"), [r], ["a", "b"])
+
     def test_log_returns_manual(self):
         prices = np.array([[100.0, 50.0], [110.0, 45.0], [105.0, 46.0]])
         r = log_returns(prices)

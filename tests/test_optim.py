@@ -7,6 +7,8 @@ a layer by two or more repeat eigenvalue 1, where the clamped gaps take the
 quotient's derivative limit, and the clamp counts are checked separately.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from spdcast import (
     train,
 )
 from spdcast import optim
-from spdcast.exceptions import TrainingDivergedError
+from spdcast.exceptions import DimensionMismatchError, TrainingDivergedError
 from spdcast.optim import _grad_log_euclidean, _grad_mse, _loewner_kernel
 
 
@@ -132,6 +134,11 @@ class TestLosses:
         with pytest.warns(RuntimeWarning, match=f"^{label} is rank deficient; floor-projected at "):
             loss = loss_log_euclidean(*pair)
         assert np.isfinite(loss) and loss > 0.0
+
+    @pytest.mark.parametrize("loss", [loss_mse, loss_log_euclidean])
+    def test_operands_must_be_spd_matrices(self, loss):
+        with pytest.raises(TypeError, match="^expected two SpdMatrix operands$"):
+            loss(np.eye(2), SpdMatrix(np.eye(2)))
 
 
 class TestGradients:
@@ -260,6 +267,20 @@ class TestTrain:
         assert str(err.value) == ("non-finite loss at epoch 0, batch starting 0 "
                                   "(learning_rate=1.000e-02)")
         assert calls == []
+
+    def test_diverging_mse_batch_raises_without_a_warning(self):
+        net = Network.init_random(NetworkSpec.default(2, 2), 0)
+        with warnings.catch_warnings(), pytest.raises(TrainingDivergedError):
+            warnings.simplefilter("error")
+            train(net, [SpdMatrix(1e200 * np.eye(2))], [SpdMatrix(np.eye(2))],
+                  TrainConfig(loss=LOSS_MSE))
+
+    def test_targets_of_two_sides_rejected(self):
+        net = Network.init_random(NetworkSpec.default(2, 2), 0)
+        eye = SpdMatrix(np.eye(2))
+        with pytest.raises(DimensionMismatchError,
+                           match="^sample is not dimension-uniform: 3 vs 2$"):
+            train(net, [eye, eye], [eye, SpdMatrix(np.eye(3))], TrainConfig())
 
     def test_length_mismatch_rejected(self, rng):
         inputs, targets = self.make_problem(rng)

@@ -33,9 +33,10 @@ from spdcast import (
 )
 from spdcast import baselines, data, pipeline
 from spdcast.cli import main
+from spdcast.config import _KEYS, ModelSpec, _parse_roster
 from spdcast.data import HAR_MONTH
 from spdcast.frechet import rolling_means
-from spdcast.pipeline import ModelSpec, _model_seed, _parse_roster
+from spdcast.pipeline import _model_seed
 from spdcast.spd import sqrtm_stack
 
 BASE_CONFIG = """\
@@ -142,10 +143,12 @@ class TestLoadConfig:
         ("seed = 5", "seed = x", "[run] seed: expected an integer, got 'x'"),
         ("seed = 5", "seed = 5\nworkers = 0", "[run] workers: must be >= 1, got 0"),
         ("source = simulate", "source = Bogus",
-         "[data] source: expected simulate, matbin, csvlong, or intraday, got 'bogus'"),
+         "[data] source: unknown source 'Bogus' (simulate, matbin, csvlong, intraday)"),
         ("source = simulate", "source = matbin", "[data] path: required for source=matbin"),
         ("n = 3", "n = three", "[data] n: expected an integer, got 'three'"),
         ("n = 3", "n = 0", "[data] n: must be >= 1, got 0"),
+        ("source = simulate\nn = 3", "source = matbin\npath = series.matbin\nn = 0",
+         "[data] n: must be >= 1, got 0"),
         ("days = 70", "days = 1", "[data] days: must be >= 2, got 1"),
         ("persistence = 0.8", "persistence = high",
          "[data] persistence: expected a number, got 'high'"),
@@ -171,6 +174,8 @@ class TestLoadConfig:
         ("metrics = frobenius", "metrics = ,", "[evaluate] metrics: no metrics specified"),
         ("metrics = frobenius", "metrics = frobenius, frobenius",
          "[evaluate] metrics: duplicate metric 'frobenius'"),
+        ("metrics = frobenius", "metrics = frobenius, Frobenius",
+         "[evaluate] metrics: duplicate metric 'Frobenius'"),
         ("replicates = 120", "replicates = 120\nalpha = 1",
          "[evaluate] alpha: must be in (0, 1), got 1.0"),
         ("replicates = 120", "replicates = many",
@@ -192,6 +197,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value) == message
+
+    # Names match case-insensitively and read as their lowercase spelling.
+    @pytest.mark.parametrize("old, new, setting, value", [
+        ("metrics = frobenius", "metrics = Frobenius, LOG_Euclidean", "metrics",
+         ["frobenius", "log_euclidean"]),
+        ("roster = rw, favar:factors=2", "roster = GeoHAR:metric=Procrustes", "roster",
+         [ModelSpec("geohar", "geohar_pro_le", {"metric": "procrustes", "loss": "log_euclidean"})]),
+        ("roster = rw, favar:factors=2", "roster = respdnet:loss=MSE", "roster",
+         [ModelSpec("respdnet", "respdnet3_mse", {"lags": 3, "loss": "mse"})]),
+    ])
+    def test_names_match_in_any_case(self, tmp_path, old, new, setting, value):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        assert getattr(load_config(path), setting) == value
 
     def test_rejection_messages_outside_the_sections(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -233,9 +252,9 @@ class TestLoadConfig:
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         parser.read_string(block)
-        assert parser.sections() == list(dict.fromkeys(s for s, *_ in pipeline._KEYS))
+        assert parser.sections() == list(dict.fromkeys(s for s, *_ in _KEYS))
         assert {(s, k) for s in parser.sections() for k in parser[s]} == {
-            (s, k) for s, k, *_ in pipeline._KEYS}
+            (s, k) for s, k, *_ in _KEYS}
         documented, empty = tmp_path / "readme.ini", tmp_path / "empty.ini"
         documented.write_text(block)
         empty.write_text("")
@@ -1123,6 +1142,7 @@ class TestRosterMessages:
     REJECTIONS = [
         ("respdnet:lags", "expected key=value in 'respdnet:lags', got 'lags'"),
         ("oracle", "unknown model kind 'oracle' (rw, favar, respdnet, geohar)"),
+        ("Oracle", "unknown model kind 'Oracle' (rw, favar, respdnet, geohar)"),
         ("favar:factors=many", "favar factors must be an integer or 'auto', got 'many'"),
         ("respdnet:lags=two", "respdnet lags must be an integer"),
         ("respdnet:lags=0", "respdnet lags must be >= 1"),
@@ -1277,7 +1297,7 @@ class TestRosterValidation:
         cfg = load_config(write_config(tmp_path))
         series, _ = simulate_market(3, 20, 0.8, 7, 1)
         spec = ModelSpec("favar", "favar", {"factors": factors})
-        need = pipeline._make_forecaster(spec, cfg).min_history
+        need = pipeline._FORECASTERS[spec.kind](cfg, **spec.params).min_history
         baselines.favar_fit(series, factors, slice(0, need + 1))
         with pytest.raises(ValueError):
             baselines.favar_fit(series, factors, slice(0, need))
