@@ -62,14 +62,14 @@ _FLAG = _parser(lambda raw: _FLAGS[raw.strip().lower()], "expected a boolean, go
 
 
 def _auto_or_int(raw: str) -> int | None:
-    return None if raw == "auto" else int(raw)
+    return None if raw.lower() == "auto" else int(raw)
 
 
 _AUTO_OR_INT = _parser(_auto_or_int, "expected 'auto' or an integer, got {!r}")
 
 
 def _hidden(raw: str) -> tuple[int, ...] | None:
-    if raw == "auto":
+    if raw.lower() == "auto":
         return None
     try:
         dims = tuple(int(x) for x in raw.split(",") if x.strip())
@@ -166,7 +166,10 @@ def _parse_roster(raw: str) -> list[ModelSpec]:
                     f"[models] roster: expected key=value in {chunk!r}, got {part!r}"
                 )
             key, value = part.split("=", 1)
-            given[key.strip()] = value.strip()
+            key = key.strip().lower()
+            if key in given:
+                raise ConfigError(f"[models] roster: repeated parameter {key!r} in {chunk!r}")
+            given[key] = value.strip()
         name = given.pop("name", None)
         try:
             kind = _one_of("model kind", *_KINDS)(kind.strip())
@@ -204,7 +207,7 @@ def _key(section: str, key: str, parse, default: str | None, check=None):
 class RunConfig:
     """A run's settings, one field per config key, in file order."""
 
-    seed: int = _key("run", "seed", _INT, "0")
+    seed: int = _key("run", "seed", _INT, "0", _at_least(0))
     out_dir: Path = _key("run", "out", Path, "runs/out")
     workers: int = _key("run", "workers", _INT, "1", _at_least(1))
     source: str = _key("data", "source", _one_of("source", "simulate", "matbin", "csvlong",
@@ -231,7 +234,8 @@ class RunConfig:
     replicates: int = _key("evaluate", "replicates", _INT, "10000", _at_least(100))
     block_len: int | None = _key("evaluate", "block_len", _AUTO_OR_INT, "auto", _at_least(1))
     regime_quantile: float = _key("evaluate", "regime_quantile", _REAL, "0.90", _in_open_unit)
-    market_variance: str = _key("evaluate", "market_variance", str, "trace")
+    market_variance: str = _key("evaluate", "market_variance",
+                                lambda raw: "trace" if raw.lower() == "trace" else raw, "trace")
     portfolio_enabled: bool = _key("portfolio", "enabled", _FLAG, "true")
     portfolio_long_only: bool = _key("portfolio", "long_only", _FLAG, "true")
     raw_text: str = field(repr=False, default="")
@@ -277,6 +281,8 @@ def load_config(
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
     given = {s: dict(parser[s]) if parser.has_section(s) else {} for s in known}
 
+    if seed_override is not None and seed_override < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed_override}")
     if workers_override is not None and workers_override < 1:
         raise ConfigError(f"--workers: must be >= 1, got {workers_override}")
     values = {}

@@ -78,9 +78,6 @@ class LossPanel:
         if len(set(self.models)) != len(self.models):
             raise ValueError("duplicate model names")
 
-    def column(self, model: str) -> np.ndarray:
-        return self.losses[:, self.models.index(model)]
-
 
 @dataclass
 class McsResult:
@@ -134,7 +131,7 @@ def block_bootstrap_indices(
         raise ValueError("n_obs and replicates must be positive")
     if not (1 <= block_len <= n_obs):
         raise ValueError(f"block_len must be in [1, {n_obs}], got {block_len}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_blocks = -(-n_obs // block_len)
     starts = rng.integers(0, n_obs, size=(replicates, n_blocks))
     offsets = np.arange(block_len)
@@ -202,6 +199,8 @@ def mcs(
     Several panels on one date set (the metrics of one regime) draw the same
     block starts, so a sequence of them is drawn once over all their
     columns, and the list of their results equals that of one call each.
+    Panels within one block (``len(dates) <= block_len``) draw nothing and, like
+    a one-model panel, keep every model at p = 1 with no elimination order.
     """
     single = isinstance(panels, LossPanel)
     panels = [panels] if single else list(panels)
@@ -217,11 +216,12 @@ def mcs(
     n_obs = len(dates)
     if block_len is None:
         block_len = default_block_len(n_obs)
-    if n_obs <= block_len:
-        raise ValueError(f"panel length {n_obs} must exceed block length {block_len}")
+    if block_len < 1:
+        raise ValueError(f"block_len must be >= 1, got {block_len}")
 
-    # A one-model panel takes no columns: it keeps its model at p = 1.
-    widths = [len(panel.models) if len(panel.models) > 1 else 0 for panel in panels]
+    # A one-model panel, or panels within one block, take no columns: every model at p = 1.
+    widths = [len(panel.models) if len(panel.models) > 1 and n_obs > block_len else 0
+              for panel in panels]
     drawn = [panel.losses for panel, width in zip(panels, widths) if width]
     boot_means = (_centered_bootstrap_means(np.hstack(drawn), replicates, block_len, seed)
                   if drawn else np.empty((replicates, 0)))
@@ -233,7 +233,10 @@ def mcs(
 
 def _eliminate(panel: LossPanel, boot_means: np.ndarray, alpha: float, replicates: int,
                block_len: int) -> McsResult:
-    """:func:`mcs` of one panel, given its columns of the bootstrap means."""
+    """:func:`mcs` of one panel, given its bootstrap-mean columns (none: all at p = 1)."""
+    if not boot_means.shape[1]:
+        return McsResult(set(panel.models), dict.fromkeys(panel.models, 1.0), alpha, replicates,
+                         block_len, [])
     n_models = len(panel.models)
     col_means = panel.losses.mean(axis=0)
 

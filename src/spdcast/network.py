@@ -103,7 +103,7 @@ class Network:
 
     @classmethod
     def init_random(cls, spec: NetworkSpec, seed: int | np.random.Generator) -> "Network":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         return cls(spec, [StiefelParam(random_stiefel(s, rng)) for s in spec.weight_shapes()])
 
     def forward_trace(self, x: np.ndarray) -> ForwardTrace:

@@ -28,7 +28,7 @@ from .exceptions import (
 from .data import CovSeries
 from .network import ForwardTrace, Network
 from .spd import (SpdMatrix, _check_pair, _eigh_desc, _recompose, _sample_stacks, _symmetrize,
-                  ensure_pd, ensure_pd_values, logm, logm_stack)
+                  dist_frobenius, ensure_pd, ensure_pd_values, logm, logm_stack)
 from .stiefel import stiefel_project, stiefel_retract
 
 __all__ = [
@@ -132,9 +132,7 @@ def _sum_squares(a: np.ndarray) -> np.ndarray:
 
 def loss_mse(pred: SpdMatrix, target: SpdMatrix) -> float:
     """Mean squared entry error: ``||pred - target||_F^2 / n^2``."""
-    _check_pair(pred, target)
-    n = pred.dim
-    return float(np.sum((pred.data - target.data) ** 2)) / (n * n)
+    return dist_frobenius(pred, target) / (pred.dim * pred.dim)
 
 
 def loss_log_euclidean(pred: SpdMatrix, target: SpdMatrix) -> float:
@@ -273,10 +271,7 @@ def train(
                     trace.output, target_stack[batch], cfg.eig_gap_floor
                 )
                 total_clamps += int(c.sum())
-            running = 0.0
-            for loss in losses.tolist():
-                running += loss
-            mean_loss = running / len(batch)
+            mean_loss = float(np.add.accumulate(losses)[-1]) / len(batch)
             if not np.isfinite(mean_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch starting {start} "
@@ -288,10 +283,7 @@ def train(
             batch_losses.append(mean_loss)
             sq_norm = 0.0
             for param, sample_grads in zip(net.weights, back.weight_grads):
-                g = np.zeros(param.shape)
-                for sample_grad in sample_grads:
-                    g += sample_grad
-                g /= len(batch)
+                g = np.add.accumulate(sample_grads)[-1] / len(batch)
                 param.grad_euclidean = g
                 v = stiefel_project(param.value, g)
                 sq_norm += float(np.sum(v**2))

@@ -31,7 +31,7 @@ from .config import (METRIC_PROCRUSTES, REGIMES, ModelSpec, RunConfig, _manifest
 from .data import (FORMAT_CSVLONG, FORMAT_MATBIN, HAR_MONTH, CovSeries, _day, build_geohar_inputs,
                    build_lagged_inputs, load_intraday_csv, load_series, procrustes_mean_counts,
                    realized_series, rolling_windows, save_series, simulate_market)
-from .evaluation import LossPanel, McsResult, default_block_len, loss_panel, mcs, regime_split
+from .evaluation import LossPanel, McsResult, loss_panel, mcs, regime_split
 from .exceptions import (ConfigError, DataFileError, NotPositiveDefiniteError, SeriesFormatError,
                          SpdcastError)
 from .frechet import FrechetConfig
@@ -465,7 +465,7 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
 
     if cfg.workers > 1 and len(cfg.roster) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(cfg.roster))) as pool:
             results = list(pool.map(run_model, cfg.roster, repeat(cfg), repeat(series)))
     else:
         results = [run_model(spec, cfg, series) for spec in cfg.roster]
@@ -520,17 +520,6 @@ def _load_forecasts(cfg: RunConfig) -> tuple[dict[str, CovSeries], CovSeries]:
             log.info("model %s: %d dates outside the common panel", name, dropped)
         forecasts[name] = forecast[_rows_of(forecast.dates, common_dates)]
     return forecasts, realized[_rows_of(realized.dates, common_dates)]
-
-
-def _confidence_sets(panels: list[LossPanel], cfg: RunConfig) -> list[McsResult]:
-    """The MCS of each panel of one date set, from one bootstrap draw; panels
-    within one bootstrap block keep every model, at p = 1."""
-    n_obs = len(panels[0].dates)
-    block = cfg.block_len if cfg.block_len is not None else default_block_len(n_obs)
-    if n_obs <= block:
-        return [McsResult(set(panel.models), {m: 1.0 for m in panel.models}, cfg.alpha,
-                          cfg.replicates, block, []) for panel in panels]
-    return mcs(panels, cfg.alpha, cfg.replicates, cfg.block_len, cfg.seed)
 
 
 def _write_loss_table(path: Path, panel: LossPanel, result: McsResult) -> None:
@@ -588,7 +577,8 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         elif panels:
             subs = [LossPanel(list(p.models), p.dates[days], p.losses[days])
                     for p in panels.values()]
-            regimes[suffix] = list(zip(subs, _confidence_sets(subs, cfg)))
+            regimes[suffix] = list(zip(subs, mcs(subs, cfg.alpha, cfg.replicates, cfg.block_len,
+                                                 cfg.seed)))
     artifacts = {"regime_labels": "eval/regime_labels.csv"}
     for i, metric in enumerate(panels):
         for suffix, scored in regimes.items():

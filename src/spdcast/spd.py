@@ -323,21 +323,13 @@ def log_euclidean_losses(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
 def procrustes_rotation(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
     """Orthogonal matrix R minimizing ``||l1 - l2 @ R||_F``.
 
-    Computed from the SVD of ``l2.T @ l1``; may include reflections.  Either
-    argument may be a ``(k, n, n)`` stack (both stacks of one length), giving
-    the ``k`` rotations in one SVD call; each equals the rotation of its
-    slices alone.
+    Computed from the SVD of ``l2.T @ l1``; may include reflections.  Two
+    ``(k, n, n)`` stacks give the ``k`` rotations in one SVD call; each
+    equals the rotation of its slices alone.
     """
     l1 = np.asarray(l1, dtype=float)
     l2 = np.asarray(l2, dtype=float)
-    valid = (
-        l1.ndim in (2, 3)
-        and l2.ndim in (2, 3)
-        and l1.shape[-1] == l1.shape[-2]
-        and l2.shape[-2:] == l1.shape[-2:]
-        and (l1.ndim == 2 or l2.ndim == 2 or len(l1) == len(l2))
-    )
-    if not valid:
+    if l1.ndim not in (2, 3) or l1.shape[-1] != l1.shape[-2] or l2.shape != l1.shape:
         raise DimensionMismatchError(
             f"expected square matrices or stacks of one shape, got {l1.shape} and {l2.shape}"
         )

@@ -119,10 +119,6 @@ class TestLossPanel:
         with pytest.raises(ValueError):
             loss_panel(*make_runs(rng), "wasserstein")
 
-    def test_column_lookup(self, rng):
-        panel = loss_panel(*make_runs(rng, n_models=2), "frobenius")
-        assert np.array_equal(panel.column("m1"), panel.losses[:, 1])
-
 
 def spd_with_rank(rng, n, rank):
     """A PSD matrix of the given rank (strictly SPD when rank == n)."""
@@ -330,8 +326,16 @@ class TestMcs:
             mcs(panel, alpha=0.0)
         with pytest.raises(ValueError):
             mcs(panel, replicates=99)
-        with pytest.raises(ValueError):
-            mcs(panel, block_len=30)
+        for block_len in (0, -3):
+            with pytest.raises(ValueError, match=f"block_len must be >= 1, got {block_len}"):
+                mcs(panel, block_len=block_len)
+        # A panel within one block keeps every model at p = 1, eliminating none.
+        for block_len in (30, 31):
+            result = mcs(panel, block_len=block_len)
+            assert result.p_values == {"a": 1.0, "b": 1.0}
+            assert result.surviving == {"a", "b"}
+            assert result.elimination_order == []
+            assert result.block_len == block_len
 
     def test_survivor_set_monotone_in_alpha(self, rng):
         losses = rng.uniform(0.5, 2.0, size=(60, 4))
@@ -445,8 +449,13 @@ class TestMcsOfSeveralPanels:
                 alone = mcs(panel, 0.25, 200, None, 4)
                 assert (result.p_values, result.elimination_order) == (
                     alone.p_values, alone.elimination_order)
-        with pytest.raises(ValueError, match="must exceed block length"):
-            mcs(self.panels(rng, 3, model_counts), 0.25, 200, 3, 4)
+        # Within one block (by default too: 2 days, block 2), every model is kept at p = 1.
+        for n_obs, block_len in ((3, 3), (2, None)):
+            panels = self.panels(rng, n_obs, model_counts)
+            for panel, result in zip(panels, mcs(panels, 0.25, 200, block_len, 4)):
+                assert result.p_values == dict.fromkeys(panel.models, 1.0)
+                assert result.surviving == set(panel.models)
+                assert result.elimination_order == []
 
     def test_rejects_panels_on_other_dates(self, rng):
         first, second = self.panels(rng, 20, (2, 2))

@@ -141,6 +141,7 @@ class TestLoadConfig:
     # One bad edit of BASE_CONFIG per check, and the exact message it raises.
     REJECTIONS = [
         ("seed = 5", "seed = x", "[run] seed: expected an integer, got 'x'"),
+        ("seed = 5", "seed = -1", "[run] seed: must be >= 0, got -1"),
         ("seed = 5", "seed = 5\nworkers = 0", "[run] workers: must be >= 1, got 0"),
         ("source = simulate", "source = Bogus",
          "[data] source: unknown source 'Bogus' (simulate, matbin, csvlong, intraday)"),
@@ -206,6 +207,14 @@ class TestLoadConfig:
          [ModelSpec("geohar", "geohar_pro_le", {"metric": "procrustes", "loss": "log_euclidean"})]),
         ("roster = rw, favar:factors=2", "roster = respdnet:loss=MSE", "roster",
          [ModelSpec("respdnet", "respdnet3_mse", {"lags": 3, "loss": "mse"})]),
+        ("roster = rw, favar:factors=2", "roster = geohar:Metric=procrustes", "roster",
+         [ModelSpec("geohar", "geohar_pro_le", {"metric": "procrustes", "loss": "log_euclidean"})]),
+        ("roster = rw, favar:factors=2", "roster = favar:FACTORS=AUTO", "roster",
+         [ModelSpec("favar", "favar", {"factors": None})]),
+        ("replicates = 120", "replicates = 120\nblock_len = AUTO", "block_len", None),
+        ("epochs = 2", "epochs = 2\nhidden = Auto", "hidden", None),
+        ("replicates = 120", "replicates = 120\nmarket_variance = TRACE", "market_variance",
+         "trace"),
     ])
     def test_names_match_in_any_case(self, tmp_path, old, new, setting, value):
         path = write_config(tmp_path)
@@ -220,6 +229,9 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path, workers_override=0)
         assert str(err.value) == "--workers: must be >= 1, got 0"
+        with pytest.raises(ConfigError) as err:
+            load_config(path, seed_override=-1)
+        assert str(err.value) == "--seed: must be >= 0, got -1"
         path.write_text(path.read_text().replace("seed = 5", "seed = 5\nseed = 6"))
         with pytest.raises(ConfigError) as err:
             load_config(path)
@@ -728,6 +740,27 @@ class TestCommands:
         path = write_config(tmp_path)
         assert self.run_cli("simulate", path, "--workers", "-3") == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys, command):
+        path = write_config(tmp_path)
+        assert self.run_cli(command, path, "--seed", "-1") == 2
+        assert capsys.readouterr().err == "spdcast: config error: --seed: must be >= 0, got -1\n"
+
+    def test_workers_capped_at_the_roster_size(self, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and runs the models in one thread.
+        import concurrent.futures
+
+        sizes = []
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return concurrent.futures.ThreadPoolExecutor(1)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        path = write_config(tmp_path)
+        assert self.run_cli("train-forecast", path, "--workers", "64") == 0
+        assert sizes == [2]
 
     # The [train] and [evaluate] ranges, rejected when the config is read.
     RANGES = [
@@ -1260,6 +1293,9 @@ class TestRosterValidation:
         ("favar:factor=3", "unknown favar parameter 'factor' (known: factors, name)"),
         ("rw, favar:factors=0", "favar factors must be >= 1, got 0"),
         ("favar:factors=-2", "favar factors must be >= 1, got -2"),
+        ("geohar:metric=procrustes:Metric=log_euclidean",
+         "repeated parameter 'metric' in 'geohar:metric=procrustes:Metric=log_euclidean'"),
+        ("rw:name=a:name=b", "repeated parameter 'name' in 'rw:name=a:name=b'"),
     ])
     def test_rejected(self, roster, message):
         with pytest.raises(ConfigError) as err:

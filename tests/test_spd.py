@@ -406,12 +406,12 @@ class TestProcrustesRotation:
             factor = rng.standard_normal((n, min(rank, n)))
             return sqrtm_psd(SpdMatrix(factor @ factor.T))
 
-        center = root(ranks[-1])
+        centers = np.stack([root(ranks[-1])] * k)
         stack = np.stack([root(r) for r in ranks[:k]])
-        rotations = procrustes_rotation(center, stack)
+        rotations = procrustes_rotation(centers, stack)
         assert rotations.shape == (k, n, n)
         for i in range(k):
-            assert np.array_equal(rotations[i], procrustes_rotation(center, stack[i]))
+            assert np.array_equal(rotations[i], procrustes_rotation(centers[i], stack[i]))
 
     def test_stacks_on_both_sides(self, rng):
         n, k = 4, 6
@@ -420,11 +420,12 @@ class TestProcrustesRotation:
         rotations = procrustes_rotation(l1, l2)
         for i in range(k):
             assert np.array_equal(rotations[i], procrustes_rotation(l1[i], l2[i]))
-        left = procrustes_rotation(l1, l2[0])
-        for i in range(k):
-            assert np.array_equal(left[i], procrustes_rotation(l1[i], l2[0]))
         with pytest.raises(ValueError):
             procrustes_rotation(l1, l2[:3])
+        # A matrix against a stack is a mismatch, on either side.
+        for mixed in ((l1, l2[0]), (l1[0], l2)):
+            with pytest.raises(DimensionMismatchError, match="stacks of one shape"):
+                procrustes_rotation(*mixed)
 
     def test_rejects_mismatched_stack(self, rng):
         with pytest.raises(ValueError):
