@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,8 @@ __all__ = [
     "favar_forecast",
     "default_factor_count",
 ]
+
+log = logging.getLogger(__name__)
 
 
 def forecast_rw(series: CovSeries, t: int) -> SpdMatrix:
@@ -91,6 +93,7 @@ class FavarModel:
     mean_vector: np.ndarray
     var_coef: np.ndarray
     var_intercept: np.ndarray
+    reduced_from: int | None = None  # the count asked for, if the sample's rank cut it
 
     def __post_init__(self) -> None:
         p, f = self.loadings.shape
@@ -116,8 +119,9 @@ def favar_fit(
     Loadings are the top right singular vectors of the centered vector
     matrix (equivalently, top eigenvectors of the sample covariance).  The
     vectors are rows of one Cholesky stack per series, so refits on
-    overlapping windows vectorize each matrix once.  A degenerate sample
-    reduces the factor count with a warning.
+    overlapping windows vectorize each matrix once.  A sample of rank below
+    ``n_factors`` fits ``max(rank, 1)``, logged at INFO: a constant one has zero
+    scores, so a zero VAR, and every forecast is ``mean_vector``.
     """
     if train is None:
         train = slice(0, len(series))
@@ -136,23 +140,16 @@ def favar_fit(
     centered = vectors - mean_vector
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(singular > max(singular[0], 0.0) * 1e-10)) if singular.size else 0
-    if rank == 0:
-        # Constant series: one inert factor keeps the shapes meaningful.
-        warnings.warn("degenerate (constant) sample; using one zero factor", RuntimeWarning)
-        loadings = np.zeros((p, 1))
-        loadings[0, 0] = 1.0
-        return FavarModel(1, loadings, mean_vector, np.zeros((1, 1)), np.zeros(1))
+    reduced_from = None
     if rank < n_factors:
-        warnings.warn(
-            f"sample covariance supports {rank} factors, reducing from {n_factors}",
-            RuntimeWarning,
-        )
-        n_factors = rank
+        log.info("sample covariance supports %d factors, reducing from %d", rank, n_factors)
+        reduced_from, n_factors = n_factors, max(rank, 1)
     loadings = vt[:n_factors].T
     scores = centered @ loadings
     design = np.hstack([np.ones((t_train - 1, 1)), scores[:-1]])
     coef, *_ = np.linalg.lstsq(design, scores[1:], rcond=None)
-    return FavarModel(n_factors, loadings, mean_vector, coef[1:].T.copy(), coef[0].copy())
+    return FavarModel(n_factors, loadings, mean_vector, coef[1:].T.copy(), coef[0].copy(),
+                      reduced_from)
 
 
 def favar_forecast(model: FavarModel, series: CovSeries, t: int) -> SpdMatrix:

@@ -20,6 +20,8 @@ from pathlib import Path
 from . import __version__
 from .exceptions import ConfigError, SeriesFormatError
 
+__all__ = ["ModelSpec", "RunConfig", "load_config"]
+
 # The names config values are checked against: loss panels' metrics (for
 # evaluation), training losses (optim) and Fréchet-mean metrics (frechet).
 METRICS = ("frobenius", "euclidean", "procrustes", "log_euclidean")

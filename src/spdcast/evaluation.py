@@ -36,6 +36,7 @@ __all__ = [
     "McsResult",
     "loss_panel",
     "block_bootstrap_indices",
+    "default_block_len",
     "mcs",
     "regime_split",
 ]

@@ -1,5 +1,9 @@
 """Shared exception types."""
 
+__all__ = ["SpdcastError", "DimensionMismatchError", "DecompositionError",
+           "NotPositiveDefiniteError", "SeriesFormatError", "TrainingDivergedError",
+           "ConvergenceError", "ConfigError", "DataFileError"]
+
 
 class SpdcastError(Exception):
     """Base class for library errors."""

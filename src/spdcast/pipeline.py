@@ -39,6 +39,8 @@ from .network import Network, NetworkSpec
 from .optim import TrainConfig, TrainResult, train
 from .portfolio import WeightPath, evaluate_portfolio, gmv_long_only, gmv_weights, naive_weights
 
+__all__ = ["resolve_series", "run_model"]
+
 log = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
@@ -46,9 +48,7 @@ log = logging.getLogger(__name__)
 
 
 def _model_seed(run_seed: int, model_name: str, fit_index: int = 0) -> int:
-    mixed = np.random.SeedSequence(
-        [run_seed & 0x7FFFFFFF, zlib.crc32(model_name.encode()), fit_index]
-    )
+    mixed = np.random.SeedSequence([run_seed, zlib.crc32(model_name.encode()), fit_index])
     return int(mixed.generate_state(1)[0])
 
 
@@ -113,13 +113,17 @@ def _recorded_key(cfg: RunConfig, command: str) -> str | None:
         return None
 
 
-def _stage_series(cfg: RunConfig, key: str | None) -> CovSeries | None:
-    """The data stage's series if its manifest records ``key`` (not None), else None."""
+def _stage_series(cfg: RunConfig) -> tuple[CovSeries, str, str | None]:
+    """(series, where it came from, data key): a file source's series (key None), else the
+    data stage's ``data/series.matbin`` if its manifest records the key of ``cfg``, else the
+    series of that stage, run now."""
+    if cfg.source not in _DATA_STAGES:
+        return resolve_series(cfg)[0], cfg.source, None
+    key = _data_key(cfg)
     files = [cfg.out_dir / _SERIES_FILE, cfg.out_dir / _RETURNS_FILE]
-    if key is None or not all(f.exists() for f in files) or (
-            _recorded_key(cfg, _DATA_STAGES[cfg.source]) != key):
-        return None
-    return load_series(files[0], FORMAT_MATBIN)
+    if all(f.exists() for f in files) and _recorded_key(cfg, _DATA_STAGES[cfg.source]) == key:
+        return load_series(files[0], FORMAT_MATBIN), _SERIES_FILE, key
+    return _run_data_stage(cfg, key), cfg.source, key
 
 
 def _write_dated_csv(path: Path, columns: list[str], dates: np.ndarray, values: np.ndarray,
@@ -238,9 +242,14 @@ class _FavarForecaster(_Forecaster):
         # A fit needs more than factors + 1 training days.
         self.min_history = (factors or 1) + 1
         self.model = None
+        self.reductions = 0  # fits whose sample's rank cut the factor count
 
     def fit(self, series: CovSeries, train_slice: slice, seed: int) -> None:
         self.model = favar_fit(series, self.factors, train_slice)
+        self.reductions += self.model.reduced_from is not None
+
+    def record(self, series: CovSeries) -> dict[str, int]:
+        return {"factor_reductions": self.reductions} if self.reductions else {}
 
     def predict_many(self, series: CovSeries, start: int, stop: int):
         return favar_forecast(self.model, series, start).data[None]
@@ -381,21 +390,24 @@ def run_model(spec: ModelSpec, cfg: RunConfig, series: CovSeries) -> ModelRunRes
     for k, exc in rejected.items():
         failures.append((str(dates[k]), errors.get(k, str(exc))))
         log.warning("model %s failed at %s: %s", spec.name, *failures[-1])
-    return ModelRunResult(spec.name, predictions, failures, forecaster.fits,
-                          forecaster.record(series))
+    training = forecaster.record(series)
+    if training.get("factor_reductions"):
+        log.warning("model %s: the sample's rank cut the factor count of %d fits", spec.name,
+                    training["factor_reductions"])
+    return ModelRunResult(spec.name, predictions, failures, forecaster.fits, training)
 
 
 # ---------------------------------------------------------------------------
 # Commands
 
 
-def _run_data_stage(cfg: RunConfig, command: str, key: str) -> tuple[CovSeries, list[str]]:
+def _run_data_stage(cfg: RunConfig, key: str) -> CovSeries:
     """Write the series and returns, then a manifest with their inputs' ``key``.
 
     The only writer of ``data/series.matbin``, ``data/returns.csv`` and a
-    data-stage manifest.  Every data-stage manifest goes first, so a key
-    vouches only for files its own stage wrote, and an interrupted stage
-    never leaves a matching key beside partly written files.
+    data-stage manifest, named by ``cfg.source``.  Every data-stage manifest
+    goes first, so a key vouches only for files its own stage wrote, and an
+    interrupted stage never leaves a matching key beside partly written files.
     """
     for stage in _DATA_STAGES.values():
         _manifest_path(cfg, stage).unlink(missing_ok=True)
@@ -403,17 +415,18 @@ def _run_data_stage(cfg: RunConfig, command: str, key: str) -> tuple[CovSeries, 
     (cfg.out_dir / "data").mkdir(parents=True, exist_ok=True)
     save_series(series, cfg.out_dir / _SERIES_FILE, FORMAT_MATBIN)
     _write_dated_csv(cfg.out_dir / _RETURNS_FILE, tickers, series.dates, returns)
-    _write_manifest(cfg, command, {"series": _SERIES_FILE, "returns": _RETURNS_FILE},
-                    data_key=key)
-    return series, tickers
+    command = _DATA_STAGES[cfg.source]
+    _write_manifest(cfg, command, {"series": _SERIES_FILE, "returns": _RETURNS_FILE}, data_key=key)
+    log.info("%s: %d days of %dx%d covariances over tickers %s", command, len(series),
+             series.dim, series.dim, ",".join(tickers))
+    return series
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Materialize a synthetic covariance series and its daily returns."""
     if cfg.source != "simulate":
         raise ConfigError("[data] source: cmd_simulate requires source = simulate")
-    series, _ = _run_data_stage(cfg, "simulate", _data_key(cfg))
-    log.info("simulated %d days of %dx%d covariances", len(series), series.dim, series.dim)
+    _run_data_stage(cfg, _data_key(cfg))
     return 0
 
 
@@ -421,8 +434,7 @@ def cmd_ingest(cfg: RunConfig) -> int:
     """Intraday prices to realized covariances plus daily returns."""
     if cfg.source != "intraday":
         raise ConfigError("[data] source: cmd_ingest requires source = intraday")
-    series, tickers = _run_data_stage(cfg, "ingest", _data_key(cfg))
-    log.info("ingested %d days over tickers %s", len(series), ",".join(tickers))
+    _run_data_stage(cfg, _data_key(cfg))
     return 0
 
 
@@ -432,24 +444,15 @@ def cmd_train_forecast(cfg: RunConfig) -> int:
     Artifacts: ``data/realized.matbin`` (test-date truth), one
     ``forecasts/<model>.matbin`` per model, per-fit loss traces, a failure
     log, and the manifest, whose ``training`` record counts each network
-    model's fits, eigenvalue-gap clamps and floor-projected targets, and a
+    model's fits, eigenvalue-gap clamps and floor-projected targets, a
     Procrustes GeoHAR model's means, their fixed-point iterations and
-    unconverged means.  The series is the data stage's
-    ``data/series.matbin`` when that stage's manifest key matches ``cfg``.
-    Otherwise a ``simulate`` or ``intraday`` source runs its data stage
-    first, and a ``matbin`` or ``csvlong`` one is read from its file.  The
-    manifest's ``data_key`` is that data stage's key (None for a file
+    unconverged means, and a FAVAR model's fits with fewer factors than it
+    asked for.  The series comes from :func:`_stage_series`, and the
+    manifest's ``data_key`` is its data stage's key (None for a file
     source), which ``portfolio`` checks before reading the stage's returns.
     Returns nonzero iff a requested model produced no forecasts at all.
     """
-    key = _data_key(cfg) if cfg.source in _DATA_STAGES else None
-    series, series_from = _stage_series(cfg, key), _SERIES_FILE
-    if series is None:
-        series_from = cfg.source
-        if key is not None:
-            series, _ = _run_data_stage(cfg, _DATA_STAGES[cfg.source], key)
-        else:
-            series = resolve_series(cfg)[0]
+    series, series_from, key = _stage_series(cfg)
     log.info("series of %d days from %s", len(series), series_from)
     if cfg.window >= len(series):
         raise ConfigError(

@@ -34,18 +34,9 @@ __all__ = [
     "dist_euclidean",
     "dist_log_euclidean",
     "dist_procrustes",
-    "frobenius_losses",
-    "euclidean_losses",
-    "log_euclidean_losses",
-    "procrustes_losses",
     "procrustes_rotation",
     "project_to_spd",
     "ensure_pd",
-    "validate_stack",
-    "logm_stack",
-    "sqrtm_stack",
-    "ensure_pd_values",
-    "ensure_pd_stack",
 ]
 
 # Round-off negatives down to -PSD_RTOL * lambda_max are accepted as PSD.  When

@@ -1,5 +1,8 @@
 """Random walk and factor-VAR reference forecasters."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
 
@@ -92,31 +95,48 @@ class TestFavar:
             expected = chol_reconstruct(mu + loading * f[t])
             assert np.allclose(pred.data, expected.data, atol=1e-8)
 
-    def test_constant_series_forecasts_the_constant(self, rng):
+    @staticmethod
+    def fit_logged(caplog, *args, **kwargs):
+        """``favar_fit(*args, **kwargs)`` with warnings as errors, and its INFO messages."""
+        caplog.set_level(logging.INFO, logger="spdcast.baselines")
+        caplog.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = favar_fit(*args, **kwargs)
+        return model, [r.getMessage() for r in caplog.records if r.name == "spdcast.baselines"]
+
+    def test_constant_series_forecasts_the_constant(self, rng, caplog):
         m = random_spd(rng, 3)
         series = series_from([m] * 20)
-        with pytest.warns(RuntimeWarning):
-            model = favar_fit(series, n_factors=2)
+        model, messages = self.fit_logged(caplog, series, n_factors=2)
+        assert model.reduced_from == 2 and model.n_factors < 2
+        assert len(messages) == 1 and messages[0].endswith("factors, reducing from 2")
         pred = favar_forecast(model, series, len(series))
         assert np.allclose(pred.data, m.data, atol=1e-10)
 
-    def test_identity_series_fits_one_zero_factor(self):
+    def test_identity_series_fits_one_zero_factor(self, caplog):
         # The identity's Cholesky vectors average exactly, so the centered
-        # sample is zero; a constant whose mean rounds takes the rank
-        # reduction below instead.
+        # sample is zero: rank 0 fits one factor whose scores are zero; a
+        # constant whose mean rounds has rank 1 instead.
         series = series_from([np.eye(2)] * 12)
-        with pytest.warns(RuntimeWarning, match="one zero factor"):
-            model = favar_fit(series, n_factors=2)
-        assert model.n_factors == 1
+        model, messages = self.fit_logged(caplog, series, n_factors=2)
+        assert messages == ["sample covariance supports 0 factors, reducing from 2"]
+        assert model.n_factors == 1 and model.reduced_from == 2
         assert not model.var_coef.any() and not model.var_intercept.any()
         for t in range(1, len(series) + 1):
             assert np.array_equal(favar_forecast(model, series, t).data, np.eye(2))
 
-    def test_rank_reduction_warns(self):
+    def test_rank_reduction_is_logged(self, caplog):
         series, *_ = self.make_factor_series()
-        with pytest.warns(RuntimeWarning):
-            model = favar_fit(series, n_factors=3)
-        assert model.n_factors < 3
+        model, messages = self.fit_logged(caplog, series, n_factors=3)
+        assert model.n_factors < 3 and model.reduced_from == 3
+        assert messages == [
+            f"sample covariance supports {model.n_factors} factors, reducing from 3"]
+
+    def test_full_rank_sample_keeps_its_count(self, rng, caplog):
+        series = series_from([random_spd(rng, 2) for _ in range(12)])
+        model, messages = self.fit_logged(caplog, series, n_factors=3)
+        assert model.n_factors == 3 and model.reduced_from is None and messages == []
 
     def test_default_factor_count_used(self, rng):
         series = series_from([random_spd(rng, 2) for _ in range(12)])

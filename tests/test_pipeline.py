@@ -3,9 +3,11 @@
 import configparser
 import dataclasses
 import errno
+import importlib
 import json
 import logging
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from spdcast import (
     frechet_mean_procrustes,
     load_config,
     load_series,
+    loss_panel,
     run_model,
     save_series,
     simulate_market,
@@ -1598,14 +1601,121 @@ class TestReturnsWidth:
         assert capsys.readouterr().err == message
 
 
+class TestModelSeed:
+    def test_seeds_a_multiple_of_2_31_apart_get_their_own_streams(self):
+        assert _model_seed(0, "rw") != _model_seed(2**31, "rw")
+
+    def test_seeds_below_2_31_keep_their_streams(self):
+        assert _model_seed(0, "rw") == 3086433193
+        assert _model_seed(2**31 - 1, "rw") == 3199689582
+
+
+class TestFavarFactorReductions:
+    """A FAVAR fit whose sample's rank cuts its factor count is counted in the
+    manifest and logged once per model, never raised as a warning."""
+
+    def test_rank_one_series_counts_its_reductions(self, tmp_path, caplog):
+        rng = np.random.default_rng(4)
+        scales = rng.uniform(0.5, 2.0, 40)
+        base = np.array([[2.0, 0.5], [0.5, 1.0]])
+        dates = np.datetime64("2001-01-01") + np.arange(40)
+        save_series(CovSeries(dates, scales[:, None, None] * base), tmp_path / "rank1.matbin")
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nout = {tmp_path / 'out'}\n[data]\nsource = matbin\n"
+                        f"path = {tmp_path / 'rank1.matbin'}\n[models]\n"
+                        "roster = rw, favar:factors=2\n[forecast]\nwindow = 30\n")
+        caplog.set_level(logging.WARNING, logger="spdcast.pipeline")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train-forecast", "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_train_forecast.json").read_text())
+        assert manifest["training"] == {"favar": {"factor_reductions": 10}}
+        assert [r.getMessage() for r in caplog.records if r.name == "spdcast.pipeline"] == [
+            "model favar: the sample's rank cut the factor count of 10 fits"]
+
+    def test_full_rank_fits_leave_no_record(self, tmp_path):
+        path = write_config(tmp_path)
+        assert main(["train-forecast", "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_train_forecast.json").read_text())
+        assert "favar" not in manifest["training"]
+
+
+class TestCommonDates:
+    """evaluate and portfolio score every model on the dates all forecast files hold."""
+
+    def test_a_forecast_file_missing_dates_restricts_every_model(self, tmp_path, caplog):
+        path = write_config(tmp_path, BASE_CONFIG.replace("metrics = frobenius",
+                                                          "metrics = frobenius, euclidean"))
+        out = tmp_path / "out"
+        assert main(["train-forecast", "--config", str(path)]) == 0
+        favar = load_series(out / "forecasts" / "favar.matbin")
+        keep = [k for k in range(len(favar)) if k not in (0, 7, 8, 29)]
+        save_series(favar[keep], out / "forecasts" / "favar.matbin")
+        caplog.set_level(logging.INFO, logger="spdcast.pipeline")
+        for command in ("evaluate", "portfolio"):
+            caplog.clear()
+            assert main([command, "--config", str(path)]) == 0
+            assert [r.getMessage() for r in caplog.records if r.name == "spdcast.pipeline"] == [
+                "model rw: 4 dates outside the common panel"]
+
+        common = favar.dates[keep]
+        realized = load_series(out / "data" / "realized.matbin")
+        rows = np.searchsorted(realized.dates, common)
+        forecasts = {"rw": load_series(out / "forecasts" / "rw.matbin")[rows],
+                     "favar": favar[keep]}
+        for metric in ("frobenius", "euclidean"):
+            panel = loss_panel(forecasts, realized[rows], metric)
+            table = (out / "eval" / f"losses_{metric}.csv").read_text().splitlines()[1:]
+            assert {line.split(",")[0]: line.split(",")[1] for line in table} == {
+                name: f"{mean:.17g}" for name, mean in zip(panel.models, panel.losses.mean(0))}
+
+        def dates_of(csv_path):
+            return [line.split(",")[0] for line in csv_path.read_text().splitlines()[1:]]
+
+        assert dates_of(out / "eval" / "regime_labels.csv") == [str(d) for d in common]
+        weights = sorted((out / "portfolio").glob("weights_*.csv"))
+        assert [w.stem for w in weights] == [f"weights_{model}_{variant}"
+                                             for model in ("favar", "rw")
+                                             for variant in ("gmv", "gmv_long")]
+        for w in weights:
+            assert dates_of(w) == [str(d) for d in common]
+
+
 class TestStartup:
     def test_every_exported_name_resolves(self):
         import spdcast
 
         for name in spdcast.__all__:
             assert getattr(spdcast, name) is not None, name
+        owners = {}  # name: the module whose __all__ holds it
+        for module in spdcast._MODULES:
+            for name in importlib.import_module(f"spdcast.{module}").__all__:
+                assert owners.setdefault(name, module) == module, (name, owners[name], module)
+        assert sorted(spdcast.__all__) == sorted(["__version__", *owners])
         with pytest.raises(AttributeError):
             spdcast.no_such_name
+
+    def test_numpy_free_names_and_modules_load_no_numpy(self):
+        """The package finds the names of its NumPy-free modules before it imports
+        any other, and ``from spdcast import <module>`` imports that module alone."""
+        import subprocess
+        import sys
+
+        import spdcast
+
+        check = ("import sys\n"
+                 "from spdcast import config, exceptions, ConfigError, RunConfig, load_config\n"
+                 "import spdcast\n"
+                 "try:\n"
+                 "    spdcast._no_such_name\n"
+                 "except AttributeError:\n"
+                 "    print(sorted(m for m in sys.modules\n"
+                 "                 if m.split('.')[0] in ('numpy', 'spdcast')))\n")
+        src = str(Path(spdcast.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", check], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["['spdcast',", "'spdcast.config',", "'spdcast.exceptions']"]
 
     @staticmethod
     def run_console(*args: str) -> tuple[object, set[str]]:
