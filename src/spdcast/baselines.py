@@ -109,6 +109,11 @@ def default_factor_count(p: int, train_length: int) -> int:
     return min(50, p, train_length - 2)
 
 
+def _fit_error(series: CovSeries, train: slice, exc: np.linalg.LinAlgError) -> DecompositionError:
+    dates = series.dates[train]
+    return DecompositionError(f"FAVAR fit on {dates[0]} to {dates[-1]}: {exc}")
+
+
 def favar_fit(
     series: CovSeries,
     n_factors: int | None = None,
@@ -121,7 +126,9 @@ def favar_fit(
     vectors are rows of one Cholesky stack per series, so refits on
     overlapping windows vectorize each matrix once.  A sample of rank below
     ``n_factors`` fits ``max(rank, 1)``, logged at INFO: a constant one has zero
-    scores, so a zero VAR, and every forecast is ``mean_vector``.
+    scores, so a zero VAR, and every forecast is ``mean_vector``.  An SVD or
+    least-squares solve that does not converge raises :class:`DecompositionError`
+    naming the window's first and last dates.
     """
     if train is None:
         train = slice(0, len(series))
@@ -138,7 +145,10 @@ def favar_fit(
     vectors = series.stack(_series_chols)[train]
     mean_vector = vectors.mean(axis=0)
     centered = vectors - mean_vector
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    try:
+        _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise _fit_error(series, train, exc) from exc
     rank = int(np.sum(singular > max(singular[0], 0.0) * 1e-10)) if singular.size else 0
     reduced_from = None
     if rank < n_factors:
@@ -147,7 +157,10 @@ def favar_fit(
     loadings = vt[:n_factors].T
     scores = centered @ loadings
     design = np.hstack([np.ones((t_train - 1, 1)), scores[:-1]])
-    coef, *_ = np.linalg.lstsq(design, scores[1:], rcond=None)
+    try:
+        coef, *_ = np.linalg.lstsq(design, scores[1:], rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise _fit_error(series, train, exc) from exc
     return FavarModel(n_factors, loadings, mean_vector, coef[1:].T.copy(), coef[0].copy(),
                       reduced_from)
 

@@ -68,10 +68,26 @@ class BarycenterResult:
 
 
 def _exact_mean(stack: np.ndarray) -> np.ndarray:
-    # Entrywise exactly-rounded summation: the mean is bit-for-bit invariant
-    # under permutations of the sample.
+    # Entrywise correctly rounded sums, as math.fsum gives them, so the mean is
+    # bit-for-bit invariant under permutations of the sample.  Each of two
+    # error-free extraction passes (Rump, Ogita & Oishi 2008) takes from every
+    # entry the part q = (sigma + x) - sigma, exactly, with sigma = 2^(e + head)
+    # and |x| < 2^e in its column; a column's parts add exactly in any order, so
+    # with no remainder left its sum is one rounding of its two levels.  A
+    # remainder (NaN for a non-finite entry or sigma) sends the column to fsum.
     count = stack.shape[0]
-    sums = np.array([math.fsum(column) for column in stack.reshape(count, -1).T.tolist()])
+    columns = stack.reshape(count, -1)
+    head = (count - 1).bit_length() + 1
+    rest, sums = columns, 0.0
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            sigma = np.ldexp(1.0, np.frexp(np.abs(rest).max(axis=0, initial=0.0))[1] + head)
+            part = (sigma + rest) - sigma
+            rest = rest - part
+            sums = sums + part.sum(axis=0)
+    slow = np.flatnonzero(np.any(rest != 0.0, axis=0))
+    if slow.size:
+        sums[slow] = [math.fsum(column) for column in columns[:, slow].T.tolist()]
     return (sums / count).reshape(stack.shape[1:])
 
 

@@ -495,7 +495,6 @@ class TestCsvLong:
         assert ":2" in str(err.value)
 
 
-@pytest.mark.filterwarnings("error")
 class TestIntraday:
     def write_csv(self, path, rows):
         path.write_text("date,time,ticker,price\n" + "\n".join(rows) + "\n")
@@ -674,7 +673,6 @@ INTRADAY_NEW_MESSAGES = [
 ]
 
 
-@pytest.mark.filterwarnings("error")
 class TestIntradayMessages:
     """Exact loader messages: each names the file, and a row error its line."""
 
@@ -845,7 +843,6 @@ def _mixed_tick_file(rng, tickers, crlf):
     return "".join(lines[i] + end for i in order).encode()
 
 
-@pytest.mark.filterwarnings("error")
 class TestIntradayColumnar:
     @settings(max_examples=40, deadline=None)
     @given(

@@ -34,6 +34,13 @@ PROCRUSTES = FrechetConfig(metric=METRIC_PROCRUSTES)
 TIGHT_AGREEMENT = 1e-7
 
 
+def _fsum_mean(stack):
+    """The oracle of ``_exact_mean``: ``math.fsum`` of each column over ``k``."""
+    count = stack.shape[0]
+    sums = np.array([math.fsum(column) for column in stack.reshape(count, -1).T.tolist()])
+    return (sums / count).reshape(stack.shape[1:])
+
+
 def per_matrix_gpa(sample, cfg):
     """Generalized Procrustes averaging one matrix at a time: the oracle.
 
@@ -56,7 +63,7 @@ def per_matrix_gpa(sample, cfg):
     converged = False
     for n_iters in range(1, cfg.max_iters + 1):
         aligned = np.stack([r @ rotation(center, r) for r in roots])
-        center = _exact_mean(aligned)
+        center = _fsum_mean(aligned)
         objective = float(np.sum((aligned - center) ** 2))
         trace.append(objective)
         if math.isfinite(prev) and prev - objective <= cfg.tol * max(abs(prev), 1.0):
@@ -98,7 +105,7 @@ class TestLogEuclideanMean:
         # The kernel sums only the upper triangle of the exactly symmetric logarithms.
         for n in (1, 3, 8):
             sample = [random_spd(rng, n, 1e-6, 1e3) for _ in range(22)]
-            lam, vec = _eigh_desc(_exact_mean(np.stack([logm(s) for s in sample])))
+            lam, vec = _eigh_desc(_fsum_mean(np.stack([logm(s) for s in sample])))
             expected = SpdMatrix._from_eig(np.exp(lam), vec)
             assert np.array_equal(frechet_mean_log_euclidean(sample).data, expected.data)
 
@@ -319,11 +326,49 @@ class TestExactMean:
 
     def test_equals_columnwise_fsum(self, rng):
         for stack in self.stacks(rng):
-            count = stack.shape[0]
-            expected = np.empty(stack.shape[1:])
-            for index in np.ndindex(*stack.shape[1:]):
-                expected[index] = math.fsum(stack[(slice(None), *index)]) / count
-            assert np.array_equal(_exact_mean(stack), expected)
+            assert np.array_equal(_exact_mean(stack), _fsum_mean(stack))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 40), width=st.integers(1, 4),
+           spread=st.sampled_from((0, 8, 24, 60, 1000)), shift=st.sampled_from((0, -1040)),
+           ties=st.booleans(), sign=st.sampled_from((-1, 0, 1)))
+    def test_equals_fsum_bit_for_bit(self, data, k, width, spread, shift, ties, sign):
+        # Either mantissas of up to 53 bits times 2^(shift +- spread), of both
+        # signs, or normalized and of one sign, so that a column's sum comes near
+        # k times its largest entry, the most a level must hold.  The shift
+        # reaches subnormals, and spreads of 60 and more leave a remainder after
+        # two passes, so those columns take the fsum fallback.  Or a first row of
+        # +-(2^53 + 2), whose ulp is 2, over signed zeros, halves, quarters, ones
+        # and the least subnormal: exact half-way ties and values just off them.
+        if ties:
+            entry = st.sampled_from((0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 1.0, -1.0, 5e-324))
+            first = st.sampled_from((2.0**53 + 2, -(2.0**53 + 2), -0.0))
+        else:
+            mantissa = (st.integers(2**52, 2**53).map(lambda m: sign * m) if sign
+                        else st.integers(-(2**53), 2**53))
+            entry = first = st.builds(math.ldexp, mantissa, st.integers(
+                shift - spread, shift + spread).map(lambda e: e - 52))
+        def row(values):
+            return data.draw(st.lists(values, min_size=width, max_size=width))
+
+        stack = np.array([row(first)] + [row(entry) for _ in range(k - 1)])
+        assert _exact_mean(stack).tobytes() == _fsum_mean(stack).tobytes()
+
+    @pytest.mark.parametrize("column", [
+        [np.nan, 1.0], [np.inf, 1.0], [-np.inf, -1e308], [np.inf, -np.inf], [1e308, 1e308],
+        [1e308, -1e308, 1.0], [1.7976931348623157e308, -1.7976931348623157e308],
+        [2.0**1022, 2.0**1022, -(2.0**1022)], [-0.0, -0.0, -0.0],
+    ])
+    def test_non_finite_and_near_overflow_columns_act_as_fsum(self, column):
+        # The column beside an ordinary one: the value fsum gives, or its exception.
+        stack = np.column_stack([column, np.arange(len(column), dtype=float)])
+        try:
+            expected = _fsum_mean(stack)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                _exact_mean(stack)
+        else:
+            assert _exact_mean(stack).tobytes() == expected.tobytes()
 
     def test_permutation_invariant_bitwise(self, rng):
         for stack in self.stacks(rng):

@@ -1640,6 +1640,33 @@ class TestFavarFactorReductions:
         assert "favar" not in manifest["training"]
 
 
+class TestFavarLinAlgError:
+    """A LAPACK failure in a FAVAR fit fails that window, as any library error does."""
+
+    @pytest.mark.parametrize("solver", ["svd", "lstsq"])
+    def test_a_solve_that_does_not_converge_fails_its_window(self, tmp_path, monkeypatch,
+                                                            solver):
+        path = write_config(tmp_path)
+        original, calls = getattr(np.linalg, solver), []
+
+        def failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError(f"{solver} did not converge")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, failing_once)
+        assert main(["train-forecast", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        dates = load_series(out / "data" / "series.matbin").dates
+        window = load_config(path).window
+        rows = (out / "train" / "failures.csv").read_text().splitlines()
+        assert rows == ["model,date,reason", f"favar,{dates[window]},fit: FAVAR fit on "
+                        f"{dates[0]} to {dates[window - 1]}: {solver} did not converge"]
+        favar = load_series(out / "forecasts" / "favar.matbin")
+        assert np.array_equal(favar.dates, dates[window + 1 :])
+
+
 class TestCommonDates:
     """evaluate and portfolio score every model on the dates all forecast files hold."""
 
