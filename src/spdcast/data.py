@@ -33,11 +33,10 @@ from .frechet import METRIC_PROCRUSTES, FrechetConfig, rolling_means
 from .spd import (
     SpdMatrix,
     _check_records,
+    _eigh_desc,
     _freeze,
     _recompose,
-    _symmetrize,
     ensure_pd_values,
-    expm,
     logm_stack,
     sqrtm_stack,
     validate_stack,
@@ -335,11 +334,8 @@ def rolling_windows(series: CovSeries, window: int) -> Iterator[tuple[slice, int
         yield slice(t - window, t), t
 
 
-def _symmetric_noise(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    upper = np.zeros((n, n))
-    idx = np.triu_indices(n)
-    upper[idx] = rng.standard_normal(len(idx[0]))
-    return scale * _symmetrize(upper + np.triu(upper, 1).T)
+# Days per stacked draw and decomposition: bounds the simulator's working memory.
+_SIM_CHUNK = 64
 
 
 def simulate_market(
@@ -353,11 +349,14 @@ def simulate_market(
     """Synthetic realized covariances plus consistent daily returns.
 
     The latent log-covariance follows a stationary matrix AR(1) with the
-    given persistence around zero (the identity covariance); each day ``df``
-    intraday return vectors are drawn with covariance ``Sigma_t / df``, so
-    the realized covariance is Wishart with ``df`` degrees of freedom and
-    mean ``Sigma_t``, and the day's return is their sum, distributed
-    N(0, Sigma_t).
+    given persistence around zero (the identity covariance); its symmetric
+    noise has entry standard deviation ``vol``, so its log-spectrum spans
+    about ±2·vol·√n.  Each day ``df`` intraday return vectors are drawn with
+    covariance ``Sigma_t / df``, so the realized covariance is Wishart with
+    ``df`` degrees of freedom and mean ``Sigma_t``, and the day's return is
+    their sum, distributed N(0, Sigma_t).  Each day takes its upper-triangle
+    noise and then its ``df * n`` intraday draws from one stream, so drawing
+    and decomposing ``_SIM_CHUNK`` days at a time does not change the series.
     """
     if n < 1 or n_days < 1:
         raise ValueError("n and n_days must be positive")
@@ -366,31 +365,47 @@ def simulate_market(
     if int(df) != df or df < n:
         raise ValueError(f"df must be an integer >= n (got df={df}, n={n})")
     df = int(df)
-    if not (vol > 0.0):
-        raise ValueError("vol must be positive")
+    if not (0.0 < vol < np.inf):
+        raise ValueError("vol must be positive and finite")
     rng = np.random.default_rng(seed)
     innovation = vol * np.sqrt(1.0 - persistence**2)
-    state = _symmetric_noise(rng, n, vol)
+    rows, cols = np.triu_indices(n)
     dates = np.datetime64("2000-01-03", "D") + np.arange(n_days)
-    realized = np.zeros((n_days, n, n))
-    daily_returns = np.zeros((n_days, n))
-    for t in range(n_days):
-        if t > 0:
-            state = persistence * state + _symmetric_noise(rng, n, innovation)
-        with np.errstate(over="ignore"):
-            sigma = expm(state)
+    realized = np.empty((n_days, n, n))
+    daily_returns = np.empty((n_days, n))
+    state = None
+    for lo in range(0, n_days, _SIM_CHUNK):
+        hi = min(lo + _SIM_CHUNK, n_days)
+        draws = rng.standard_normal((hi - lo, len(rows) + df * n))
+        scale = np.where(np.arange(lo, hi) == 0, vol, innovation)[:, None]
+        states = np.empty((hi - lo, n, n))
+        states[:, rows, cols] = states[:, cols, rows] = scale * draws[:, : len(rows)]
+        for j, shock in enumerate(states):  # the AR(1), in day order
+            state = states[j] = shock if state is None else persistence * state + shock
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, vectors = _eigh_desc(states)
+            values = np.exp(values)
+            sigma = _recompose(values, vectors)
+        overflow = ~np.isfinite(values[:, 0])
         try:
-            if not np.isfinite(sigma.eig.values[0]):
-                raise np.linalg.LinAlgError("its largest eigenvalue overflows")
-            root = np.linalg.cholesky(sigma.data / df)
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionError(
-                f"simulated day {t}: the latent covariance is not numerically positive "
-                f"definite (vol={vol} spreads its spectrum too far): {exc}"
-            ) from exc
-        intraday = rng.standard_normal((df, n)) @ root.T
-        realized[t] = intraday.T @ intraday
-        daily_returns[t] = intraday.sum(axis=0)
+            if overflow.any():
+                raise np.linalg.LinAlgError
+            roots = np.linalg.cholesky(sigma / df)
+        except np.linalg.LinAlgError:  # the first failing day raises its own error
+            roots = np.empty_like(sigma)
+            for j in range(hi - lo):
+                try:
+                    if overflow[j]:
+                        raise np.linalg.LinAlgError("its largest eigenvalue overflows")
+                    roots[j] = np.linalg.cholesky(sigma[j] / df)
+                except np.linalg.LinAlgError as exc:
+                    raise DecompositionError(
+                        f"simulated day {lo + j}: the latent covariance is not numerically "
+                        f"positive definite (vol={vol} spreads its spectrum too far): {exc}"
+                    ) from exc
+        intraday = draws[:, len(rows) :].reshape(-1, df, n) @ np.swapaxes(roots, -1, -2)
+        realized[lo:hi] = np.swapaxes(intraday, -1, -2) @ intraday
+        daily_returns[lo:hi] = intraday.sum(axis=1)
     return CovSeries(dates, realized), daily_returns
 
 

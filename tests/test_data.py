@@ -40,6 +40,7 @@ from spdcast import (
 from spdcast import data
 from spdcast.data import HAR_MONTH, _read_matrix_records, _write_matrix_records
 from spdcast.frechet import METRIC_LOG_EUCLIDEAN, METRIC_PROCRUSTES, FrechetConfig
+from spdcast.spd import _symmetrize, expm
 
 
 def make_series(rng, n=3, length=30):
@@ -344,6 +345,83 @@ class TestRollingWindows:
             list(rolling_windows(series, 5))
 
 
+def _symmetric_noise(rng, n, scale):
+    upper = np.zeros((n, n))
+    idx = np.triu_indices(n)
+    upper[idx] = rng.standard_normal(len(idx[0]))
+    return scale * _symmetrize(upper + np.triu(upper, 1).T)
+
+
+def reference_simulate_market(n, n_days, persistence, df, seed, vol=0.5):
+    """The simulator's day-by-day loop, one ``expm`` and one Cholesky per day: the
+    oracle of the stacked simulator's bytes and errors."""
+    if n < 1 or n_days < 1:
+        raise ValueError("n and n_days must be positive")
+    if not (0.0 <= persistence < 1.0):
+        raise ValueError(f"persistence must be in [0, 1), got {persistence}")
+    if int(df) != df or df < n:
+        raise ValueError(f"df must be an integer >= n (got df={df}, n={n})")
+    df = int(df)
+    if not (vol > 0.0):
+        raise ValueError("vol must be positive")
+    rng = np.random.default_rng(seed)
+    innovation = vol * np.sqrt(1.0 - persistence**2)
+    state = _symmetric_noise(rng, n, vol)
+    dates = np.datetime64("2000-01-03", "D") + np.arange(n_days)
+    realized = np.zeros((n_days, n, n))
+    daily_returns = np.zeros((n_days, n))
+    for t in range(n_days):
+        if t > 0:
+            state = persistence * state + _symmetric_noise(rng, n, innovation)
+        with np.errstate(over="ignore"):
+            sigma = expm(state)
+        try:
+            if not np.isfinite(sigma.eig.values[0]):
+                raise np.linalg.LinAlgError("its largest eigenvalue overflows")
+            root = np.linalg.cholesky(sigma.data / df)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(
+                f"simulated day {t}: the latent covariance is not numerically positive "
+                f"definite (vol={vol} spreads its spectrum too far): {exc}"
+            ) from exc
+        intraday = rng.standard_normal((df, n)) @ root.T
+        realized[t] = intraday.T @ intraday
+        daily_returns[t] = intraday.sum(axis=0)
+    return CovSeries(dates, realized), daily_returns
+
+
+def _outcome(simulate, *args, **kwargs):
+    """The bytes of a simulation (matrices, dates, returns), or its error's type and text."""
+    try:
+        series, returns = simulate(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return series.data.tobytes(), series.dates.tobytes(), returns.tobytes()
+
+
+def _failing_days(n, n_days, persistence, df, seed, vol):
+    """How each day of the reference loop fails had it gone on: ``"overflow"``,
+    ``"cholesky"`` or ``None``, from the same stream."""
+    rng = np.random.default_rng(seed)
+    state = _symmetric_noise(rng, n, vol)
+    kinds = []
+    for t in range(n_days):
+        if t > 0:
+            state = persistence * state + _symmetric_noise(rng, n, vol * np.sqrt(1.0 - persistence**2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sigma = expm(state)
+        if not np.isfinite(sigma.eig.values[0]):
+            kinds.append("overflow")
+        else:
+            try:
+                np.linalg.cholesky(sigma.data / df)
+                kinds.append(None)
+            except np.linalg.LinAlgError:
+                kinds.append("cholesky")
+        rng.standard_normal((df, n))
+    return kinds
+
+
 class TestSimulate:
     def test_shapes_and_dates(self):
         series, returns = simulate_market(3, 40, 0.9, 6, seed=1)
@@ -386,6 +464,46 @@ class TestSimulate:
             match = r"simulated day \d+: .*vol=1000.*overflows"
             with pytest.raises(DecompositionError, match=match):
                 simulate_market(3, 50, 0.9, 12, 0, vol=1000)
+
+    @pytest.mark.parametrize("vol", [0.0, -0.5, np.inf, -np.inf, np.nan])
+    def test_vol_must_be_positive_and_finite(self, vol):
+        with pytest.raises(ValueError, match=r"^vol must be positive and finite$"):
+            simulate_market(3, 10, 0.9, 5, 0, vol=vol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        n_days=st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)),
+        persistence=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**128),
+    )
+    def test_equals_the_day_by_day_loop_bytewise(self, data, n, n_days, persistence, seed):
+        df = data.draw(st.integers(n, n + 8), label="df")
+        args = (n, n_days, persistence, df, seed)
+        assert _outcome(simulate_market, *args) == _outcome(reference_simulate_market, *args)
+
+    @pytest.mark.parametrize("n, n_days, df", [(20, 129, 22), (50, 70, 78)])
+    def test_equals_the_day_by_day_loop_bytewise_at_large_n(self, n, n_days, df):
+        args = (n, n_days, 0.95, df, 1)
+        assert _outcome(simulate_market, *args) == _outcome(reference_simulate_market, *args)
+
+    # Seed 7 at persistence 0.9: vol 5 and 6 first fail on days 127 and 126, in the
+    # second chunk; at vol 1000 day 0 fails its Cholesky and day 5 overflows.
+    FAILURE_GRID = [*range(2, 41), 1000]
+
+    @pytest.mark.parametrize("vol", FAILURE_GRID)
+    def test_failures_equal_the_day_by_day_loop(self, vol):
+        args = (3, 150, 0.9, 12, 7)
+        assert _outcome(simulate_market, *args, vol=vol) == _outcome(
+            reference_simulate_market, *args, vol=vol)
+
+    def test_failure_grid_reaches_past_the_first_chunk_and_overflows_after_a_cholesky(self):
+        firsts = [next((t for t, kind in enumerate(_failing_days(3, 150, 0.9, 12, 7, vol)) if kind), 0)
+                  for vol in self.FAILURE_GRID]
+        assert max(firsts) >= 64
+        kinds = _failing_days(3, 150, 0.9, 12, 7, 1000)
+        assert kinds[0] == "cholesky" and "overflow" in kinds[1:64]
 
 
 class TestMatbin:
